@@ -1,8 +1,9 @@
 """Command-line front end for the identity-check registry.
 
 Configuration precedence: built-in defaults, then a key=value config file,
-then explicit command-line flags.  Exit status: 0 all checks pass, 1 a check
-failed (or a computation error), 2 unusable configuration.
+then explicit command-line flags.  Exit status: 0 every check passed or was
+skipped as not applicable, 1 a check failed (or a computation error), 2
+unusable configuration, including a single --check that does not apply.
 """
 
 import argparse
@@ -122,12 +123,16 @@ def _report_dict(rep):
     return dataclasses.asdict(rep)
 
 
+def _overall(reports):
+    """pass when no check failed; skipped checks do not count against it."""
+    return "pass" if all(r.status in ("pass", "skipped") for r in reports) else "fail"
+
+
 def emit_json(reports, single):
     if single:
         return json.dumps(_report_dict(reports[0]), indent=2) + "\n"
-    status = "pass" if all(r.status == "pass" for r in reports) else "fail"
     return json.dumps({"checks": [_report_dict(r) for r in reports],
-                       "status": status}, indent=2) + "\n"
+                       "status": _overall(reports)}, indent=2) + "\n"
 
 
 def emit_tsv(reports, single):
@@ -154,8 +159,7 @@ def emit_text(reports, single):
         blocks.append("\n".join(lines))
     text = "\n\n".join(blocks) + "\n"
     if not single:
-        status = "pass" if all(r.status == "pass" for r in reports) else "fail"
-        text += f"\noverall: {status} ({len(reports)} checks)\n"
+        text += f"\noverall: {_overall(reports)} ({len(reports)} checks)\n"
     return text
 
 
@@ -200,7 +204,7 @@ def main(argv=None):
             return 2
     else:
         sys.stdout.write(payload)
-    return 0 if all(r.status == "pass" for r in reports) else 1
+    return 0 if _overall(reports) == "pass" else 1
 
 
 if __name__ == "__main__":

@@ -9,6 +9,7 @@ exact; the only numerics is the final embedding into the completion.
 from .errors import (
     DuplicateNodesError,
     FieldMismatchError,
+    InvariantError,
     NotCoprimeError,
     NotInvertibleError,
     NotIrreducibleError,
@@ -461,13 +462,14 @@ def gauss_sum(cf: CycField) -> CycElem:
 
 
 def gauss_sum_inv(cf: CycField) -> CycElem:
-    """(-1)^d * prime / gauss_sum; the product law is asserted exactly."""
+    """(-1)^d * prime / gauss_sum; the product law is checked exactly."""
     key = "gauss_inv"
     if key not in cf.cache:
         g = gauss_sum(cf)
         sign_p = cf.const(cf.prime if cf.d % 2 == 0 else -cf.prime)
         ginv = sign_p * g.inv()
-        assert g * ginv == sign_p
+        if g * ginv != sign_p:
+            raise InvariantError("gauss_sum * gauss_sum_inv != (-1)^d * prime")
         cf.cache[key] = ginv
     return cf.cache[key]
 
@@ -717,7 +719,7 @@ def monic_sums(spec, j: int, zeta: GFElem):
     """Inverse-value sum over monic degree-j polynomials at zeta, plus the
     exact kernel sum_{a monic, deg j} a(y)/a(x) over the common denominator.
 
-    The scalar equals 1 / l_j(zeta), asserted here; a zeta that kills any
+    The scalar equals 1 / l_j(zeta), checked here; a zeta that kills any
     denominator (possible only when its degree is too small) is an error.
     """
     if spec.q**j > _DEG_LIMIT:
@@ -735,7 +737,8 @@ def monic_sums(spec, j: int, zeta: GFElem):
         raise ZetaDenominatorError("zeta kills the least common multiple")
     for a in monics:
         total = total + a.eval(zeta).inv()
-    assert total == lval.inv()
+    if total != lval.inv():
+        raise InvariantError(f"degree-{j} monic inverse sum != 1 / l_{j}(zeta)")
     # prefix/suffix cofactors for the shared denominator d_j(x)
     n = len(monics)
     pre = [None] * (n + 1)

@@ -87,3 +87,7 @@ class UnknownCheckError(CarlitzError):
 
 class ConfigError(CarlitzError):
     """Invalid CLI or config-file parameters."""
+
+
+class InvariantError(CarlitzError):
+    """A proved identity failed inside a computation: an internal fault."""

@@ -9,6 +9,8 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 
+import numpy as np
+
 from .errors import (
     AlphaTooLargeError,
     ConfigError,
@@ -19,7 +21,7 @@ from .errors import (
     SizeLimitError,
 )
 from .fields import GFPoly
-from .laurent import NEG_INF, Completion, RamLaurent
+from .laurent import NEG_INF, PREC_EXACT, Completion, RamLaurent, batch_inv, batch_mul
 from .tate import TateElem, tate_const, tate_zero
 
 _ENUM_LIMIT = 65536
@@ -426,15 +428,150 @@ def _char_coeffs(ctx: Completion, a: GFPoly, powers) -> dict:
     return out
 
 
-def _block_data(ctx: Completion, j: int, powers):
-    """Cached (embedding, character coefficients) pairs for a degree-j block."""
-    key = ("blockdata", j, tuple(powers))
+def _monic_rows(ctx: Completion, j: int) -> np.ndarray:
+    """(q^j, j*ram + 1, m) coordinates of the monic degree-j embeddings.
+
+    Row r of each entry is the coefficient of u^(r - j*ram), so every entry
+    starts at its valuation; enumeration order is that of _monic_block.
+    """
+    key = ("monic_rows", j)
     if key not in ctx.cache:
-        data = []
-        for a, emb in _monic_block(ctx, j):
-            data.append((emb, _char_coeffs(ctx, a, powers)))
-        ctx.cache[key] = data
+        base = -j * ctx.ram
+        block = _monic_block(ctx, j)
+        rows = np.zeros((len(block), 1 - base, ctx.spec.m), dtype=np.int64)
+        for i, (_, emb) in enumerate(block):
+            rows[i, emb.offset - base : emb.end() - base] = emb.coeffs
+        ctx.cache[key] = rows
     return ctx.cache[key]
+
+
+def _units(ctx: Completion) -> list:
+    return [c for c in ctx.spec.subfield_elements() if not c.is_zero()]
+
+
+def _block_chars(ctx: Completion, j: int, powers: tuple):
+    """(keys, C) for a degree-j block, cached per (j, powers): C (K, q^j, m)
+    holds the coordinates of chi(a)[e], the coefficients of
+    prod_i a(t_i)^{r_i}, with keys in first-appearance order."""
+    key = ("block_chars", j, powers)
+    if key not in ctx.cache:
+        chis = [_char_coeffs(ctx, a, powers) for a, _ in _monic_block(ctx, j)]
+        keys = tuple(dict.fromkeys(e for chi in chis for e in chi))
+        slot = {e: k for k, e in enumerate(keys)}
+        C = np.zeros((len(keys), len(chis), ctx.spec.m), dtype=np.int64)
+        for ai, chi in enumerate(chis):
+            for e, coef in chi.items():
+                C[slot[e], ai] = coef.coords
+        ctx.cache[key] = (keys, C)
+    return ctx.cache[key]
+
+
+def _block_weights(ctx: Completion, j: int, powers: tuple, with_units: bool):
+    """Character-weight matrix of a degree-j block, cached per (j, powers).
+
+    Stacked row i is (monic a, unit c) with c running fastest over the units
+    (a alone without them); its weight on key e is c^weight * chi(a)[e]
+    (chi(a)[e] without units).  Returns (keys, G, mask): G is the (K*m, N*m)
+    matrix that contracts stacked F_p coordinate rows into the key
+    coefficients through basis_mul_table, mask (K, N) marks nonzero weights.
+    """
+    key = ("psi_block" if with_units else "L_block", j, powers)
+    if key not in ctx.cache:
+        keys, W = _block_chars(ctx, j, powers)
+        K, _, m = W.shape
+        if with_units:
+            S = np.stack([ctx.spec.scalar_matrix(c ** sum(powers)) for c in _units(ctx)])
+            W = np.einsum("kab,cbd->kacd", W, S).reshape(K, -1, m) % ctx.p
+        T = ctx.spec.basis_mul_table.astype(np.int64)
+        G = np.einsum("kia,abc->kcib", W, T).reshape(K * m, -1) % ctx.p
+        ctx.cache[key] = (keys, G, W.any(axis=2))
+    return ctx.cache[key]
+
+
+def _stack_inverse(ctx: Completion, D: np.ndarray, lo: int, dprec: int, wp: int,
+                   single: np.ndarray):
+    """RamLaurent.inv(wp) of N nonzero series stacked in one frame.
+
+    Row i of D (N, F, m) is sum_r D[i, r] u^(lo + r) + O(u^dprec).  Rows
+    flagged single are exact single terms and get their exact inverse.
+    Returns (X, off, prec): inverse i is sum_r X[i, r] u^(off[i] + r) +
+    O(u^prec[i]), with X zero from each row's precision on.
+    """
+    N, _, m = D.shape
+    nz = D.any(axis=2)
+    first = nz.argmax(axis=1)
+    v = lo + first
+    if dprec >= PREC_EXACT:
+        n = np.full(N, wp)
+    else:
+        n = np.maximum(np.minimum(dprec - v, wp), 1)
+    L = int(n.max())
+    padded = np.concatenate([D, np.zeros((N, L, m), dtype=D.dtype)], axis=1)
+    U = padded[np.arange(N)[:, None], first[:, None] + np.arange(L)]
+    X = batch_inv(ctx, U, L)
+    X[np.arange(L)[None, :] >= n[:, None]] = 0
+    prec = np.where(single, PREC_EXACT, -v + n)
+    return X, -v, prec
+
+
+def _contract(ctx: Completion, weights, X: np.ndarray, off: np.ndarray,
+              prec: np.ndarray):
+    """One contraction of stacked inverses against a block's weights.
+
+    Returns (keys, lo, Y, kprec): key k receives sum_r Y[k, r] u^(lo + r),
+    known below kprec[k], the least precision among the rows it weights.
+    """
+    keys, G, mask = weights
+    N, L, m = X.shape
+    lo = int(off.min())
+    R = int(off.max()) - lo + L
+    if R == L:
+        P = X
+    else:
+        P = np.zeros((N, R, m), dtype=np.int64)
+        P[np.arange(N)[:, None], (off - lo)[:, None] + np.arange(L)] = X
+    flat = P.transpose(0, 2, 1).reshape(N * m, R)
+    Y = (G @ flat).reshape(len(keys), m, R).transpose(0, 2, 1) % ctx.p
+    kprec = np.where(mask, prec[None, :], PREC_EXACT).min(axis=1)
+    return keys, lo, Y, kprec
+
+
+def _assemble(ctx: Completion, parts) -> dict:
+    """Sum contracted blocks per key; each coefficient is built once."""
+    slot: dict = {}
+    for keys, *_ in parts:
+        for e in keys:
+            slot.setdefault(e, len(slot))
+    lo = min(part[1] for part in parts)
+    hi = max(part[1] + part[2].shape[1] for part in parts)
+    acc = np.zeros((len(slot), hi - lo, ctx.spec.m), dtype=np.int64)
+    kprec = np.full(len(slot), PREC_EXACT, dtype=np.int64)
+    for keys, plo, Y, pprec in parts:
+        idx = [slot[e] for e in keys]
+        acc[idx, plo - lo : plo - lo + Y.shape[1]] += Y
+        kprec[idx] = np.minimum(kprec[idx], pprec)
+    return {e: RamLaurent(ctx, lo, acc[k], kprec[k]) for e, k in slot.items()}
+
+
+def _psi_denominators(ctx: Completion, j: int, z: RamLaurent):
+    """Rows z - c*a over the degree-j block (a outer, unit c inner) in one
+    frame (D, lo), truncated at z's precision like the series they stand for."""
+    key = ("unit_rows", j)
+    if key not in ctx.cache:
+        S = np.stack([ctx.spec.scalar_matrix(c) for c in _units(ctx)])
+        rows = np.einsum("nlb,cbd->ncld", _monic_rows(ctx, j), S) % ctx.p
+        ctx.cache[key] = rows.reshape(-1, rows.shape[2], rows.shape[3])
+    CA = ctx.cache[key]
+    base = -j * ctx.ram
+    lo = base if z.is_zero() else min(base, z.offset)
+    hi = min(max(base + CA.shape[1], z.end()), z.prec)
+    D = np.zeros((CA.shape[0], max(hi - lo, 0), ctx.spec.m), dtype=np.int64)
+    w = min(CA.shape[1], hi - base)
+    if w > 0:
+        D[:, base - lo : base - lo + w] -= CA[:, :w]
+    if not z.is_zero():
+        D[:, z.offset - lo : z.end() - lo] += z.coeffs
+    return D % ctx.p, lo
 
 
 # -- the lattice sums
@@ -449,7 +586,9 @@ def psi(ctx: Completion, s: int, z: RamLaurent, degcap: int, tcap: int,
     is kept.  Blocks are summed ascending by degree; once q^j exceeds |z| a
     block is bounded by q^{-(j + C(j))} (series expansion in z/a plus the
     coordinate cancellation bound) and blocks below the working precision are
-    folded into the tail.
+    folded into the tail.  Each kept block stacks its denominators z - c*a,
+    inverts them in one batched Newton iteration and contracts the inverses
+    against the cached character weights c^weight * chi(a).
     """
     wp = budget.wp
     q, ram = ctx.q, ctx.ram
@@ -464,18 +603,12 @@ def psi(ctx: Completion, s: int, z: RamLaurent, degcap: int, tcap: int,
     az = z.norm_exp()
     if Fraction(degcap) <= az:
         raise ConfigError(f"degcap {degcap} does not exceed log|z| = {az}")
-    units = [c for c in ctx.spec.subfield_elements() if not c.is_zero()]
-    out: dict = {}
-    zero_e = (0,) * s
-
-    def bump(e, val):
-        prev = out.get(e)
-        out[e] = val if prev is None else prev + val
-
+    parts = []
     if weight == 0:
         if z.is_zero():
             raise LatticePoleError("z vanishes to working precision (a = 0 pole)")
-        bump(zero_e, z.inv(wp))
+        zi = z.inv(wp)
+        parts.append((((0,) * s,), zi.offset, zi.coeffs[None], np.array([zi.prec])))
     # blocks at degree >= degcap obey the same j + C(j) bound, which only grows
     tail = Fraction(-(degcap + _cancel_exp(q, weight, degcap)))
     blocks = []
@@ -485,18 +618,16 @@ def psi(ctx: Completion, s: int, z: RamLaurent, degcap: int, tcap: int,
             tail = max(tail, Fraction(-(j + c_j)))
             continue
         blocks.append(j)
-        for emb, chi in _block_data(ctx, j, powers):
-            for c in units:
-                denom = z - emb.scale(c)
-                if denom.is_zero():
-                    raise LatticePoleError(
-                        f"z meets the lattice at degree {j} to precision {denom.prec}")
-                invd = denom.inv(wp)
-                cs = c**weight
-                for e, coef in chi.items():
-                    bump(e, invd.scale(coef * cs))
+        weights = _block_weights(ctx, j, powers, True)
+        D, lo = _psi_denominators(ctx, j, z)
+        nz = D.any(axis=2)
+        if not nz.any(axis=1).all():
+            raise LatticePoleError(
+                f"z meets the lattice at degree {j} to precision {z.prec}")
+        single = nz.sum(axis=1) == 1 if z.is_exact() else np.zeros(len(D), dtype=bool)
+        parts.append(_contract(ctx, weights, *_stack_inverse(ctx, D, lo, z.prec, wp, single)))
     budget.n_terms["psi"] = blocks
-    return TateElem(ctx, s, tcap, out, tail)
+    return TateElem(ctx, s, tcap, _assemble(ctx, parts), tail)
 
 
 def L_multi(ctx: Completion, s: int, n: int, degcap: int, tcap: int,
@@ -505,6 +636,8 @@ def L_multi(ctx: Completion, s: int, n: int, degcap: int, tcap: int,
 
     powers defaults to all ones; the q-th-power character variants feed the
     difference-equation checks.  Block j carries |block| <= q^{-jn - C(j)}.
+    Each kept block raises its stacked a to the n-th power, inverts all of
+    them in one batched Newton iteration and contracts against chi(a).
     """
     wp = budget.wp
     q, ram = ctx.q, ctx.ram
@@ -512,10 +645,11 @@ def L_multi(ctx: Completion, s: int, n: int, degcap: int, tcap: int,
         raise ShapeMismatchError("need s >= 0, n >= 1, degcap >= 1")
     if powers is None:
         powers = (1,) * s
+    powers = tuple(powers)
     if len(powers) != s or any(p < 1 for p in powers):
         raise ShapeMismatchError("powers must list one positive exponent per variable")
     weight = sum(powers)
-    out: dict = {}
+    parts = []
     tail = Fraction(-(n * degcap + _cancel_exp(q, weight, degcap)))
     blocks = []
     for j in range(degcap):
@@ -524,14 +658,21 @@ def L_multi(ctx: Completion, s: int, n: int, degcap: int, tcap: int,
             tail = max(tail, Fraction(-(j * n + c_j)))
             continue
         blocks.append(j)
-        for emb, chi in _block_data(ctx, j, powers):
-            an_inv = emb.inv(wp) if n == 1 else (emb**n).inv(wp)
-            for e, coef in chi.items():
-                prev = out.get(e)
-                v = an_inv.scale(coef)
-                out[e] = v if prev is None else prev + v
+        rows = _monic_rows(ctx, j)
+        # a^n is a single term exactly when a is, and its first wp
+        # coefficients fix those of its inverse
+        single = rows.any(axis=2).sum(axis=1) == 1
+        D, base, k = rows[:, :wp], rows[:, :wp], n - 1
+        while k:
+            if k & 1:
+                D = batch_mul(ctx, D, base, wp)
+            k >>= 1
+            if k:
+                base = batch_mul(ctx, base, base, wp)
+        inv = _stack_inverse(ctx, D, -j * ram * n, PREC_EXACT, wp, single)
+        parts.append(_contract(ctx, _block_weights(ctx, j, powers, False), *inv))
     budget.n_terms["L_multi"] = blocks
-    return TateElem(ctx, s, tcap, out, tail)
+    return TateElem(ctx, s, tcap, _assemble(ctx, parts), tail)
 
 
 # -- exact ultrametric linear solves
@@ -540,15 +681,20 @@ def L_multi(ctx: Completion, s: int, n: int, degcap: int, tcap: int,
 def ram_solve(rows, rhs, wp: int):
     """Solve a small linear system with RamLaurent entries by elimination.
 
-    Pivots on the largest-norm entry per column; raises on term-free pivot
-    columns (the system is singular to working precision).
+    rhs is one right-hand side (n entries), giving one solution, or a list
+    of them, giving a list of solutions.  The matrix is eliminated once and
+    the recorded swaps and multipliers are replayed on every right-hand side;
+    pivots depend on the matrix alone.  Pivots on the largest-norm entry per
+    column; raises on term-free pivot columns (the system is singular to
+    working precision).
     """
     n = len(rows)
-    if any(len(r) != n for r in rows) or len(rhs) != n:
+    several = bool(rhs) and not isinstance(rhs[0], RamLaurent)
+    bs = [list(b) for b in rhs] if several else [list(rhs)]
+    if any(len(r) != n for r in rows) or any(len(b) != n for b in bs):
         raise ShapeMismatchError("system must be square with matching rhs")
     A = [list(r) for r in rows]
-    b = list(rhs)
-    perm = list(range(n))
+    steps = []
     for col in range(n):
         best, best_norm = None, NEG_INF
         for r in range(col, n):
@@ -558,19 +704,27 @@ def ram_solve(rows, rhs, wp: int):
         if best is None:
             raise SingularSystemError(f"no usable pivot in column {col}")
         A[col], A[best] = A[best], A[col]
-        b[col], b[best] = b[best], b[col]
         inv_p = A[col][col].inv(wp)
+        mults = []
         for r in range(col + 1, n):
             if A[r][col].is_zero():
                 continue
             f = A[r][col] * inv_p
             for c in range(col, n):
                 A[r][c] = A[r][c] - f * A[col][c]
-            b[r] = b[r] - f * b[col]
-    out = [None] * n
-    for r in range(n - 1, -1, -1):
-        acc = b[r]
-        for c in range(r + 1, n):
-            acc = acc - A[r][c] * out[c]
-        out[r] = acc * A[r][r].inv(wp)
-    return out
+            mults.append((r, f))
+        steps.append((best, inv_p, mults))
+    sols = []
+    for b in bs:
+        for col, (best, _, mults) in enumerate(steps):
+            b[col], b[best] = b[best], b[col]
+            for r, f in mults:
+                b[r] = b[r] - f * b[col]
+        out = [None] * n
+        for r in range(n - 1, -1, -1):
+            acc = b[r]
+            for c in range(r + 1, n):
+                acc = acc - A[r][c] * out[c]
+            out[r] = acc * steps[r][1]
+        sols.append(out)
+    return sols if several else sols[0]

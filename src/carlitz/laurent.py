@@ -167,6 +167,68 @@ def _raw_mul(ctx: Completion, A: np.ndarray, B: np.ndarray) -> np.ndarray:
     return (out % ctx.p).astype(np.int8)
 
 
+def batch_mul(ctx: Completion, A: np.ndarray, B: np.ndarray, n: int) -> np.ndarray:
+    """Row-wise products of stacked series, first n coefficients.
+
+    A (N, La, m) and B (N, Lb, m) hold the F_p coordinate rows of N series
+    each, aligned at their first coefficient; returns (N, n, m) int64 reduced
+    mod p.  One vector operation per shift of A and basis coordinate keeps
+    every temporary at O(N * n * m).
+    """
+    N, La, m = A.shape
+    T = ctx.spec.basis_mul_table.astype(np.int64)
+    out = np.zeros((N, n, m), dtype=np.int64)
+    Bn = B[:, :n].astype(np.int64)
+    for a in range(m):
+        Ba = Bn @ T[a] if m > 1 else Bn  # basis element a times B
+        for s in range(min(La, n)):
+            w = min(Ba.shape[1], n - s)
+            out[:, s : s + w] += A[:, s, a, None, None] * Ba[:, :w]
+    return out % ctx.p
+
+
+def _field_inv_rows(ctx: Completion, rows: np.ndarray) -> np.ndarray:
+    """Coordinates of the inverses of N nonzero field elements given as (N, m) rows."""
+    spec = ctx.spec
+    key = ("field_inv",)
+    if key not in ctx.cache:
+        table = np.zeros((spec.order, spec.m), dtype=np.int64)
+        for idx in range(1, spec.order):
+            table[idx] = spec.from_index(idx).inv().coords
+        ctx.cache[key] = table
+    idx = rows.astype(np.int64) @ (spec.p ** np.arange(spec.m, dtype=np.int64))
+    return ctx.cache[key][idx]
+
+
+def batch_inv(ctx: Completion, U: np.ndarray, n: int) -> np.ndarray:
+    """First n coefficients of 1/U for N stacked series at once.
+
+    U (N, L, m) holds series aligned at their valuation (every U[:, 0] is a
+    nonzero field element).  This is the Newton doubling of RamLaurent.inv
+    on all rows together; each step forms only the new coefficients t..t2-1
+    of the error 1 - U*X, since the lower ones vanish, and appends X times
+    that error.  Returns (N, n, m) int64.
+    """
+    N, L, m = U.shape
+    p = ctx.p
+    T = ctx.spec.basis_mul_table.astype(np.int64)
+    Uw = np.zeros((N, n, m), dtype=np.int64)
+    Uw[:, : min(L, n)] = U[:, :n]
+    X = np.zeros((N, n, m), dtype=np.int64)
+    X[:, 0] = _field_inv_rows(ctx, Uw[:, 0])
+    t = 1
+    while t < n:
+        t2 = min(2 * t, n)
+        E = np.zeros((N, t2 - t, m), dtype=np.int64)
+        for a in range(m):
+            Ua = Uw[:, :t2] @ T[a] if m > 1 else Uw[:, :t2]
+            for r in range(t):
+                E += X[:, r, a, None, None] * Ua[:, t - r : t2 - r]
+        X[:, t:t2] = batch_mul(ctx, X[:, : t2 - t], (-E) % p, t2 - t)
+        t = t2
+    return X
+
+
 class RamLaurent:
     """Dense Laurent series block with absolute precision tracking."""
 

@@ -54,12 +54,12 @@ from .cyclotomic import (
     gauss_sum_inv,
     interpolation_M,
     M_from_gauss,
+    _TORSION_LIMIT,
     make_torsion_field,
     telescope_pair,
 )
 
 _MARGIN_CAP = 10000
-_TORSION_LIMIT = 512
 
 
 @dataclass
@@ -103,6 +103,7 @@ class CheckDef:
     runner: object
     needs_prime: bool = False
     allows_prime2: bool = False
+    min_q: int = 2
 
 
 # -- residual bookkeeping
@@ -377,13 +378,12 @@ def _subsets(idx):
 
 def _run_thm2(rc):
     cfg = rc.cfg
-    if rc.q < 3:
-        raise ConfigError("the constancy statement needs q >= 3 at arity 2")
     ctx = rc.ctx(1)
     B = default_budget(ctx, cfg.prec)
     n = max(2, cfg.samples)
     zs = [_inner_z(rc, ctx, i) for i in range(n)]
     chis = {}
+    psis = {}
 
     def chi_slot(k, i):
         if (k, i) not in chis:
@@ -391,8 +391,10 @@ def _run_thm2(rc):
         return chis[(k, i)]
 
     def psi_sub(k, J):
-        powers = tuple(1 if i in J else 0 for i in (0, 1))
-        return psi(ctx, 2, zs[k], cfg.degcap, cfg.tcap, B, powers=powers)
+        if (k, J) not in psis:
+            powers = tuple(1 if i in J else 0 for i in (0, 1))
+            psis[(k, J)] = psi(ctx, 2, zs[k], cfg.degcap, cfg.tcap, B, powers=powers)
+        return psis[(k, J)]
 
     def h_val(k, I):
         comp = [i for i in (0, 1) if i not in I]
@@ -547,10 +549,9 @@ def _genseries_samples(rc, s_list, kmax=2):
         vals = [psi(ctx, s, z, cfg.degcap, tcap, B).scalar_mul(z) for z in nodes]
         rows = [[z**n for n in ns] for z in nodes]
         keys = sorted(set().union(*[set(v.terms) for v in vals]))
+        rhs = [[v.coeff(key).truncate(model_prec) for v in vals] for key in keys]
         sol = {}
-        for key in keys:
-            rhs = [v.coeff(key).truncate(model_prec) for v in vals]
-            xs = ram_solve(rows, rhs, B.wp)
+        for key, xs in zip(keys, ram_solve(rows, rhs, B.wp)):
             for jj, x in enumerate(xs):
                 sol.setdefault(jj, {})[key] = x
         for jj, n in enumerate(ns):
@@ -867,7 +868,7 @@ REGISTRY = {
     "thm2-hI-const": CheckDef(
         "psi(2,z) == pi_tilde * u(z) * chi_1 * chi_2 + sum over proper subsets I of chi^I * c_I "
         "with every c_I constant in z  [q>=3]",
-        _run_thm2),
+        _run_thm2, min_q=3),
     "thm3-omega-gauss": CheckDef(
         "omega at t=zeta == -ell_{d-1}(zeta) * embed(gauss_sum)",
         _run_thm3, needs_prime=True),
@@ -980,20 +981,35 @@ def _csv(coeffs):
     return None if coeffs is None else ",".join(str(c) for c in coeffs)
 
 
-def run_check(cfg: CheckConfig) -> CheckReport:
-    t0 = time.perf_counter()
-    rc = _resolve(cfg)
-    samples, extra = REGISTRY[cfg.check].runner(rc)
-    status = "pass" if all(s.status == "pass" for s in samples) else "fail"
-    certs = [s.certified for s in samples if isinstance(s.certified, int)]
-    overall = min(certs) if certs else "exact"
-    params = {
+def _params(cfg: CheckConfig, rc: _Run) -> dict:
+    return {
         "p": cfg.p, "e": cfg.e, "q": rc.q,
         "prime": _csv(rc.prime), "prime2": _csv(rc.prime2),
         "root_index": cfg.root_index,
         "prec": cfg.prec, "tcap": cfg.tcap, "degcap": cfg.degcap,
         "samples": cfg.samples, "seed": cfg.seed,
     }
+
+
+def _not_applicable(cfg: CheckConfig, rc: _Run):
+    """Why the check does not apply to this configuration, or None."""
+    min_q = REGISTRY[cfg.check].min_q
+    if rc.q < min_q:
+        return f"needs q >= {min_q}, got q = {rc.q}"
+    return None
+
+
+def run_check(cfg: CheckConfig) -> CheckReport:
+    t0 = time.perf_counter()
+    rc = _resolve(cfg)
+    reason = _not_applicable(cfg, rc)
+    if reason is not None:
+        raise ConfigError(f"{cfg.check} {reason}")
+    samples, extra = REGISTRY[cfg.check].runner(rc)
+    status = "pass" if all(s.status == "pass" for s in samples) else "fail"
+    certs = [s.certified for s in samples if isinstance(s.certified, int)]
+    overall = min(certs) if certs else "exact"
+    params = _params(cfg, rc)
     for k in sorted(extra):
         params[k] = extra[k]
     elapsed = int((time.perf_counter() - t0) * 1000)
@@ -1001,9 +1017,20 @@ def run_check(cfg: CheckConfig) -> CheckReport:
 
 
 def run_all(cfg: CheckConfig):
-    """Every registry check in contract order with one shared configuration."""
+    """Every registry check in contract order with one shared configuration.
+
+    A check that does not apply to the configuration (q below its min_q) is
+    reported as skipped, with the reason as its one sample row, and the run
+    goes on.
+    """
     reports = []
     for name in REGISTRY:
         sub = CheckConfig(**{**cfg.__dict__, "check": name})
-        reports.append(run_check(sub))
+        rc = _resolve(sub)
+        reason = _not_applicable(sub, rc)
+        if reason is None:
+            reports.append(run_check(sub))
+            continue
+        row = SampleResult(0, reason, "skipped", "skipped", "skipped")
+        reports.append(CheckReport(name, _params(sub, rc), "skipped", "skipped", [row], 0))
     return reports

@@ -6,6 +6,7 @@ import random
 
 import pytest
 
+from carlitz import cyclotomic
 from carlitz.cyclotomic import (
     CycField,
     FracPoly,
@@ -31,6 +32,7 @@ from carlitz.cyclotomic import (
 from carlitz.errors import (
     DuplicateNodesError,
     FieldMismatchError,
+    InvariantError,
     NotCoprimeError,
     NotIrreducibleError,
     RootMismatchError,
@@ -509,6 +511,24 @@ def test_monic_sums_identity(p, d, j):
     assert total == ell_poly(spec, j).eval(zeta).inv()
     expect = FracPoly(ell_poly(spec, j, "x"), _kernel_product(spec, j))
     assert frac == expect
+
+
+def test_invariants_raise_when_broken(monkeypatch):
+    # the proved identities are checked by explicit raises, which python -O
+    # keeps; break each one and expect the raise
+    spec = make_field(2, 1, 2)
+    prime = spec.poly([1, 1, 1])
+    cf = make_torsion_field(spec, prime, roots_in_ext(prime, spec)[0])
+    gauss_sum(cf)
+    monkeypatch.setattr(cyclotomic.CycElem, "inv", lambda self: self)
+    with pytest.raises(InvariantError):
+        gauss_sum_inv(cf)
+    monkeypatch.undo()
+    spec4 = make_field(2, 1, 4)
+    monkeypatch.setattr(cyclotomic, "ell_poly",
+                        lambda spec, j, var="theta": spec.poly([1], var))
+    with pytest.raises(InvariantError):
+        monic_sums(spec4, 1, _generator(spec4))
 
 
 def test_monic_sums_guards():

@@ -1,6 +1,7 @@
 """Tests for the special-function layer: series, lattice sums, L-values."""
 
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -17,6 +18,8 @@ from carlitz.functions import (
     SeriesBudget,
     L_multi,
     _cancel_exp,
+    _char_coeffs,
+    _monic_block,
     agf_f,
     carlitz_constants,
     carlitz_e,
@@ -509,6 +512,171 @@ def test_twisted_difference_equations_at_value():
         Lq = L_multi(ctx, 1, 1, 12, tcap, B, powers=(ctx.q,))
         d2 = p1.phi(0) - pq.scalar_mul((pu ** (ctx.q - 1)).inv(B.wp)) - Lq
         assert d2.gauss_norm_exp() <= Fraction(-B.prec + 6, ctx.ram)
+
+
+# -- the block kernel against the per-term loops it replaced
+
+
+def _psi_reference(ctx, s, z, degcap, tcap, budget, powers=None):
+    """psi as a per-term loop: one inversion and one scaled add per (a, c)."""
+    wp = budget.wp
+    q, ram = ctx.q, ctx.ram
+    if powers is None:
+        powers = (1,) * s
+    powers = tuple(powers)
+    weight = sum(powers)
+    az = z.norm_exp()
+    units = [c for c in ctx.spec.subfield_elements() if not c.is_zero()]
+    out = {}
+    zero_e = (0,) * s
+
+    def bump(e, val):
+        prev = out.get(e)
+        out[e] = val if prev is None else prev + val
+
+    if weight == 0:
+        if z.is_zero():
+            raise LatticePoleError("z vanishes to working precision (a = 0 pole)")
+        bump(zero_e, z.inv(wp))
+    tail = Fraction(-(degcap + _cancel_exp(q, weight, degcap)))
+    blocks = []
+    for j in range(degcap):
+        c_j = _cancel_exp(q, weight, j)
+        if Fraction(j) > az and ram * (j + c_j) >= wp + 2:
+            tail = max(tail, Fraction(-(j + c_j)))
+            continue
+        blocks.append(j)
+        for a, emb in _monic_block(ctx, j):
+            chi = _char_coeffs(ctx, a, powers)
+            for c in units:
+                denom = z - emb.scale(c)
+                if denom.is_zero():
+                    raise LatticePoleError(
+                        f"z meets the lattice at degree {j} to precision {denom.prec}")
+                invd = denom.inv(wp)
+                cs = c**weight
+                for e, coef in chi.items():
+                    bump(e, invd.scale(coef * cs))
+    budget.n_terms["psi"] = blocks
+    return TateElem(ctx, s, tcap, out, tail)
+
+
+def _L_multi_reference(ctx, s, n, degcap, tcap, budget, powers=None):
+    """L_multi as a per-term loop: one inversion per monic a."""
+    wp = budget.wp
+    q, ram = ctx.q, ctx.ram
+    if powers is None:
+        powers = (1,) * s
+    weight = sum(powers)
+    out = {}
+    tail = Fraction(-(n * degcap + _cancel_exp(q, weight, degcap)))
+    blocks = []
+    for j in range(degcap):
+        c_j = _cancel_exp(q, weight, j)
+        if ram * (j * n + c_j) >= wp + 2:
+            tail = max(tail, Fraction(-(j * n + c_j)))
+            continue
+        blocks.append(j)
+        for a, emb in _monic_block(ctx, j):
+            chi = _char_coeffs(ctx, a, powers)
+            an_inv = emb.inv(wp) if n == 1 else (emb**n).inv(wp)
+            for e, coef in chi.items():
+                prev = out.get(e)
+                v = an_inv.scale(coef)
+                out[e] = v if prev is None else prev + v
+    budget.n_terms["L_multi"] = blocks
+    return TateElem(ctx, s, tcap, out, tail)
+
+
+def _assert_same(got, want):
+    assert list(got.terms) == list(want.terms)
+    for e, c in want.terms.items():
+        g = got.terms[e]
+        assert (g.offset, g.prec) == (c.offset, c.prec), e
+        assert g == c, e
+    assert got.tail_norm_exp == want.tail_norm_exp
+
+
+KERNEL_TOWERS = [(2, 1, 1), (2, 1, 2), (2, 2, 1), (3, 1, 1), (3, 1, 2), (5, 1, 1)]
+KERNEL_POWERS = [(), (1,), (2,), (0, 0), (1, 0), (1, 1)]
+
+
+@pytest.mark.parametrize("p,e,d", KERNEL_TOWERS)
+def test_differential_psi_kernel(p, e, d):
+    ctx = Completion(p, e, d, wp=64)
+    B = default_budget(ctx, 12)
+    rng = random.Random(f"psi-kernel:{p}:{e}:{d}")
+    degcap = 3 if ctx.q >= 4 else 5
+    zs = [sample_z(ctx, rng, regime) for regime in ("small", "unit", "large")]
+    zs = [z for z in zs if z.norm_exp() < degcap]
+    # inexact points; the large one gives rows of several valuations, so
+    # each row keeps its own number of coefficients
+    zs += [z.truncate(z.valuation() + 5) for z in (zs[0], zs[-1])]
+    zs.append(ctx.zero())  # exact single-term denominators
+    for z in zs:
+        for powers in KERNEL_POWERS:
+            if z.is_zero() and not any(powers):
+                continue
+            s = len(powers)
+            b_got, b_want = default_budget(ctx, 12), default_budget(ctx, 12)
+            try:
+                want = _psi_reference(ctx, s, z, degcap, 2, b_want, powers=powers)
+            except LatticePoleError as err:
+                with pytest.raises(LatticePoleError, match=re.escape(str(err))):
+                    psi(ctx, s, z, degcap, 2, b_got, powers=powers)
+                continue
+            _assert_same(psi(ctx, s, z, degcap, 2, b_got, powers=powers), want)
+            assert b_got.n_terms["psi"] == b_want.n_terms["psi"]
+    # degree-zero block alone at z = 0: every denominator is a single exact
+    # term, so the whole sum stays exact
+    exact = psi(ctx, 1, ctx.zero(), 1, 2, B)
+    _assert_same(exact, _psi_reference(ctx, 1, ctx.zero(), 1, 2, B))
+    assert all(c.is_exact() for c in exact.terms.values())
+
+
+@pytest.mark.parametrize("p,e,d", KERNEL_TOWERS)
+def test_differential_psi_kernel_poles(p, e, d):
+    ctx = Completion(p, e, d, wp=64)
+    B = default_budget(ctx, 12)
+    lattice = ctx.embed_poly(ctx.spec.poly([1, 1]))  # theta + 1
+    near = lattice.truncate(1)  # inexact, agrees with the lattice point
+    for z, powers in ((lattice, (1,)), (near, (1, 1)), (ctx.zero(B.wp), ())):
+        msgs = []
+        for fn in (psi, _psi_reference):
+            with pytest.raises(LatticePoleError) as err:
+                fn(ctx, len(powers), z, 4, 2, B, powers=powers)
+            msgs.append(str(err.value))
+        assert msgs[0] == msgs[1]
+
+
+@pytest.mark.parametrize("p,e,d", KERNEL_TOWERS)
+def test_differential_L_multi_kernel(p, e, d):
+    ctx = Completion(p, e, d, wp=64)
+    degcap = 3 if ctx.q >= 4 else 5
+    for powers in ((), (1,), (ctx.q,), (1, 1)):
+        for n in (1, 2, 3):
+            b_got, b_want = default_budget(ctx, 12), default_budget(ctx, 12)
+            got = L_multi(ctx, len(powers), n, degcap, 2, b_got, powers=powers)
+            want = _L_multi_reference(ctx, len(powers), n, degcap, 2, b_want, powers=powers)
+            _assert_same(got, want)
+            assert b_got.n_terms["L_multi"] == b_want.n_terms["L_multi"]
+
+
+def test_ram_solve_several_right_hand_sides():
+    ctx = ctx3()
+    rng = random.Random(47)
+
+    def rand_entry():
+        return ctx.from_terms([(k, ctx.spec.from_index(rng.randrange(3)))
+                               for k in range(rng.randrange(-4, 0), 3)], 40)
+
+    rows = [[rand_entry() for _ in range(4)] for _ in range(4)]
+    rhs = [[rand_entry() for _ in range(4)] for _ in range(5)]
+    together = ram_solve(rows, rhs, 48)
+    assert len(together) == len(rhs)
+    for b, xs in zip(rhs, together):
+        for got, want in zip(xs, ram_solve(rows, b, 48)):
+            assert got == want
 
 
 # -- linear solves

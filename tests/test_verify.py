@@ -147,6 +147,26 @@ def test_arity_two_needs_q_at_least_three():
         run_check(CheckConfig(check="thm2-hI-const", **CHEAP))
 
 
+def test_run_all_skips_inapplicable_check(monkeypatch, capsys):
+    # at q = 2 the arity-two check does not apply: --all reports it skipped
+    # and runs every other check, while asking for it alone is a
+    # configuration error
+    reports = run_all(CheckConfig(**CHEAP))
+    status = {r.check: r.status for r in reports}
+    assert list(status) == EXPECTED_NAMES
+    assert status.pop("thm2-hI-const") == "skipped"
+    assert set(status.values()) == {"pass"}
+    row = "thm2-hI-const\t0\tneeds q >= 3, got q = 2\tskipped\tskipped\tskipped"
+    assert row in cli.emit_tsv(reports, False).splitlines()
+    assert cli.main(["--check", "thm2-hI-const", "--p", "2"]) == 2
+    small = {name: REGISTRY[name] for name in ("thm2-hI-const", "eq2-omega")}
+    monkeypatch.setattr(verify, "REGISTRY", small)
+    rc = cli.main(["--all", "--p", "2", "--prec", "12", "--tcap", "6",
+                   "--degcap", "6", "--format", "json"])
+    assert rc == 0
+    assert json.loads(capsys.readouterr().out)["status"] == "pass"
+
+
 # -- command line
 
 
