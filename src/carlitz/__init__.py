@@ -9,7 +9,7 @@ themselves (functions), exact torsion-field and Gauss-sum machinery
 
 from .errors import CarlitzError, ConfigError, UnknownCheckError
 from .fields import GFPoly, RatFunc, enumerate_A, make_field, roots_in_ext
-from .laurent import Completion, RamLaurent, ram_frobenius, sample_z
+from .laurent import Completion, RamLaurent, sample_z
 from .tate import EvalSpec, TateElem, tate_const, tate_t_minus_theta, tate_zero
 from .functions import (
     L_multi,
@@ -45,7 +45,7 @@ __version__ = "0.1.0"
 __all__ = [
     "CarlitzError", "ConfigError", "UnknownCheckError",
     "GFPoly", "RatFunc", "enumerate_A", "make_field", "roots_in_ext",
-    "Completion", "RamLaurent", "ram_frobenius", "sample_z",
+    "Completion", "RamLaurent", "sample_z",
     "EvalSpec", "TateElem", "tate_const", "tate_t_minus_theta", "tate_zero",
     "L_multi", "SeriesBudget", "agf_f", "carlitz_e", "carlitz_exp", "chi_t",
     "default_budget", "omega", "omega_inv", "papanikolas_L", "pi_tilde",

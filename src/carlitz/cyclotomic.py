@@ -20,11 +20,23 @@ from .errors import (
     ZetaDenominatorError,
     ZeroInverseError,
 )
-from .fields import GFElem, GFPoly, RatFunc, enumerate_A
+from .fields import (
+    DEG_LIMIT,
+    GFElem,
+    GFPoly,
+    RatFunc,
+    enumerate_A,
+    poly_add,
+    poly_degree,
+    poly_divmod,
+    poly_eval,
+    poly_mul,
+    poly_trim,
+    poly_xgcd,
+)
 from .functions import SeriesBudget, carlitz_e
 from .laurent import Completion, RamLaurent
 
-_DEG_LIMIT = 4096
 _TORSION_LIMIT = 512
 
 
@@ -55,7 +67,7 @@ def _rf_qpow(f: RatFunc, j: int) -> RatFunc:
 
 def d_poly(spec, j: int, var: str = "theta") -> GFPoly:
     """Product of all monic polynomials of degree j, by the q-power recursion."""
-    if spec.q**j > _DEG_LIMIT:
+    if spec.q**j > DEG_LIMIT:
         raise SizeLimitError(f"degree q^{j} beyond the polynomial guard")
     out = GFPoly(spec, (spec.one,), var)
     for i in range(1, j + 1):
@@ -68,7 +80,7 @@ def d_poly(spec, j: int, var: str = "theta") -> GFPoly:
 
 def ell_poly(spec, j: int, var: str = "theta") -> GFPoly:
     """prod_{k=1..j} (theta - theta^{q^k}), the signed lcm of degree-j monics."""
-    if spec.q**j > _DEG_LIMIT:
+    if spec.q**j > DEG_LIMIT:
         raise SizeLimitError(f"degree q^{j} beyond the polynomial guard")
     out = GFPoly(spec, (spec.one,), var)
     for k in range(1, j + 1):
@@ -89,11 +101,8 @@ class LinPoly:
     __slots__ = ("spec", "coeffs")
 
     def __init__(self, spec, coeffs):
-        cs = list(coeffs)
-        while cs and cs[-1].is_zero():
-            cs.pop()
         self.spec = spec
-        self.coeffs = tuple(cs)
+        self.coeffs = tuple(poly_trim(coeffs))
 
     @property
     def height(self) -> int:
@@ -105,8 +114,7 @@ class LinPoly:
         return _rf_zero(self.spec)
 
     def __add__(self, other: "LinPoly") -> "LinPoly":
-        n = max(len(self.coeffs), len(other.coeffs))
-        return LinPoly(self.spec, [self.coeff(j) + other.coeff(j) for j in range(n)])
+        return LinPoly(self.spec, poly_add(self.coeffs, other.coeffs, _rf_zero(self.spec)))
 
     def __neg__(self) -> "LinPoly":
         return LinPoly(self.spec, [-c for c in self.coeffs])
@@ -139,16 +147,6 @@ class LinPoly:
                 acc = acc + c * _rf_qpow(x, j)
         return acc
 
-    def eval_elem(self, x):
-        """Evaluate on any ring element with +, *, and integer powers."""
-        acc = None
-        for j, c in enumerate(self.coeffs):
-            if c.is_zero():
-                continue
-            term = x ** (self.spec.q**j) * c
-            acc = term if acc is None else acc + term
-        return acc
-
     def __eq__(self, other):
         return (isinstance(other, LinPoly) and self.spec is other.spec
                 and self.coeffs == other.coeffs)
@@ -171,7 +169,7 @@ def carlitz_poly(spec, a: GFPoly) -> LinPoly:
     satisfies the two ring laws and the coefficient formula through d_j.
     """
     a.subfield_coeff_indices()
-    if a.degree >= 0 and spec.q**a.degree > _DEG_LIMIT:
+    if a.degree >= 0 and spec.q**a.degree > DEG_LIMIT:
         raise SizeLimitError(f"action of degree-{a.degree} element beyond guard")
     theta_rf = RatFunc.from_poly(GFPoly(spec, (spec.zero, spec.one), "theta"))
     c_theta = LinPoly(spec, [theta_rf, _rf_one(spec)])
@@ -193,7 +191,7 @@ def basis_E(spec, j: int) -> LinPoly:
     with v = e_{j-1}(theta^{j-1}); the tests pin this against the literal
     product and against the module-action coefficients.
     """
-    if spec.q**j > _DEG_LIMIT:
+    if spec.q**j > DEG_LIMIT:
         raise SizeLimitError(f"degree q^{j} beyond the polynomial guard")
     e = LinPoly(spec, [_rf_one(spec)])
     for i in range(1, j + 1):
@@ -205,70 +203,6 @@ def basis_E(spec, j: int) -> LinPoly:
             scale = scale * v
         e = e.qtwist(1) - e.scale(scale)
     return e.scale(RatFunc.from_poly(d_poly(spec, j)).inv())
-
-
-# -- dense polynomials over rational-function coefficients
-
-
-def _ztrim(cs):
-    cs = list(cs)
-    while cs and cs[-1].is_zero():
-        cs.pop()
-    return cs
-
-
-def _zadd(a, b, zero):
-    n = max(len(a), len(b))
-    out = []
-    for i in range(n):
-        x = a[i] if i < len(a) else zero
-        y = b[i] if i < len(b) else zero
-        out.append(x + y)
-    return _ztrim(out)
-
-
-def _zmul(a, b, zero):
-    if not a or not b:
-        return []
-    out = [zero] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if x.is_zero():
-            continue
-        for k, y in enumerate(b):
-            out[i + k] = out[i + k] + x * y
-    return _ztrim(out)
-
-
-def _zdivmod(a, b, zero):
-    if not b:
-        raise ZeroInverseError("division by the zero polynomial")
-    rem = list(a)
-    lead_inv = b[-1].inv()
-    quot = [zero] * max(0, len(rem) - len(b) + 1)
-    while len(rem) >= len(b) and rem:
-        if rem[-1].is_zero():
-            rem.pop()
-            continue
-        f = rem[-1] * lead_inv
-        shift = len(rem) - len(b)
-        quot[shift] = quot[shift] + f
-        for i, c in enumerate(b):
-            rem[shift + i] = rem[shift + i] - f * c
-        rem.pop()
-    return _ztrim(quot), _ztrim(rem)
-
-
-def _zxgcd(a, b, zero, one):
-    """Extended gcd of coefficient lists: returns (g, s, t), s*a + t*b = g."""
-    r0, r1 = _ztrim(a), _ztrim(b)
-    s0, s1 = [one], []
-    t0, t1 = [], [one]
-    while r1:
-        q, r = _zdivmod(r0, r1, zero)
-        r0, r1 = r1, r
-        s0, s1 = s1, _zadd(s0, [-c for c in _zmul(q, s1, zero)], zero)
-        t0, t1 = t1, _zadd(t0, [-c for c in _zmul(q, t1, zero)], zero)
-    return r0, s0, t0
 
 
 class CycField:
@@ -325,8 +259,7 @@ class CycField:
         return CycElem(self, [x])
 
     def reduce(self, coeffs) -> "CycElem":
-        _, rem = _zdivmod(_ztrim(coeffs), list(self.rho), self._zero_rf)
-        return CycElem(self, rem)
+        return CycElem(self, poly_divmod(coeffs, self.rho, self._zero_rf)[1])
 
     def __repr__(self):
         return f"CycField(prime={self.prime!r}, deg={self.d})"
@@ -336,7 +269,7 @@ class CycElem:
     __slots__ = ("cf", "coeffs")
 
     def __init__(self, cf: CycField, coeffs):
-        cs = _ztrim(coeffs)
+        cs = poly_trim(coeffs)
         if len(cs) >= len(cf.rho):
             raise ShapeMismatchError("residue not reduced against the modulus")
         self.cf = cf
@@ -351,8 +284,7 @@ class CycElem:
 
     def __add__(self, other: "CycElem") -> "CycElem":
         self._check(other)
-        return CycElem(self.cf, _zadd(list(self.coeffs), list(other.coeffs),
-                                      self.cf._zero_rf))
+        return CycElem(self.cf, poly_add(self.coeffs, other.coeffs, self.cf._zero_rf))
 
     def __neg__(self) -> "CycElem":
         return CycElem(self.cf, [-c for c in self.coeffs])
@@ -362,18 +294,14 @@ class CycElem:
 
     def __mul__(self, other) -> "CycElem":
         if isinstance(other, (RatFunc, GFElem)):
-            if isinstance(other, GFElem):
-                return CycElem(self.cf, [c * other for c in self.coeffs])
             return CycElem(self.cf, [c * other for c in self.coeffs])
         self._check(other)
-        prod = _zmul(list(self.coeffs), list(other.coeffs), self.cf._zero_rf)
-        return self.cf.reduce(prod)
+        return self.cf.reduce(poly_mul(self.coeffs, other.coeffs, self.cf._zero_rf))
 
     def inv(self) -> "CycElem":
         if self.is_zero():
             raise ZeroInverseError("inverse of zero in the torsion field")
-        g, s, _ = _zxgcd(list(self.coeffs), list(self.cf.rho),
-                         self.cf._zero_rf, self.cf._one_rf)
+        g, s, _ = poly_xgcd(self.coeffs, self.cf.rho, self.cf._zero_rf, self.cf._one_rf)
         if len(g) != 1:
             raise NotInvertibleError(
                 f"gcd with the modulus has degree {len(g) - 1}; modulus not prime here")
@@ -487,19 +415,13 @@ class ZPoly:
 
     @property
     def degree(self) -> int:
-        for i in range(len(self.coeffs) - 1, -1, -1):
-            if not self.coeffs[i].is_zero():
-                return i
-        return -1
+        return poly_degree(self.coeffs)
 
     def coeff(self, k: int):
         return self.coeffs[k]
 
     def eval(self, x):
-        acc = None
-        for c in reversed(self.coeffs):
-            acc = c if acc is None else acc * x + c
-        return acc
+        return poly_eval(self.coeffs, x)
 
     def __eq__(self, other):
         if not isinstance(other, ZPoly):
@@ -538,7 +460,7 @@ def _lagrange(nodes, values, one, zero):
         for k in range(n):
             if k == i:
                 continue
-            num = _zmul(num, [-nodes[k], one], zero)
+            num = poly_mul(num, [-nodes[k], one], zero)
             df = nodes[i] - nodes[k]
             denom = df if denom is None else denom * df
         f = values[i] * denom.inv() if denom is not None else values[i]
@@ -631,10 +553,7 @@ class FracPoly:
 
     @property
     def degree(self) -> int:
-        for i in range(len(self.coeffs) - 1, -1, -1):
-            if not self.coeffs[i].is_zero():
-                return i
-        return -1
+        return poly_degree(self.coeffs)
 
     def __eq__(self, other):
         if not isinstance(other, FracPoly):
@@ -671,7 +590,7 @@ def telescope_pair(spec, d: int):
     """
     if d < 1:
         raise ShapeMismatchError("telescope depth must be >= 1")
-    if spec.q**d > _DEG_LIMIT:
+    if spec.q**d > DEG_LIMIT:
         raise SizeLimitError("telescope depth beyond the degree guard")
     one = GFPoly(spec, (spec.one,), "x")
     ell = [one]
@@ -722,7 +641,7 @@ def monic_sums(spec, j: int, zeta: GFElem):
     The scalar equals 1 / l_j(zeta), checked here; a zeta that kills any
     denominator (possible only when its degree is too small) is an error.
     """
-    if spec.q**j > _DEG_LIMIT:
+    if spec.q**j > DEG_LIMIT:
         raise SizeLimitError(f"enumeration q^{j} beyond the guard")
     if zeta.field is not spec:
         raise FieldMismatchError("zeta from another tower")

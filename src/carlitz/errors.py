@@ -29,10 +29,6 @@ class NoRootError(CarlitzError):
     """The requested extension contains no root of the polynomial."""
 
 
-class PrecisionTooLowError(CarlitzError):
-    """Requested precision cannot represent the object at all."""
-
-
 class ZeroInverseError(CarlitzError):
     """Inversion of an element that is zero (or zero to working precision)."""
 

@@ -1,20 +1,32 @@
 """Finite field towers F_p < F_q < F_{q^d} and exact polynomial arithmetic.
 
-The tower is fixed by two canonical moduli: the lexicographically least monic
-irreducible of degree e over F_p, and of degree d over F_q.  Coefficient
-vectors are always ordered low degree first, so "lexicographically least"
-compares the constant term before the linear term and so on.
+Every tower is built from its own base.  make_field(p, 1, 1) is F_p, and
+make_field(p, e, d) is base[y]/(f), where the base is make_field(p, e, 1)
+when d > 1 and F_p otherwise, and f is the lexicographically least monic
+irreducible over the base of degree d (or e).  So the tower is fixed by two
+canonical moduli: modulus_base, of degree e over F_p, and modulus_ext, of
+degree d over F_q.  Coefficient vectors are always ordered low degree first,
+so "lexicographically least" compares the constant term before the linear
+term and so on.
 
-Elements of F_{q^d} are stored as flat coordinate tuples over F_p of length
-m = e*d, coordinate k = i + e*j holding the coefficient of x^i * y^j where x
-generates F_q over F_p and y generates F_{q^d} over F_q.  Multiplication uses
-discrete log tables built from a deterministic generator search.
+An element of F_{q^d} is one int, its index: the base-p number whose digit
+k = i + e*j is the coefficient of x^i * y^j, where x generates F_q over F_p
+and y generates F_{q^d} over F_q.  So F_q is exactly the indices below q.
+The m = e*d coordinates (`GFElem.coords`) are a table lookup.  Each tower
+keeps int lists for the powers g^k of a deterministic generator g (exp), the
+discrete logarithm of every nonzero index (log) and the Zech logarithms
+log(1 + g^k) (zech): a product adds two logarithms, and a sum needs one Zech
+lookup.  Every table derives from basis_mul_table, the products of the m
+basis elements, by linear algebra over F_p.
+
+The poly_* helpers are the one dense-polynomial implementation.  They take
+coefficient lists, low degree first, over any coefficient type with + - *,
+is_zero and inv: GFPoly, RatFunc and the torsion-field layer all use them.
 """
 
 from __future__ import annotations
 
 import itertools
-from fractions import Fraction
 from typing import Iterator, Sequence
 
 import numpy as np
@@ -32,6 +44,10 @@ from .errors import (
 
 MAX_Q = 16
 MAX_ORDER = 4096
+# largest degree q^j of a polynomial built from a j-fold q-power recursion
+DEG_LIMIT = 4096
+# largest number q^j of polynomials enumerated at once
+ENUM_LIMIT = 65536
 
 
 def _is_prime(n: int) -> bool:
@@ -60,210 +76,168 @@ def _prime_factors(n: int) -> list[int]:
 
 
 # ---------------------------------------------------------------------------
-# Index-coefficient polynomial helpers, generic over a small table field.
-# Coefficient lists are low degree first and trimmed.
+# Coefficient-list polynomials over any field-like coefficient type.  Results
+# are trimmed: no trailing coefficient is_zero().  zero and one are the
+# coefficient ring's constants; a zero may carry data of its own (a series
+# zero carries a precision), so it is passed in, never built here.
 
 
-class _PrimeField:
-    """F_p with elements as plain ints 0..p-1."""
-
-    def __init__(self, p: int):
-        self.p = p
-        self.q = p
-
-    def add(self, a, b):
-        return (a + b) % self.p
-
-    def sub(self, a, b):
-        return (a - b) % self.p
-
-    def neg(self, a):
-        return (-a) % self.p
-
-    def mul(self, a, b):
-        return (a * b) % self.p
-
-    def inv(self, a):
-        if a % self.p == 0:
-            raise ZeroInverseError("inverse of 0 in F_p")
-        return pow(a, self.p - 2, self.p)
-
-
-def _pm_trim(cs: list) -> list:
-    while cs and cs[-1] == 0:
+def poly_trim(cs) -> list:
+    cs = list(cs)
+    while cs and cs[-1].is_zero():
         cs.pop()
     return cs
 
 
-def _pm_add(F, a: list, b: list) -> list:
+def poly_add(a, b, zero) -> list:
     n = max(len(a), len(b))
-    out = [0] * n
+    out = []
     for i in range(n):
-        x = a[i] if i < len(a) else 0
-        y = b[i] if i < len(b) else 0
-        out[i] = F.add(x, y)
-    return _pm_trim(out)
+        x = a[i] if i < len(a) else zero
+        y = b[i] if i < len(b) else zero
+        out.append(x + y)
+    return poly_trim(out)
 
 
-def _pm_sub(F, a: list, b: list) -> list:
-    n = max(len(a), len(b))
-    out = [0] * n
-    for i in range(n):
-        x = a[i] if i < len(a) else 0
-        y = b[i] if i < len(b) else 0
-        out[i] = F.sub(x, y)
-    return _pm_trim(out)
+def poly_sub(a, b, zero) -> list:
+    return poly_add(a, [-c for c in b], zero)
 
 
-def _pm_mul(F, a: list, b: list) -> list:
+def poly_mul(a, b, zero) -> list:
+    """Schoolbook product; skips zero left factors only, so series
+    coefficients keep the precision every other term contributes."""
     if not a or not b:
         return []
-    out = [0] * (len(a) + len(b) - 1)
+    out = [zero] * (len(a) + len(b) - 1)
     for i, x in enumerate(a):
-        if x == 0:
+        if x.is_zero():
             continue
-        for j, y in enumerate(b):
-            if y == 0:
-                continue
-            out[i + j] = F.add(out[i + j], F.mul(x, y))
-    return _pm_trim(out)
+        for k, y in enumerate(b):
+            out[i + k] = out[i + k] + x * y
+    return poly_trim(out)
 
 
-def _pm_divmod(F, a: list, b: list) -> tuple[list, list]:
+def poly_divmod(a, b, zero) -> tuple[list, list]:
+    b = poly_trim(b)
     if not b:
         raise PolyZeroDivisionError("polynomial division by zero")
-    a = list(a)
-    db, inv_lead = len(b) - 1, F.inv(b[-1])
-    if len(a) - 1 < db:
-        return [], _pm_trim(a)
-    quot = [0] * (len(a) - db)
-    for i in range(len(a) - 1, db - 1, -1):
-        c = a[i]
-        if c == 0:
+    rem = poly_trim(a)
+    db = len(b) - 1
+    lead_inv = b[-1].inv()
+    quot = [zero] * max(0, len(rem) - db)
+    for i in range(len(rem) - 1, db - 1, -1):
+        c = rem[i]
+        if c.is_zero():
             continue
-        f = F.mul(c, inv_lead)
+        f = c * lead_inv
         quot[i - db] = f
-        for j, y in enumerate(b):
-            a[i - db + j] = F.sub(a[i - db + j], F.mul(f, y))
-    return _pm_trim(quot), _pm_trim(a)
+        # the top coefficient cancels exactly and is cut below
+        for k in range(db):
+            rem[i - db + k] = rem[i - db + k] - f * b[k]
+    return poly_trim(quot), poly_trim(rem[:db])
 
 
-def _pm_gcd(F, a: list, b: list) -> list:
-    a, b = list(a), list(b)
+def poly_gcd(a, b, zero) -> list:
+    """Monic gcd; the empty list when both inputs are zero."""
+    a, b = poly_trim(a), poly_trim(b)
     while b:
-        a, b = b, _pm_divmod(F, a, b)[1]
+        a, b = b, poly_divmod(a, b, zero)[1]
     if a:
-        inv = F.inv(a[-1])
-        a = [F.mul(c, inv) for c in a]
+        inv = a[-1].inv()
+        a = [c * inv for c in a]
     return a
 
 
-def _pm_mulmod(F, a: list, b: list, mod: list) -> list:
-    return _pm_divmod(F, _pm_mul(F, a, b), mod)[1]
+def poly_xgcd(a, b, zero, one) -> tuple[list, list, list]:
+    """Extended gcd (g, s, t) with s*a + t*b = g; g is not made monic."""
+    r0, r1 = poly_trim(a), poly_trim(b)
+    s0, s1 = [one], []
+    t0, t1 = [], [one]
+    while r1:
+        q, r = poly_divmod(r0, r1, zero)
+        r0, r1 = r1, r
+        s0, s1 = s1, poly_sub(s0, poly_mul(q, s1, zero), zero)
+        t0, t1 = t1, poly_sub(t0, poly_mul(q, t1, zero), zero)
+    return r0, s0, t0
 
 
-def _pm_powmod(F, a: list, n: int, mod: list) -> list:
-    result = [1]
-    base = _pm_divmod(F, a, mod)[1]
+def poly_powmod(a, n: int, mod, zero, one) -> list:
+    result = [one]
+    base = poly_divmod(a, mod, zero)[1]
     while n:
         if n & 1:
-            result = _pm_mulmod(F, result, base, mod)
-        base = _pm_mulmod(F, base, base, mod)
+            result = poly_divmod(poly_mul(result, base, zero), mod, zero)[1]
         n >>= 1
+        if n:
+            base = poly_divmod(poly_mul(base, base, zero), mod, zero)[1]
     return result
 
 
-def _pm_is_irreducible(F, f: list) -> bool:
-    """Irreducibility over the table field via the Frobenius-gcd criterion."""
-    n = len(f) - 1
-    if n < 1 or f[-1] == 0:
-        return False
-    if n == 1:
-        return True
-    x = [0, 1]
-    xq = _pm_powmod(F, x, F.q**n, f)
-    if _pm_trim(list(xq)) != x:
-        return False
-    for r in _prime_factors(n):
-        u = _pm_powmod(F, x, F.q ** (n // r), f)
-        if len(_pm_gcd(F, _pm_sub(F, u, x), f)) - 1 != 0:
-            return False
-    return True
+def poly_eval(cs, x, zero=None):
+    """Horner's rule from the top coefficient; zero for the empty list."""
+    if not cs:
+        return zero
+    acc = cs[-1]
+    for c in reversed(cs[:-1]):
+        acc = acc * x + c
+    return acc
 
 
-def _lex_least_irreducible(F, deg: int) -> list:
-    """Lex-least monic irreducible of given degree; low-first coefficient order."""
-    for tail in itertools.product(range(F.q), repeat=deg):
-        f = list(tail) + [1]
-        if _pm_is_irreducible(F, f):
-            return f
-    raise NotIrreducibleError(f"no irreducible of degree {deg}")
-
-
-class _Subfield:
-    """F_q = F_p[x]/(modulus), elements as indices 0..q-1 (base-p digit = x-coeff)."""
-
-    def __init__(self, p: int, modulus: list[int]):
-        self.p = p
-        self.e = len(modulus) - 1
-        self.q = p**self.e
-        self.modulus = tuple(modulus)
-        self._mul = [[0] * self.q for _ in range(self.q)]
-        self._add = [[0] * self.q for _ in range(self.q)]
-        Fp = _PrimeField(p)
-        polys = [self._digits(i) for i in range(self.q)]
-        for i in range(self.q):
-            for j in range(self.q):
-                self._add[i][j] = self._undigits(_pm_add(Fp, polys[i], polys[j]))
-                self._mul[i][j] = self._undigits(
-                    _pm_divmod(Fp, _pm_mul(Fp, polys[i], polys[j]), list(modulus))[1]
-                )
-        self._inv = [0] * self.q
-        for i in range(1, self.q):
-            for j in range(1, self.q):
-                if self._mul[i][j] == 1:
-                    self._inv[i] = j
-                    break
-
-    def _digits(self, idx: int) -> list[int]:
-        out = []
-        for _ in range(self.e):
-            out.append(idx % self.p)
-            idx //= self.p
-        return _pm_trim(out)
-
-    def _undigits(self, cs: list[int]) -> int:
-        idx = 0
-        for c in reversed(cs):
-            idx = idx * self.p + c
-        return idx
-
-    def add(self, a, b):
-        return self._add[a][b]
-
-    def sub(self, a, b):
-        return self._add[a][self.neg(b)]
-
-    def neg(self, a):
-        return self._undigits([(-c) % self.p for c in self._digits(a)])
-
-    def mul(self, a, b):
-        return self._mul[a][b]
-
-    def inv(self, a):
-        if a == 0:
-            raise ZeroInverseError("inverse of 0 in F_q")
-        return self._inv[a]
+def poly_degree(cs) -> int:
+    """Degree of an untrimmed list; -1 for the zero polynomial."""
+    return len(poly_trim(cs)) - 1
 
 
 # ---------------------------------------------------------------------------
 
 
+def _lex_least_irreducible(base: "FieldSpec", deg: int) -> "GFPoly":
+    """Lex-least monic irreducible of the given degree over the base tower."""
+    for tail in itertools.product(range(base.order), repeat=deg):
+        f = base.poly(list(tail) + [1])
+        if f.is_irreducible():
+            return f
+    raise NotIrreducibleError(f"no irreducible of degree {deg}")
+
+
+def _basis_mul_table(base: "FieldSpec", f: Sequence["GFElem"]) -> np.ndarray:
+    """Coordinates of the products of the basis x^i y^j of base[y]/(f)."""
+    n, mb = len(f) - 1, base.m
+    zero = base.zero
+    # y^s reduced modulo the monic f, for every s a basis product reaches
+    ys = [[base.one if t == s else zero for t in range(n)] for s in range(n)]
+    for _ in range(n - 1):
+        prev = ys[-1]
+        ys.append([(prev[t - 1] if t else zero) - prev[-1] * f[t] for t in range(n)])
+    xs = [base.from_index(base.p**i) for i in range(mb)]
+    m = mb * n
+    T = np.zeros((m, m, m), dtype=np.int8)
+    for i1, i2 in itertools.product(range(mb), repeat=2):
+        c = xs[i1] * xs[i2]
+        for j1, j2 in itertools.product(range(n), repeat=2):
+            row = T[i1 + mb * j1, i2 + mb * j2]
+            for t, y in enumerate(ys[j1 + j2]):
+                row[mb * t : mb * (t + 1)] = (c * y).coords
+    return T
+
+
+def _mat_pow(M: np.ndarray, n: int, p: int) -> np.ndarray:
+    out = np.eye(M.shape[0], dtype=np.int64)
+    while n:
+        if n & 1:
+            out = out @ M % p
+        n >>= 1
+        if n:
+            M = M @ M % p
+    return out
+
+
 class FieldSpec:
-    """The tower F_p < F_q < F_{q^d} with canonical moduli and mult tables.
+    """The tower F_p < F_q < F_{q^d} with canonical moduli and log tables.
 
     Built by make_field; instances are cached and shared, so identity
-    comparison is safe for context checks.
+    comparison is safe for context checks.  base is the tower this one is a
+    simple extension of (None for F_p itself).
     """
 
     def __init__(self, p: int, e: int, d: int):
@@ -280,126 +254,90 @@ class FieldSpec:
         self.q = q
         self.order = q**d
         self.m = e * d
-        Fp = _PrimeField(p)
-        self.modulus_base = tuple(_lex_least_irreducible(Fp, e))
-        self.subfield = _Subfield(p, list(self.modulus_base))
-        self.modulus_ext = tuple(_lex_least_irreducible(self.subfield, d))
+        if self.m == 1:
+            self.base = None
+            self.modulus_base = self.modulus_ext = (0, 1)
+            self.basis_mul_table = np.ones((1, 1, 1), dtype=np.int8)
+        else:
+            self.base = make_field(p, e, 1) if d > 1 else make_field(p, 1, 1)
+            f = _lex_least_irreducible(self.base, d if d > 1 else e)
+            idx = tuple(c.index for c in f.coeffs)
+            if d > 1:
+                self.modulus_base, self.modulus_ext = self.base.modulus_base, idx
+            else:
+                self.modulus_base, self.modulus_ext = idx, (0, 1)
+            self.basis_mul_table = _basis_mul_table(self.base, f.coeffs)
         self._build_tables()
-        self.zero = GFElem(self, (0,) * self.m)
-        self.one = self.from_subfield(1)
 
-    # -- construction of multiplication structure
-
-    def _coords_to_ypoly(self, coords: Sequence[int]) -> list[int]:
-        e = self.e
-        out = []
-        for j in range(self.d):
-            idx = 0
-            for i in reversed(range(e)):
-                idx = idx * self.p + coords[i + e * j]
-            out.append(idx)
-        return out
-
-    def _ypoly_to_coords(self, ypoly: Sequence[int]) -> tuple[int, ...]:
-        coords = [0] * self.m
-        for j, idx in enumerate(ypoly):
-            for i in range(self.e):
-                coords[i + self.e * j] = idx % self.p
-                idx //= self.p
-        return tuple(coords)
-
-    def _mul_coords(self, c1, c2) -> tuple[int, ...]:
-        F = self.subfield
-        a = self._coords_to_ypoly(c1)
-        b = self._coords_to_ypoly(c2)
-        prod = _pm_mul(F, a, b)
-        rem = _pm_divmod(F, prod, list(self.modulus_ext))[1]
-        rem = rem + [0] * (self.d - len(rem))
-        return self._ypoly_to_coords(rem)
+    def coord_rows(self, idx) -> np.ndarray:
+        """Coordinate rows of an int array of indices."""
+        place = self.p ** np.arange(self.m, dtype=np.int64)
+        return np.asarray(idx, dtype=np.int64)[:, None] // place % self.p
 
     def _build_tables(self):
-        m, p = self.m, self.p
-        basis = []
-        for k in range(m):
-            c = [0] * m
-            c[k] = 1
-            basis.append(tuple(c))
-        T = np.zeros((m, m, m), dtype=np.int8)
-        for i in range(m):
-            for j in range(m):
-                T[i, j, :] = self._mul_coords(basis[i], basis[j])
-        self.basis_mul_table = T
+        p, m = self.p, self.m
         N = self.order - 1
+        T = self.basis_mul_table.astype(np.int64)
+        place = p ** np.arange(m, dtype=np.int64)
+        one = np.eye(1, m, dtype=np.int64)[0]
         factors = _prime_factors(N) if N > 1 else []
-
-        def pow_coords(c, n):
-            acc = tuple([1 if k == 0 else 0 for k in range(m)])
-            b = c
-            while n:
-                if n & 1:
-                    acc = self._mul_coords(acc, b)
-                b = self._mul_coords(b, b)
-                n >>= 1
-            return acc
-
-        gen = None
-        one = tuple([1 if k == 0 else 0 for k in range(m)])
+        # the first candidate in coordinate-lex order whose (N/r)-th powers
+        # all differ from 1; row vector times S multiplies by the candidate
         for cand in itertools.product(range(p), repeat=m):
-            if all(c == 0 for c in cand):
+            if not any(cand):
                 continue
-            if N == 1:
-                gen = cand
+            S = np.tensordot(T, np.array(cand, dtype=np.int64), axes=([1], [0])) % p
+            if all((_mat_pow(S, N // r, p)[0] != one).any() for r in factors):
                 break
-            if all(pow_coords(cand, N // r) != one for r in factors):
-                gen = cand
-                break
-        exp = [one]
-        cur = one
-        for _ in range(N - 1):
-            cur = self._mul_coords(cur, gen)
-            exp.append(cur)
-        self._exp = exp
-        self._log = {c: k for k, c in enumerate(exp)}
-        self.generator_coords = gen
-        F = np.zeros((m, m), dtype=np.int8)
-        for i in range(m):
-            bi = basis[i]
-            k = self._log[bi]
-            F[i, :] = self._exp[(k * self.q) % N]
-        self.frob_matrix = F
+        self.generator_coords = cand
+        # g^k for 0 <= k < 2N by doubling, so a sum of two logarithms and a
+        # negated logarithm (a negative list index) need no reduction
+        E, M = one[None, :], S
+        while E.shape[0] < 2 * N:
+            E = np.vstack([E, E @ M % p])
+            M = M @ M % p
+        self.exp = (E[: 2 * N] @ place).tolist()
+        self.log = [0] * self.order
+        for k in range(N):
+            self.log[self.exp[k]] = k
+        # 1 + x adds one to digit 0; -1 marks 1 + g^k = 0
+        self.zech = []
+        for x in self.exp[:N]:
+            y = x + 1 if x % p != p - 1 else x - (p - 1)
+            self.zech.append(self.log[y] if y else -1)
+        self.log_neg_one = self.log[p - 1]
+        frob = [self.exp[self.log[p**i] * self.q % N] for i in range(m)]
+        self.frob_matrix = self.coord_rows(frob).astype(np.int8)
+        self._coords = [tuple(r) for r in self.coord_rows(np.arange(self.order)).tolist()]
+        self.elems = [GFElem(self, i) for i in range(self.order)]
+        self.zero, self.one = self.elems[0], self.elems[1]
 
     # -- element constructors
 
     def elem(self, coords: Sequence[int]) -> "GFElem":
         if len(coords) != self.m:
             raise FieldMismatchError("coordinate length mismatch")
-        return GFElem(self, tuple(int(c) % self.p for c in coords))
+        idx = 0
+        for c in reversed(coords):
+            idx = idx * self.p + int(c) % self.p
+        return self.elems[idx]
 
     def from_index(self, idx: int) -> "GFElem":
-        coords = []
-        for _ in range(self.m):
-            coords.append(idx % self.p)
-            idx //= self.p
-        return GFElem(self, tuple(coords))
+        return self.elems[idx % self.order]
 
     def from_subfield(self, sub_idx: int) -> "GFElem":
         """Inject an F_q element (by subfield index) into the full field."""
         if not 0 <= sub_idx < self.q:
             raise FieldMismatchError(f"subfield index {sub_idx} out of range")
-        coords = [0] * self.m
-        for i in range(self.e):
-            coords[i] = sub_idx % self.p
-            sub_idx //= self.p
-        return GFElem(self, tuple(coords))
+        return self.elems[sub_idx]
 
     def elements(self) -> Iterator["GFElem"]:
         """All field elements in canonical coefficient-lex order."""
         for coords in itertools.product(range(self.p), repeat=self.m):
-            yield GFElem(self, coords)
+            yield self.elem(coords)
 
     def subfield_elements(self) -> Iterator["GFElem"]:
-        for i in range(self.q):
-            yield self.from_subfield(i)
+        return iter(self.elems[: self.q])
 
     def poly(self, coeffs: Sequence, var: str = "theta") -> "GFPoly":
         out = []
@@ -422,98 +360,97 @@ class FieldSpec:
 
 
 class GFElem:
-    """Element of the F_{q^d} tower as a flat F_p coordinate tuple."""
+    """Element of the F_{q^d} tower, stored as its index (base-p coordinate digits).
 
-    __slots__ = ("field", "coords")
+    Each tower holds one instance per index (FieldSpec.elems); the operations
+    look results up there instead of building new objects.
+    """
 
-    def __init__(self, field: FieldSpec, coords: tuple[int, ...]):
+    __slots__ = ("field", "index")
+
+    def __init__(self, field: FieldSpec, index: int):
         self.field = field
-        self.coords = coords
-
-    def _check(self, other: "GFElem"):
-        if self.field is not other.field:
-            raise FieldMismatchError("elements from different towers")
+        self.index = index
 
     @property
-    def index(self) -> int:
-        idx = 0
-        for c in reversed(self.coords):
-            idx = idx * self.field.p + c
-        return idx
+    def coords(self) -> tuple[int, ...]:
+        return self.field._coords[self.index]
 
     def is_zero(self) -> bool:
-        return all(c == 0 for c in self.coords)
+        return not self.index
 
     def __add__(self, other):
-        self._check(other)
-        p = self.field.p
-        return GFElem(self.field, tuple((a + b) % p for a, b in zip(self.coords, other.coords)))
+        f = self.field
+        if f is not other.field:
+            raise FieldMismatchError("elements from different towers")
+        if not self.index:
+            return other
+        if not other.index:
+            return self
+        # g^a + g^b = g^a (1 + g^(b-a)); a negative b-a indexes from the end
+        la = f.log[self.index]
+        z = f.zech[f.log[other.index] - la]
+        return f.zero if z < 0 else f.elems[f.exp[la + z]]
 
     def __neg__(self):
-        p = self.field.p
-        return GFElem(self.field, tuple((-a) % p for a in self.coords))
+        f = self.field
+        if not self.index:
+            return self
+        return f.elems[f.exp[f.log[self.index] + f.log_neg_one]]
 
     def __sub__(self, other):
         return self + (-other)
 
     def __mul__(self, other):
-        self._check(other)
         f = self.field
-        if self.is_zero() or other.is_zero():
+        if f is not other.field:
+            raise FieldMismatchError("elements from different towers")
+        if not self.index or not other.index:
             return f.zero
-        k = (f._log[self.coords] + f._log[other.coords]) % (f.order - 1)
-        return GFElem(f, f._exp[k])
+        return f.elems[f.exp[f.log[self.index] + f.log[other.index]]]
 
     def inv(self) -> "GFElem":
         f = self.field
-        if self.is_zero():
+        if not self.index:
             raise ZeroInverseError("inverse of zero field element")
-        k = (-f._log[self.coords]) % (f.order - 1)
-        return GFElem(f, f._exp[k])
+        return f.elems[f.exp[-f.log[self.index]]]
 
     def __truediv__(self, other):
         return self * other.inv()
 
     def __pow__(self, n: int):
         f = self.field
-        if self.is_zero():
+        if not self.index:
             if n == 0:
                 return f.one
             if n < 0:
                 raise ZeroInverseError("negative power of zero")
             return f.zero
-        k = (f._log[self.coords] * n) % (f.order - 1)
-        return GFElem(f, f._exp[k])
+        return f.elems[f.exp[f.log[self.index] * n % (f.order - 1)]]
 
     def frobenius(self, k: int = 1) -> "GFElem":
         """x -> x^(q^k)."""
-        return self ** (self.field.q**k) if not self.is_zero() else self
+        return self ** (self.field.q**k) if self.index else self
 
     def in_subfield(self) -> bool:
-        """True iff the element lies in F_q (fixed by the q-power map)."""
-        return self.frobenius() == self
+        """True iff the element lies in F_q, which is exactly the indices below q."""
+        return self.index < self.field.q
 
     @property
     def subfield_index(self) -> int:
         if not self.in_subfield():
             raise FieldMismatchError("element not in F_q")
-        if any(self.coords[self.field.e :]):
-            # F_q is exactly the x-block by construction; see invariant tests
-            raise FieldMismatchError("subfield element with nonzero y-part")
-        idx = 0
-        for c in reversed(self.coords[: self.field.e]):
-            idx = idx * self.field.p + c
-        return idx
+        return self.index
 
     def __eq__(self, other):
         return (
             isinstance(other, GFElem)
             and self.field is other.field
-            and self.coords == other.coords
+            and self.index == other.index
         )
 
     def __hash__(self):
-        return hash((id(self.field), self.coords))
+        return hash((id(self.field), self.index))
 
     def __repr__(self):
         return str(self.index)
@@ -525,10 +462,8 @@ class GFPoly:
     __slots__ = ("field", "coeffs", "var")
 
     def __init__(self, field: FieldSpec, coeffs: tuple[GFElem, ...], var: str = "theta"):
-        while coeffs and coeffs[-1].is_zero():
-            coeffs = coeffs[:-1]
         self.field = field
-        self.coeffs = coeffs
+        self.coeffs = tuple(poly_trim(coeffs))
         self.var = var
 
     def _check(self, other: "GFPoly"):
@@ -536,6 +471,9 @@ class GFPoly:
             raise FieldMismatchError("polynomials over different towers")
         if self.var != other.var:
             raise FieldMismatchError(f"indeterminate mismatch: {self.var} vs {other.var}")
+
+    def _new(self, coeffs) -> "GFPoly":
+        return GFPoly(self.field, coeffs, self.var)
 
     @property
     def degree(self) -> int:
@@ -559,16 +497,10 @@ class GFPoly:
 
     def __add__(self, other):
         self._check(other)
-        n = max(len(self.coeffs), len(other.coeffs))
-        f = self.field
-        return GFPoly(
-            f,
-            tuple(self.coeff(i) + other.coeff(i) for i in range(n)),
-            self.var,
-        )
+        return self._new(poly_add(self.coeffs, other.coeffs, self.field.zero))
 
     def __neg__(self):
-        return GFPoly(self.field, tuple(-c for c in self.coeffs), self.var)
+        return self._new(tuple(-c for c in self.coeffs))
 
     def __sub__(self, other):
         return self + (-other)
@@ -577,40 +509,15 @@ class GFPoly:
         if isinstance(other, GFElem):
             return self.scale(other)
         self._check(other)
-        if self.is_zero() or other.is_zero():
-            return GFPoly(self.field, (), self.var)
-        f = self.field
-        out = [f.zero] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
-            if a.is_zero():
-                continue
-            for j, b in enumerate(other.coeffs):
-                out[i + j] = out[i + j] + a * b
-        return GFPoly(f, tuple(out), self.var)
+        return self._new(poly_mul(self.coeffs, other.coeffs, self.field.zero))
 
     def scale(self, c: GFElem) -> "GFPoly":
-        return GFPoly(self.field, tuple(a * c for a in self.coeffs), self.var)
+        return self._new(tuple(a * c for a in self.coeffs))
 
     def __divmod__(self, other: "GFPoly"):
         self._check(other)
-        if other.is_zero():
-            raise PolyZeroDivisionError("division by zero polynomial")
-        f = self.field
-        rem = list(self.coeffs)
-        db = other.degree
-        inv_lead = other.lead.inv()
-        if self.degree < db:
-            return GFPoly(f, (), self.var), self
-        quot = [f.zero] * (self.degree - db + 1)
-        for i in range(self.degree, db - 1, -1):
-            c = rem[i]
-            if c.is_zero():
-                continue
-            fac = c * inv_lead
-            quot[i - db] = fac
-            for j, b in enumerate(other.coeffs):
-                rem[i - db + j] = rem[i - db + j] - fac * b
-        return GFPoly(f, tuple(quot), self.var), GFPoly(f, tuple(rem), self.var)
+        q, r = poly_divmod(self.coeffs, other.coeffs, self.field.zero)
+        return self._new(q), self._new(r)
 
     def __mod__(self, other):
         return divmod(self, other)[1]
@@ -619,23 +526,15 @@ class GFPoly:
         return divmod(self, other)[0]
 
     def gcd(self, other: "GFPoly") -> "GFPoly":
-        a, b = self, other
-        while not b.is_zero():
-            a, b = b, a % b
-        if not a.is_zero():
-            a = a.scale(a.lead.inv())
-        return a
+        return self._new(poly_gcd(self.coeffs, other.coeffs, self.field.zero))
 
     def eval(self, x: GFElem) -> GFElem:
         if x.field is not self.field:
             raise FieldMismatchError("evaluation point from another tower")
-        acc = self.field.zero
-        for c in reversed(self.coeffs):
-            acc = acc * x + c
-        return acc
+        return poly_eval(self.coeffs, x, self.field.zero)
 
     def frobenius_coeffs(self, k: int = 1) -> "GFPoly":
-        return GFPoly(self.field, tuple(c.frobenius(k) for c in self.coeffs), self.var)
+        return self._new(tuple(c.frobenius(k) for c in self.coeffs))
 
     def retag(self, var: str) -> "GFPoly":
         return GFPoly(self.field, self.coeffs, var)
@@ -645,9 +544,28 @@ class GFPoly:
         return [c.subfield_index for c in self.coeffs]
 
     def is_irreducible(self) -> bool:
-        """Irreducibility over F_q; requires all coefficients in the subfield."""
-        f = self.subfield_coeff_indices()
-        return _pm_is_irreducible(self.field.subfield, f)
+        """Irreducibility over F_q by the Frobenius-gcd criterion.
+
+        Requires all coefficients in F_q.  The criterion is computed in the
+        tower itself: a gcd does not change under a field extension.
+        """
+        self.subfield_coeff_indices()
+        f, n, q = self.coeffs, self.degree, self.field.q
+        if n < 1:
+            return False
+        if n == 1:
+            return True
+        zero, one = self.field.zero, self.field.one
+        if f[0].is_zero():
+            return False  # divisible by the indeterminate
+        x = [zero, one]
+        if poly_powmod(x, q**n, f, zero, one) != x:
+            return False
+        for r in _prime_factors(n):
+            u = poly_powmod(x, q ** (n // r), f, zero, one)
+            if len(poly_gcd(poly_sub(u, x, zero), f, zero)) != 1:
+                return False
+        return True
 
     def __eq__(self, other):
         return (
@@ -658,7 +576,7 @@ class GFPoly:
         )
 
     def __hash__(self):
-        return hash((id(self.field), self.var, tuple(c.coords for c in self.coeffs)))
+        return hash((id(self.field), self.var, tuple(c.index for c in self.coeffs)))
 
     def __repr__(self):
         if self.is_zero():
@@ -714,7 +632,7 @@ def enumerate_A(spec: FieldSpec, j: int, monic: bool = False, var: str = "theta"
     Order is by integer index base q with the constant coefficient as the
     least significant digit.
     """
-    if j < 0 or j > 8 or spec.q**j > 65536:
+    if j < 0 or j > 8 or spec.q**j > ENUM_LIMIT:
         raise SizeLimitError(f"enumeration of size q^{j} refused")
     out = []
     for n in range(spec.q**j):

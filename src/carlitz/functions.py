@@ -20,12 +20,9 @@ from .errors import (
     SingularSystemError,
     SizeLimitError,
 )
-from .fields import GFPoly
+from .fields import DEG_LIMIT, ENUM_LIMIT, GFPoly
 from .laurent import NEG_INF, PREC_EXACT, Completion, RamLaurent, batch_inv, batch_mul
 from .tate import TateElem, tate_const, tate_zero
-
-_ENUM_LIMIT = 65536
-_CONST_DEG_LIMIT = 4096
 
 
 @dataclass
@@ -62,7 +59,7 @@ def carlitz_constants(ctx: Completion, i: int):
     """
     if i < 0:
         raise ShapeMismatchError("index must be >= 0")
-    if ctx.q**i > _CONST_DEG_LIMIT:
+    if ctx.q**i > DEG_LIMIT:
         raise SizeLimitError(f"q^{i} beyond the constant degree guard")
     key = ("const", i)
     if key in ctx.cache:
@@ -138,7 +135,7 @@ def _exp_indices(ctx: Completion, v: int, wp: int):
         keep.append(i)
         slack = max(slack, -tv)
         i += 1
-        if ctx.q**i > _CONST_DEG_LIMIT:
+        if ctx.q**i > DEG_LIMIT:
             raise SizeLimitError("argument too large for the exponential guard")
     return keep, slack
 
@@ -247,7 +244,7 @@ def agf_f(ctx: Completion, z: RamLaurent, tcap: int, budget: SeriesBudget) -> Ta
         keep.append(n)
         slack = max(slack, math.ceil(en))
         n += 1
-        if q**n > _CONST_DEG_LIMIT:
+        if q**n > DEG_LIMIT:
             raise SizeLimitError("argument too large for the AGF guard")
     budget.n_terms["agf_f"] = len(keep)
     pi = pi_tilde(ctx, SeriesBudget(wp + slack + q + max(0, -z.valuation()), 0))
@@ -331,7 +328,7 @@ def papanikolas_L(ctx: Completion, alpha: RamLaurent, tcap: int,
         prod = prod * _geometric(ctx, tcap, q**j, 1, -1)
         acc = acc + prod.scalar_mul(alpha.qpow(j))
         j += 1
-        if q**j > _CONST_DEG_LIMIT:
+        if q**j > DEG_LIMIT:
             raise SizeLimitError("logarithm series guard exceeded")
     budget.n_terms["papanikolas_L"] = j - 1
     # an omitted term j >= stop moves the t^m coefficient by at most
@@ -380,7 +377,7 @@ def _monic_block(ctx: Completion, j: int):
     """All monic degree-j lattice polynomials with their exact embeddings."""
     key = ("monic", j)
     if key not in ctx.cache:
-        if ctx.q**j > _ENUM_LIMIT:
+        if ctx.q**j > ENUM_LIMIT:
             raise SizeLimitError(f"block enumeration of size q^{j} refused")
         spec = ctx.spec
         out = []

@@ -187,17 +187,11 @@ def batch_mul(ctx: Completion, A: np.ndarray, B: np.ndarray, n: int) -> np.ndarr
     return out % ctx.p
 
 
-def _field_inv_rows(ctx: Completion, rows: np.ndarray) -> np.ndarray:
+def _field_inv_rows(spec: FieldSpec, rows: np.ndarray) -> np.ndarray:
     """Coordinates of the inverses of N nonzero field elements given as (N, m) rows."""
-    spec = ctx.spec
-    key = ("field_inv",)
-    if key not in ctx.cache:
-        table = np.zeros((spec.order, spec.m), dtype=np.int64)
-        for idx in range(1, spec.order):
-            table[idx] = spec.from_index(idx).inv().coords
-        ctx.cache[key] = table
-    idx = rows.astype(np.int64) @ (spec.p ** np.arange(spec.m, dtype=np.int64))
-    return ctx.cache[key][idx]
+    place = spec.p ** np.arange(spec.m, dtype=np.int64)
+    logs = np.asarray(spec.log)[rows.astype(np.int64) @ place]
+    return spec.coord_rows(np.asarray(spec.exp)[spec.order - 1 - logs])
 
 
 def batch_inv(ctx: Completion, U: np.ndarray, n: int) -> np.ndarray:
@@ -215,7 +209,7 @@ def batch_inv(ctx: Completion, U: np.ndarray, n: int) -> np.ndarray:
     Uw = np.zeros((N, n, m), dtype=np.int64)
     Uw[:, : min(L, n)] = U[:, :n]
     X = np.zeros((N, n, m), dtype=np.int64)
-    X[:, 0] = _field_inv_rows(ctx, Uw[:, 0])
+    X[:, 0] = _field_inv_rows(ctx.spec, Uw[:, 0])
     t = 1
     while t < n:
         t2 = min(2 * t, n)
@@ -293,7 +287,7 @@ class RamLaurent:
             raise EmptyPrecisionError(f"coefficient u^{k} beyond precision {self.prec}")
         r = k - self.offset
         if 0 <= r < self.coeffs.shape[0]:
-            return GFElem(self.ctx.spec, tuple(int(c) for c in self.coeffs[r]))
+            return self.ctx.spec.elem(self.coeffs[r])
         return self.ctx.spec.zero
 
     def to_pairs(self) -> list[tuple[int, GFElem]]:
@@ -302,7 +296,7 @@ class RamLaurent:
         for r in range(self.coeffs.shape[0]):
             row = self.coeffs[r]
             if row.any():
-                out.append((self.offset + r, GFElem(spec, tuple(int(c) for c in row))))
+                out.append((self.offset + r, spec.elem(row)))
         return out
 
     def end(self) -> int:
@@ -482,20 +476,6 @@ class RamLaurent:
         return (
             f"RamLaurent(u^{self.offset}*{lead.index}+..., terms={self.coeffs.shape[0]}, {tail})"
         )
-
-
-def ram_frobenius(x: RamLaurent, k: int = 1) -> RamLaurent:
-    """Public q^k-th power map, computed as an ordinary power.
-
-    Precision follows the generic product rules; use RamLaurent.qpow for the
-    exact characteristic-p fast path.
-    """
-    if k < 0:
-        raise ConfigError("frobenius exponent must be >= 0")
-    out = x
-    for _ in range(k):
-        out = out ** x.ctx.q
-    return out
 
 
 def sample_z(ctx: Completion, rng: random.Random, regime: str = "small") -> RamLaurent:

@@ -383,41 +383,3 @@ class EvalSpec:
 
     def __repr__(self):
         return f"EvalSpec(primes={[f.degree for f in self.primes]}, D={self.D})"
-
-
-# -- operation wrappers
-
-
-def tate_arith(op: str, A: TateElem, B) -> TateElem:
-    if op == "add":
-        return A + B
-    if op == "mul":
-        return A * B
-    if op == "scalar_mul":
-        return A.scalar_mul(B)
-    raise ValueError(f"unknown op {op!r}")
-
-
-def gauss_norm(A: TateElem):
-    """Exponent of the max stored-coefficient norm; NEG_INF for no terms.
-
-    Callers report this next to A.tail_norm_exp so a dominating tail is
-    visible.
-    """
-    return A.gauss_norm_exp()
-
-
-def tau_twist(A: TateElem) -> TateElem:
-    return A.tau()
-
-
-def phi_twist(A: TateElem, i: int) -> TateElem:
-    return A.phi(i)
-
-
-def ev_map(A: TateElem, espec: EvalSpec) -> RamLaurent:
-    return A.ev(espec)
-
-
-def specialize_theta(A: TateElem, i: int) -> TateElem:
-    return A.at_theta(i)

@@ -41,7 +41,7 @@ from carlitz.errors import (
     ZeroInverseError,
     ZetaDenominatorError,
 )
-from carlitz.fields import GFPoly, RatFunc, enumerate_A, make_field, roots_in_ext
+from carlitz.fields import GFPoly, RatFunc, enumerate_A, make_field, poly_xgcd, roots_in_ext
 from carlitz.functions import default_budget
 from carlitz.laurent import Completion
 from carlitz.tate import EvalSpec
@@ -223,9 +223,7 @@ def test_modulus_shape_and_separability():
             for _ in range(i % spec.p):
                 c = c + spec.one
             deriv.append(cf.rho[i] * c)
-        from carlitz.cyclotomic import _zxgcd
-
-        g, _, _ = _zxgcd(list(cf.rho), deriv, cf._zero_rf, cf._one_rf)
+        g, _, _ = poly_xgcd(cf.rho, deriv, cf._zero_rf, cf._one_rf)
         assert len(g) == 1
 
 

@@ -1,9 +1,16 @@
 """Tests for the finite field tower and exact polynomial layer."""
 
+import hashlib
 import itertools
+import json
 import random
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from sympy.polys.domains import ZZ
+from sympy.polys.galoistools import gf_div, gf_gcd, gf_irreducible_p
 
 from carlitz.errors import (
     FieldMismatchError,
@@ -16,10 +23,13 @@ from carlitz.errors import (
     ZetaDenominatorError,
 )
 from carlitz.fields import (
+    MAX_ORDER,
+    MAX_Q,
     GFPoly,
     RatFunc,
     enumerate_A,
     make_field,
+    poly_xgcd,
     roots_in_ext,
 )
 
@@ -132,12 +142,15 @@ def test_frobenius_fixed_field(params):
 
 
 def test_subfield_injection_ring_hom():
-    spec = make_field(3, 1, 2)
-    sub = spec.subfield
-    for i in range(spec.q):
-        for j in range(spec.q):
-            assert spec.from_subfield(sub.add(i, j)) == spec.from_subfield(i) + spec.from_subfield(j)
-            assert spec.from_subfield(sub.mul(i, j)) == spec.from_subfield(i) * spec.from_subfield(j)
+    for params in ((3, 1, 2), (2, 2, 2), (2, 1, 3)):
+        spec = make_field(*params)
+        sub = spec.base
+        assert sub is make_field(spec.p, spec.e, 1) and sub.order == spec.q
+        for i in range(spec.q):
+            for j in range(spec.q):
+                a, b = sub.from_index(i), sub.from_index(j)
+                assert spec.from_subfield((a + b).index) == spec.from_subfield(i) + spec.from_subfield(j)
+                assert spec.from_subfield((a * b).index) == spec.from_subfield(i) * spec.from_subfield(j)
 
 
 def test_elem_errors():
@@ -307,3 +320,87 @@ def test_poly_var_tags():
     with pytest.raises(FieldMismatchError):
         a + b
     assert a.retag("t") == b
+
+
+# -- the index/log/Zech core against independent oracles
+
+
+def accepted_towers(max_order):
+    """Every (p, e, d) that make_field accepts with q^d <= max_order."""
+    out = []
+    for p in (2, 3, 5, 7, 11, 13):
+        e = 1
+        while p**e <= MAX_Q:
+            d = 1
+            while p ** (e * d) <= min(max_order, MAX_ORDER):
+                out.append((p, e, d))
+                d += 1
+            e += 1
+    return out
+
+
+def _ints(poly):
+    """Coefficients over F_p, high degree first, as sympy's galoistools wants."""
+    return [c.index for c in reversed(poly.coeffs)]
+
+
+fp_polys = st.lists(st.integers(0, 12), max_size=9)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from([2, 3, 5, 7]), fp_polys, fp_polys)
+def test_fp_poly_divmod_gcd_match_sympy(p, a, b):
+    spec = make_field(p, 1, 1)
+    A = spec.poly([c % p for c in a])
+    B = spec.poly([c % p for c in b])
+    assert _ints(A.gcd(B)) == gf_gcd(_ints(A), _ints(B), p, ZZ)
+    g, s, t = poly_xgcd(A.coeffs, B.coeffs, spec.zero, spec.one)
+    assert spec.poly(s) * A + spec.poly(t) * B == spec.poly(g)
+    if B.is_zero():
+        return
+    q, r = divmod(A, B)
+    assert (_ints(q), _ints(r)) == tuple(gf_div(_ints(A), _ints(B), p, ZZ))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from([2, 3, 5, 7]), st.lists(st.integers(0, 12), min_size=1, max_size=8))
+def test_fp_irreducibility_matches_sympy(p, tail):
+    spec = make_field(p, 1, 1)
+    f = spec.poly([c % p for c in tail] + [1])
+    assert f.is_irreducible() == gf_irreducible_p(_ints(f), p, ZZ)
+
+
+@pytest.mark.parametrize("params", accepted_towers(256), ids=lambda t: "-".join(map(str, t)))
+def test_zech_arithmetic_matches_coordinates(params):
+    spec = make_field(*params)
+    p, m, n = spec.p, spec.m, spec.order
+    place = p ** np.arange(m)
+    C = np.arange(n)[:, None] // place % p  # digits of every index
+    T = spec.basis_mul_table.astype(np.int64)
+    # C[a] * C[b] through the basis products, for all pairs at once
+    prod = np.einsum("aj,bk,jkl->abl", C, C, T, optimize=True) % p @ place
+    add = (C[:, None, :] + C[None, :, :]) % p @ place
+    elems = [spec.from_index(i) for i in range(n)]
+    assert [x.coords for x in elems] == [tuple(r) for r in C.tolist()]
+    assert np.array_equal(np.array([[(x * y).index for y in elems] for x in elems]), prod)
+    assert np.array_equal(np.array([[(x + y).index for y in elems] for x in elems]), add)
+    assert [(-x).index for x in elems] == ((-C) % p @ place).tolist()
+    for x in elems[1:]:
+        assert prod[x.index, x.inv().index] == 1
+
+
+# sha256 of the tower tables of every accepted tower of order <= 1024, in
+# accepted_towers order, taken from the tuple-coordinate implementation that
+# the index/log/Zech core replaced
+FROZEN_TOWER_DIGEST = "6249b23f9787447996c188c459fcdb8b13ff2c8366939cec1e513f92755d262a"
+
+
+def test_tower_tables_frozen():
+    h = hashlib.sha256()
+    for p, e, d in accepted_towers(1024):
+        s = make_field(p, e, d)
+        rec = [p, e, d, [int(c) for c in s.modulus_base], [int(c) for c in s.modulus_ext],
+               [int(c) for c in s.generator_coords], s.basis_mul_table.astype(int).tolist(),
+               s.frob_matrix.astype(int).tolist()]
+        h.update(json.dumps(rec).encode())
+    assert h.hexdigest() == FROZEN_TOWER_DIGEST

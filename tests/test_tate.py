@@ -19,17 +19,11 @@ from carlitz.laurent import NEG_INF, PREC_EXACT, Completion, RamLaurent
 from carlitz.tate import (
     EvalSpec,
     TateElem,
-    ev_map,
-    gauss_norm,
-    phi_twist,
-    specialize_theta,
-    tate_arith,
     tate_const,
     tate_poly_t,
     tate_t_minus_theta,
     tate_var,
     tate_zero,
-    tau_twist,
 )
 
 
@@ -68,7 +62,7 @@ def rand_elem(ctx, rng, s, cap, exact=True):
 def test_zero_and_const(ctx32):
     z = tate_zero(ctx32, 2, 6)
     assert z.terms == {} and z.tail_norm_exp == NEG_INF
-    assert gauss_norm(z) == NEG_INF
+    assert z.gauss_norm_exp() == NEG_INF
     assert z.prec_floor() == PREC_EXACT
     c = tate_const(ctx32, 2, 6, ctx32.zero())
     assert c.terms == {}
@@ -109,7 +103,7 @@ def test_t_minus_theta_cancels(ctx32):
 
 def test_t_minus_theta_norm(ctx32):
     # max(|1|, |theta|) = q
-    assert gauss_norm(tate_t_minus_theta(ctx32, 1, 8, 0)) == Fraction(1)
+    assert tate_t_minus_theta(ctx32, 1, 8, 0).gauss_norm_exp() == Fraction(1)
 
 
 # -- ring laws
@@ -136,16 +130,6 @@ def test_scalar_mul_matches_const_mul(ctx32):
         A = rand_elem(ctx32, rng, 2, 5)
         b = rand_scalar(ctx32, rng)
         assert A.scalar_mul(b) == A * tate_const(ctx32, 2, 5, b)
-        assert tate_arith("scalar_mul", A, b) == tate_arith("mul", A, tate_const(ctx32, 2, 5, b))
-
-
-def test_tate_arith_dispatch(ctx32):
-    rng = random.Random(7003)
-    A = rand_elem(ctx32, rng, 1, 4)
-    B = rand_elem(ctx32, rng, 1, 4)
-    assert tate_arith("add", A, B) == A + B
-    with pytest.raises(ValueError):
-        tate_arith("pow", A, B)
 
 
 def test_mixed_shape_errors(ctx32, ctx21):
@@ -172,7 +156,7 @@ def test_gauss_norm_multiplicative_exact(ctx32):
         P = A * B
         assert P.tail_norm_exp == NEG_INF
         if P.terms:
-            assert gauss_norm(P) == gauss_norm(A) + gauss_norm(B)
+            assert P.gauss_norm_exp() == A.gauss_norm_exp() + B.gauss_norm_exp()
 
 
 def test_tail_propagation_rules(ctx32):
@@ -208,7 +192,7 @@ def test_prec_floor_accounts_for_tail(ctx32):
 def test_tau_on_constant(ctx32):
     c = rand_scalar(ctx32, random.Random(7005))
     A = tate_const(ctx32, 1, 4, c)
-    assert tau_twist(A).coeff((0,)) == c.qpow(1)
+    assert A.tau().coeff((0,)) == c.qpow(1)
 
 
 def test_tau_ring_hom(ctx32):
@@ -216,14 +200,14 @@ def test_tau_ring_hom(ctx32):
     for _ in range(20):
         A = rand_elem(ctx32, rng, 2, 4)
         B = rand_elem(ctx32, rng, 2, 4)
-        assert tau_twist(A * B) == tau_twist(A) * tau_twist(B)
-        assert tau_twist(A + B) == tau_twist(A) + tau_twist(B)
+        assert (A * B).tau() == A.tau() * B.tau()
+        assert (A + B).tau() == A.tau() + B.tau()
 
 
 def test_tau_scales_norm_and_tail(ctx32):
     A = TateElem(ctx32, 1, 4, {(2,): ctx32.theta()}, tail_norm_exp=Fraction(-5, 2))
-    T = tau_twist(A)
-    assert gauss_norm(T) == Fraction(3)  # |theta^q| = q^q, q = 3
+    T = A.tau()
+    assert T.gauss_norm_exp() == Fraction(3)  # |theta^q| = q^q, q = 3
     assert T.tail_norm_exp == Fraction(-15, 2)
 
 
@@ -232,10 +216,10 @@ def test_tau_scales_norm_and_tail(ctx32):
 
 def test_phi_on_variable_and_constant(ctx32):
     t = tate_var(ctx32, 1, 9, 0)
-    ft = phi_twist(t, 0)
+    ft = t.phi(0)
     assert ft.exponents() == [(3,)]
     c = tate_const(ctx32, 1, 9, ctx32.theta())
-    assert phi_twist(c, 0) == c
+    assert c.phi(0) == c
 
 
 def test_phi_ring_hom_and_tau_commute(ctx32):
@@ -247,13 +231,13 @@ def test_phi_ring_hom_and_tau_commute(ctx32):
         A = TateElem(ctx32, 2, big, A.terms)
         B = TateElem(ctx32, 2, big, B.terms)
         i = rng.choice([0, 1])
-        assert phi_twist(A * B, i) == phi_twist(A, i) * phi_twist(B, i)
-        assert phi_twist(tau_twist(A), i) == tau_twist(phi_twist(A, i))
+        assert (A * B).phi(i) == A.phi(i) * B.phi(i)
+        assert A.tau().phi(i) == A.phi(i).tau()
 
 
 def test_phi_folds_overcap(ctx32):
     x = TateElem(ctx32, 1, 4, {(2,): ctx32.theta()})
-    f = phi_twist(x, 0)  # exponent 6 > cap 4
+    f = x.phi(0)  # exponent 6 > cap 4
     assert f.terms == {}
     assert f.tail_norm_exp == Fraction(1)
 
@@ -291,9 +275,9 @@ def test_evalspec_validation(ctx21, ctx32):
 
 def test_ev_constant_and_variable(ctx21, espec21):
     c = ctx21.theta()
-    assert ev_map(tate_const(ctx21, 1, 4, c), espec21) == c
+    assert tate_const(ctx21, 1, 4, c).ev(espec21) == c
     t = tate_var(ctx21, 1, 4, 0)
-    assert ev_map(t, espec21) == ctx21.from_field(espec21.roots[0])
+    assert t.ev(espec21) == ctx21.from_field(espec21.roots[0])
 
 
 def test_ev_ring_hom(ctx21, espec21):
@@ -301,8 +285,8 @@ def test_ev_ring_hom(ctx21, espec21):
     for _ in range(25):
         A = TateElem(ctx21, 1, 5, rand_elem(ctx21, rng, 1, 2).terms)
         B = TateElem(ctx21, 1, 5, rand_elem(ctx21, rng, 1, 2).terms)
-        assert ev_map(A + B, espec21) == ev_map(A, espec21) + ev_map(B, espec21)
-        assert ev_map(A * B, espec21) == ev_map(A, espec21) * ev_map(B, espec21)
+        assert (A + B).ev(espec21) == A.ev(espec21) + B.ev(espec21)
+        assert (A * B).ev(espec21) == A.ev(espec21) * B.ev(espec21)
 
 
 def test_ev_poly_image_matches_field_eval(ctx21, espec21):
@@ -312,21 +296,21 @@ def test_ev_poly_image_matches_field_eval(ctx21, espec21):
         a = spec.poly([rng.randrange(2) for _ in range(rng.randrange(1, 5))])
         A = tate_poly_t(ctx21, 1, 8, 0, a)
         want = ctx21.from_field(a.eval(espec21.roots[0]))
-        assert ev_map(A, espec21) == want
+        assert A.ev(espec21) == want
 
 
 def test_ev_tail_limits_precision(ctx21, espec21):
     A = TateElem(ctx21, 1, 4, {(0,): ctx21.one()}, tail_norm_exp=Fraction(-5))
-    r = ev_map(A, espec21)
+    r = A.ev(espec21)
     assert r.prec == 5  # ram = 1 here
     assert r.coeff_at(0) == ctx21.spec.one
 
 
 def test_ev_shape_checks(ctx21, ctx32, espec21):
     with pytest.raises(ShapeMismatchError):
-        ev_map(tate_var(ctx21, 2, 4, 0), espec21)
+        tate_var(ctx21, 2, 4, 0).ev(espec21)
     with pytest.raises(FieldMismatchError):
-        ev_map(tate_var(ctx32, 1, 4, 0), espec21)
+        tate_var(ctx32, 1, 4, 0).ev(espec21)
 
 
 def test_ev_two_variables(ctx21):
@@ -337,7 +321,7 @@ def test_ev_two_variables(ctx21):
     es = EvalSpec([f, g], [z, spec.one])
     t0 = tate_var(ctx21, 2, 4, 0)
     t1 = tate_var(ctx21, 2, 4, 1)
-    r = ev_map(t0 * t1 + t0, es)
+    r = (t0 * t1 + t0).ev(es)
     want = ctx21.from_field(z * spec.one + z)
     assert r == want
 
@@ -347,7 +331,7 @@ def test_ev_two_variables(ctx21):
 
 def test_specialize_t_minus_theta(ctx32):
     A = tate_t_minus_theta(ctx32, 1, 6, 0)
-    r = specialize_theta(A, 0)
+    r = A.at_theta(0)
     assert r.s == 0
     assert r.terms == {} and r.tail_norm_exp == NEG_INF
 
@@ -358,7 +342,7 @@ def test_specialize_poly_image_is_embedding(ctx32):
     for _ in range(10):
         a = spec.poly([rng.randrange(3) for _ in range(rng.randrange(1, 5))])
         A = tate_poly_t(ctx32, 1, 8, 0, a)
-        r = specialize_theta(A, 0)
+        r = A.at_theta(0)
         assert r.coeff(()) == ctx32.embed_poly(a)
 
 
@@ -367,7 +351,7 @@ def test_specialize_two_vars_manual(ctx32):
     A = tate_var(ctx32, 2, 6, 0) * tate_var(ctx32, 2, 6, 1) + tate_const(
         ctx32, 2, 6, ctx32.one()
     )
-    r = specialize_theta(A, 0)
+    r = A.at_theta(0)
     assert r.s == 1
     assert r.coeff((1,)) == th
     assert r.coeff((0,)) == ctx32.one()
@@ -376,10 +360,10 @@ def test_specialize_two_vars_manual(ctx32):
 def test_specialize_requires_certificate(ctx32):
     A = TateElem(ctx32, 1, 4, {(0,): ctx32.one()}, tail_norm_exp=Fraction(-20))
     with pytest.raises(PrecisionExhaustedError):
-        specialize_theta(A, 0)
+        A.at_theta(0)
     slow = A.with_decay(1, 0)
     with pytest.raises(PrecisionExhaustedError):
-        specialize_theta(slow, 0)
+        slow.at_theta(0)
 
 
 def test_specialize_detects_certificate_violation(ctx32):
@@ -388,7 +372,7 @@ def test_specialize_detects_certificate_violation(ctx32):
     ).with_decay(2, 0)
     # |coeff| = 1 > q^(0 - 2*3)
     with pytest.raises(PrecisionExhaustedError):
-        specialize_theta(bad, 0)
+        bad.at_theta(0)
 
 
 def test_specialize_decay_budget(ctx32):
@@ -399,8 +383,8 @@ def test_specialize_decay_budget(ctx32):
         x = TateElem(ctx32, 1, cap, terms, tail_norm_exp=Fraction(-2 * (cap + 1)))
         return x.with_decay(2, 0)
 
-    r1 = specialize_theta(series(4), 0).coeff(())
-    r2 = specialize_theta(series(7), 0).coeff(())
+    r1 = series(4).at_theta(0).coeff(())
+    r2 = series(7).at_theta(0).coeff(())
     assert r1.prec == 5 * ram
     assert r2.prec == 8 * ram
     assert r1 == r2.truncate(5 * ram)
