@@ -21,7 +21,7 @@ from .errors import (
     SizeLimitError,
 )
 from .fields import DEG_LIMIT, ENUM_LIMIT, GFPoly
-from .laurent import NEG_INF, PREC_EXACT, Completion, RamLaurent, batch_inv, batch_mul
+from .laurent import NEG_INF, PREC_EXACT, Completion, RamLaurent, batch_mul, stack_inv
 from .tate import TateElem, tate_const, tate_zero
 
 
@@ -425,21 +425,31 @@ def _char_coeffs(ctx: Completion, a: GFPoly, powers) -> dict:
     return out
 
 
+# Block tables that depend on the tower alone, shared by every Completion
+# over it (verify builds a new Completion for each check).
+_TOWER_CACHE: dict = {}
+
+
+def _tower_cache(ctx: Completion) -> dict:
+    return _TOWER_CACHE.setdefault(ctx.spec, {})
+
+
 def _monic_rows(ctx: Completion, j: int) -> np.ndarray:
     """(q^j, j*ram + 1, m) coordinates of the monic degree-j embeddings.
 
     Row r of each entry is the coefficient of u^(r - j*ram), so every entry
     starts at its valuation; enumeration order is that of _monic_block.
     """
+    cache = _tower_cache(ctx)
     key = ("monic_rows", j)
-    if key not in ctx.cache:
+    if key not in cache:
         base = -j * ctx.ram
         block = _monic_block(ctx, j)
         rows = np.zeros((len(block), 1 - base, ctx.spec.m), dtype=np.int64)
         for i, (_, emb) in enumerate(block):
             rows[i, emb.offset - base : emb.end() - base] = emb.coeffs
-        ctx.cache[key] = rows
-    return ctx.cache[key]
+        cache[key] = rows
+    return cache[key]
 
 
 def _units(ctx: Completion) -> list:
@@ -450,8 +460,9 @@ def _block_chars(ctx: Completion, j: int, powers: tuple):
     """(keys, C) for a degree-j block, cached per (j, powers): C (K, q^j, m)
     holds the coordinates of chi(a)[e], the coefficients of
     prod_i a(t_i)^{r_i}, with keys in first-appearance order."""
+    cache = _tower_cache(ctx)
     key = ("block_chars", j, powers)
-    if key not in ctx.cache:
+    if key not in cache:
         chis = [_char_coeffs(ctx, a, powers) for a, _ in _monic_block(ctx, j)]
         keys = tuple(dict.fromkeys(e for chi in chis for e in chi))
         slot = {e: k for k, e in enumerate(keys)}
@@ -459,8 +470,8 @@ def _block_chars(ctx: Completion, j: int, powers: tuple):
         for ai, chi in enumerate(chis):
             for e, coef in chi.items():
                 C[slot[e], ai] = coef.coords
-        ctx.cache[key] = (keys, C)
-    return ctx.cache[key]
+        cache[key] = (keys, C)
+    return cache[key]
 
 
 def _block_weights(ctx: Completion, j: int, powers: tuple, with_units: bool):
@@ -472,8 +483,9 @@ def _block_weights(ctx: Completion, j: int, powers: tuple, with_units: bool):
     matrix that contracts stacked F_p coordinate rows into the key
     coefficients through basis_mul_table, mask (K, N) marks nonzero weights.
     """
+    cache = _tower_cache(ctx)
     key = ("psi_block" if with_units else "L_block", j, powers)
-    if key not in ctx.cache:
+    if key not in cache:
         keys, W = _block_chars(ctx, j, powers)
         K, _, m = W.shape
         if with_units:
@@ -481,34 +493,8 @@ def _block_weights(ctx: Completion, j: int, powers: tuple, with_units: bool):
             W = np.einsum("kab,cbd->kacd", W, S).reshape(K, -1, m) % ctx.p
         T = ctx.spec.basis_mul_table.astype(np.int64)
         G = np.einsum("kia,abc->kcib", W, T).reshape(K * m, -1) % ctx.p
-        ctx.cache[key] = (keys, G, W.any(axis=2))
-    return ctx.cache[key]
-
-
-def _stack_inverse(ctx: Completion, D: np.ndarray, lo: int, dprec: int, wp: int,
-                   single: np.ndarray):
-    """RamLaurent.inv(wp) of N nonzero series stacked in one frame.
-
-    Row i of D (N, F, m) is sum_r D[i, r] u^(lo + r) + O(u^dprec).  Rows
-    flagged single are exact single terms and get their exact inverse.
-    Returns (X, off, prec): inverse i is sum_r X[i, r] u^(off[i] + r) +
-    O(u^prec[i]), with X zero from each row's precision on.
-    """
-    N, _, m = D.shape
-    nz = D.any(axis=2)
-    first = nz.argmax(axis=1)
-    v = lo + first
-    if dprec >= PREC_EXACT:
-        n = np.full(N, wp)
-    else:
-        n = np.maximum(np.minimum(dprec - v, wp), 1)
-    L = int(n.max())
-    padded = np.concatenate([D, np.zeros((N, L, m), dtype=D.dtype)], axis=1)
-    U = padded[np.arange(N)[:, None], first[:, None] + np.arange(L)]
-    X = batch_inv(ctx, U, L)
-    X[np.arange(L)[None, :] >= n[:, None]] = 0
-    prec = np.where(single, PREC_EXACT, -v + n)
-    return X, -v, prec
+        cache[key] = (keys, G, W.any(axis=2))
+    return cache[key]
 
 
 def _contract(ctx: Completion, weights, X: np.ndarray, off: np.ndarray,
@@ -553,12 +539,13 @@ def _assemble(ctx: Completion, parts) -> dict:
 def _psi_denominators(ctx: Completion, j: int, z: RamLaurent):
     """Rows z - c*a over the degree-j block (a outer, unit c inner) in one
     frame (D, lo), truncated at z's precision like the series they stand for."""
+    cache = _tower_cache(ctx)
     key = ("unit_rows", j)
-    if key not in ctx.cache:
+    if key not in cache:
         S = np.stack([ctx.spec.scalar_matrix(c) for c in _units(ctx)])
         rows = np.einsum("nlb,cbd->ncld", _monic_rows(ctx, j), S) % ctx.p
-        ctx.cache[key] = rows.reshape(-1, rows.shape[2], rows.shape[3])
-    CA = ctx.cache[key]
+        cache[key] = rows.reshape(-1, rows.shape[2], rows.shape[3])
+    CA = cache[key]
     base = -j * ctx.ram
     lo = base if z.is_zero() else min(base, z.offset)
     hi = min(max(base + CA.shape[1], z.end()), z.prec)
@@ -622,7 +609,7 @@ def psi(ctx: Completion, s: int, z: RamLaurent, degcap: int, tcap: int,
             raise LatticePoleError(
                 f"z meets the lattice at degree {j} to precision {z.prec}")
         single = nz.sum(axis=1) == 1 if z.is_exact() else np.zeros(len(D), dtype=bool)
-        parts.append(_contract(ctx, weights, *_stack_inverse(ctx, D, lo, z.prec, wp, single)))
+        parts.append(_contract(ctx, weights, *stack_inv(ctx, D, lo, z.prec, wp, single)))
     budget.n_terms["psi"] = blocks
     return TateElem(ctx, s, tcap, _assemble(ctx, parts), tail)
 
@@ -666,7 +653,7 @@ def L_multi(ctx: Completion, s: int, n: int, degcap: int, tcap: int,
             k >>= 1
             if k:
                 base = batch_mul(ctx, base, base, wp)
-        inv = _stack_inverse(ctx, D, -j * ram * n, PREC_EXACT, wp, single)
+        inv = stack_inv(ctx, D, -j * ram * n, PREC_EXACT, wp, single)
         parts.append(_contract(ctx, _block_weights(ctx, j, powers, False), *inv))
     budget.n_terms["L_multi"] = blocks
     return TateElem(ctx, s, tcap, _assemble(ctx, parts), tail)

@@ -10,6 +10,12 @@ u-exponent, length m = e*d) together with an absolute precision bound:
 x = sum of stored terms + O(u^prec).  Exact elements use the PREC_EXACT
 sentinel.  All arithmetic tracks precision pessimistically; the q-power map
 has an exact fast path because the coefficient field has characteristic p.
+
+One path each: _raw_mul multiplies one pair of series (RamLaurent.__mul__),
+batch_mul multiplies N stacked pairs in one matrix product, batch_inv is the
+one Newton iteration, and stack_inv holds the one rule for an inverse's
+length and precision.  RamLaurent.inv is the one-row case of stack_inv; the
+lattice sums in functions call stack_inv on whole degree blocks.
 """
 
 from __future__ import annotations
@@ -19,6 +25,7 @@ from fractions import Fraction
 from typing import Iterable, Sequence
 
 import numpy as np
+from numpy.lib.stride_tricks import as_strided
 
 from .errors import (
     ConfigError,
@@ -28,7 +35,7 @@ from .errors import (
     SizeLimitError,
     ZeroInverseError,
 )
-from .fields import FieldSpec, GFElem, GFPoly, RatFunc, make_field
+from .fields import FieldSpec, GFElem, GFPoly, RatFunc, _mat_pow, make_field
 
 PREC_EXACT = 10**9
 _MAX_LEN = 2_000_000
@@ -143,7 +150,15 @@ class Completion:
 
 
 def _raw_mul(ctx: Completion, A: np.ndarray, B: np.ndarray) -> np.ndarray:
-    """Coefficient-block product without offsets; A (La,m), B (Lb,m) -> (La+Lb-1,m)."""
+    """Coefficient-block product of one series pair without offsets.
+
+    A (La, m), B (Lb, m) -> (La+Lb-1, m): one np.convolve per pair of nonzero
+    basis coordinates.  Only RamLaurent.__mul__ uses it.  Measurement rules
+    out sending single products through batch_mul: on the series-q2 benchmark
+    workload that made the run 1.5x slower, and stacking all pair products of
+    a TateElem product into one batch_mul call made it 1.9x slower with 1.5x
+    the peak memory.
+    """
     m = ctx.spec.m
     La, Lb = A.shape[0], B.shape[0]
     if La == 0 or Lb == 0:
@@ -172,19 +187,21 @@ def batch_mul(ctx: Completion, A: np.ndarray, B: np.ndarray, n: int) -> np.ndarr
 
     A (N, La, m) and B (N, Lb, m) hold the F_p coordinate rows of N series
     each, aligned at their first coefficient; returns (N, n, m) int64 reduced
-    mod p.  One vector operation per shift of A and basis coordinate keeps
-    every temporary at O(N * n * m).
+    mod p.  One matrix product maps the reversed A through basis_mul_table;
+    a second one takes every coefficient pair at once, against a read-only
+    strided window of B (row k of the window is B[k-La+1 .. k], zero-padded,
+    flattened).  The window is a view and is never copied.
     """
-    N, La, m = A.shape
-    T = ctx.spec.basis_mul_table.astype(np.int64)
-    out = np.zeros((N, n, m), dtype=np.int64)
-    Bn = B[:, :n].astype(np.int64)
-    for a in range(m):
-        Ba = Bn @ T[a] if m > 1 else Bn  # basis element a times B
-        for s in range(min(La, n)):
-            w = min(Ba.shape[1], n - s)
-            out[:, s : s + w] += A[:, s, a, None, None] * Ba[:, :w]
-    return out % ctx.p
+    N, m = A.shape[0], ctx.spec.m
+    A = A[:, :n]
+    La, Lb = A.shape[1], min(B.shape[1], n)
+    Bp = np.zeros((N, La - 1 + n, m), dtype=np.int64)
+    Bp[:, La - 1 : La - 1 + Lb] = B[:, :Lb]
+    sN, sk, sb = Bp.strides
+    W = as_strided(Bp, shape=(N, n, La * m), strides=(sN, sk, sb), writeable=False)
+    T = ctx.spec.basis_mul_table.reshape(m, m * m).astype(np.int64)
+    AT = (A[:, ::-1].reshape(-1, m) @ T).reshape(N, La * m, m)
+    return (W @ AT) % ctx.p
 
 
 def _field_inv_rows(spec: FieldSpec, rows: np.ndarray) -> np.ndarray:
@@ -198,29 +215,49 @@ def batch_inv(ctx: Completion, U: np.ndarray, n: int) -> np.ndarray:
     """First n coefficients of 1/U for N stacked series at once.
 
     U (N, L, m) holds series aligned at their valuation (every U[:, 0] is a
-    nonzero field element).  This is the Newton doubling of RamLaurent.inv
-    on all rows together; each step forms only the new coefficients t..t2-1
-    of the error 1 - U*X, since the lower ones vanish, and appends X times
-    that error.  Returns (N, n, m) int64.
+    nonzero field element).  Newton doubling on all rows together: with X
+    right to t terms, the error 1 - U*X vanishes below t, and X times its
+    terms t..2t-1 gives the next t terms of X.  Returns (N, n, m) int64.
+    This is the only Newton iteration of the package.
     """
-    N, L, m = U.shape
-    p = ctx.p
-    T = ctx.spec.basis_mul_table.astype(np.int64)
-    Uw = np.zeros((N, n, m), dtype=np.int64)
-    Uw[:, : min(L, n)] = U[:, :n]
+    N, _, m = U.shape
     X = np.zeros((N, n, m), dtype=np.int64)
-    X[:, 0] = _field_inv_rows(ctx.spec, Uw[:, 0])
+    X[:, 0] = _field_inv_rows(ctx.spec, U[:, 0])
     t = 1
     while t < n:
         t2 = min(2 * t, n)
-        E = np.zeros((N, t2 - t, m), dtype=np.int64)
-        for a in range(m):
-            Ua = Uw[:, :t2] @ T[a] if m > 1 else Uw[:, :t2]
-            for r in range(t):
-                E += X[:, r, a, None, None] * Ua[:, t - r : t2 - r]
-        X[:, t:t2] = batch_mul(ctx, X[:, : t2 - t], (-E) % p, t2 - t)
+        E = batch_mul(ctx, X[:, :t], U[:, :t2], t2)[:, t:]
+        X[:, t:t2] = batch_mul(ctx, X[:, : t2 - t], -E, t2 - t)
         t = t2
     return X
+
+
+def stack_inv(ctx: Completion, D: np.ndarray, lo: int, dprec: int,
+              rel_prec: int | None, single: np.ndarray):
+    """Inverses of N nonzero series stacked in one frame: RamLaurent.inv's rule.
+
+    Row i of D (N, F, m) is sum_r D[i, r] u^(lo + r) + O(u^dprec).  With v
+    its valuation, the inverse of row i keeps n coefficients: rel_prec
+    (default ctx.wp) for exact rows, else dprec - v capped at rel_prec, and
+    at least one; it is known to precision -v + n.  Rows flagged single are
+    exact single terms and get their exact single-term inverse.  Returns
+    (X, off, prec): inverse i is sum_r X[i, r] u^(off[i] + r) + O(u^prec[i]),
+    with X zero from each row's n on.  This is the only place that sets the
+    length and precision of an inverse.
+    """
+    N, _, m = D.shape
+    first = D.any(axis=2).argmax(axis=1)
+    v = lo + first
+    if dprec >= PREC_EXACT:
+        n = np.full(N, ctx.wp if rel_prec is None else rel_prec)
+    else:
+        n = dprec - v if rel_prec is None else np.minimum(dprec - v, rel_prec)
+    n = np.where(single, 1, np.maximum(n, 1))
+    L = int(n.max())
+    padded = np.concatenate([D, np.zeros((N, L, m), dtype=D.dtype)], axis=1)
+    X = batch_inv(ctx, padded[np.arange(N)[:, None], first[:, None] + np.arange(L)], L)
+    X[np.arange(L)[None, :] >= n[:, None]] = 0
+    return X, -v, np.where(single, PREC_EXACT, -v + n)
 
 
 class RamLaurent:
@@ -362,47 +399,15 @@ class RamLaurent:
         return RamLaurent(self.ctx, self.offset + k, self.coeffs, prec)
 
     def inv(self, rel_prec: int | None = None) -> "RamLaurent":
+        """1/self: the one-row case of stack_inv, which sets length and precision."""
         if self.is_exact_zero():
             raise ZeroInverseError("inverse of exact zero series")
         if self.is_zero():
             raise EmptyPrecisionError("inverse of a term-free series: no leading term")
-        ctx = self.ctx
-        v = self.offset
-        if self.is_exact() and self.coeffs.shape[0] == 1:
-            # single exact term: the inverse is again a single exact term
-            return ctx.from_field(self.coeff_at(v).inv(), -v)
-        if self.is_exact():
-            n = rel_prec if rel_prec is not None else ctx.wp
-        else:
-            n = self.prec - v
-            if rel_prec is not None:
-                n = min(n, rel_prec)
-        n = max(int(n), 1)
-        c0 = self.coeff_at(v)
-        U = np.zeros((min(n, self.coeffs.shape[0]), ctx.spec.m), dtype=np.int8)
-        U[:] = self.coeffs[: U.shape[0]]
-        B = np.array([c0.inv().coords], dtype=np.int8)
-        one_row = np.array(ctx.spec.one.coords, dtype=np.int64)
-        t = 1
-        while t < n:
-            t2 = min(2 * t, n)
-            prod = _raw_mul(ctx, U[:t2], B)[:t2].astype(np.int64)
-            err = (-prod) % ctx.p
-            err[0] = (err[0] + one_row) % ctx.p
-            if not err.any():
-                B = np.vstack([B, np.zeros((t2 - B.shape[0], ctx.spec.m), dtype=np.int8)]) if B.shape[0] < t2 else B
-                t = t2
-                continue
-            corr = _raw_mul(ctx, B, err.astype(np.int8))[:t2].astype(np.int64)
-            newB = np.zeros((t2, ctx.spec.m), dtype=np.int64)
-            newB[: B.shape[0]] += B
-            newB[: corr.shape[0]] += corr
-            B = (newB % ctx.p).astype(np.int8)
-            t = t2
-        prec = self.prec - 2 * v if not self.is_exact() else -v + n
-        if rel_prec is not None:
-            prec = min(prec, -v + n)
-        return RamLaurent(ctx, -v, B, prec)
+        single = self.is_exact() and self.coeffs.shape[0] == 1
+        X, off, prec = stack_inv(self.ctx, self.coeffs[None], self.offset, self.prec,
+                                 rel_prec, np.array([single]))
+        return RamLaurent(self.ctx, int(off[0]), X[0], int(prec[0]))
 
     def __truediv__(self, other: "RamLaurent") -> "RamLaurent":
         return self * other.inv()
@@ -437,9 +442,7 @@ class RamLaurent:
         newL = (L - 1) * qk + 1
         if newL > _MAX_LEN:
             raise SizeLimitError("qpow block too long")
-        F = np.eye(ctx.spec.m, dtype=np.int64)
-        for _ in range(k):
-            F = (F @ ctx.spec.frob_matrix.astype(np.int64)) % ctx.p
+        F = _mat_pow(ctx.spec.frob_matrix.astype(np.int64), k, ctx.p)
         rows = (self.coeffs.astype(np.int64) @ F) % ctx.p
         out = np.zeros((newL, ctx.spec.m), dtype=np.int8)
         out[::qk] = rows

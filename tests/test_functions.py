@@ -6,6 +6,7 @@ from fractions import Fraction
 
 import pytest
 
+from carlitz import functions
 from carlitz.errors import (
     AlphaTooLargeError,
     ConfigError,
@@ -660,6 +661,34 @@ def test_differential_L_multi_kernel(p, e, d):
             want = _L_multi_reference(ctx, len(powers), n, degcap, 2, b_want, powers=powers)
             _assert_same(got, want)
             assert b_got.n_terms["L_multi"] == b_want.n_terms["L_multi"]
+
+
+def test_block_tables_shared_per_tower(monkeypatch):
+    """A second Completion over the same tower reuses the block tables."""
+    monkeypatch.setattr(functions, "_TOWER_CACHE", {})
+    calls = [0]
+    orig = functions._char_coeffs
+
+    def counted(*args):
+        calls[0] += 1
+        return orig(*args)
+
+    monkeypatch.setattr(functions, "_char_coeffs", counted)
+    results, built = [], []
+    for _ in range(2):
+        ctx = Completion(3, 1, 1, wp=64)
+        z = sample_z(ctx, random.Random(71), "small")
+        before = calls[0]
+        results.append(psi(ctx, 2, z, 4, 2, default_budget(ctx, 12)))
+        built.append(calls[0] - before)
+    assert built[0] > 0 and built[1] == 0
+    want, got = results
+    # the two results live in different completions, so compare their parts
+    assert list(got.terms) == list(want.terms)
+    for e, c in want.terms.items():
+        g = got.terms[e]
+        assert (g.offset, g.prec, g.coeffs.tolist()) == (c.offset, c.prec, c.coeffs.tolist())
+    assert got.tail_norm_exp == want.tail_norm_exp
 
 
 def test_ram_solve_several_right_hand_sides():

@@ -3,7 +3,10 @@
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from carlitz.errors import (
     ConfigError,
@@ -12,7 +15,15 @@ from carlitz.errors import (
     ZeroInverseError,
 )
 from carlitz.fields import RatFunc
-from carlitz.laurent import PREC_EXACT, Completion, RamLaurent, sample_z
+from carlitz.laurent import (
+    PREC_EXACT,
+    Completion,
+    RamLaurent,
+    _raw_mul,
+    batch_mul,
+    sample_z,
+    stack_inv,
+)
 
 
 def ctx_q3():
@@ -290,3 +301,158 @@ def test_sampler_avoids_A_distance():
             z = sample_z(ctx, rng, regime)
             for la in lattice:
                 assert not (z - la).is_zero()
+
+
+# -- the stacked product and the one Newton iteration against the loops they
+# replaced
+
+
+def _batch_mul_reference(ctx, A, B, n):
+    """batch_mul as a shift-and-accumulate loop over A's coefficients."""
+    N, La, m = A.shape
+    T = ctx.spec.basis_mul_table.astype(np.int64)
+    out = np.zeros((N, n, m), dtype=np.int64)
+    Bn = B[:, :n].astype(np.int64)
+    for a in range(m):
+        Ba = Bn @ T[a] if m > 1 else Bn
+        for s in range(min(La, n)):
+            w = min(Ba.shape[1], n - s)
+            out[:, s : s + w] += A[:, s, a, None, None] * Ba[:, :w]
+    return out % ctx.p
+
+
+def _inv_reference(x, rel_prec=None):
+    """RamLaurent.inv as its own Newton loop over single-series products."""
+    if x.is_exact_zero():
+        raise ZeroInverseError("inverse of exact zero series")
+    if x.is_zero():
+        raise EmptyPrecisionError("inverse of a term-free series: no leading term")
+    ctx = x.ctx
+    v = x.offset
+    if x.is_exact() and x.coeffs.shape[0] == 1:
+        return ctx.from_field(x.coeff_at(v).inv(), -v)
+    if x.is_exact():
+        n = rel_prec if rel_prec is not None else ctx.wp
+    else:
+        n = x.prec - v
+        if rel_prec is not None:
+            n = min(n, rel_prec)
+    n = max(int(n), 1)
+    U = x.coeffs[:n]
+    B = np.array([x.coeff_at(v).inv().coords], dtype=np.int8)
+    one_row = np.array(ctx.spec.one.coords, dtype=np.int64)
+    t = 1
+    while t < n:
+        t2 = min(2 * t, n)
+        err = (-_raw_mul(ctx, U[:t2], B)[:t2].astype(np.int64)) % ctx.p
+        err[0] = (err[0] + one_row) % ctx.p
+        corr = _raw_mul(ctx, B, err.astype(np.int8))[:t2].astype(np.int64)
+        newB = np.zeros((t2, ctx.spec.m), dtype=np.int64)
+        newB[: B.shape[0]] += B
+        newB[: corr.shape[0]] += corr
+        B = (newB % ctx.p).astype(np.int8)
+        t = t2
+    prec = x.prec - 2 * v if not x.is_exact() else -v + n
+    if rel_prec is not None:
+        prec = min(prec, -v + n)
+    return RamLaurent(ctx, -v, B, prec)
+
+
+SERIES_TOWERS = [(2, 1, 1), (2, 1, 2), (2, 2, 1), (2, 2, 2), (3, 1, 1), (3, 1, 2), (5, 1, 1)]
+
+
+@pytest.mark.parametrize("p,e,d", SERIES_TOWERS)
+def test_differential_batch_mul(p, e, d):
+    ctx = Completion(p, e, d)
+    m = ctx.spec.m
+    rng = np.random.default_rng(p * 100 + e * 10 + d)
+    edges = (1, 2, 17, 40)
+    shapes = {(La, Lb) for La in range(1, 41) for Lb in edges}
+    shapes |= {(La, Lb) for La in edges for Lb in range(1, 41)}
+    for N in (1, 3, 17):
+        A0 = rng.integers(0, p, (N, 40, m))
+        B0 = rng.integers(0, p, (N, 40, m))
+        for La, Lb in sorted(shapes):
+            A, B = A0[:, :La], B0[:, :Lb]
+            # n below La, at the full product length and above it
+            for n in {max(La - 1, 1), La + Lb - 1, La + Lb + 3}:
+                got = batch_mul(ctx, A, B, n)
+                assert got.shape == (N, n, m)
+                assert (got == _batch_mul_reference(ctx, A, B, n)).all(), (N, La, Lb, n)
+
+
+def _inv_inputs(ctx, rng):
+    """Exact, inexact and single-term series of assorted lengths and valuations."""
+    out = []
+    for _ in range(12):
+        x = rand_exact(ctx, rng, lo=rng.randrange(-6, 4), hi=rng.randrange(5, 30))
+        if x.is_zero():
+            continue
+        out.append(x)
+        out.append(x.truncate(x.valuation() + rng.randrange(1, 25)))
+    out.append(ctx.from_field(ctx.spec.from_index(ctx.spec.order - 1), 3))
+    out.append(ctx.from_field(ctx.spec.one, -5).truncate(-2))  # inexact single term
+    return out
+
+
+@pytest.mark.parametrize("p,e,d", SERIES_TOWERS)
+def test_differential_inv(p, e, d):
+    ctx = Completion(p, e, d, wp=24)
+    rng = random.Random(f"inv:{p}:{e}:{d}")
+    for x in _inv_inputs(ctx, rng):
+        for rel in (None, 1, 5, 40):
+            got, want = x.inv(rel), _inv_reference(x, rel)
+            assert (got.offset, got.prec) == (want.offset, want.prec)
+            assert got.coeffs.shape == want.coeffs.shape
+            assert (got.coeffs == want.coeffs).all()
+
+
+@pytest.mark.parametrize("p,e,d", SERIES_TOWERS)
+def test_differential_stack_inv_rows(p, e, d):
+    """Each row of a stacked inverse is that row's inverse taken alone."""
+    ctx = Completion(p, e, d, wp=24)
+    rng = random.Random(f"stack:{p}:{e}:{d}")
+    m = ctx.spec.m
+    for dprec in (PREC_EXACT, 14):
+        xs = [x for x in _inv_inputs(ctx, rng) if x.is_exact() and x.valuation() < dprec]
+        xs = [x.truncate(dprec) for x in xs]
+        lo = min(x.offset for x in xs)
+        hi = max(x.end() for x in xs)
+        D = np.zeros((len(xs), hi - lo, m), dtype=np.int64)
+        for i, x in enumerate(xs):
+            D[i, x.offset - lo : x.end() - lo] = x.coeffs
+        single = np.array([x.is_exact() and x.coeffs.shape[0] == 1 for x in xs])
+        for rel in (None, 7):
+            X, off, prec = stack_inv(ctx, D, lo, dprec, rel, single)
+            for i, x in enumerate(xs):
+                assert RamLaurent(ctx, int(off[i]), X[i], int(prec[i])) == x.inv(rel)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    tower=st.sampled_from(SERIES_TOWERS),
+    lo=st.integers(-6, 3),
+    idx=st.lists(st.integers(0, 63), min_size=1, max_size=14),
+    idy=st.lists(st.integers(0, 63), min_size=1, max_size=14),
+    cut_x=st.integers(1, 20),
+    cut_y=st.integers(1, 20),
+    n=st.integers(1, 40),
+)
+def test_truncation_soundness(tower, lo, idx, idy, cut_x, cut_y, n):
+    """A truncated input gives an inverse and a product that agree with the
+    exact ones to the precision they claim, and x * x.inv(n) is 1 to that."""
+    ctx = Completion(*tower, wp=16)
+    spec = ctx.spec
+
+    def series(ids):
+        cs = [spec.from_index(i % spec.order) for i in ids]
+        cs[0] = cs[0] if not cs[0].is_zero() else spec.one
+        return ctx.from_terms([(lo + k, c) for k, c in enumerate(cs)])
+
+    x, y = series(idx), series(idy)
+    P, Q = x.valuation() + cut_x, y.valuation() + cut_y
+    big = P - x.valuation() + 8
+    assert (x.truncate(P).inv() - x.inv(big)).is_zero()
+    assert (x.truncate(P) * y.truncate(Q) - x * y).is_zero()
+    r = x * x.inv(n) - ctx.one()
+    assert r.is_zero() and r.prec >= n
