@@ -11,7 +11,10 @@ x = sum of stored terms + O(u^prec).  Exact elements use the PREC_EXACT
 sentinel.  All arithmetic tracks precision pessimistically; the q-power map
 has an exact fast path because the coefficient field has characteristic p.
 
-One path each: _raw_mul multiplies one pair of series (RamLaurent.__mul__),
+One path each: pair_mul is the one kernel for a pair of series, on a left
+factor mapped through the basis products once by left_map.  RamLaurent.__mul__
+is that kernel plus the reduction mod p (_raw_mul); TateElem.__mul__ sums the
+unreduced blocks of all pairs that land on one t-exponent and reduces once.
 batch_mul multiplies N stacked pairs in one matrix product, batch_inv is the
 one Newton iteration, and stack_inv holds the one rule for an inverse's
 length and precision.  RamLaurent.inv is the one-row case of stack_inv; the
@@ -62,6 +65,8 @@ class Completion:
         self.cache: dict = {}
         m = self.spec.m
         self._empty = np.zeros((0, m), dtype=np.int8)
+        # basis_mul_table as (m, m*m): row i, column j*m + k is T[i, j, k]
+        self.mul_rows = self.spec.basis_mul_table.reshape(m, m * m).astype(np.int64)
 
     # -- constructors
 
@@ -149,58 +154,85 @@ class Completion:
         return f"Completion(q={self.q}, d={self.d}, wp={self.wp})"
 
 
-def _raw_mul(ctx: Completion, A: np.ndarray, B: np.ndarray) -> np.ndarray:
-    """Coefficient-block product of one series pair without offsets.
+def mul_prec(pa: int, va: int, pb: int, vb: int) -> int:
+    """Precision of a product of factors with precisions pa, pb and _prec_val va, vb."""
+    if pa >= PREC_EXACT and pb >= PREC_EXACT:
+        return PREC_EXACT
+    return min(pa + vb, pb + va, PREC_EXACT)
 
-    A (La, m), B (Lb, m) -> (La+Lb-1, m): one np.convolve per pair of nonzero
-    basis coordinates.  Only RamLaurent.__mul__ uses it.  Measurement rules
-    out sending single products through batch_mul: on the series-q2 benchmark
-    workload that made the run 1.5x slower, and stacking all pair products of
-    a TateElem product into one batch_mul call made it 1.9x slower with 1.5x
-    the peak memory.
+
+def left_map(ctx: Completion, A: np.ndarray) -> np.ndarray:
+    """The left factor of a pair product, mapped through basis_mul_table once.
+
+    A (L, m) -> (L, m*m) int64 whose column j*m + k is sum_i A[:, i] T[i, j, k],
+    so coordinate k of A*B is the sum over j of that column convolved with
+    B[:, j].  A TateElem product maps each left coefficient once, not once per
+    pair.
+    """
+    return A.astype(np.int64) @ ctx.mul_rows
+
+
+def pair_mul(ctx: Completion, AT: np.ndarray, B: np.ndarray) -> np.ndarray:
+    """The pair kernel: unreduced coefficient block of one product, no offsets.
+
+    AT is the left factor through left_map (La, m*m), B (Lb, m) int64 the
+    right factor; returns (La+Lb-1, m) int64, not reduced mod p, from one
+    np.convolve per pair of nonzero columns (at most m*m), straight into the
+    output columns.  Coefficients in a subfield leave columns zero: on the
+    series-q2 benchmark workload 70% of the m = 2 column pairs are.
+    RamLaurent.__mul__ (through _raw_mul) reduces the block at once;
+    TateElem.__mul__ sums the blocks of every pair that lands on one
+    exponent and reduces the sum once.  Measurement rules out sending pair
+    products through batch_mul: on series-q2 single products through it made
+    the run 1.5x slower, and stacking all pair products of a TateElem product
+    into one batch_mul call made it 1.9x slower with 1.5x the peak memory.
     """
     m = ctx.spec.m
-    La, Lb = A.shape[0], B.shape[0]
-    if La == 0 or Lb == 0:
-        return np.zeros((0, m), dtype=np.int8)
-    T = ctx.spec.basis_mul_table
-    Aw = A.astype(np.int64)
-    Bw = B.astype(np.int64)
-    out = np.zeros((La + Lb - 1, m), dtype=np.int64)
-    for i0 in range(m):
-        ca = Aw[:, i0]
-        if not ca.any():
+    out = np.zeros((AT.shape[0] + B.shape[0] - 1, m), dtype=np.int64)
+    for j in range(m):
+        cb = B[:, j]
+        if not np.count_nonzero(cb):
             continue
-        for j0 in range(m):
-            cb = Bw[:, j0]
-            if not cb.any():
-                continue
-            conv = np.convolve(ca, cb)
-            row = T[i0, j0]
-            for k0 in np.nonzero(row)[0]:
-                out[:, k0] += int(row[k0]) * conv
-    return (out % ctx.p).astype(np.int8)
+        for k in range(m):
+            ca = AT[:, j * m + k]
+            if np.count_nonzero(ca):
+                out[:, k] += np.convolve(ca, cb)
+    return out
 
 
-def batch_mul(ctx: Completion, A: np.ndarray, B: np.ndarray, n: int) -> np.ndarray:
-    """Row-wise products of stacked series, first n coefficients.
+def _raw_mul(ctx: Completion, A: np.ndarray, B: np.ndarray) -> np.ndarray:
+    """Coefficient block of one series product without offsets, reduced mod p.
+
+    A (La, m), B (Lb, m) -> (La+Lb-1, m) int8: pair_mul plus the reduction,
+    for RamLaurent.__mul__.  TateElem.__mul__ shares pair_mul but reduces
+    once per t-exponent, after summing the blocks that land there.
+    """
+    if A.shape[0] == 0 or B.shape[0] == 0:
+        return np.zeros((0, ctx.spec.m), dtype=np.int8)
+    block = pair_mul(ctx, left_map(ctx, A), B.astype(np.int64))
+    return (block % ctx.p).astype(np.int8)
+
+
+def batch_mul(ctx: Completion, A: np.ndarray, B: np.ndarray, n: int,
+              start: int = 0) -> np.ndarray:
+    """Row-wise products of stacked series, coefficients start .. n-1.
 
     A (N, La, m) and B (N, Lb, m) hold the F_p coordinate rows of N series
-    each, aligned at their first coefficient; returns (N, n, m) int64 reduced
-    mod p.  One matrix product maps the reversed A through basis_mul_table;
-    a second one takes every coefficient pair at once, against a read-only
-    strided window of B (row k of the window is B[k-La+1 .. k], zero-padded,
-    flattened).  The window is a view and is never copied.
+    each, aligned at their first coefficient; returns (N, n - start, m) int64
+    reduced mod p.  One matrix product maps the reversed A through
+    basis_mul_table; a second one takes every coefficient pair at once,
+    against a read-only strided window of B (row k of the window is
+    B[k-La+1 .. k], zero-padded, flattened) that starts at row start.  The
+    window is a view and is never copied.
     """
     N, m = A.shape[0], ctx.spec.m
     A = A[:, :n]
     La, Lb = A.shape[1], min(B.shape[1], n)
     Bp = np.zeros((N, La - 1 + n, m), dtype=np.int64)
     Bp[:, La - 1 : La - 1 + Lb] = B[:, :Lb]
-    sN, sk, sb = Bp.strides
-    W = as_strided(Bp, shape=(N, n, La * m), strides=(sN, sk, sb), writeable=False)
-    T = ctx.spec.basis_mul_table.reshape(m, m * m).astype(np.int64)
-    AT = (A[:, ::-1].reshape(-1, m) @ T).reshape(N, La * m, m)
+    W = as_strided(Bp[:, start:], shape=(N, n - start, La * m), strides=Bp.strides,
+                   writeable=False)
+    AT = (A[:, ::-1].reshape(-1, m) @ ctx.mul_rows).reshape(N, La * m, m)
     return (W @ AT) % ctx.p
 
 
@@ -216,9 +248,10 @@ def batch_inv(ctx: Completion, U: np.ndarray, n: int) -> np.ndarray:
 
     U (N, L, m) holds series aligned at their valuation (every U[:, 0] is a
     nonzero field element).  Newton doubling on all rows together: with X
-    right to t terms, the error 1 - U*X vanishes below t, and X times its
-    terms t..2t-1 gives the next t terms of X.  Returns (N, n, m) int64.
-    This is the only Newton iteration of the package.
+    right to t terms, the error 1 - U*X vanishes below t, so only its terms
+    t..2t-1 are formed, and X times them gives the next t terms of X.
+    Returns (N, n, m) int64.  This is the only Newton iteration of the
+    package.
     """
     N, _, m = U.shape
     X = np.zeros((N, n, m), dtype=np.int64)
@@ -226,7 +259,7 @@ def batch_inv(ctx: Completion, U: np.ndarray, n: int) -> np.ndarray:
     t = 1
     while t < n:
         t2 = min(2 * t, n)
-        E = batch_mul(ctx, X[:, :t], U[:, :t2], t2)[:, t:]
+        E = batch_mul(ctx, X[:, :t], U[:, :t2], t2, t)
         X[:, t:t2] = batch_mul(ctx, X[:, : t2 - t], -E, t2 - t)
         t = t2
     return X
@@ -372,10 +405,7 @@ class RamLaurent:
         self._check(other)
         if self.is_exact_zero() or other.is_exact_zero():
             return self.ctx.zero()
-        if self.is_exact() and other.is_exact():
-            prec = PREC_EXACT
-        else:
-            prec = min(self.prec + other._prec_val(), other.prec + self._prec_val())
+        prec = mul_prec(self.prec, self._prec_val(), other.prec, other._prec_val())
         if self.is_zero() or other.is_zero():
             return self.ctx.zero(prec)
         block = _raw_mul(self.ctx, self.coeffs, other.coeffs)

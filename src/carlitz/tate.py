@@ -10,6 +10,8 @@ always convert it into a residual-valuation budget.
 import math
 from fractions import Fraction
 
+import numpy as np
+
 from .errors import (
     DuplicateNodesError,
     EmptyPrecisionError,
@@ -20,12 +22,25 @@ from .errors import (
     ShapeMismatchError,
 )
 from .fields import GFElem, GFPoly
-from .laurent import NEG_INF, PREC_EXACT, Completion, RamLaurent
+from .laurent import (NEG_INF, PREC_EXACT, Completion, RamLaurent, left_map, mul_prec,
+                      pair_mul)
 
 
 def _ceil_exp_to_prec(exp, ram: int) -> int:
     """Smallest integer precision floor implied by |error| <= q^exp."""
     return math.ceil(-exp * ram)
+
+
+def _sum_blocks(ctx: Completion, blocks: list, prec: int) -> RamLaurent:
+    """sum of u^off * block over (off, block) pairs of raw int64 blocks, + O(u^prec)."""
+    if not blocks:
+        return ctx.zero(prec)
+    lo = min(off for off, _ in blocks)
+    buf = np.zeros((max(off + b.shape[0] for off, b in blocks) - lo, ctx.spec.m),
+                   dtype=np.int64)
+    for off, b in blocks:
+        buf[off - lo : off - lo + b.shape[0]] += b
+    return RamLaurent(ctx, lo, (buf % ctx.p).astype(np.int8), prec)
 
 
 class TateElem:
@@ -137,19 +152,35 @@ class TateElem:
         if not isinstance(other, TateElem):
             return NotImplemented
         self._check(other)
+        ctx = self.ctx
         cap = min(self.tcap, other.tcap)
-        out: dict = {}
-        fold = NEG_INF
+        # one pass over the pairs: exponents, precisions and the over-cap
+        # fold in ints; the raw product blocks of the pairs that land on one
+        # exponent are summed and reduced once.  Truncating that sum at the
+        # least pair precision equals summing the products each truncated
+        # at its own, so every coefficient is RamLaurent.__mul__'s sum.
+        right = [(eb, cb.offset, cb.prec, cb._prec_val(), cb.coeffs.astype(np.int64))
+                 for eb, cb in other.terms.items()]
+        acc: dict = {}
+        over = None
         for ea, ca in self.terms.items():
-            na = ca.norm_exp()
-            for eb, cb in other.terms.items():
+            pa, va = ca.prec, ca._prec_val()
+            AT = left_map(ctx, ca.coeffs) if ca.coeffs.shape[0] else None
+            for eb, ob, pb, vb, B in right:
                 e = tuple(x + y for x, y in zip(ea, eb))
                 if any(k > cap for k in e):
-                    fold = max(fold, na + cb.norm_exp())
+                    over = va + vb if over is None else min(over, va + vb)
                     continue
-                prod = ca * cb
-                prev = out.get(e)
-                out[e] = prod if prev is None else prev + prod
+                prec = mul_prec(pa, va, pb, vb)
+                slot = acc.get(e)
+                if slot is None:
+                    slot = acc[e] = [prec, []]
+                elif prec < slot[0]:
+                    slot[0] = prec
+                if AT is not None and B.shape[0]:
+                    slot[1].append((ca.offset + ob, pair_mul(ctx, AT, B)))
+        out = {e: _sum_blocks(ctx, blocks, prec) for e, (prec, blocks) in acc.items()}
+        fold = NEG_INF if over is None else Fraction(-over, ctx.ram)
         ta, tb = self.tail_norm_exp, other.tail_norm_exp
         tail = max(fold,
                    ta + other.gauss_norm_exp(),

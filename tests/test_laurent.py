@@ -378,7 +378,12 @@ def test_differential_batch_mul(p, e, d):
             for n in {max(La - 1, 1), La + Lb - 1, La + Lb + 3}:
                 got = batch_mul(ctx, A, B, n)
                 assert got.shape == (N, n, m)
-                assert (got == _batch_mul_reference(ctx, A, B, n)).all(), (N, La, Lb, n)
+                want = _batch_mul_reference(ctx, A, B, n)
+                assert (got == want).all(), (N, La, Lb, n)
+                # a start row keeps only coefficients start .. n-1
+                for start in {1, La, n // 2, n - 1} & set(range(1, n)):
+                    got = batch_mul(ctx, A, B, n, start)
+                    assert (got == want[:, start:]).all(), (N, La, Lb, n, start)
 
 
 def _inv_inputs(ctx, rng):

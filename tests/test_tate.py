@@ -4,6 +4,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from carlitz.errors import (
     DuplicateNodesError,
@@ -408,3 +410,146 @@ def test_render_sorted(ctx32):
     A = TateElem(ctx32, 2, 4, {(1, 0): ctx32.one(), (0, 2): ctx32.theta()})
     text = A.render()
     assert text.index("t^(0, 2)") < text.index("t^(1, 0)")
+
+
+# -- the one-pass product against the pairwise product it replaced
+
+
+def _mul_reference(a, b):
+    """TateElem.__mul__ as one RamLaurent product and one sum per coefficient pair."""
+    cap = min(a.tcap, b.tcap)
+    out = {}
+    fold = NEG_INF
+    for ea, ca in a.terms.items():
+        na = ca.norm_exp()
+        for eb, cb in b.terms.items():
+            e = tuple(x + y for x, y in zip(ea, eb))
+            if any(k > cap for k in e):
+                fold = max(fold, na + cb.norm_exp())
+                continue
+            prod = ca * cb
+            prev = out.get(e)
+            out[e] = prod if prev is None else prev + prod
+    ta, tb = a.tail_norm_exp, b.tail_norm_exp
+    tail = max(fold, ta + b.gauss_norm_exp(), tb + a.gauss_norm_exp(), ta + tb)
+    return TateElem(a.ctx, a.s, cap, out, tail)
+
+
+def _assert_same_product(got, want):
+    assert list(got.terms) == list(want.terms)
+    for e, w in want.terms.items():
+        g = got.terms[e]
+        assert (g.offset, g.prec) == (w.offset, w.prec), e
+        assert g.coeffs.shape == w.coeffs.shape and (g.coeffs == w.coeffs).all(), e
+    assert got.tail_norm_exp == want.tail_norm_exp
+    assert (got.s, got.tcap) == (want.s, want.tcap)
+
+
+def _rand_coeff(ctx, rng, kind):
+    """Exact, inexact, prime-field or term-free inexact coefficient of assorted
+    length and valuation; prime-field ones leave all but one coordinate zero."""
+    if kind == "term-free":
+        return ctx.zero(rng.randrange(-8, 20))
+    spec = ctx.spec
+    top = spec.p if kind == "prime-field" else spec.order
+    lo = rng.randrange(-8, 6)
+    terms = [(lo, spec.from_index(rng.randrange(1, top)))]
+    terms += [(lo + k, spec.from_index(rng.randrange(top)))
+              for k in range(1, rng.randrange(1, 30))]
+    x = ctx.from_terms(terms)
+    return x if kind != "inexact" else x.truncate(lo + rng.randrange(1, 35))
+
+
+def _diff_inputs(ctx, rng, s):
+    """Pairs of factors with unequal caps, mixed coefficients, tails and cancellations."""
+    kinds = ("exact", "prime-field", "inexact", "term-free")
+    for _ in range(12):
+        cap_a, cap_b = rng.randrange(1, 7), rng.randrange(1, 7)
+        fs = []
+        for cap in (cap_a, cap_b):
+            terms = {}
+            for _ in range(rng.randrange(1, 9)):
+                e = tuple(rng.randrange(cap + 1) for _ in range(s))
+                terms[e] = _rand_coeff(ctx, rng, rng.choice(kinds))
+            tail = rng.choice([NEG_INF, NEG_INF, Fraction(rng.randrange(-20, 4), ctx.ram)])
+            fs.append(TateElem(ctx, s, cap, terms, tail))
+        yield fs
+    # (t + c)(t - c) = t^2 - c^2: the t coefficient is c - c, an exact zero
+    # the constructor drops for exact c and a term-free inexact zero it keeps
+    # for inexact c; a cap of 1 folds the t^2 pair into the tail
+    for kind in ("exact", "inexact"):
+        c = _rand_coeff(ctx, rng, kind)
+        t = tate_var(ctx, s, 4, 0)
+        for cap in (4, 1):
+            a = TateElem(ctx, s, cap, (t + tate_const(ctx, s, 4, c)).terms)
+            yield a, t - tate_const(ctx, s, 4, c)
+
+
+@pytest.mark.parametrize("p,e,d", [(2, 1, 1), (2, 1, 2), (2, 2, 1), (3, 1, 1), (3, 1, 2)])
+@pytest.mark.parametrize("s", [1, 2])
+def test_differential_mul(p, e, d, s):
+    ctx = Completion(p, e, d, wp=24)
+    rng = random.Random(f"tate-mul:{p}:{e}:{d}:{s}")
+    seen = {"dropped": 0, "inexact zero": 0, "fold": 0, "tail": 0}
+    for a, b in _diff_inputs(ctx, rng, s):
+        for x, y in ((a, b), (b, a)):
+            got, want = x * y, _mul_reference(x, y)
+            _assert_same_product(got, want)
+            raw = {tuple(i + j for i, j in zip(ea, eb))
+                   for ea in x.terms for eb in y.terms}
+            cap = min(x.tcap, y.tcap)
+            seen["dropped"] += any(all(k <= cap for k in r) and r not in got.terms for r in raw)
+            seen["inexact zero"] += any(c.is_zero() for c in got.terms.values())
+            seen["fold"] += any(any(k > cap for k in r) for r in raw)
+            seen["tail"] += x.tail_norm_exp != NEG_INF
+    assert all(seen.values()), seen
+
+
+_TERM = st.tuples(
+    st.tuples(st.integers(0, 6), st.integers(0, 6)),  # exponent, cut to s slots
+    st.integers(-6, 4),  # valuation
+    st.lists(st.integers(0, 63), min_size=2, max_size=12),  # coefficient indices
+    st.one_of(st.none(), st.integers(1, 11)),  # relative truncation, None = exact
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    tower=st.sampled_from([(2, 1, 1), (2, 1, 2), (2, 2, 1), (3, 1, 1), (3, 1, 2)]),
+    s=st.integers(1, 2),
+    caps=st.tuples(st.integers(0, 6), st.integers(0, 6)),
+    xs=st.lists(_TERM, min_size=1, max_size=6),
+    ys=st.lists(_TERM, min_size=1, max_size=6),
+)
+def test_tate_truncation_soundness(tower, s, caps, xs, ys):
+    """The product of truncated elements agrees with the exact product in every
+    coefficient to that coefficient's claimed prec, and its tail bound covers
+    every exact term past the cap."""
+    ctx = Completion(*tower, wp=16)
+    spec = ctx.spec
+
+    def pair(terms, cap):
+        exact, cut = {}, {}
+        for e, lo, ids, rel in terms:
+            e = e[:s]
+            cs = [spec.from_index(i % spec.order) for i in ids]
+            cs = [c if not c.is_zero() or 0 < k < len(cs) - 1 else spec.one
+                  for k, c in enumerate(cs)]
+            c = ctx.from_terms([(lo + k, c) for k, c in enumerate(cs)])
+            exact[e] = c
+            # a truncation drops at least the last, nonzero, term
+            cut[e] = c if rel is None else c.truncate(lo + min(rel, len(cs) - 1))
+        # the exact factor keeps every term; the truncated one keeps those up
+        # to its cap and folds the rest into its tail
+        return TateElem(ctx, s, 12, exact), TateElem(ctx, s, cap, cut)
+
+    (X, Xt), (Y, Yt) = pair(xs, caps[0]), pair(ys, caps[1])
+    P, E = Xt * Yt, X * Y
+    assert P.tcap == min(caps)
+    for e, c in E.terms.items():
+        if all(k <= P.tcap for k in e):
+            got = P.coeff(e)
+            assert (got - c).is_zero(), e
+        else:
+            assert c.norm_exp() <= P.tail_norm_exp, e
+    assert all(e in E.terms or c.is_zero() for e, c in P.terms.items())
