@@ -2,12 +2,11 @@
 
 Linearized polynomials over the rational function field, prime-torsion
 fields with their Galois action, Gauss sums, interpolation polynomials,
-and the exact telescope and monic-sum identities.  Everything here is
-exact; the only numerics is the final embedding into the completion.
+and the exact telescope identity.  Everything here is exact; the only
+numerics is the final embedding into the completion.
 """
 
 from .errors import (
-    DuplicateNodesError,
     FieldMismatchError,
     InvariantError,
     NotCoprimeError,
@@ -17,7 +16,6 @@ from .errors import (
     RootMismatchError,
     ShapeMismatchError,
     SizeLimitError,
-    ZetaDenominatorError,
     ZeroInverseError,
 )
 from .fields import (
@@ -25,6 +23,7 @@ from .fields import (
     GFElem,
     GFPoly,
     RatFunc,
+    carlitz_dl,
     enumerate_A,
     poly_add,
     poly_degree,
@@ -63,32 +62,6 @@ def _poly_qpow(p: GFPoly, j: int):
 
 def _rf_qpow(f: RatFunc, j: int) -> RatFunc:
     return RatFunc(_poly_qpow(f.num, j), _poly_qpow(f.den, j))
-
-
-def d_poly(spec, j: int, var: str = "theta") -> GFPoly:
-    """Product of all monic polynomials of degree j, by the q-power recursion."""
-    if spec.q**j > DEG_LIMIT:
-        raise SizeLimitError(f"degree q^{j} beyond the polynomial guard")
-    out = GFPoly(spec, (spec.one,), var)
-    for i in range(1, j + 1):
-        bracket = [spec.zero] * (spec.q**i + 1)
-        bracket[1] = -spec.one
-        bracket[spec.q**i] = spec.one
-        out = GFPoly(spec, tuple(bracket), var) * _poly_qpow(out, 1)
-    return out
-
-
-def ell_poly(spec, j: int, var: str = "theta") -> GFPoly:
-    """prod_{k=1..j} (theta - theta^{q^k}), the signed lcm of degree-j monics."""
-    if spec.q**j > DEG_LIMIT:
-        raise SizeLimitError(f"degree q^{j} beyond the polynomial guard")
-    out = GFPoly(spec, (spec.one,), var)
-    for k in range(1, j + 1):
-        f = [spec.zero] * (spec.q**k + 1)
-        f[1] = spec.one
-        f[spec.q**k] = -spec.one
-        out = GFPoly(spec, tuple(f), var) * out
-    return out
 
 
 class LinPoly:
@@ -202,7 +175,7 @@ def basis_E(spec, j: int) -> LinPoly:
         for _ in range(spec.q - 2):
             scale = scale * v
         e = e.qtwist(1) - e.scale(scale)
-    return e.scale(RatFunc.from_poly(d_poly(spec, j)).inv())
+    return e.scale(RatFunc.from_poly(carlitz_dl(spec, j)[0]).inv())
 
 
 class CycField:
@@ -406,7 +379,7 @@ def gauss_sum_inv(cf: CycField) -> CycElem:
 
 
 class ZPoly:
-    """Dense polynomial in the torsion variable, exact or numeric coefficients."""
+    """Dense polynomial in the torsion variable over the torsion field."""
 
     __slots__ = ("coeffs",)
 
@@ -447,69 +420,30 @@ class ZPoly:
         return f"ZPoly(degree={self.degree}, len={len(self.coeffs)})"
 
 
-def _lagrange(nodes, values, one, zero):
-    n = len(nodes)
-    for i in range(n):
-        for k in range(i + 1, n):
-            if (nodes[i] - nodes[k]).is_zero():
-                raise DuplicateNodesError(f"interpolation nodes {i} and {k} coincide")
-    out = [zero] * n
-    for i in range(n):
-        num = [one]
-        denom = None
-        for k in range(n):
-            if k == i:
-                continue
-            num = poly_mul(num, [-nodes[k], one], zero)
-            df = nodes[i] - nodes[k]
-            denom = df if denom is None else denom * df
-        f = values[i] * denom.inv() if denom is not None else values[i]
-        for k, c in enumerate(num):
-            out[k] = out[k] + c * f
-    return out
+def interpolation_M(cf: CycField) -> ZPoly:
+    """Exact interpolation through the torsion values of all residues:
+    M(C_b(lambda)) = prime * chi(b), with chi(b) = b(zeta).
 
-
-def interpolation_M(cf: CycField, with_character: bool = True) -> ZPoly:
-    """Exact interpolation through the torsion values of all residues.
-
-    Sends the torsion value of b to prime * chi(b) (or to the constant prime
-    when the character is dropped); degree stays below the residue count.
+    The nodes C_b(lambda) are the q^d roots of C_P(Z) = Z * rho(Z), and
+    C_P'(Z) = P, so every Lagrange denominator is P and
+    M = sum_b chi(b) * C_P(Z) / (Z - C_b(lambda)): one Horner synthetic
+    division of chi(b) * C_P(Z) per residue with chi(b) != 0, and no
+    inverse.  A nonzero remainder means a node is not a root of C_P.
     """
-    nodes, values = [], []
+    cp = [cf.zero] + [cf.const(c) for c in cf.rho]  # C_P(Z), low degree first
+    out = [cf.zero] * (len(cp) - 1)
     for b in enumerate_A(cf.spec, cf.d):
-        nodes.append(action_at_lam(cf, b))
-        v = cf.const(cf.prime)
-        if with_character:
-            v = v * b.eval(cf.zeta)
-        values.append(v)
-    return ZPoly(_lagrange(nodes, values, cf.one, cf.zero))
-
-
-def interpolation_M_numeric(ctx: Completion, espec, J, budget: SeriesBudget) -> ZPoly:
-    """Numeric flavor over the completion for a square-free modulus.
-
-    Nodes are the exponential values of the residues over the modulus; the
-    target value at residue b is modulus(theta) * prod over J of b at the
-    matching root.
-    """
-    m = espec.m_poly
-    deg = m.degree
-    if ctx.q**deg > _TORSION_LIMIT:
-        raise SizeLimitError("residue count beyond the size guard")
-    for j in J:
-        if not 0 <= j < espec.s:
-            raise ShapeMismatchError(f"subset index {j} out of range")
-    wp = budget.wp
-    m_emb = ctx.embed_poly(m)
-    m_inv = m_emb.inv(wp + 2 * deg * ctx.ram + ctx.q)
-    nodes, values = [], []
-    for b in enumerate_A(ctx.spec, deg):
-        nodes.append(carlitz_e(ctx, ctx.embed_poly(b) * m_inv, budget))
-        f = ctx.spec.one
-        for j in J:
-            f = f * b.eval(espec.roots[j])
-        values.append(m_emb.scale(f))
-    return ZPoly(_lagrange(nodes, values, ctx.one(), ctx.zero(wp)))
+        chi = b.eval(cf.zeta)
+        if chi.is_zero():
+            continue
+        node = action_at_lam(cf, b)
+        acc = cp[-1] * chi
+        for k in range(len(cp) - 2, -1, -1):
+            out[k] = out[k] + acc
+            acc = cp[k] * chi + node * acc
+        if not acc.is_zero():
+            raise InvariantError(f"torsion value of {b!r} is not a root of C_P")
+    return ZPoly(out)
 
 
 def M_from_gauss(cf: CycField) -> ZPoly:
@@ -593,12 +527,6 @@ def telescope_pair(spec, d: int):
     if spec.q**d > DEG_LIMIT:
         raise SizeLimitError("telescope depth beyond the degree guard")
     one = GFPoly(spec, (spec.one,), "x")
-    ell = [one]
-    for k in range(1, d):
-        f = [spec.zero] * (spec.q**k + 1)
-        f[1] = spec.one
-        f[spec.q**k] = -spec.one
-        ell.append(GFPoly(spec, tuple(f), "x") * ell[-1])
     # suffix products l_{d-1}/l_j without division
     suffix = [one] * d
     for j in range(d - 2, -1, -1):
@@ -630,51 +558,8 @@ def telescope_pair(spec, d: int):
             nxt[m + 1] = nxt[m + 1] + c
             nxt[m] = nxt[m] - xq * c
         rhs = nxt
-    den = ell[d - 1]
+    den = carlitz_dl(spec, d - 1, "x")[1]
     return FracPoly(den, lhs), FracPoly(den, rhs)
-
-
-def monic_sums(spec, j: int, zeta: GFElem):
-    """Inverse-value sum over monic degree-j polynomials at zeta, plus the
-    exact kernel sum_{a monic, deg j} a(y)/a(x) over the common denominator.
-
-    The scalar equals 1 / l_j(zeta), checked here; a zeta that kills any
-    denominator (possible only when its degree is too small) is an error.
-    """
-    if spec.q**j > DEG_LIMIT:
-        raise SizeLimitError(f"enumeration q^{j} beyond the guard")
-    if zeta.field is not spec:
-        raise FieldMismatchError("zeta from another tower")
-    total = spec.zero
-    monics = list(enumerate_A(spec, j, monic=True, var="x"))
-    for a in monics:
-        v = a.eval(zeta)
-        if v.is_zero():
-            raise ZetaDenominatorError("zeta is a root of a degree-j monic")
-    lval = ell_poly(spec, j, "x").eval(zeta)
-    if lval.is_zero():
-        raise ZetaDenominatorError("zeta kills the least common multiple")
-    for a in monics:
-        total = total + a.eval(zeta).inv()
-    if total != lval.inv():
-        raise InvariantError(f"degree-{j} monic inverse sum != 1 / l_{j}(zeta)")
-    # prefix/suffix cofactors for the shared denominator d_j(x)
-    n = len(monics)
-    pre = [None] * (n + 1)
-    pre[0] = GFPoly(spec, (spec.one,), "x")
-    for i, a in enumerate(monics):
-        pre[i + 1] = pre[i] * a
-    suf = [None] * (n + 1)
-    suf[n] = GFPoly(spec, (spec.one,), "x")
-    for i in range(n - 1, -1, -1):
-        suf[i] = monics[i] * suf[i + 1]
-    num = [GFPoly(spec, (), "x")] * (j + 1)
-    for i, a in enumerate(monics):
-        cof = pre[i] * suf[i + 1]
-        for m, c in enumerate(a.coeffs):
-            if not c.is_zero():
-                num[m] = num[m] + cof.scale(c)
-    return total, FracPoly(pre[n], num)
 
 
 # -- the numeric embedding

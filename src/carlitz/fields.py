@@ -21,7 +21,8 @@ basis elements, by linear algebra over F_p.
 
 The poly_* helpers are the one dense-polynomial implementation.  They take
 coefficient lists, low degree first, over any coefficient type with + - *,
-is_zero and inv: GFPoly, RatFunc and the torsion-field layer all use them.
+is_zero and inv: GFPoly over field elements, and the torsion-field layer
+over rational functions and torsion-field elements.
 """
 
 from __future__ import annotations
@@ -37,6 +38,7 @@ from .errors import (
     NotIrreducibleError,
     NotPrimeError,
     PolyZeroDivisionError,
+    ShapeMismatchError,
     SizeLimitError,
     ZeroInverseError,
     ZetaDenominatorError,
@@ -78,8 +80,7 @@ def _prime_factors(n: int) -> list[int]:
 # ---------------------------------------------------------------------------
 # Coefficient-list polynomials over any field-like coefficient type.  Results
 # are trimmed: no trailing coefficient is_zero().  zero and one are the
-# coefficient ring's constants; a zero may carry data of its own (a series
-# zero carries a precision), so it is passed in, never built here.
+# coefficient ring's constants, passed in, never built here.
 
 
 def poly_trim(cs) -> list:
@@ -104,8 +105,7 @@ def poly_sub(a, b, zero) -> list:
 
 
 def poly_mul(a, b, zero) -> list:
-    """Schoolbook product; skips zero left factors only, so series
-    coefficients keep the precision every other term contributes."""
+    """Schoolbook product; skips zero left factors."""
     if not a or not b:
         return []
     out = [zero] * (len(a) + len(b) - 1)
@@ -632,7 +632,7 @@ def enumerate_A(spec: FieldSpec, j: int, monic: bool = False, var: str = "theta"
     Order is by integer index base q with the constant coefficient as the
     least significant digit.
     """
-    if j < 0 or j > 8 or spec.q**j > ENUM_LIMIT:
+    if j < 0 or spec.q**j > ENUM_LIMIT:
         raise SizeLimitError(f"enumeration of size q^{j} refused")
     out = []
     for n in range(spec.q**j):
@@ -645,6 +645,32 @@ def enumerate_A(spec: FieldSpec, j: int, monic: bool = False, var: str = "theta"
             digits.append(spec.one)
         out.append(GFPoly(spec, tuple(digits), var))
     return out
+
+
+def carlitz_dl(spec: FieldSpec, j: int, var: str = "theta") -> tuple[GFPoly, GFPoly]:
+    """(D_j, l_j) in F_q[var]: the product of all monic polynomials of degree
+    j, and (-1)^j times their least common multiple.
+
+    Both come from the brackets [i] = var^{q^i} - var: D_0 = l_0 = 1,
+    D_i = [i] * D_{i-1}^q and l_i = -[i] * l_{i-1}.  The coefficients lie in
+    F_p, so the q-th power only stretches the exponents.
+    """
+    if j < 0:
+        raise ShapeMismatchError("index must be >= 0")
+    if spec.q**j > DEG_LIMIT:
+        raise SizeLimitError(f"degree q^{j} beyond the polynomial guard")
+    q = spec.q
+    d = ell = GFPoly(spec, (spec.one,), var)
+    for i in range(1, j + 1):
+        brk = [spec.zero] * (q**i + 1)
+        brk[1] = -spec.one
+        brk[q**i] = spec.one
+        brk = GFPoly(spec, tuple(brk), var)
+        stretched = [spec.zero] * (q * d.degree + 1)
+        stretched[::q] = d.coeffs
+        d = brk * GFPoly(spec, tuple(stretched), var)
+        ell = (-brk) * ell
+    return d, ell
 
 
 class RatFunc:

@@ -20,7 +20,7 @@ from .errors import (
     SingularSystemError,
     SizeLimitError,
 )
-from .fields import DEG_LIMIT, ENUM_LIMIT, GFPoly
+from .fields import DEG_LIMIT, GFPoly, carlitz_dl, enumerate_A
 from .laurent import NEG_INF, PREC_EXACT, Completion, RamLaurent, batch_mul, stack_inv
 from .tate import TateElem, tate_const, tate_zero
 
@@ -52,36 +52,11 @@ def default_budget(ctx: Completion, prec: int) -> SeriesBudget:
 
 
 def carlitz_constants(ctx: Completion, i: int):
-    """(d_i, l_i): the degree-q^i product constants, exact in F_q[theta].
-
-    d_0 = l_0 = 1; d_i = (theta^{q^i} - theta) * d_{i-1}^q and
-    l_i = (theta - theta^{q^i}) * l_{i-1}.
-    """
-    if i < 0:
-        raise ShapeMismatchError("index must be >= 0")
-    if ctx.q**i > DEG_LIMIT:
-        raise SizeLimitError(f"q^{i} beyond the constant degree guard")
+    """(d_i, l_i): the degree-q^i product constants, exact in F_q[theta]
+    (fields.carlitz_dl), memoised on the completion."""
     key = ("const", i)
-    if key in ctx.cache:
-        return ctx.cache[key]
-    spec = ctx.spec
-    if i == 0:
-        one = spec.poly([1])
-        ctx.cache[key] = (one, one)
-    else:
-        d_prev, l_prev = carlitz_constants(ctx, i - 1)
-        qi = ctx.q**i
-        coeffs = [spec.zero] * (qi + 1)
-        coeffs[1] = -spec.one
-        coeffs[qi] = spec.one
-        brk = GFPoly(spec, tuple(coeffs), "theta")  # theta^{q^i} - theta
-        stretched = [spec.zero] * (ctx.q * d_prev.degree + 1)
-        for k, c in enumerate(d_prev.coeffs):
-            stretched[ctx.q * k] = c
-        d_prev_q = GFPoly(spec, tuple(stretched), "theta")
-        d_i = brk * d_prev_q
-        l_i = (-brk) * l_prev
-        ctx.cache[key] = (d_i, l_i)
+    if key not in ctx.cache:
+        ctx.cache[key] = carlitz_dl(ctx.spec, i)
     return ctx.cache[key]
 
 
@@ -377,20 +352,8 @@ def _monic_block(ctx: Completion, j: int):
     """All monic degree-j lattice polynomials with their exact embeddings."""
     key = ("monic", j)
     if key not in ctx.cache:
-        if ctx.q**j > ENUM_LIMIT:
-            raise SizeLimitError(f"block enumeration of size q^{j} refused")
-        spec = ctx.spec
-        out = []
-        for idx in range(ctx.q**j):
-            digits = []
-            t = idx
-            for _ in range(j):
-                digits.append(spec.from_subfield(t % ctx.q))
-                t //= ctx.q
-            digits.append(spec.one)
-            a = GFPoly(spec, tuple(digits), "theta")
-            out.append((a, ctx.embed_poly(a)))
-        ctx.cache[key] = out
+        ctx.cache[key] = [(a, ctx.embed_poly(a))
+                          for a in enumerate_A(ctx.spec, j, monic=True)]
     return ctx.cache[key]
 
 

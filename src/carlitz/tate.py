@@ -21,7 +21,7 @@ from .errors import (
     RootMismatchError,
     ShapeMismatchError,
 )
-from .fields import GFElem, GFPoly
+from .fields import GFElem
 from .laurent import (NEG_INF, PREC_EXACT, Completion, RamLaurent, left_map, mul_prec,
                       pair_mul)
 
@@ -347,17 +347,6 @@ def tate_var(ctx: Completion, s: int, tcap: int, i: int) -> TateElem:
 
 def tate_t_minus_theta(ctx: Completion, s: int, tcap: int, i: int) -> TateElem:
     return tate_var(ctx, s, tcap, i) + tate_const(ctx, s, tcap, -ctx.theta())
-
-
-def tate_poly_t(ctx: Completion, s: int, tcap: int, i: int, a: GFPoly) -> TateElem:
-    """Image of a in F_q[t_i]: coefficient k of a becomes the t_i^k term."""
-    terms = {}
-    for k, c in enumerate(a.coeffs):
-        if c.is_zero():
-            continue
-        e = tuple(k if j == i else 0 for j in range(s))
-        terms[e] = ctx.from_field(c)
-    return TateElem(ctx, s, tcap, terms)
 
 
 # -- evaluation data

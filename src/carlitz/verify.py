@@ -18,7 +18,7 @@ from .errors import (
     ConfigError,
     UnknownCheckError,
 )
-from .fields import RatFunc, enumerate_A, make_field, roots_in_ext
+from .fields import RatFunc, carlitz_dl, enumerate_A, make_field, roots_in_ext
 from .laurent import NEG_INF, PREC_EXACT, Completion, sample_z
 from .tate import (
     EvalSpec,
@@ -47,7 +47,6 @@ from .cyclotomic import (
     action_at_lam,
     basis_E,
     carlitz_poly,
-    ell_poly,
     embed,
     galois_sigma,
     gauss_sum,
@@ -437,7 +436,7 @@ def _run_thm3(rc):
     ctx = rc.ctx(dp)
     B = default_budget(ctx, cfg.prec)
     om = omega(ctx, cfg.tcap, B)
-    chl = ell_poly(spec, dp - 1)
+    chl = carlitz_dl(spec, dp - 1)[1]
     out = []
     for i, zeta in roots:
         cf = make_torsion_field(spec, prime, zeta)
@@ -467,7 +466,7 @@ def _run_thm4(rc):
 
     # closed form of the leading coefficient; the prime power rescales the
     # inverse-Gauss-sum expression to the series variable u_prime
-    chl = ell_poly(spec, dp - 1).eval(zeta)
+    chl = carlitz_dl(spec, dp - 1)[1].eval(zeta)
     pe = cf.const(prime)
     a0 = pe**k0 * gauss_sum_inv(cf) * cf.const(chl.inv())
     if (dp + 1) % 2:
@@ -796,7 +795,7 @@ def _run_cor56(rc):
         M = interpolation_M(cf)
         ginv = gauss_sum_inv(cf)
         sgn = cf.one if (d + 1) % 2 == 0 else -cf.one
-        chl = ell_poly(spec, d - 1).eval(zeta)
+        chl = carlitz_dl(spec, d - 1)[1].eval(zeta)
         deg_ok = M.degree == rc.q ** (d - 1)
         lead_ok = (M.coeff(rc.q ** (d - 1)) - sgn * ginv * cf.const(chl.inv())).is_zero()
         tm = RatFunc.from_poly(spec.poly([spec.zero - zeta, spec.one]))

@@ -9,24 +9,18 @@ import pytest
 from carlitz import cyclotomic
 from carlitz.cyclotomic import (
     CycField,
-    FracPoly,
     LinPoly,
     M_from_gauss,
     ZPoly,
-    _lagrange,
     action_at_lam,
     basis_E,
     carlitz_poly,
-    d_poly,
-    ell_poly,
     embed,
     galois_sigma,
     gauss_sum,
     gauss_sum_inv,
     interpolation_M,
-    interpolation_M_numeric,
     make_torsion_field,
-    monic_sums,
     telescope_pair,
 )
 from carlitz.errors import (
@@ -39,10 +33,18 @@ from carlitz.errors import (
     ShapeMismatchError,
     SizeLimitError,
     ZeroInverseError,
-    ZetaDenominatorError,
 )
-from carlitz.fields import GFPoly, RatFunc, enumerate_A, make_field, poly_xgcd, roots_in_ext
-from carlitz.functions import default_budget
+from carlitz.fields import (
+    GFPoly,
+    RatFunc,
+    carlitz_dl,
+    enumerate_A,
+    make_field,
+    poly_mul,
+    poly_xgcd,
+    roots_in_ext,
+)
+from carlitz.functions import carlitz_e, default_budget
 from carlitz.laurent import Completion
 from carlitz.tate import EvalSpec
 
@@ -129,7 +131,7 @@ def test_basis_small_closed_forms():
         e0 = basis_E(spec, 0)
         assert e0.height == 0 and e0.coeff(0) == _rf(spec, [1])
         e1 = basis_E(spec, 1)
-        dinv = RatFunc.from_poly(d_poly(spec, 1)).inv()
+        dinv = RatFunc.from_poly(carlitz_dl(spec, 1)[0]).inv()
         assert e1.coeff(0) == -dinv
         assert e1.coeff(1) == dinv
 
@@ -146,7 +148,7 @@ def test_basis_matches_literal_product(p, j):
             nxt[k + 1] = nxt[k + 1] + c
             nxt[k] = nxt[k] - arf * c
         dense = nxt
-    dinv = RatFunc.from_poly(d_poly(spec, j)).inv()
+    dinv = RatFunc.from_poly(carlitz_dl(spec, j)[0]).inv()
     ej = basis_E(spec, j)
     for k, c in enumerate(dense):
         scaled = c * dinv
@@ -375,10 +377,53 @@ def test_zpoly_basics():
     assert z != ZPoly([cf.one, cf.lam, cf.one])
 
 
+def _lagrange(nodes, values, one, zero):
+    """Generic Lagrange interpolation, one inverse per node: the reference
+    for interpolation_M."""
+    n = len(nodes)
+    for i in range(n):
+        for k in range(i + 1, n):
+            if (nodes[i] - nodes[k]).is_zero():
+                raise DuplicateNodesError(f"interpolation nodes {i} and {k} coincide")
+    out = [zero] * n
+    for i in range(n):
+        num = [one]
+        denom = None
+        for k in range(n):
+            if k == i:
+                continue
+            num = poly_mul(num, [-nodes[k], one], zero)
+            df = nodes[i] - nodes[k]
+            denom = df if denom is None else denom * df
+        f = values[i] * denom.inv() if denom is not None else values[i]
+        for k, c in enumerate(num):
+            out[k] = out[k] + c * f
+    return out
+
+
+def _lagrange_M(cf):
+    bs = enumerate_A(cf.spec, cf.d)
+    nodes = [action_at_lam(cf, b) for b in bs]
+    values = [cf.const(cf.prime) * b.eval(cf.zeta) for b in bs]
+    return _lagrange(nodes, values, cf.one, cf.zero)
+
+
 def test_lagrange_rejects_duplicate_nodes():
     cf = _tf(2, 1, 2, (1, 1, 1))
     with pytest.raises(DuplicateNodesError):
         _lagrange([cf.one, cf.one], [cf.zero, cf.lam], cf.one, cf.zero)
+
+
+@pytest.mark.parametrize(
+    "args", [(2, 1, 2, (1, 1, 1)), (3, 1, 2, (1, 0, 1)), (2, 1, 3, (1, 1, 0, 1)),
+             (2, 2, 2, (2, 1, 1))]
+)
+def test_differential_interpolation_matches_lagrange(args):
+    # the synthetic-division sum gives the Lagrange coefficients, tuple for tuple
+    cf = _tf(*args)
+    M = interpolation_M(cf)
+    assert M.coeffs == tuple(_lagrange_M(cf))
+    assert len(M.coeffs) == cf.spec.q**cf.d
 
 
 def test_interpolation_node_property():
@@ -403,13 +448,6 @@ def test_interpolation_uniqueness_negative():
         if M2.eval(action_at_lam(cf, b)) != pc * b.eval(cf.zeta)
     )
     assert broken > 0
-
-
-def test_interpolation_without_character_is_constant():
-    cf = _tf(3, 1, 2, (1, 0, 1))
-    M0 = interpolation_M(cf, with_character=False)
-    assert M0.degree == 0
-    assert M0.coeff(0) == cf.const(cf.prime)
 
 
 @pytest.mark.parametrize(
@@ -443,7 +481,7 @@ def test_interpolation_extreme_coefficients(args):
     assert M.degree == q ** (d - 1)
     ginv = gauss_sum_inv(cf)
     sgn = cf.one if (d + 1) % 2 == 0 else -cf.one
-    chl = ell_poly(spec, d - 1).eval(cf.zeta)
+    chl = carlitz_dl(spec, d - 1)[1].eval(cf.zeta)
     assert M.coeff(q ** (d - 1)) == sgn * ginv * chl.inv()
     tm = RatFunc.from_poly(spec.poly([spec.zero - cf.zeta, spec.one]))
     lin = sgn * cf.const(cf.prime) * cf.const(chl.inv()) * cf.const(tm.inv()) * ginv
@@ -502,13 +540,18 @@ def _kernel_product(spec, j):
 
 @pytest.mark.parametrize("p,d,j", [(2, 4, 1), (2, 4, 2), (2, 4, 3), (3, 3, 1), (3, 3, 2)])
 def test_monic_sums_identity(p, d, j):
-    # scalar: sum of inverse values; kernel: sum a(y)/a(x) over one denominator
+    # sum over monic a of degree j of a(y)/a(zeta) is the kernel
+    # prod_{k<j} (y - zeta^{q^k}) over l_j(zeta); its top coefficient is the
+    # inverse-value sum 1/l_j(zeta)
     spec = make_field(p, 1, d)
     zeta = _generator(spec)
-    total, frac = monic_sums(spec, j, zeta)
-    assert total == ell_poly(spec, j).eval(zeta).inv()
-    expect = FracPoly(ell_poly(spec, j, "x"), _kernel_product(spec, j))
-    assert frac == expect
+    got = [spec.zero] * (j + 1)
+    for a in enumerate_A(spec, j, monic=True):
+        v = a.eval(zeta).inv()
+        for m, c in enumerate(a.coeffs):
+            got[m] = got[m] + c * v
+    l_inv = carlitz_dl(spec, j, "x")[1].eval(zeta).inv()
+    assert got == [c.eval(zeta) * l_inv for c in _kernel_product(spec, j)]
 
 
 def test_invariants_raise_when_broken(monkeypatch):
@@ -522,21 +565,11 @@ def test_invariants_raise_when_broken(monkeypatch):
     with pytest.raises(InvariantError):
         gauss_sum_inv(cf)
     monkeypatch.undo()
-    spec4 = make_field(2, 1, 4)
-    monkeypatch.setattr(cyclotomic, "ell_poly",
-                        lambda spec, j, var="theta": spec.poly([1], var))
+    # C_P(x + 1) = C_P(x) + P, so a shifted node is no root of C_P
+    act = cyclotomic.action_at_lam
+    monkeypatch.setattr(cyclotomic, "action_at_lam", lambda cf, b: act(cf, b) + cf.one)
     with pytest.raises(InvariantError):
-        monic_sums(spec4, 1, _generator(spec4))
-
-
-def test_monic_sums_guards():
-    spec = make_field(2, 1, 4)
-    with pytest.raises(ZetaDenominatorError):
-        monic_sums(spec, 1, spec.one)
-    with pytest.raises(FieldMismatchError):
-        monic_sums(spec, 1, make_field(3, 1, 1).one)
-    with pytest.raises(SizeLimitError):
-        monic_sums(make_field(2, 1, 1), 13, make_field(2, 1, 1).one)
+        interpolation_M(cf)
 
 
 # -- the numeric embedding
@@ -588,39 +621,23 @@ def test_embed_field_mismatch():
 
 
 def test_numeric_interpolation_matches_exact():
+    # Lagrange over the completion, at the exponential values of the
+    # residues, agrees with the embedded exact interpolant
     ctx = _ctx22()
     B = default_budget(ctx, 40)
     cf = _tf(2, 1, 2, (1, 1, 1))
-    espec = EvalSpec((cf.prime,), (cf.zeta,))
-    Mn = interpolation_M_numeric(ctx, espec, [0], B)
+    m_emb = ctx.embed_poly(cf.prime)
+    m_inv = m_emb.inv(B.wp + 2 * cf.d * ctx.ram + ctx.q)
+    bs = enumerate_A(cf.spec, cf.d)
+    nodes = [carlitz_e(ctx, ctx.embed_poly(b) * m_inv, B) for b in bs]
+    values = [m_emb.scale(b.eval(cf.zeta)) for b in bs]
+    Mn = _lagrange(nodes, values, ctx.one(), ctx.zero(B.wp))
     Me = interpolation_M(cf)
-    for k in range(len(Mn.coeffs)):
-        diff = Mn.coeff(k) - embed(Me.coeff(k) if k < len(Me.coeffs) else cf.zero, ctx, B)
+    assert len(Mn) == len(Me.coeffs)
+    for k, c in enumerate(Mn):
+        diff = c - embed(Me.coeff(k), ctx, B)
         assert diff.is_zero()
         assert diff.prec >= 30
-
-
-def test_numeric_interpolation_trivial_character():
-    # empty character set: values are constant, so the interpolant is too
-    ctx = Completion(2, 1, 1, wp=64)
-    B = default_budget(ctx, 32)
-    spec = ctx.spec
-    espec = EvalSpec((spec.poly([0, 1]), spec.poly([1, 1])), (spec.zero, spec.one))
-    Mn = interpolation_M_numeric(ctx, espec, [], B)
-    m_emb = ctx.embed_poly(espec.m_poly)
-    assert (Mn.coeff(0) - m_emb).is_zero()
-    for k in range(1, len(Mn.coeffs)):
-        assert Mn.coeff(k).is_zero()
-        assert Mn.coeff(k).prec >= B.prec
-
-
-def test_numeric_interpolation_subset_guard():
-    ctx = _ctx22()
-    B = default_budget(ctx, 32)
-    cf = _tf(2, 1, 2, (1, 1, 1))
-    espec = EvalSpec((cf.prime,), (cf.zeta,))
-    with pytest.raises(ShapeMismatchError):
-        interpolation_M_numeric(ctx, espec, [1], B)
 
 
 def test_omega_value_against_gauss_sum():
@@ -635,7 +652,7 @@ def test_omega_value_against_gauss_sum():
     for zeta in roots_in_ext(prime, spec):
         cf = make_torsion_field(spec, prime, zeta)
         g = embed(gauss_sum(cf), ctx, B)
-        chl = ell_poly(spec, cf.d - 1).eval(zeta)
+        chl = carlitz_dl(spec, cf.d - 1)[1].eval(zeta)
         diff = om.ev(EvalSpec((prime,), (zeta,))) + g.scale(chl)
         assert diff.is_zero()
         assert diff.prec >= 28

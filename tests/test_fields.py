@@ -23,6 +23,7 @@ from carlitz.errors import (
     ZetaDenominatorError,
 )
 from carlitz.fields import (
+    ENUM_LIMIT,
     MAX_ORDER,
     MAX_Q,
     GFPoly,
@@ -267,8 +268,10 @@ def test_enumerate_order_frozen():
     assert len(enumerate_A(f3, 2, monic=True)) == 9
     for a in enumerate_A(f3, 2, monic=True):
         assert a.is_monic() and a.degree == 2
+    # ENUM_LIMIT is the only size guard: 3^11 is the first power of 3 above it
+    assert 3**10 <= ENUM_LIMIT < 3**11
     with pytest.raises(SizeLimitError):
-        enumerate_A(f3, 9)
+        enumerate_A(f3, 11)
 
 
 def test_ratfunc_field_laws():

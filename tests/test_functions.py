@@ -39,10 +39,11 @@ from carlitz.laurent import NEG_INF, Completion, sample_z
 from carlitz.tate import (
     TateElem,
     tate_const,
-    tate_poly_t,
     tate_t_minus_theta,
     tate_var,
 )
+
+from oracles import tate_poly_t
 
 
 def ctx2():

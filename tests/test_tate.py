@@ -22,11 +22,12 @@ from carlitz.tate import (
     EvalSpec,
     TateElem,
     tate_const,
-    tate_poly_t,
     tate_t_minus_theta,
     tate_var,
     tate_zero,
 )
+
+from oracles import tate_poly_t
 
 
 @pytest.fixture(scope="module")
