@@ -28,6 +28,7 @@ from .functions import (
     u_val,
 )
 from .cyclotomic import (
+    CycField,
     M_from_gauss,
     basis_E,
     carlitz_poly,
@@ -35,7 +36,6 @@ from .cyclotomic import (
     gauss_sum,
     gauss_sum_inv,
     interpolation_M,
-    make_torsion_field,
     telescope_pair,
 )
 from .verify import CheckConfig, CheckReport, REGISTRY, run_all, run_check
@@ -50,8 +50,8 @@ __all__ = [
     "L_multi", "SeriesBudget", "agf_f", "carlitz_e", "carlitz_exp", "chi_t",
     "default_budget", "omega", "omega_inv", "papanikolas_L", "pi_tilde",
     "psi", "u_m_val", "u_val",
-    "M_from_gauss", "basis_E", "carlitz_poly", "embed", "gauss_sum",
-    "gauss_sum_inv", "interpolation_M", "make_torsion_field", "telescope_pair",
+    "CycField", "M_from_gauss", "basis_E", "carlitz_poly", "embed", "gauss_sum",
+    "gauss_sum_inv", "interpolation_M", "telescope_pair",
     "CheckConfig", "CheckReport", "REGISTRY", "run_all", "run_check",
     "__version__",
 ]

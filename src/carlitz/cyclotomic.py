@@ -47,21 +47,8 @@ def _rf_one(spec, var="theta"):
     return RatFunc.from_poly(GFPoly(spec, (spec.one,), var))
 
 
-def _poly_qpow(p: GFPoly, j: int):
-    """p^{q^j} for a polynomial: Frobenius on coefficients, dilated exponents."""
-    if j == 0 or p.is_zero():
-        return p
-    spec = p.field
-    step = spec.q**j
-    out = [spec.zero] * (p.degree * step + 1)
-    for k, c in enumerate(p.coeffs):
-        if not c.is_zero():
-            out[k * step] = c.frobenius(spec.e * j)
-    return GFPoly(spec, tuple(out), p.var)
-
-
 def _rf_qpow(f: RatFunc, j: int) -> RatFunc:
-    return RatFunc(_poly_qpow(f.num, j), _poly_qpow(f.den, j))
+    return RatFunc(f.num.qpow(j), f.den.qpow(j))
 
 
 class LinPoly:
@@ -311,10 +298,6 @@ class CycElem:
         return "CycElem(" + " + ".join(parts) + ")"
 
 
-def make_torsion_field(spec, prime: GFPoly, zeta: GFElem) -> CycField:
-    return CycField(spec, prime, zeta)
-
-
 def action_at_lam(cf: CycField, a: GFPoly) -> CycElem:
     """The module action of a applied to the torsion generator, reduced."""
     key = ("act", a.coeffs)
@@ -470,57 +453,14 @@ def M_from_gauss(cf: CycField) -> ZPoly:
 # -- exact identities in two symbols
 
 
-class FracPoly:
-    """Polynomial in y whose coefficients share one denominator in x.
-
-    Kept unreduced so large exact identities compare without gcd work;
-    equality cross-multiplies.
-    """
-
-    __slots__ = ("den", "coeffs")
-
-    def __init__(self, den: GFPoly, coeffs):
-        if den.is_zero():
-            raise ZeroInverseError("zero common denominator")
-        self.den = den
-        self.coeffs = tuple(coeffs)
-
-    @property
-    def degree(self) -> int:
-        return poly_degree(self.coeffs)
-
-    def __eq__(self, other):
-        if not isinstance(other, FracPoly):
-            return NotImplemented
-        n = max(len(self.coeffs), len(other.coeffs))
-        for i in range(n):
-            a = self.coeffs[i] if i < len(self.coeffs) else None
-            b = other.coeffs[i] if i < len(other.coeffs) else None
-            left = (a * other.den) if a is not None else None
-            right = (b * self.den) if b is not None else None
-            if left is None:
-                if not right.is_zero():
-                    return False
-            elif right is None:
-                if not left.is_zero():
-                    return False
-            elif left != right:
-                return False
-        return True
-
-    def __hash__(self):
-        return hash((self.den, self.coeffs))
-
-    def __repr__(self):
-        return f"FracPoly(deg_y={self.degree}, deg_den={self.den.degree})"
-
-
 def telescope_pair(spec, d: int):
     """Both sides of the degree-d telescope identity in the symbols (x, y).
 
     Left: sum_{j<d} l_j(x)^{-1} prod_{k<j} (y - x^{q^k}); right: the single
-    term l_{d-1}(x)^{-1} prod_{1<=j<d} (y - x^{q^j}).  Returned over the
-    common denominator l_{d-1}(x) so the caller can compare exactly.
+    term l_{d-1}(x)^{-1} prod_{1<=j<d} (y - x^{q^j}).  Both sides share the
+    denominator l_{d-1}(x), so the result is (den, lhs, rhs) with lhs and rhs
+    tuples of numerator y-coefficients in F_q[x]: the identity holds exactly
+    when lhs == rhs.
     """
     if d < 1:
         raise ShapeMismatchError("telescope depth must be >= 1")
@@ -559,10 +499,19 @@ def telescope_pair(spec, d: int):
             nxt[m] = nxt[m] - xq * c
         rhs = nxt
     den = carlitz_dl(spec, d - 1, "x")[1]
-    return FracPoly(den, lhs), FracPoly(den, rhs)
+    return den, tuple(lhs), tuple(rhs)
 
 
 # -- the numeric embedding
+
+
+def modulus_inv(ctx: Completion, m: GFPoly, wp: int) -> RamLaurent:
+    """1/m for a monic m in F_q[theta], embedded in the completion.
+
+    The one precision rule for inverting an embedded modulus: the inverse
+    keeps wp + 2 * deg(m) * ram + q terms.
+    """
+    return ctx.embed_poly(m).inv(wp + 2 * m.degree * ctx.ram + ctx.q)
 
 
 def embed(x: CycElem, ctx: Completion, budget: SeriesBudget) -> RamLaurent:
@@ -576,8 +525,7 @@ def embed(x: CycElem, ctx: Completion, budget: SeriesBudget) -> RamLaurent:
     # cache on the completion, not the torsion field: the value is ctx-bound
     key = ("embed_lam", cf.prime, wp)
     if key not in ctx.cache:
-        z = ctx.embed_poly(cf.prime).inv(wp + 2 * cf.d * ctx.ram + ctx.q)
-        ctx.cache[key] = carlitz_e(ctx, z, budget)
+        ctx.cache[key] = carlitz_e(ctx, modulus_inv(ctx, cf.prime, wp), budget)
     lam_num = ctx.cache[key]
     acc = ctx.zero(wp)
     for c in reversed(x.coeffs):

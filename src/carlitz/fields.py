@@ -533,8 +533,18 @@ class GFPoly:
             raise FieldMismatchError("evaluation point from another tower")
         return poly_eval(self.coeffs, x, self.field.zero)
 
-    def frobenius_coeffs(self, k: int = 1) -> "GFPoly":
-        return self._new(tuple(c.frobenius(k) for c in self.coeffs))
+    def qpow(self, j: int = 1) -> "GFPoly":
+        """self^(q^j): every coefficient to the q^j-th power, exponents times q^j.
+
+        Raising to a power of p is additive in characteristic p, so the
+        power of a sum is the sum of the powers of its terms.
+        """
+        if j == 0 or self.is_zero():
+            return self
+        step = self.field.q**j
+        out = [self.field.zero] * (self.degree * step + 1)
+        out[::step] = [c.frobenius(j) for c in self.coeffs]
+        return self._new(out)
 
     def retag(self, var: str) -> "GFPoly":
         return GFPoly(self.field, self.coeffs, var)
@@ -652,8 +662,7 @@ def carlitz_dl(spec: FieldSpec, j: int, var: str = "theta") -> tuple[GFPoly, GFP
     j, and (-1)^j times their least common multiple.
 
     Both come from the brackets [i] = var^{q^i} - var: D_0 = l_0 = 1,
-    D_i = [i] * D_{i-1}^q and l_i = -[i] * l_{i-1}.  The coefficients lie in
-    F_p, so the q-th power only stretches the exponents.
+    D_i = [i] * D_{i-1}^q and l_i = -[i] * l_{i-1}.
     """
     if j < 0:
         raise ShapeMismatchError("index must be >= 0")
@@ -666,9 +675,7 @@ def carlitz_dl(spec: FieldSpec, j: int, var: str = "theta") -> tuple[GFPoly, GFP
         brk[1] = -spec.one
         brk[q**i] = spec.one
         brk = GFPoly(spec, tuple(brk), var)
-        stretched = [spec.zero] * (q * d.degree + 1)
-        stretched[::q] = d.coeffs
-        d = brk * GFPoly(spec, tuple(stretched), var)
+        d = brk * d.qpow(1)
         ell = (-brk) * ell
     return d, ell
 
@@ -688,7 +695,8 @@ class RatFunc:
         if num.is_zero():
             den = GFPoly(num.field, (num.field.one,), num.var)
         else:
-            g = num.gcd(den)
+            # a constant denominator has gcd 1 with every numerator
+            g = num.gcd(den) if den.degree else den
             if g.degree > 0:
                 num = num // g
                 den = den // g

@@ -168,16 +168,16 @@ def u_m_val(ctx: Completion, z: RamLaurent, m: GFPoly, budget: SeriesBudget) -> 
 
 
 def _geometric(ctx: Completion, tcap: int, base_exp: int, shift: int, sign: int) -> TateElem:
-    """sign * sum_k t^k theta^(-(k+shift) * base_exp) as a capped element."""
-    th_inv = ctx.theta().inv()
-    step = th_inv**base_exp
-    cur = step**shift
-    if sign < 0:
-        cur = -cur
+    """sign * sum_k t^k theta^(-(k+shift) * base_exp) as a capped element.
+
+    theta = -u^(-ram), so theta^(-n) = (-1)^n u^(n * ram): each term is one
+    exact monomial, built directly.
+    """
+    c = ctx.spec.one if sign > 0 else -ctx.spec.one
     terms = {}
     for k in range(tcap + 1):
-        terms[(k,)] = cur
-        cur = cur * step
+        n = (k + shift) * base_exp
+        terms[(k,)] = ctx.from_field(-c if n % 2 else c, n * ctx.ram)
     tail = Fraction(-(tcap + 1 + shift) * base_exp)
     return TateElem(ctx, 1, tcap, terms, tail)
 

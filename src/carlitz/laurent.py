@@ -155,7 +155,7 @@ class Completion:
 
 
 def mul_prec(pa: int, va: int, pb: int, vb: int) -> int:
-    """Precision of a product of factors with precisions pa, pb and _prec_val va, vb."""
+    """Precision of a product of factors with precisions pa, pb and valuations va, vb."""
     if pa >= PREC_EXACT and pb >= PREC_EXACT:
         return PREC_EXACT
     return min(pa + vb, pb + va, PREC_EXACT)
@@ -398,14 +398,11 @@ class RamLaurent:
     def __sub__(self, other):
         return self + (-other)
 
-    def _prec_val(self) -> int:
-        return self.offset if self.coeffs.shape[0] else self.prec
-
     def __mul__(self, other: "RamLaurent") -> "RamLaurent":
         self._check(other)
         if self.is_exact_zero() or other.is_exact_zero():
             return self.ctx.zero()
-        prec = mul_prec(self.prec, self._prec_val(), other.prec, other._prec_val())
+        prec = mul_prec(self.prec, self.valuation(), other.prec, other.valuation())
         if self.is_zero() or other.is_zero():
             return self.ctx.zero(prec)
         block = _raw_mul(self.ctx, self.coeffs, other.coeffs)

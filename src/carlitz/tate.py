@@ -26,9 +26,9 @@ from .laurent import (NEG_INF, PREC_EXACT, Completion, RamLaurent, left_map, mul
                       pair_mul)
 
 
-def _ceil_exp_to_prec(exp, ram: int) -> int:
-    """Smallest integer precision floor implied by |error| <= q^exp."""
-    return math.ceil(-exp * ram)
+def _val_floor(exp_bound, ram: int) -> int:
+    """Certified valuation floor from a norm-exponent bound |x| <= q^exp."""
+    return math.ceil(-Fraction(exp_bound) * ram)
 
 
 def _sum_blocks(ctx: Completion, blocks: list, prec: int) -> RamLaurent:
@@ -109,11 +109,8 @@ class TateElem:
         for c in self.terms.values():
             out = min(out, c.prec)
         if self.tail_norm_exp != NEG_INF:
-            out = min(out, _ceil_exp_to_prec(self.tail_norm_exp, self.ctx.ram))
+            out = min(out, _val_floor(self.tail_norm_exp, self.ctx.ram))
         return out
-
-    def is_polynomial(self) -> bool:
-        return self.tail_norm_exp == NEG_INF
 
     def exponents(self) -> list:
         return sorted(self.terms)
@@ -159,12 +156,12 @@ class TateElem:
         # exponent are summed and reduced once.  Truncating that sum at the
         # least pair precision equals summing the products each truncated
         # at its own, so every coefficient is RamLaurent.__mul__'s sum.
-        right = [(eb, cb.offset, cb.prec, cb._prec_val(), cb.coeffs.astype(np.int64))
+        right = [(eb, cb.offset, cb.prec, cb.valuation(), cb.coeffs.astype(np.int64))
                  for eb, cb in other.terms.items()]
         acc: dict = {}
         over = None
         for ea, ca in self.terms.items():
-            pa, va = ca.prec, ca._prec_val()
+            pa, va = ca.prec, ca.valuation()
             AT = left_map(ctx, ca.coeffs) if ca.coeffs.shape[0] else None
             for eb, ob, pb, vb, B in right:
                 e = tuple(x + y for x, y in zip(ea, eb))
@@ -235,7 +232,7 @@ class TateElem:
                     f = f * zi**k
             acc = acc + self.terms[e].scale(f)
         if self.tail_norm_exp != NEG_INF:
-            acc = acc.truncate(_ceil_exp_to_prec(self.tail_norm_exp, self.ctx.ram))
+            acc = acc.truncate(_val_floor(self.tail_norm_exp, self.ctx.ram))
         return acc
 
     def at_theta(self, i: int) -> "TateElem":
@@ -275,7 +272,7 @@ class TateElem:
             prev = out.get(key)
             out[key] = val if prev is None else prev + val
         if err != NEG_INF:
-            floor = _ceil_exp_to_prec(err, ctx.ram)
+            floor = _val_floor(err, ctx.ram)
             out = {e: c.truncate(floor) for e, c in out.items()}
             if not out:
                 out = {(0,) * (self.s - 1): ctx.zero(floor)}
@@ -357,10 +354,9 @@ class EvalSpec:
 
     primes: monic irreducibles p_1..p_s of A with coefficients in the base
     subfield; roots: one root of each inside the ambient extension field.
-    m_poly is their product; D the lcm of the degrees.
     """
 
-    __slots__ = ("primes", "roots", "field", "m_poly", "degs", "D")
+    __slots__ = ("primes", "roots", "field")
 
     def __init__(self, primes, roots):
         primes = tuple(primes)
@@ -390,16 +386,10 @@ class EvalSpec:
         self.primes = primes
         self.roots = roots
         self.field = field
-        m = primes[0]
-        for f in primes[1:]:
-            m = m * f
-        self.m_poly = m
-        self.degs = tuple(f.degree for f in primes)
-        self.D = math.lcm(*self.degs)
 
     @property
     def s(self) -> int:
         return len(self.primes)
 
     def __repr__(self):
-        return f"EvalSpec(primes={[f.degree for f in self.primes]}, D={self.D})"
+        return f"EvalSpec(prime degrees {[f.degree for f in self.primes]})"

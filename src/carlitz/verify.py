@@ -18,11 +18,20 @@ from .errors import (
     ConfigError,
     UnknownCheckError,
 )
-from .fields import RatFunc, carlitz_dl, enumerate_A, make_field, roots_in_ext
+from .fields import (
+    DEG_LIMIT,
+    RatFunc,
+    carlitz_dl,
+    enumerate_A,
+    make_field,
+    poly_degree,
+    roots_in_ext,
+)
 from .laurent import NEG_INF, PREC_EXACT, Completion, sample_z
 from .tate import (
     EvalSpec,
     TateElem,
+    _val_floor,
     tate_const,
     tate_t_minus_theta,
     tate_zero,
@@ -43,6 +52,7 @@ from .functions import (
     u_val,
 )
 from .cyclotomic import (
+    CycField,
     LinPoly,
     action_at_lam,
     basis_E,
@@ -54,7 +64,7 @@ from .cyclotomic import (
     interpolation_M,
     M_from_gauss,
     _TORSION_LIMIT,
-    make_torsion_field,
+    modulus_inv,
     telescope_pair,
 )
 
@@ -106,11 +116,6 @@ class CheckDef:
 
 
 # -- residual bookkeeping
-
-
-def _val_floor(exp_bound, ram: int) -> int:
-    """Certified valuation floor from a norm-exponent bound |x| <= q^exp."""
-    return math.ceil(-Fraction(exp_bound) * ram)
 
 
 def _levels(resid):
@@ -175,6 +180,12 @@ class _Run:
     def ctx(self, d):
         wp = self.cfg.prec + 4 * self.ram + 2 * self.q + 24
         return Completion(self.p, self.e, d, wp=wp)
+
+    def ctx_degree(self, d=1):
+        """d, raised to 2 when q = 2: the q = 2 base completion has no point
+        with |z|_im >= 1, so samples far from the rational lattice need a
+        quadratic context."""
+        return 2 if self.q == 2 and d == 1 else d
 
 
 def _default_prime(p, e):
@@ -245,7 +256,7 @@ def _moments(ctx, spec, m_poly, roots_by_var, J, count, B):
     """
     D = m_poly.degree
     m_emb = ctx.embed_poly(m_poly)
-    m_inv = m_emb.inv(B.wp + 2 * D * ctx.ram + ctx.q)
+    m_inv = modulus_inv(ctx, m_poly, B.wp)
     rows = []
     top = NEG_INF
     for b in enumerate_A(spec, D):
@@ -282,20 +293,24 @@ def _sup_parts(chi):
     return chi.gauss_norm_exp(), tail
 
 
-def _torsion_for(rc, root_index):
-    dp = len(rc.prime) - 1
-    spec = make_field(rc.p, rc.e, dp)
+def _torsion_for(rc, every, d=None):
+    """(spec, prime, roots) for the configured prime over F_{q^d}, d the
+    prime's degree unless given; roots as _chosen_roots picks them."""
+    spec = make_field(rc.p, rc.e, d or len(rc.prime) - 1)
     prime = spec.poly(rc.prime)
-    return spec, prime, _checked_roots(prime, spec, root_index)
+    return spec, prime, _chosen_roots(rc, prime, spec, every)
 
 
-def _checked_roots(prime, spec, root_index):
+def _chosen_roots(rc, prime, spec, every):
+    """(index, root) pairs of the roots of prime to check: the one at the
+    configured root index, else every root or only the first."""
     rs = roots_in_ext(prime, spec)
-    if root_index is None:
-        return list(enumerate(rs))
-    if not 0 <= root_index < len(rs):
-        raise ConfigError(f"root index {root_index} out of range ({len(rs)} roots)")
-    return [(root_index, rs[root_index])]
+    i = rc.cfg.root_index
+    if i is None:
+        return list(enumerate(rs if every else rs[:1]))
+    if not 0 <= i < len(rs):
+        raise ConfigError(f"root index {i} out of range ({len(rs)} roots)")
+    return [(i, rs[i])]
 
 
 # -- analytic runners
@@ -431,7 +446,7 @@ def _run_thm2(rc):
 
 def _run_thm3(rc):
     cfg = rc.cfg
-    spec, prime, roots = _torsion_for(rc, cfg.root_index)
+    spec, prime, roots = _torsion_for(rc, every=True)
     dp = prime.degree
     ctx = rc.ctx(dp)
     B = default_budget(ctx, cfg.prec)
@@ -439,7 +454,7 @@ def _run_thm3(rc):
     chl = carlitz_dl(spec, dp - 1)[1]
     out = []
     for i, zeta in roots:
-        cf = make_torsion_field(spec, prime, zeta)
+        cf = CycField(spec, prime, zeta)
         g = gauss_sum(cf)
         ev = om.ev(EvalSpec((prime,), (zeta,)))
         resid = ev + embed(g, ctx, B).scale(chl.eval(zeta))
@@ -450,12 +465,10 @@ def _run_thm3(rc):
 def _run_thm4(rc):
     cfg = rc.cfg
     dp = len(rc.prime) - 1
-    d_ctx = 2 if (rc.q == 2 and dp == 1) else dp
-    spec = make_field(rc.p, rc.e, d_ctx)
-    prime = spec.poly(rc.prime)
-    roots = _checked_roots(prime, spec, cfg.root_index if cfg.root_index is not None else 0)
+    d_ctx = rc.ctx_degree(dp)
+    spec, prime, roots = _torsion_for(rc, every=False, d=d_ctx)
     zeta = roots[0][1]
-    cf = make_torsion_field(spec, prime, zeta)
+    cf = CycField(spec, prime, zeta)
     ctx = rc.ctx(d_ctx)
     B = default_budget(ctx, cfg.prec)
     k0 = rc.q ** (dp - 1) * rc.ram
@@ -616,7 +629,7 @@ def _run_phi_psi1(rc):
 
 def _run_lem31(rc):
     cfg = rc.cfg
-    d_ctx = 2 if rc.q == 2 else 1
+    d_ctx = rc.ctx_degree()
     ctx = rc.ctx(d_ctx)
     B = default_budget(ctx, cfg.prec)
     regimes = ("small", "unit", "large", "imag_large")
@@ -649,7 +662,7 @@ def _run_lem32(rc):
 
 def _run_growth(rc):
     cfg = rc.cfg
-    d_ctx = 2 if rc.q == 2 else 1
+    d_ctx = rc.ctx_degree()
     ctx = rc.ctx(d_ctx)
     B = default_budget(ctx, cfg.prec)
     q = rc.q
@@ -676,20 +689,13 @@ def _run_prop51(rc):
     extras = {}
     for coeff_lists, J in cases:
         degs = [len(c) - 1 for c in coeff_lists]
-        d_ctx = 1
-        for d in degs:
-            d_ctx = d_ctx * d // math.gcd(d_ctx, d)
-        if rc.q == 2 and d_ctx == 1:
-            d_ctx = 2
+        d_ctx = rc.ctx_degree(math.lcm(*degs))
         spec = make_field(rc.p, rc.e, d_ctx)
         primes = [spec.poly(c) for c in coeff_lists]
-        roots = {}
-        for j, f in enumerate(primes):
-            rs = roots_in_ext(f, spec)
-            idx = cfg.root_index if (j == 0 and cfg.root_index is not None) else 0
-            if not 0 <= idx < len(rs):
-                raise ConfigError(f"root index {idx} out of range ({len(rs)} roots)")
-            roots[j] = rs[idx]
+        # the root index selects a root of the first prime; prime2 uses its first
+        roots = {0: _chosen_roots(rc, primes[0], spec, every=False)[0][1]}
+        for j, f in enumerate(primes[1:], 1):
+            roots[j] = roots_in_ext(f, spec)[0]
         m_poly = primes[0]
         for f in primes[1:]:
             m_poly = m_poly * f
@@ -724,16 +730,16 @@ def _run_prop51(rc):
 
 def _run_cor52(rc):
     cfg = rc.cfg
-    spec, prime, roots = _torsion_for(rc, cfg.root_index if cfg.root_index is not None else 0)
+    spec, prime, roots = _torsion_for(rc, every=False)
     zeta = roots[0][1]
     dp = prime.degree
-    cf = make_torsion_field(spec, prime, zeta)
+    cf = CycField(spec, prime, zeta)
     M = interpolation_M(cf)
     ctx = rc.ctx(dp)
     B = default_budget(ctx, cfg.prec)
     coeffs = [embed(c, ctx, B) for c in M.coeffs]
     p_emb = ctx.embed_poly(prime)
-    p_inv = p_emb.inv(B.wp + 2 * dp * ctx.ram + ctx.q)
+    p_inv = modulus_inv(ctx, prime, B.wp)
     espec = EvalSpec((prime,), (zeta,))
     out = []
     for i in range(cfg.samples):
@@ -751,10 +757,9 @@ def _run_cor52(rc):
 
 
 def _run_lem53(rc):
-    cfg = rc.cfg
-    spec, prime, roots = _torsion_for(rc, cfg.root_index if cfg.root_index is not None else 0)
+    spec, prime, roots = _torsion_for(rc, every=False)
     zeta = roots[0][1]
-    cf = make_torsion_field(spec, prime, zeta)
+    cf = CycField(spec, prime, zeta)
     Ml = interpolation_M(cf)
     Mg = M_from_gauss(cf)
     out = [_exact_sample(0, "interpolation and Gauss-sum routes agree", Ml == Mg)]
@@ -775,23 +780,23 @@ def _run_lem55(rc):
     cfg = rc.cfg
     spec = make_field(rc.p, rc.e, 1)
     depth = max(1, min(cfg.degcap, 8))
-    while depth > 1 and rc.q**depth > 4096:
+    while depth > 1 and rc.q**depth > DEG_LIMIT:
         depth -= 1
     out = []
     for d in range(1, depth + 1):
-        lhs, rhs = telescope_pair(spec, d)
-        ok = lhs == rhs and rhs.degree == d - 1
+        # both sides share one denominator, so they agree iff their numerators do
+        _, lhs, rhs = telescope_pair(spec, d)
+        ok = lhs == rhs and poly_degree(rhs) == d - 1
         out.append(_exact_sample(len(out), f"depth {d}", ok))
     return out, {"depth": depth}
 
 
 def _run_cor56(rc):
-    cfg = rc.cfg
-    spec, prime, roots = _torsion_for(rc, cfg.root_index)
+    spec, prime, roots = _torsion_for(rc, every=True)
     d = prime.degree
     out = []
     for i, zeta in roots:
-        cf = make_torsion_field(spec, prime, zeta)
+        cf = CycField(spec, prime, zeta)
         M = interpolation_M(cf)
         ginv = gauss_sum_inv(cf)
         sgn = cf.one if (d + 1) % 2 == 0 else -cf.one
@@ -822,12 +827,11 @@ def _run_ca_ej(rc):
 
 
 def _run_gauss_product(rc):
-    cfg = rc.cfg
-    spec, prime, roots = _torsion_for(rc, cfg.root_index)
+    spec, prime, roots = _torsion_for(rc, every=True)
     d = prime.degree
     out = []
     for i, zeta in roots:
-        cf = make_torsion_field(spec, prime, zeta)
+        cf = CycField(spec, prime, zeta)
         g = gauss_sum(cf)
         ginv = gauss_sum_inv(cf)
         sgn = cf.one if d % 2 == 0 else -cf.one

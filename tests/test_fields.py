@@ -307,6 +307,23 @@ def test_ratfunc_canonical_form():
     assert g.num == spec.poly([2])
 
 
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from([(3, 1, 1), (2, 2, 1), (5, 1, 1)]),
+       st.lists(st.integers(0, 15), max_size=5),
+       st.lists(st.integers(0, 15), min_size=1, max_size=4).filter(any),
+       st.integers(0, 15))
+def test_ratfunc_constant_denominator_after_common_factor(params, num, g, c):
+    # a constant denominator skips the gcd: its canonical form must match
+    # the one reached by cancelling a common factor g
+    spec = make_field(*params)
+    num = spec.poly([x % spec.q for x in num])
+    g = spec.poly([x % spec.q for x in g] + [1])
+    c = spec.from_subfield(1 + c % (spec.q - 1))
+    want = RatFunc(num, spec.poly([c]))
+    assert RatFunc(num * g, g.scale(c)) == want
+    assert want.den == spec.poly([1]) and want.num == num.scale(c.inv())
+
+
 def test_ratfunc_eval_pole():
     spec = make_field(3, 1, 1)
     f = RatFunc(spec.poly([1]), spec.poly([2, 0, 1]))
@@ -323,6 +340,25 @@ def test_poly_var_tags():
     with pytest.raises(FieldMismatchError):
         a + b
     assert a.retag("t") == b
+
+
+@pytest.mark.parametrize("j", [1, 2])
+def test_differential_qpow_outside_subfield(j):
+    # GFPoly.qpow against j rounds of q-fold products, in the tower (2, 2, 2)
+    # with coefficients outside F_q, where c^q differs from c
+    spec = make_field(2, 2, 2)
+    c = spec.from_index(5)
+    assert not c.in_subfield() and c.frobenius(1) != c
+    rng = random.Random(f"qpow:{j}")
+    rand = spec.poly([spec.from_index(rng.randrange(spec.order)) for _ in range(4)])
+    for a in (spec.poly([spec.one, c]), rand, spec.poly([])):
+        want = a
+        for _ in range(j):
+            base, want = want, spec.poly([1])
+            for _ in range(spec.q):
+                want = want * base
+        assert a.qpow(j) == want
+        assert a.qpow(0) == a
 
 
 # -- the index/log/Zech core against independent oracles

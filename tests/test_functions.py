@@ -20,6 +20,7 @@ from carlitz.functions import (
     L_multi,
     _cancel_exp,
     _char_coeffs,
+    _geometric,
     _monic_block,
     agf_f,
     carlitz_constants,
@@ -707,6 +708,32 @@ def test_ram_solve_several_right_hand_sides():
     for b, xs in zip(rhs, together):
         for got, want in zip(xs, ram_solve(rows, b, 48)):
             assert got == want
+
+
+def _geometric_reference(ctx, tcap, base_exp, shift, sign):
+    """The product-built geometric series that _geometric replaced."""
+    step = ctx.theta().inv() ** base_exp
+    cur = step**shift
+    if sign < 0:
+        cur = -cur
+    terms = {}
+    for k in range(tcap + 1):
+        terms[(k,)] = cur
+        cur = cur * step
+    return TateElem(ctx, 1, tcap, terms, Fraction(-(tcap + 1 + shift) * base_exp))
+
+
+@pytest.mark.parametrize("p,e,d", KERNEL_TOWERS)
+def test_differential_geometric(p, e, d):
+    ctx = Completion(p, e, d, wp=64)
+    for tcap in (0, 3, 8):
+        for base_exp in (1, 2, 3, 4, 9):
+            for shift in (0, 1):
+                for sign in (1, -1):
+                    got = _geometric(ctx, tcap, base_exp, shift, sign)
+                    want = _geometric_reference(ctx, tcap, base_exp, shift, sign)
+                    _assert_same(got, want)
+                    assert all(c.is_exact() for c in got.terms.values())
 
 
 # -- linear solves

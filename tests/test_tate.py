@@ -272,8 +272,8 @@ def test_evalspec_validation(ctx21, ctx32):
         EvalSpec([f, f], [z, z.frobenius()])
     g = spec.poly([1, 1])
     es = EvalSpec([f, g], [z, spec.one])
-    assert es.D == 2
-    assert es.m_poly == f * g
+    assert es.s == 2
+    assert es.primes == (f, g) and es.roots == (z, spec.one)
 
 
 def test_ev_constant_and_variable(ctx21, espec21):
