@@ -8,7 +8,7 @@ themselves (functions), exact torsion-field and Gauss-sum machinery
 """
 
 from .errors import CarlitzError, ConfigError, UnknownCheckError
-from .fields import GFPoly, RatFunc, enumerate_A, make_field, roots_in_ext
+from .fields import GFPoly, enumerate_A, make_field, roots_in_ext
 from .laurent import Completion, RamLaurent, sample_z
 from .tate import EvalSpec, TateElem, tate_const, tate_t_minus_theta, tate_zero
 from .functions import (
@@ -44,7 +44,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "CarlitzError", "ConfigError", "UnknownCheckError",
-    "GFPoly", "RatFunc", "enumerate_A", "make_field", "roots_in_ext",
+    "GFPoly", "enumerate_A", "make_field", "roots_in_ext",
     "Completion", "RamLaurent", "sample_z",
     "EvalSpec", "TateElem", "tate_const", "tate_t_minus_theta", "tate_zero",
     "L_multi", "SeriesBudget", "agf_f", "carlitz_e", "carlitz_exp", "chi_t",

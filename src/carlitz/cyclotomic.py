@@ -1,9 +1,12 @@
 """Exact torsion arithmetic for the Carlitz module.
 
-Linearized polynomials over the rational function field, prime-torsion
-fields with their Galois action, Gauss sums, interpolation polynomials,
-and the exact telescope identity.  Everything here is exact; the only
-numerics is the final embedding into the completion.
+Linearized polynomials over F_q[theta], prime-torsion fields with their
+Galois action, Gauss sums, interpolation polynomials, and the exact
+telescope identity.  Coefficients are polynomials in theta over the
+coefficient extension; a torsion-field element is a tuple of such
+numerators over one monic denominator, which is 1 except after a division.
+Everything here is exact; the only numerics is the final embedding into the
+completion.
 """
 
 from .errors import (
@@ -22,16 +25,15 @@ from .fields import (
     DEG_LIMIT,
     GFElem,
     GFPoly,
-    RatFunc,
     carlitz_dl,
     enumerate_A,
     poly_add,
     poly_degree,
-    poly_divmod,
     poly_eval,
     poly_mul,
+    poly_pdivmod,
+    poly_sub,
     poly_trim,
-    poly_xgcd,
 )
 from .functions import SeriesBudget, carlitz_e
 from .laurent import Completion, RamLaurent
@@ -39,20 +41,8 @@ from .laurent import Completion, RamLaurent
 _TORSION_LIMIT = 512
 
 
-def _rf_zero(spec, var="theta"):
-    return RatFunc.from_poly(GFPoly(spec, (), var))
-
-
-def _rf_one(spec, var="theta"):
-    return RatFunc.from_poly(GFPoly(spec, (spec.one,), var))
-
-
-def _rf_qpow(f: RatFunc, j: int) -> RatFunc:
-    return RatFunc(f.num.qpow(j), f.den.qpow(j))
-
-
 class LinPoly:
-    """Additive polynomial sum_j c_j Z^{q^j} with rational-function coefficients.
+    """Additive polynomial sum_j c_j Z^{q^j} with coefficients in F_q[theta].
 
     The representation is the coefficient list indexed by j, so additivity is
     structural; composition is the ring multiplication.
@@ -68,13 +58,13 @@ class LinPoly:
     def height(self) -> int:
         return len(self.coeffs) - 1
 
-    def coeff(self, j: int) -> RatFunc:
+    def coeff(self, j: int) -> GFPoly:
         if 0 <= j < len(self.coeffs):
             return self.coeffs[j]
-        return _rf_zero(self.spec)
+        return self.spec.poly([])
 
     def __add__(self, other: "LinPoly") -> "LinPoly":
-        return LinPoly(self.spec, poly_add(self.coeffs, other.coeffs, _rf_zero(self.spec)))
+        return LinPoly(self.spec, poly_add(self.coeffs, other.coeffs, self.spec.poly([])))
 
     def __neg__(self) -> "LinPoly":
         return LinPoly(self.spec, [-c for c in self.coeffs])
@@ -87,7 +77,7 @@ class LinPoly:
 
     def qtwist(self, k: int = 1) -> "LinPoly":
         """Composition with Z^{q^k} on the left: coefficients pushed up."""
-        shifted = [_rf_zero(self.spec)] * k + [_rf_qpow(c, k) for c in self.coeffs]
+        shifted = [self.spec.poly([])] * k + [c.qpow(k) for c in self.coeffs]
         return LinPoly(self.spec, shifted)
 
     def compose(self, other: "LinPoly") -> "LinPoly":
@@ -95,16 +85,15 @@ class LinPoly:
         for j, c in enumerate(self.coeffs):
             if c.is_zero():
                 continue
-            piece = LinPoly(self.spec, [_rf_qpow(g, j) for g in other.coeffs])
-            out = out + LinPoly(self.spec,
-                                [_rf_zero(self.spec)] * j + list(piece.coeffs)).scale(c)
+            piece = [self.spec.poly([])] * j + [g.qpow(j) for g in other.coeffs]
+            out = out + LinPoly(self.spec, piece).scale(c)
         return out
 
-    def eval_rf(self, x: RatFunc) -> RatFunc:
-        acc = _rf_zero(self.spec)
+    def eval(self, x: GFPoly) -> GFPoly:
+        acc = self.spec.poly([])
         for j, c in enumerate(self.coeffs):
             if not c.is_zero():
-                acc = acc + c * _rf_qpow(x, j)
+                acc = acc + c * x.qpow(j)
         return acc
 
     def __eq__(self, other):
@@ -131,10 +120,9 @@ def carlitz_poly(spec, a: GFPoly) -> LinPoly:
     a.subfield_coeff_indices()
     if a.degree >= 0 and spec.q**a.degree > DEG_LIMIT:
         raise SizeLimitError(f"action of degree-{a.degree} element beyond guard")
-    theta_rf = RatFunc.from_poly(GFPoly(spec, (spec.zero, spec.one), "theta"))
-    c_theta = LinPoly(spec, [theta_rf, _rf_one(spec)])
+    c_theta = LinPoly(spec, [spec.poly([0, 1]), spec.poly([1])])
     out = LinPoly(spec, [])
-    power = LinPoly(spec, [_rf_one(spec)])  # identity Z
+    power = LinPoly(spec, [spec.poly([1])])  # identity Z
     for i, c in enumerate(a.coeffs):
         if i:
             power = c_theta.compose(power)
@@ -143,9 +131,10 @@ def carlitz_poly(spec, a: GFPoly) -> LinPoly:
     return out
 
 
-def basis_E(spec, j: int) -> LinPoly:
-    """The degree-q^j interpolation basis: prod over all a of degree < j of
-    (Z - a), divided by d_j.
+def basis_E(spec, j: int) -> tuple[LinPoly, GFPoly]:
+    """(e_j, D_j): the degree-q^j interpolation basis is E_j = e_j / D_j,
+    where e_j = prod over all a of degree < j of (Z - a) has coefficients
+    in F_q[theta] and D_j = e_j(theta^j).
 
     Computed by the separable recursion e_j = e_{j-1}^q - v^{q-1} e_{j-1}
     with v = e_{j-1}(theta^{j-1}); the tests pin this against the literal
@@ -153,25 +142,61 @@ def basis_E(spec, j: int) -> LinPoly:
     """
     if spec.q**j > DEG_LIMIT:
         raise SizeLimitError(f"degree q^{j} beyond the polynomial guard")
-    e = LinPoly(spec, [_rf_one(spec)])
+    e = LinPoly(spec, [spec.poly([1])])
     for i in range(1, j + 1):
-        mono = [spec.zero] * i
-        mono[i - 1] = spec.one
-        v = e.eval_rf(RatFunc.from_poly(GFPoly(spec, tuple(mono), "theta")))
+        v = e.eval(spec.poly([0] * (i - 1) + [1]))
         scale = v
         for _ in range(spec.q - 2):
             scale = scale * v
         e = e.qtwist(1) - e.scale(scale)
-    return e.scale(RatFunc.from_poly(carlitz_dl(spec, j)[0]).inv())
+    return e, carlitz_dl(spec, j)[0]
+
+
+def _content(polys: list) -> GFPoly:
+    """gcd of the polynomials up to a unit; stops once it is constant."""
+    g = polys[0]
+    for c in polys[1:]:
+        if not g.degree:
+            break
+        g = g.gcd(c)
+    return g
+
+
+def bezout_mod(coeffs, rho, zero, one) -> tuple[list, GFPoly]:
+    """(s, r) with s * x == r (mod rho) and r a nonzero element of F[theta],
+    for x = coeffs in F[theta][Z] coprime to the monic rho.
+
+    One fraction-free extended Euclid that tracks only the cofactor of x.
+    Each step pseudo-divides, then divides the remainder and its cofactor by
+    their common content, as in Brown's primitive remainder sequence: one
+    scalar on both sides of r_i == s_i * x keeps the congruence and s_i
+    integral.
+    """
+    r0, r1 = list(rho), poly_trim(coeffs)
+    s0, s1 = [], [one]
+    while len(r1) > 1:
+        lead_pow, quot, rem = poly_pdivmod(r0, r1, zero, one)
+        s2 = poly_sub([c * lead_pow for c in s0], poly_mul(quot, s1, zero), zero)
+        if rem:
+            g = _content(rem + s2)
+            if g.degree > 0:
+                rem = [c // g for c in rem]
+                s2 = [c // g for c in s2]
+        r0, r1, s0, s1 = r1, rem, s1, s2
+    if not r1:
+        raise NotInvertibleError(
+            f"gcd with the modulus has degree {len(r0) - 1}; modulus not prime here")
+    return s1, r1[0]
 
 
 class CycField:
-    """Torsion field for a monic prime: residues of Z modulo C_p(Z)/Z.
+    """Torsion field for a monic prime: residues of Z modulo rho = C_P(Z)/Z.
 
-    Coefficients live in the rational function field over the coefficient
-    extension that houses the chosen root zeta.  The modulus is monic of
-    degree q^d - 1 and stays irreducible after the constant extension, so
-    extended-gcd inversion works; a failure surfaces as NotInvertibleError.
+    rho is monic over F[theta], F the coefficient extension that houses the
+    chosen root zeta, so reducing a polynomial with coefficients in F[theta]
+    needs no coefficient inverse.  It has degree q^d - 1 and stays
+    irreducible after the constant extension, so bezout_mod inverts every
+    nonzero residue; a failure surfaces as NotInvertibleError.
     """
 
     def __init__(self, spec, prime: GFPoly, zeta: GFElem):
@@ -188,14 +213,14 @@ class CycField:
         self.prime = prime
         self.zeta = zeta
         self.d = prime.degree
+        self.poly_zero = spec.poly([])
+        self.poly_one = spec.poly([1])
         cp = carlitz_poly(spec, prime)
-        dense = [_rf_zero(spec)] * (spec.q**self.d + 1)
+        dense = [self.poly_zero] * (spec.q**self.d + 1)
         for jj, c in enumerate(cp.coeffs):
             dense[spec.q**jj] = c
         # the action polynomial has no constant term; divide by Z exactly
         self.rho = tuple(dense[1:])
-        self._zero_rf = _rf_zero(spec)
-        self._one_rf = _rf_one(spec)
         self.cache = {}
 
     @property
@@ -204,39 +229,61 @@ class CycField:
 
     @property
     def one(self) -> "CycElem":
-        return CycElem(self, [self._one_rf])
+        return CycElem(self, [self.poly_one])
 
     @property
     def lam(self) -> "CycElem":
         # reduce: for q^d = 2 the modulus has degree 1 and lam is a constant
-        return self.reduce([self._zero_rf, self._one_rf])
+        return self.reduce([self.poly_zero, self.poly_one])
 
     def const(self, x) -> "CycElem":
         if isinstance(x, GFElem):
-            x = RatFunc.from_poly(GFPoly(self.spec, (x,), "theta"))
-        elif isinstance(x, GFPoly):
-            x = RatFunc.from_poly(x)
+            x = self.spec.poly([x])
         return CycElem(self, [x])
 
-    def reduce(self, coeffs) -> "CycElem":
-        return CycElem(self, poly_divmod(coeffs, self.rho, self._zero_rf)[1])
+    def reduce(self, coeffs, den=None) -> "CycElem":
+        """coeffs / den, with coeffs reduced modulo the monic rho."""
+        rem = poly_pdivmod(coeffs, self.rho, self.poly_zero, self.poly_one)[2]
+        return CycElem(self, rem, den)
 
     def __repr__(self):
         return f"CycField(prime={self.prime!r}, deg={self.d})"
 
 
 class CycElem:
-    __slots__ = ("cf", "coeffs")
+    """Residue num(Z) / den: numerators in F[theta] over one monic den.
 
-    def __init__(self, cf: CycField, coeffs):
+    den is 1 unless a division made it otherwise; a nonconstant den shares
+    no factor with all of the numerators.  That form is unique, so == and
+    hash compare the tuples, and integral sums and products take no gcd.
+    """
+
+    __slots__ = ("cf", "coeffs", "den")
+
+    def __init__(self, cf: CycField, coeffs, den: GFPoly | None = None):
         cs = poly_trim(coeffs)
         if len(cs) >= len(cf.rho):
             raise ShapeMismatchError("residue not reduced against the modulus")
+        if den is None or not cs:
+            den = cf.poly_one
+        elif den.degree > 0:
+            g = _content([den] + cs)
+            if g.degree > 0:
+                cs = [c // g for c in cs]
+                den = den // g
+        if den.lead != cf.spec.one:
+            inv = den.lead.inv()
+            cs = [c.scale(inv) for c in cs]
+            den = den.scale(inv)
         self.cf = cf
         self.coeffs = tuple(cs)
+        self.den = den
 
     def is_zero(self) -> bool:
         return not self.coeffs
+
+    def is_integral(self) -> bool:
+        return self.den.degree == 0
 
     def _check(self, other):
         if self.cf is not other.cf:
@@ -244,28 +291,33 @@ class CycElem:
 
     def __add__(self, other: "CycElem") -> "CycElem":
         self._check(other)
-        return CycElem(self.cf, poly_add(self.coeffs, other.coeffs, self.cf._zero_rf))
+        zero = self.cf.poly_zero
+        if self.den == other.den:
+            return CycElem(self.cf, poly_add(self.coeffs, other.coeffs, zero), self.den)
+        a = [c * other.den for c in self.coeffs]
+        b = [c * self.den for c in other.coeffs]
+        return CycElem(self.cf, poly_add(a, b, zero), self.den * other.den)
 
     def __neg__(self) -> "CycElem":
-        return CycElem(self.cf, [-c for c in self.coeffs])
+        return CycElem(self.cf, [-c for c in self.coeffs], self.den)
 
     def __sub__(self, other):
         return self + (-other)
 
     def __mul__(self, other) -> "CycElem":
-        if isinstance(other, (RatFunc, GFElem)):
-            return CycElem(self.cf, [c * other for c in self.coeffs])
+        if isinstance(other, (GFPoly, GFElem)):
+            return CycElem(self.cf, [c * other for c in self.coeffs], self.den)
         self._check(other)
-        return self.cf.reduce(poly_mul(self.coeffs, other.coeffs, self.cf._zero_rf))
+        num = poly_mul(self.coeffs, other.coeffs, self.cf.poly_zero)
+        return self.cf.reduce(num, self.den * other.den)
 
     def inv(self) -> "CycElem":
+        """den * s / r for the Bezout pair s * num == r (mod rho)."""
         if self.is_zero():
             raise ZeroInverseError("inverse of zero in the torsion field")
-        g, s, _ = poly_xgcd(self.coeffs, self.cf.rho, self.cf._zero_rf, self.cf._one_rf)
-        if len(g) != 1:
-            raise NotInvertibleError(
-                f"gcd with the modulus has degree {len(g) - 1}; modulus not prime here")
-        return self.cf.reduce([c * g[0].inv() for c in s])
+        cf = self.cf
+        s, r = bezout_mod(self.coeffs, cf.rho, cf.poly_zero, cf.poly_one)
+        return cf.reduce([c * self.den for c in s], r)
 
     def __truediv__(self, other):
         return self * other.inv()
@@ -285,17 +337,18 @@ class CycElem:
 
     def __eq__(self, other):
         return (isinstance(other, CycElem) and self.cf is other.cf
-                and self.coeffs == other.coeffs)
+                and self.coeffs == other.coeffs and self.den == other.den)
 
     def __hash__(self):
-        return hash(self.coeffs)
+        return hash((self.coeffs, self.den))
 
     def __repr__(self):
         if not self.coeffs:
             return "CycElem(0)"
         parts = [f"({c})*L^{i}" if i else f"({c})" for i, c in enumerate(self.coeffs)
                  if not c.is_zero()]
-        return "CycElem(" + " + ".join(parts) + ")"
+        tail = "" if self.is_integral() else f" / ({self.den})"
+        return "CycElem(" + " + ".join(parts) + tail + ")"
 
 
 def action_at_lam(cf: CycField, a: GFPoly) -> CycElem:
@@ -327,7 +380,8 @@ def galois_sigma(a: GFPoly, x: CycElem) -> CycElem:
     acc = cf.zero
     for c in reversed(x.coeffs):
         acc = acc * lam_img + cf.const(c)
-    return acc
+    # the automorphism fixes F(theta), so the denominator stays
+    return CycElem(cf, acc.coeffs, x.den)
 
 
 def gauss_sum(cf: CycField) -> CycElem:
@@ -380,24 +434,11 @@ class ZPoly:
         return poly_eval(self.coeffs, x)
 
     def __eq__(self, other):
-        if not isinstance(other, ZPoly):
-            return NotImplemented
-        n = max(len(self.coeffs), len(other.coeffs))
-        for i in range(n):
-            a = self.coeffs[i] if i < len(self.coeffs) else None
-            b = other.coeffs[i] if i < len(other.coeffs) else None
-            if a is None:
-                if not b.is_zero():
-                    return False
-            elif b is None:
-                if not a.is_zero():
-                    return False
-            elif not (a - b).is_zero():
-                return False
-        return True
+        # torsion-field elements compare structurally: only trailing zeros differ
+        return isinstance(other, ZPoly) and poly_trim(self.coeffs) == poly_trim(other.coeffs)
 
     def __hash__(self):
-        return hash(self.coeffs)
+        return hash(tuple(poly_trim(self.coeffs)))
 
     def __repr__(self):
         return f"ZPoly(degree={self.degree}, len={len(self.coeffs)})"
@@ -439,12 +480,14 @@ def M_from_gauss(cf: CycField) -> ZPoly:
     sign = cf.one if cf.d % 2 == 0 else -cf.one
     out = [cf.zero] * (spec.q ** (cf.d - 1) + 1)
     for j in range(cf.d):
-        ej = basis_E(spec, j)
+        ej, dj = basis_E(spec, j)
         total = cf.zero
         for a in enumerate_A(spec, cf.d):
             if a.degree < j:
                 continue
-            val = ej.eval_rf(RatFunc.from_poly(a))
+            val, rem = divmod(ej.eval(a), dj)
+            if not rem.is_zero():
+                raise InvariantError(f"E_{j}({a!r}) is not a polynomial")
             total = total + cf.const(val) * a.eval(cf.zeta).inv()
         out[spec.q**j] = total * ginv * sign
     return ZPoly(out)
@@ -529,7 +572,9 @@ def embed(x: CycElem, ctx: Completion, budget: SeriesBudget) -> RamLaurent:
     lam_num = ctx.cache[key]
     acc = ctx.zero(wp)
     for c in reversed(x.coeffs):
-        acc = acc * lam_num + ctx.embed_rat(c, wp + ctx.q * ctx.ram)
+        acc = acc * lam_num + ctx.embed_poly(c)
+    if not x.is_integral():
+        acc = acc * modulus_inv(ctx, x.den, wp)
     if not x.is_zero() and acc.prec < budget.prec:
         raise PrecisionExhaustedError(
             f"embedding delivered precision {acc.prec} < target {budget.prec}")

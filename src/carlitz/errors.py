@@ -70,11 +70,7 @@ class SingularSystemError(CarlitzError):
 
 
 class NotInvertibleError(CarlitzError):
-    """Extended gcd failed to invert a residue-ring element."""
-
-
-class ZetaDenominatorError(CarlitzError):
-    """A rational-function denominator vanishes at the evaluation root."""
+    """The extended Euclid failed to invert a residue-ring element."""
 
 
 class UnknownCheckError(CarlitzError):

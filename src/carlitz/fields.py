@@ -20,9 +20,11 @@ lookup.  Every table derives from basis_mul_table, the products of the m
 basis elements, by linear algebra over F_p.
 
 The poly_* helpers are the one dense-polynomial implementation.  They take
-coefficient lists, low degree first, over any coefficient type with + - *,
-is_zero and inv: GFPoly over field elements, and the torsion-field layer
-over rational functions and torsion-field elements.
+coefficient lists, low degree first, over any coefficient type with + - *
+and is_zero.  poly_pdivmod divides without a coefficient inverse, so it
+serves coefficients in F_q[theta] (the torsion-field numerators) as well;
+poly_divmod, poly_gcd and poly_powmod, which GFPoly uses over field
+elements, need inv too.
 """
 
 from __future__ import annotations
@@ -41,7 +43,6 @@ from .errors import (
     ShapeMismatchError,
     SizeLimitError,
     ZeroInverseError,
-    ZetaDenominatorError,
 )
 
 MAX_Q = 16
@@ -78,7 +79,7 @@ def _prime_factors(n: int) -> list[int]:
 
 
 # ---------------------------------------------------------------------------
-# Coefficient-list polynomials over any field-like coefficient type.  Results
+# Coefficient-list polynomials over a ring-like coefficient type.  Results
 # are trimmed: no trailing coefficient is_zero().  zero and one are the
 # coefficient ring's constants, passed in, never built here.
 
@@ -117,24 +118,43 @@ def poly_mul(a, b, zero) -> list:
     return poly_trim(out)
 
 
-def poly_divmod(a, b, zero) -> tuple[list, list]:
+def poly_pdivmod(a, b, zero, one) -> tuple[object, list, list]:
+    """Pseudo-division, with no coefficient inverse: (s, quot, rem) with
+    s * a = quot * b + rem and deg rem < deg b, where s is a power of the
+    leading coefficient of b, and s = one when b is monic."""
     b = poly_trim(b)
     if not b:
         raise PolyZeroDivisionError("polynomial division by zero")
     rem = poly_trim(a)
     db = len(b) - 1
-    lead_inv = b[-1].inv()
+    lead = b[-1]
+    monic = lead == one
+    s = one
     quot = [zero] * max(0, len(rem) - db)
     for i in range(len(rem) - 1, db - 1, -1):
         c = rem[i]
         if c.is_zero():
             continue
-        f = c * lead_inv
-        quot[i - db] = f
+        if not monic:
+            s = s * lead
+            rem[:i] = [lead * x for x in rem[:i]]
+            quot[i - db + 1 :] = [lead * x for x in quot[i - db + 1 :]]
+        quot[i - db] = c
         # the top coefficient cancels exactly and is cut below
         for k in range(db):
-            rem[i - db + k] = rem[i - db + k] - f * b[k]
-    return poly_trim(quot), poly_trim(rem[:db])
+            rem[i - db + k] = rem[i - db + k] - c * b[k]
+    return s, poly_trim(quot), poly_trim(rem[:db])
+
+
+def poly_divmod(a, b, zero) -> tuple[list, list]:
+    """Quotient and remainder over a field: pseudo-division by b made monic."""
+    b = poly_trim(b)
+    if not b:
+        raise PolyZeroDivisionError("polynomial division by zero")
+    lead_inv = b[-1].inv()
+    one = b[-1] * lead_inv
+    _, quot, rem = poly_pdivmod(a, [c * lead_inv for c in b], zero, one)
+    return [c * lead_inv for c in quot], rem
 
 
 def poly_gcd(a, b, zero) -> list:
@@ -146,19 +166,6 @@ def poly_gcd(a, b, zero) -> list:
         inv = a[-1].inv()
         a = [c * inv for c in a]
     return a
-
-
-def poly_xgcd(a, b, zero, one) -> tuple[list, list, list]:
-    """Extended gcd (g, s, t) with s*a + t*b = g; g is not made monic."""
-    r0, r1 = poly_trim(a), poly_trim(b)
-    s0, s1 = [one], []
-    t0, t1 = [], [one]
-    while r1:
-        q, r = poly_divmod(r0, r1, zero)
-        r0, r1 = r1, r
-        s0, s1 = s1, poly_sub(s0, poly_mul(q, s1, zero), zero)
-        t0, t1 = t1, poly_sub(t0, poly_mul(q, t1, zero), zero)
-    return r0, s0, t0
 
 
 def poly_powmod(a, n: int, mod, zero, one) -> list:
@@ -681,82 +688,12 @@ def carlitz_dl(spec: FieldSpec, j: int, var: str = "theta") -> tuple[GFPoly, GFP
 
 
 class RatFunc:
-    """Rational function num/den over a FieldSpec, canonically reduced.
+    """Placeholder name: carlitz has no rational-function type.
 
-    den is monic and gcd(num, den) = 1; zero is 0/1.
+    The torsion layer keeps integral numerators over one denominator
+    (cyclotomic.CycElem).  The name stays because bench/tracer.py wraps
+    ``fields.RatFunc.__init__``; it goes with that tracer entry.
     """
 
-    __slots__ = ("num", "den")
-
-    def __init__(self, num: GFPoly, den: GFPoly):
-        num._check(den)
-        if den.is_zero():
-            raise PolyZeroDivisionError("rational function with zero denominator")
-        if num.is_zero():
-            den = GFPoly(num.field, (num.field.one,), num.var)
-        else:
-            # a constant denominator has gcd 1 with every numerator
-            g = num.gcd(den) if den.degree else den
-            if g.degree > 0:
-                num = num // g
-                den = den // g
-            lead_inv = den.lead.inv()
-            num = num.scale(lead_inv)
-            den = den.scale(lead_inv)
-        self.num = num
-        self.den = den
-
-    @classmethod
-    def from_poly(cls, p: GFPoly) -> "RatFunc":
-        return cls(p, GFPoly(p.field, (p.field.one,), p.var))
-
-    @property
-    def field(self):
-        return self.num.field
-
-    def is_zero(self) -> bool:
-        return self.num.is_zero()
-
-    def is_poly(self) -> bool:
-        return self.den.degree == 0
-
-    def __add__(self, other: "RatFunc"):
-        return RatFunc(self.num * other.den + other.num * self.den, self.den * other.den)
-
-    def __neg__(self):
-        return RatFunc(-self.num, self.den)
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def __mul__(self, other):
-        if isinstance(other, GFElem):
-            return RatFunc(self.num.scale(other), self.den)
-        return RatFunc(self.num * other.num, self.den * other.den)
-
-    def inv(self) -> "RatFunc":
-        if self.is_zero():
-            raise ZeroInverseError("inverse of zero rational function")
-        return RatFunc(self.den, self.num)
-
-    def __truediv__(self, other):
-        return self * other.inv()
-
-    def eval(self, x: GFElem) -> GFElem:
-        dv = self.den.eval(x)
-        if dv.is_zero():
-            raise ZetaDenominatorError("denominator vanishes at evaluation point")
-        return self.num.eval(x) * dv.inv()
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, RatFunc) and self.num == other.num and self.den == other.den
-        )
-
-    def __hash__(self):
-        return hash((self.num, self.den))
-
-    def __repr__(self):
-        if self.is_poly():
-            return repr(self.num)
-        return f"({self.num!r})/({self.den!r})"
+    def __init__(self, *args):
+        raise TypeError("no rational-function type; see cyclotomic.CycElem")

@@ -44,8 +44,14 @@ class SeriesBudget:
         return self.prec + self.pad
 
 
+def default_pad(q: int) -> int:
+    """Working padding past the requested precision: 4 * ram + 2q + 8, where
+    ram = q - 1 is the ramification index of the completion."""
+    return 4 * (q - 1) + 2 * q + 8
+
+
 def default_budget(ctx: Completion, prec: int) -> SeriesBudget:
-    return SeriesBudget(prec, 4 * ctx.ram + 2 * ctx.q + 8)
+    return SeriesBudget(prec, default_pad(ctx.q))
 
 
 # -- exact constants in A

@@ -38,7 +38,7 @@ from .errors import (
     SizeLimitError,
     ZeroInverseError,
 )
-from .fields import FieldSpec, GFElem, GFPoly, RatFunc, _mat_pow, make_field
+from .fields import FieldSpec, GFElem, GFPoly, _mat_pow, make_field
 
 PREC_EXACT = 10**9
 _MAX_LEN = 2_000_000
@@ -118,10 +118,6 @@ class Completion:
                 terms.append((-k * self.ram, c * sign))
             sign = -sign
         return self.from_terms(terms)
-
-    def embed_rat(self, f: RatFunc, rel_prec: int | None = None) -> "RamLaurent":
-        den = self.embed_poly(f.den)
-        return self.embed_poly(f.num) * den.inv(rel_prec)
 
     # -- imaginary part relative to F_q((1/theta))
 

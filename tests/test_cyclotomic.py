@@ -5,15 +5,19 @@ import functools
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from carlitz import cyclotomic
+from carlitz import cyclotomic, verify
 from carlitz.cyclotomic import (
+    CycElem,
     CycField,
     LinPoly,
     M_from_gauss,
     ZPoly,
     action_at_lam,
     basis_E,
+    bezout_mod,
     carlitz_poly,
     embed,
     galois_sigma,
@@ -35,13 +39,11 @@ from carlitz.errors import (
 )
 from carlitz.fields import (
     GFPoly,
-    RatFunc,
     carlitz_dl,
     enumerate_A,
     make_field,
     poly_degree,
     poly_mul,
-    poly_xgcd,
     roots_in_ext,
 )
 from carlitz.functions import carlitz_e, default_budget
@@ -55,10 +57,6 @@ def _tf(p, e, d, coeffs, root_pos=0):
     prime = spec.poly(list(coeffs))
     zeta = roots_in_ext(prime, spec)[root_pos]
     return CycField(spec, prime, zeta)
-
-
-def _rf(spec, coeffs, var="theta"):
-    return RatFunc.from_poly(spec.poly(list(coeffs), var))
 
 
 def _generator(spec):
@@ -77,8 +75,8 @@ def test_action_of_theta():
         spec = make_field(p, 1, 1)
         c = carlitz_poly(spec, spec.poly([0, 1]))
         assert c.height == 1
-        assert c.coeff(0) == _rf(spec, [0, 1])
-        assert c.coeff(1) == _rf(spec, [1])
+        assert c.coeff(0) == spec.poly([0, 1])
+        assert c.coeff(1) == spec.poly([1])
 
 
 def test_action_theta_squared_closed_form():
@@ -88,12 +86,12 @@ def test_action_theta_squared_closed_form():
         q = spec.q
         c2 = carlitz_poly(spec, spec.poly([0, 0, 1]))
         assert c2.height == 2
-        assert c2.coeff(0) == _rf(spec, [0, 0, 1])
+        assert c2.coeff(0) == spec.poly([0, 0, 1])
         mid = [0] * (q + 1)
         mid[1] = 1
         mid[q] = 1
-        assert c2.coeff(1) == _rf(spec, mid)
-        assert c2.coeff(2) == _rf(spec, [1])
+        assert c2.coeff(1) == spec.poly(mid)
+        assert c2.coeff(2) == spec.poly([1])
         ct = carlitz_poly(spec, spec.poly([0, 1]))
         assert c2 == ct.compose(ct)
 
@@ -128,30 +126,29 @@ def test_action_size_guard():
 def test_basis_small_closed_forms():
     for p in (2, 3):
         spec = make_field(p, 1, 1)
-        e0 = basis_E(spec, 0)
-        assert e0.height == 0 and e0.coeff(0) == _rf(spec, [1])
-        e1 = basis_E(spec, 1)
-        dinv = RatFunc.from_poly(carlitz_dl(spec, 1)[0]).inv()
-        assert e1.coeff(0) == -dinv
-        assert e1.coeff(1) == dinv
+        e0, d0 = basis_E(spec, 0)
+        assert e0.height == 0 and e0.coeff(0) == spec.poly([1]) and d0 == spec.poly([1])
+        # E_1 = (Z^q - Z) / D_1
+        e1, d1 = basis_E(spec, 1)
+        assert d1 == carlitz_dl(spec, 1)[0]
+        assert e1.coeff(0) == -spec.poly([1])
+        assert e1.coeff(1) == spec.poly([1])
 
 
 @pytest.mark.parametrize("p,j", [(2, 1), (2, 2), (2, 3), (3, 1), (3, 2)])
 def test_basis_matches_literal_product(p, j):
-    # prod over all a of degree < j of (Z - a), then divide by d_j
+    # prod over all a of degree < j of (Z - a) is e_j, and E_j = e_j / d_j
     spec = make_field(p, 1, 1)
-    dense = [_rf(spec, [1])]
+    dense = [spec.poly([1])]
     for a in enumerate_A(spec, j):
-        arf = RatFunc.from_poly(a)
-        nxt = [_rf(spec, [])] * (len(dense) + 1)
+        nxt = [spec.poly([])] * (len(dense) + 1)
         for k, c in enumerate(dense):
             nxt[k + 1] = nxt[k + 1] + c
-            nxt[k] = nxt[k] - arf * c
+            nxt[k] = nxt[k] - a * c
         dense = nxt
-    dinv = RatFunc.from_poly(carlitz_dl(spec, j)[0]).inv()
-    ej = basis_E(spec, j)
-    for k, c in enumerate(dense):
-        scaled = c * dinv
+    ej, dj = basis_E(spec, j)
+    assert dj == carlitz_dl(spec, j)[0]
+    for k, scaled in enumerate(dense):
         expo = None
         qq = 1
         for i in range(j + 1):
@@ -170,8 +167,9 @@ def test_action_coefficients_through_basis():
         spec = make_field(p, 1, 1)
         es = [basis_E(spec, j) for j in range(cap)]
         for a in enumerate_A(spec, cap):
-            arf = RatFunc.from_poly(a)
-            expect = LinPoly(spec, [es[j].eval_rf(arf) for j in range(cap)])
+            quots = [divmod(ej.eval(a), dj) for ej, dj in es]
+            assert all(r.is_zero() for _, r in quots)
+            expect = LinPoly(spec, [v for v, _ in quots])
             assert carlitz_poly(spec, a) == expect
 
 
@@ -217,16 +215,17 @@ def test_modulus_shape_and_separability():
         cf = _tf(*args)
         spec = cf.spec
         assert len(cf.rho) == spec.q**cf.d
-        assert cf.rho[0] == RatFunc.from_poly(cf.prime)
-        assert cf.rho[-1] == _rf(spec, [1])
+        assert cf.rho[0] == cf.prime
+        assert cf.rho[-1] == spec.poly([1])
         deriv = []
         for i in range(1, len(cf.rho)):
             c = spec.zero
             for _ in range(i % spec.p):
                 c = c + spec.one
             deriv.append(cf.rho[i] * c)
-        g, _, _ = poly_xgcd(cf.rho, deriv, cf._zero_rf, cf._one_rf)
-        assert len(g) == 1
+        # gcd(rho, rho') = 1: the Euclid ends in a nonzero constant in Z
+        _, r = bezout_mod(deriv, cf.rho, cf.poly_zero, cf.poly_one)
+        assert not r.is_zero()
 
 
 def test_generator_is_killed_by_prime():
@@ -260,9 +259,115 @@ def test_element_arithmetic_basics():
     with pytest.raises(FieldMismatchError):
         x + other.one
     with pytest.raises(ShapeMismatchError):
-        from carlitz.cyclotomic import CycElem
+        CycElem(cf, [cf.poly_one] * len(cf.rho))
 
-        CycElem(cf, [cf._one_rf] * len(cf.rho))
+
+_TOWERS = {(2, 1, 2): (1, 1, 1), (3, 1, 2): (1, 0, 1), (2, 2, 2): (2, 1, 1),
+           (2, 1, 3): (1, 1, 0, 1)}
+_theta_polys = st.lists(st.integers(0, 63), max_size=3)
+
+
+@st.composite
+def _elem_pairs(draw):
+    """(cf, x, y): two nonzero elements of a small torsion field, each with
+    numerators of theta-degree < 3 and a denominator 1 or monic of degree 1-2."""
+    tower = draw(st.sampled_from(sorted(_TOWERS)))
+    cf = _tf(*tower, _TOWERS[tower])
+    spec = cf.spec
+
+    def poly(idx):
+        return spec.poly([spec.from_index(i) for i in idx])
+
+    def elem():
+        nums = draw(st.lists(_theta_polys, min_size=1, max_size=len(cf.rho) - 1))
+        den = draw(st.one_of(st.just([]), st.lists(st.integers(0, 63), min_size=1, max_size=2)))
+        x = CycElem(cf, [poly(c) for c in nums], poly(den + [1]))
+        return x if not x.is_zero() else cf.lam
+
+    return cf, elem(), elem()
+
+
+def _assert_canonical(x):
+    cf = x.cf
+    assert x.den.is_monic()
+    if x.is_zero() or x.den.degree == 0:
+        assert x.den == cf.poly_one
+        return
+    g = x.den
+    for c in x.coeffs:
+        g = g.gcd(c)
+    assert g.degree == 0
+
+
+@settings(max_examples=60, deadline=None)
+@given(_elem_pairs())
+def test_fraction_free_field_laws(pair):
+    # inverse, division and canonical form of numerators over one denominator
+    cf, x, y = pair
+    for z in (x, y):
+        _assert_canonical(z)
+    xi = x.inv()
+    _assert_canonical(xi)
+    assert x * xi == cf.one
+    assert (x / y) * y == x
+    back = (x * y) / y
+    assert back == x and hash(back) == hash(x)
+    assert (x + y) - y == x
+    assert (x + y) * y == x * y + y * y
+    for z in (x + y, x - y, x * y, x / y):
+        _assert_canonical(z)
+    # integral inputs give integral sums and products with den exactly 1
+    xn = CycElem(cf, x.coeffs)
+    yn = CycElem(cf, y.coeffs)
+    for z in (xn + yn, xn * yn, -xn):
+        assert z.den == cf.poly_one and z.is_integral()
+    assert x * y * (x.den * y.den) == xn * yn
+
+
+@settings(max_examples=60, deadline=None)
+@given(_elem_pairs())
+def test_fraction_free_bezout_relation(pair):
+    # s * x == r (mod rho) with r in F[theta], checked against the defining
+    # product in the torsion field
+    cf, x, _ = pair
+    s, r = bezout_mod(x.coeffs, cf.rho, cf.poly_zero, cf.poly_one)
+    assert not r.is_zero()
+    assert cf.reduce(poly_mul(s, list(x.coeffs), cf.poly_zero)) == cf.const(r)
+    # the content removal leaves s / r in lowest terms
+    g = r
+    for c in s:
+        g = g.gcd(c)
+    assert g.degree == 0
+
+
+def test_fraction_free_inverse_of_a_constant():
+    # 1 / (theta - zeta) keeps its denominator; times the prime it is integral
+    cf = _tf(3, 1, 2, (1, 0, 1))
+    spec = cf.spec
+    tm = spec.poly([spec.zero - cf.zeta, spec.one])
+    inv = cf.const(tm).inv()
+    assert inv.coeffs == (cf.poly_one,) and inv.den == tm
+    assert not inv.is_integral()
+    assert inv * cf.const(cf.prime) == cf.const(cf.prime // tm)
+    with pytest.raises(ZeroInverseError):
+        cf.zero.inv()
+
+
+def test_gauss_product_reports_non_integral(monkeypatch):
+    # a partner sum with a denominator must fail the integrality part
+    real = cyclotomic.gauss_sum_inv
+
+    def with_den(cf):
+        x = real(cf)
+        bent = CycElem(cf, x.coeffs, cf.spec.poly([1, 1]))
+        assert bent.den != cf.poly_one
+        return bent
+
+    monkeypatch.setattr(verify, "gauss_sum_inv", with_den)
+    rep = verify.run_check(verify.CheckConfig(check="gauss-product", p=2, prime=(1, 1, 1)))
+    assert rep.status == "fail"
+    assert all("integral=False" in smp.detail for smp in rep.samples)
+    assert all(smp.status == "fail" for smp in rep.samples)
 
 
 def test_galois_composition():
@@ -280,6 +385,11 @@ def test_galois_composition():
     a = units[-1]
     assert galois_sigma(a, x * y) == galois_sigma(a, x) * galois_sigma(a, y)
     assert galois_sigma(a, x + y) == galois_sigma(a, x) + galois_sigma(a, y)
+    # sigma fixes F(theta), so a denominator passes through
+    den = cf.const(spec.poly([1, 1]))
+    w = x / den
+    assert not w.is_integral()
+    assert galois_sigma(a, w) * den == galois_sigma(a, x)
     with pytest.raises(NotCoprimeError):
         galois_sigma(cf.prime, x)
     with pytest.raises(NotCoprimeError):
@@ -316,8 +426,8 @@ def test_gauss_at_degree_one_prime():
 
 
 def test_gauss_product_law():
-    # the partner sum (-1)^d prime / g is integral: both factors carry
-    # polynomial coefficients, and their product is exactly (-1)^d prime
+    # the partner sum (-1)^d prime / g is integral: both factors have
+    # denominator 1, and their product is exactly (-1)^d prime
     for args in ((2, 1, 1, (0, 1)), (3, 1, 1, (0, 1)), (2, 1, 2, (1, 1, 1)),
                  (3, 1, 2, (1, 0, 1)), (2, 1, 3, (1, 1, 0, 1))):
         cf = _tf(*args)
@@ -325,10 +435,8 @@ def test_gauss_product_law():
         ginv = gauss_sum_inv(cf)
         sign_p = cf.const(cf.prime if cf.d % 2 == 0 else -cf.prime)
         assert g * ginv == sign_p
-        for c in g.coeffs:
-            assert c.is_poly()
-        for c in ginv.coeffs:
-            assert c.is_poly()
+        assert g.den == cf.poly_one
+        assert ginv.den == cf.poly_one
 
 
 def test_first_moment_is_partner_only_at_low_weight():
@@ -483,8 +591,8 @@ def test_interpolation_extreme_coefficients(args):
     sgn = cf.one if (d + 1) % 2 == 0 else -cf.one
     chl = carlitz_dl(spec, d - 1)[1].eval(cf.zeta)
     assert M.coeff(q ** (d - 1)) == sgn * ginv * chl.inv()
-    tm = RatFunc.from_poly(spec.poly([spec.zero - cf.zeta, spec.one]))
-    lin = sgn * cf.const(cf.prime) * cf.const(chl.inv()) * cf.const(tm.inv()) * ginv
+    tm_inv = cf.const(spec.poly([spec.zero - cf.zeta, spec.one])).inv()
+    lin = sgn * cf.const(cf.prime) * cf.const(chl.inv()) * tm_inv * ginv
     assert M.coeff(1) == lin
 
 
@@ -570,6 +678,28 @@ def test_invariants_raise_when_broken(monkeypatch):
     monkeypatch.setattr(cyclotomic, "action_at_lam", lambda cf, b: act(cf, b) + cf.one)
     with pytest.raises(InvariantError):
         interpolation_M(cf)
+    monkeypatch.undo()
+    # scaled by theta^2 + theta + 1, D_j leaves remainders: E_j(a) is no polynomial
+    monkeypatch.setattr(cyclotomic, "basis_E", _bent_basis)
+    with pytest.raises(InvariantError):
+        M_from_gauss(cf)
+
+
+def _bent_basis(spec, j):
+    e, d = basis_E(spec, j)
+    return e, d * spec.poly([1, 1, 1])
+
+
+def test_ca_ej_fails_on_non_polynomial_quotient(monkeypatch):
+    # e_j + Z for j >= 2: at q = 2, deg a < 4 < deg D_j, so e_j(a) + a keeps
+    # the quotient by D_j and leaves the remainder a; only that remainder fails
+    def with_remainder(spec, j):
+        e, d = basis_E(spec, j)
+        return (e + LinPoly(spec, [spec.poly([1])]) if j >= 2 else e), d
+
+    monkeypatch.setattr(verify, "basis_E", with_remainder)
+    rep = verify.run_check(verify.CheckConfig(check="ca-ej-oracle", p=2))
+    assert rep.status == "fail"
 
 
 # -- the numeric embedding
@@ -594,6 +724,19 @@ def test_embed_is_ring_hom():
     assert du.is_zero() and du.prec >= B.prec
 
 
+def test_fraction_free_embed_divides_by_den():
+    # an element with a denominator embeds as its numerator times 1/den
+    ctx = _ctx22()
+    B = default_budget(ctx, 40)
+    cf = _tf(2, 1, 2, (1, 1, 1))
+    x = cf.lam + cf.one
+    den = cf.spec.poly([1, 1, 1, 1])
+    y = x * cf.const(den).inv()
+    assert y.den == den
+    diff = embed(y, ctx, B) * ctx.embed_poly(den) - embed(x, ctx, B)
+    assert diff.is_zero() and diff.prec >= B.prec
+
+
 def test_embedded_generator_is_torsion():
     # the embedded generator is a root of the action polynomial of the prime
     ctx = _ctx22()
@@ -608,7 +751,7 @@ def test_embedded_generator_is_torsion():
         c = cp.coeff(jj)
         if c.is_zero():
             continue
-        acc = acc + lam_num.qpow(jj) * ctx.embed_rat(c, B.wp)
+        acc = acc + lam_num.qpow(jj) * ctx.embed_poly(c)
     assert acc.is_zero()
     assert acc.prec >= B.prec
 

