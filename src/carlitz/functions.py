@@ -21,7 +21,8 @@ from .errors import (
     SizeLimitError,
 )
 from .fields import DEG_LIMIT, GFPoly, carlitz_dl, enumerate_A
-from .laurent import NEG_INF, PREC_EXACT, Completion, RamLaurent, batch_mul, stack_inv
+from .laurent import (NEG_INF, PREC_EXACT, Completion, RamLaurent, batch_mul, stack_inv,
+                      sum_blocks)
 from .tate import TateElem, tate_const, tate_zero
 
 
@@ -173,26 +174,88 @@ def u_m_val(ctx: Completion, z: RamLaurent, m: GFPoly, budget: SeriesBudget) -> 
 # -- omega and the generating function
 
 
-def _geometric(ctx: Completion, tcap: int, base_exp: int, shift: int, sign: int) -> TateElem:
-    """sign * sum_k t^k theta^(-(k+shift) * base_exp) as a capped element.
+def _sum_coeffs(ctx: Completion, cs: list) -> RamLaurent:
+    """Sum of series with one reduction, equal to chaining + over them."""
+    return sum_blocks(ctx, [(c.offset, c.coeffs) for c in cs if not c.is_zero()],
+                      min(c.prec for c in cs))
 
-    theta = -u^(-ram), so theta^(-n) = (-1)^n u^(n * ram): each term is one
-    exact monomial, built directly.
+
+def _geometric_mul(A: TateElem, tcap: int, b: int, shift: int, sign: int) -> TateElem:
+    """A * sign * sum_k t^k theta^(-(k+shift)*b) for a one-variable A, in O(tcap).
+
+    This is exactly TateElem.__mul__ against that geometric series with its
+    cap tcap and tail -(tcap+1+shift)*b: the same keys in the same order, the
+    same coefficients and precisions, cap min(A.tcap, tcap), and the product's
+    tail rule max(fold, tA + g, tG + gauss(A), tA + tG) with g = -shift*b the
+    series' Gauss norm exponent and fold the least v(A[ea]) + (k+shift)*b*ram
+    over the pairs whose degree ea + k passes the cap.
+
+    theta = -u^(-ram), so theta^(-n) = (-1)^n u^(n*ram).  The coefficient at
+    t^e is the first-order recurrence D[e] = A[e] + theta^(-b) D[e-1] times
+    the monomial sign * theta^(-shift*b): each step is a shift by b*ram rows
+    and a sign, with no product.  In the frame that moves b*ram rows per step
+    the recurrence is a running sum of (-1)^(b*ea) A[ea] placed at row
+    A[ea].offset - ea*b*ram, so one int64 buffer carries every D[e].  The
+    precision of D[e] follows the same recurrence, P[e] = min(P[e-1] + b*ram,
+    prec of A[e] times the monomial), which is mul_prec's least pa + vb over
+    the pairs for exponents far below the PREC_EXACT sentinel; it never
+    exceeds P[e-1] + b*ram, so rows of the running sum past P[e] are never
+    needed again.
     """
-    c = ctx.spec.one if sign > 0 else -ctx.spec.one
-    terms = {}
-    for k in range(tcap + 1):
-        n = (k + shift) * base_exp
-        terms[(k,)] = ctx.from_field(-c if n % 2 else c, n * ctx.ram)
-    tail = Fraction(-(tcap + 1 + shift) * base_exp)
-    return TateElem(ctx, 1, tcap, terms, tail)
+    ctx = A.ctx
+    ram, p = ctx.ram, ctx.p
+    cap = min(A.tcap, tcap)
+    step, base = b * ram, shift * b * ram
+    lead_neg = (sign < 0) != bool(shift * b % 2)
+    # keys in the product's first-appearance order, and the over-cap fold
+    low, keys, over = cap + 1, [], None
+    for (ea,), c in A.terms.items():
+        k = max(0, cap + 1 - ea)
+        if k <= tcap:
+            v = c.valuation() + k * step + base
+            over = v if over is None else min(over, v)
+        if ea < low:
+            keys.extend(range(ea, low))
+            low = ea
+    stored = [(ea, c) for (ea,), c in A.terms.items() if ea <= cap and c.coeffs.shape[0]]
+    lo = min((c.offset - ea * step for ea, c in stored), default=0)
+    hi = max((c.end() - ea * step for ea, c in stored), default=0)
+    run = np.zeros((hi - lo, ctx.spec.m), dtype=np.int64)
+    first, last = hi - lo, 0  # rows of run that hold a term so far
+    r = math.inf  # least pa + vb over the inexact pairs so far
+    out = {}
+    for e in range(low, cap + 1):
+        odd = b % 2 and e % 2  # the sign of theta^(-b*e)
+        r += step
+        c = A.terms.get((e,))
+        if c is not None:
+            if not c.is_exact():
+                r = min(r, c.prec + base)
+            if c.coeffs.shape[0]:
+                at = c.offset - e * step - lo
+                run[at : at + c.coeffs.shape[0]] += -c.coeffs if odd else c.coeffs
+                first, last = min(first, at), max(last, at + c.coeffs.shape[0])
+        prec = min(r, PREC_EXACT)
+        frame = lo + e * step + base  # u-exponent of row 0 of run at this e
+        block = run[first : max(first, min(last, prec - frame))]
+        if lead_neg != bool(odd):
+            block = -block
+        out[(e,)] = RamLaurent(ctx, frame + first, (block % p).astype(np.int8), prec)
+    out = {(e,): out[(e,)] for e in keys}
+    fold = NEG_INF if over is None else Fraction(-over, ram)
+    ta, tb = A.tail_norm_exp, Fraction(-(tcap + 1 + shift) * b)
+    tail = max(fold, ta + Fraction(-base, ram), tb + A.gauss_norm_exp(), ta + tb)
+    return TateElem(ctx, 1, cap, out, tail)
 
 
 def omega(ctx: Completion, tcap: int, budget: SeriesBudget) -> TateElem:
     """lambda * prod_{i>=0} (1 - t/theta^{q^i})^{-1} to degree tcap.
 
-    Omitted factors only move stored coefficients below the working
-    precision; the geometric tails give the q^(1/(q-1) - (tcap+1)) bound.
+    Factor i is the geometric series sum_k t^k theta^(-k q^i), applied by
+    _geometric_mul's recurrence, so the product over i costs O(tcap) steps
+    per factor.  Omitted factors only move stored coefficients below the
+    working precision; the geometric tails give the q^(1/(q-1) - (tcap+1))
+    bound.
     """
     wp = budget.wp
     key = ("omega", tcap, wp)
@@ -200,7 +263,7 @@ def omega(ctx: Completion, tcap: int, budget: SeriesBudget) -> TateElem:
         acc = tate_const(ctx, 1, tcap, ctx.lam())
         i = 0
         while ctx.ram * ctx.q**i < wp:
-            acc = acc * _geometric(ctx, tcap, ctx.q**i, 0, 1)
+            acc = _geometric_mul(acc, tcap, ctx.q**i, 0, 1)
             i += 1
         budget.n_terms["omega"] = i
         out = {e: c.truncate(wp) for e, c in acc.terms.items()}
@@ -209,7 +272,13 @@ def omega(ctx: Completion, tcap: int, budget: SeriesBudget) -> TateElem:
 
 
 def agf_f(ctx: Completion, z: RamLaurent, tcap: int, budget: SeriesBudget) -> TateElem:
-    """Generating function sum_n (pi z)^{q^n} / ((theta^{q^n} - t) d_n)."""
+    """Generating function sum_n (pi z)^{q^n} / ((theta^{q^n} - t) d_n).
+
+    Term n is scal_n = (pi z)^{q^n} / d_n times the geometric series
+    sum_k t^k theta^(-(k+1) q^n), applied by _geometric_mul.  Each
+    t-coefficient of the sum is one reduction over the terms (_sum_coeffs),
+    known to the least precision among them; the tail is the largest tail.
+    """
     wp = budget.wp
     q, ram = ctx.q, ctx.ram
     if z.is_exact_zero():
@@ -230,11 +299,15 @@ def agf_f(ctx: Completion, z: RamLaurent, tcap: int, budget: SeriesBudget) -> Ta
     budget.n_terms["agf_f"] = len(keep)
     pi = pi_tilde(ctx, SeriesBudget(wp + slack + q + max(0, -z.valuation()), 0))
     w = pi * z
-    acc = tate_zero(ctx, 1, tcap)
+    parts: dict = {}
+    tail = NEG_INF
     for n in keep:
         scal = (w.qpow(n) * _inv_d(ctx, n, wp + slack)).truncate(wp)
-        acc = acc + _geometric(ctx, tcap, q**n, 1, 1).scalar_mul(scal)
-    return acc
+        term = _geometric_mul(tate_const(ctx, 1, tcap, scal), tcap, q**n, 1, 1)
+        tail = max(tail, term.tail_norm_exp)
+        for e, c in term.terms.items():
+            parts.setdefault(e, []).append(c)
+    return TateElem(ctx, 1, tcap, {e: _sum_coeffs(ctx, cs) for e, cs in parts.items()}, tail)
 
 
 def _tate_inv(A: TateElem, wp: int) -> TateElem:
@@ -286,6 +359,39 @@ def papanikolas_L(ctx: Completion, alpha: RamLaurent, tcap: int,
     a = log_q|alpha|; C_j decreases iff a < q/(q-1), the convergence region.
     Coefficient of t^m is bounded by q^(c_exp - q m), c_exp = max(a, qa - q),
     which is the decay certificate that later justifies t -> theta.
+
+    The series stops at the first j with ram * C_j <= -wp, and c_last is that
+    C_j; both come from the closed form q + ... + q^j = q(q^j - 1)/(q - 1)
+    before any term is formed.  An omitted term moves the t^m coefficient by
+    at most q^(c_last - q m), so that coefficient is kept to precision
+    p_m = ceil(ram (q m - c_last)).  prod_j = prod_{k<=j} (t - theta^{q^k})^{-1}
+    is prod_{j-1} times -sum_i t^i theta^(-(i+1) q^j), applied exactly by
+    _geometric_mul.  Its t^m coefficient c is multiplied by beta_j =
+    alpha^{q^j} only after truncation at p_m - v(beta_j): the exact products
+    run to thousands of rows, of which the final truncation at p_m keeps
+    few.  Truncation commutes with sums, and the product is unchanged by:
+
+    Lemma.  For series c and b, an integer P and v_b = b.valuation(),
+    (c.truncate(P - v_b) * b).truncate(P) == (c * b).truncate(P), for
+    exponents far below the PREC_EXACT sentinel.
+
+    Proof.  Let c' = c.truncate(P - v_b), so p_c' = min(p_c, P - v_b).  If b
+    is the exact zero both products are.  If c is, c' is term-free with
+    valuation P - v_b, and c' * b is term-free with precision
+    min(P, p_b + P - v_b) = P, because p_b >= v_b; so is (c * b).truncate(P).
+    Otherwise: the rows.  A row of c at exponent i >= P - v_b meets only rows
+    of b at exponents >= v_b, so it reaches only exponents >= P, and below
+    P - v_b the rows of c and c' agree; so both products have the same rows
+    below P.  The precisions, by mul_prec, are min(P, p_c' + v_b,
+    p_b + v_c', PREC_EXACT) on the left and min(P, p_c + v_b, p_b + v_c,
+    PREC_EXACT) on the right (PREC_EXACT alone when c and b are exact, and
+    then the left one is P as well).  If c' keeps a term, v_c' = v_c and
+    p_c' + v_b = min(p_c + v_b, P), so they agree.  If c' is term-free and
+    p_c' = p_c, c is term-free too and the same holds.  Else v_c >= P - v_b
+    and p_c > P - v_b; the left is P since p_b + v_c' = p_b + P - v_b >= P,
+    and the right is P since p_c + v_b > P and p_b + v_c >= P.  The
+    RamLaurent constructor trims both to the rows below that common
+    precision, so they are equal.
     """
     wp = budget.wp
     q, ram = ctx.q, ctx.ram
@@ -295,30 +401,28 @@ def papanikolas_L(ctx: Completion, alpha: RamLaurent, tcap: int,
     if a >= Fraction(q, q - 1):
         raise AlphaTooLargeError(f"|alpha| = q^{a} outside the convergence disk")
     c_exp = max(a, q * a - q)
-    acc = tate_const(ctx, 1, tcap, alpha)
-    prod = tate_const(ctx, 1, tcap, ctx.one())
-    geom_sum = 0
-    j = 1
-    c_last = None
-    while True:
-        geom_sum += q**j
-        c_j = q**j * a - geom_sum
-        if ram * c_j <= -wp:
-            c_last = c_j
-            break
-        prod = prod * _geometric(ctx, tcap, q**j, 1, -1)
-        acc = acc + prod.scalar_mul(alpha.qpow(j))
-        j += 1
-        if q**j > DEG_LIMIT:
+
+    def c_at(j):
+        return q**j * a - q * (q**j - 1) // (q - 1)
+
+    stop = 1
+    while ram * c_at(stop) > -wp:
+        stop += 1
+        if q**stop > DEG_LIMIT:
             raise SizeLimitError("logarithm series guard exceeded")
-    budget.n_terms["papanikolas_L"] = j - 1
-    # an omitted term j >= stop moves the t^m coefficient by at most
-    # q^(c_last - q m), so record that in the per-coefficient precision;
+    c_last = c_at(stop)
+    p_m = [math.ceil(ram * (q * m - c_last)) for m in range(tcap + 1)]
+    parts = {(0,): [alpha]}
+    prod = tate_const(ctx, 1, tcap, ctx.one())
+    for j in range(1, stop):
+        prod = _geometric_mul(prod, tcap, q**j, 1, -1)
+        beta = alpha.qpow(j)
+        v_b = beta.valuation()
+        for e, c in prod.terms.items():
+            parts.setdefault(e, []).append(c.truncate(p_m[e[0]] - v_b) * beta)
+    budget.n_terms["papanikolas_L"] = stop - 1
     # the tail only carries degrees above the cap
-    out = {}
-    for e, c in acc.terms.items():
-        p_m = math.ceil(ram * (q * e[0] - c_last))
-        out[e] = c.truncate(p_m)
+    out = {e: _sum_coeffs(ctx, cs).truncate(p_m[e[0]]) for e, cs in parts.items()}
     tail = c_exp - q * (tcap + 1)
     return TateElem(ctx, 1, tcap, out, tail, decay=(q, c_exp))
 

@@ -14,7 +14,8 @@ has an exact fast path because the coefficient field has characteristic p.
 One path each: pair_mul is the one kernel for a pair of series, on a left
 factor mapped through the basis products once by left_map.  RamLaurent.__mul__
 is that kernel plus the reduction mod p (_raw_mul); TateElem.__mul__ sums the
-unreduced blocks of all pairs that land on one t-exponent and reduces once.
+unreduced blocks of all pairs that land on one t-exponent and reduces once
+(sum_blocks).
 batch_mul multiplies N stacked pairs in one matrix product, batch_inv is the
 one Newton iteration, and stack_inv holds the one rule for an inverse's
 length and precision.  RamLaurent.inv is the one-row case of stack_inv; the
@@ -194,6 +195,21 @@ def pair_mul(ctx: Completion, AT: np.ndarray, B: np.ndarray) -> np.ndarray:
             if np.count_nonzero(ca):
                 out[:, k] += np.convolve(ca, cb)
     return out
+
+
+def sum_blocks(ctx: Completion, blocks: list, prec: int) -> "RamLaurent":
+    """sum of u^off * block over (off, block) pairs of raw blocks, + O(u^prec).
+
+    The blocks are summed unreduced and reduced mod p once.
+    """
+    if not blocks:
+        return ctx.zero(prec)
+    lo = min(off for off, _ in blocks)
+    buf = np.zeros((max(off + b.shape[0] for off, b in blocks) - lo, ctx.spec.m),
+                   dtype=np.int64)
+    for off, b in blocks:
+        buf[off - lo : off - lo + b.shape[0]] += b
+    return RamLaurent(ctx, lo, (buf % ctx.p).astype(np.int8), prec)
 
 
 def _raw_mul(ctx: Completion, A: np.ndarray, B: np.ndarray) -> np.ndarray:

@@ -23,24 +23,12 @@ from .errors import (
 )
 from .fields import GFElem
 from .laurent import (NEG_INF, PREC_EXACT, Completion, RamLaurent, left_map, mul_prec,
-                      pair_mul)
+                      pair_mul, sum_blocks)
 
 
 def _val_floor(exp_bound, ram: int) -> int:
     """Certified valuation floor from a norm-exponent bound |x| <= q^exp."""
     return math.ceil(-Fraction(exp_bound) * ram)
-
-
-def _sum_blocks(ctx: Completion, blocks: list, prec: int) -> RamLaurent:
-    """sum of u^off * block over (off, block) pairs of raw int64 blocks, + O(u^prec)."""
-    if not blocks:
-        return ctx.zero(prec)
-    lo = min(off for off, _ in blocks)
-    buf = np.zeros((max(off + b.shape[0] for off, b in blocks) - lo, ctx.spec.m),
-                   dtype=np.int64)
-    for off, b in blocks:
-        buf[off - lo : off - lo + b.shape[0]] += b
-    return RamLaurent(ctx, lo, (buf % ctx.p).astype(np.int8), prec)
 
 
 class TateElem:
@@ -176,7 +164,7 @@ class TateElem:
                     slot[0] = prec
                 if AT is not None and B.shape[0]:
                     slot[1].append((ca.offset + ob, pair_mul(ctx, AT, B)))
-        out = {e: _sum_blocks(ctx, blocks, prec) for e, (prec, blocks) in acc.items()}
+        out = {e: sum_blocks(ctx, blocks, prec) for e, (prec, blocks) in acc.items()}
         fold = NEG_INF if over is None else Fraction(-over, ctx.ram)
         ta, tb = self.tail_norm_exp, other.tail_norm_exp
         tail = max(fold,
@@ -192,7 +180,19 @@ class TateElem:
             raise FieldMismatchError("scalar from another completion")
         if b.is_exact_zero():
             return TateElem(self.ctx, self.s, self.tcap, {})
-        out = {e: c * b for e, c in self.terms.items()}
+        # RamLaurent.__mul__ per coefficient, with b mapped through the basis
+        # products once: the field product commutes, so b may be the left factor
+        ctx = self.ctx
+        pb, vb = b.prec, b.valuation()
+        BT = left_map(ctx, b.coeffs) if b.coeffs.shape[0] else None
+        out = {}
+        for e, c in self.terms.items():
+            prec = mul_prec(c.prec, c.valuation(), pb, vb)
+            if BT is None or c.is_zero():
+                out[e] = ctx.zero(prec)
+            else:
+                block = pair_mul(ctx, BT, c.coeffs.astype(np.int64)) % ctx.p
+                out[e] = RamLaurent(ctx, c.offset + b.offset, block.astype(np.int8), prec)
         return TateElem(self.ctx, self.s, self.tcap, out,
                         self.tail_norm_exp + b.norm_exp())
 

@@ -1,5 +1,6 @@
 """Tests for the special-function layer: series, lattice sums, L-values."""
 
+import math
 import random
 import re
 from fractions import Fraction
@@ -13,14 +14,16 @@ from carlitz.errors import (
     LatticePoleError,
     ShapeMismatchError,
     SingularSystemError,
+    SizeLimitError,
 )
-from carlitz.fields import enumerate_A
+from carlitz.fields import DEG_LIMIT, enumerate_A
 from carlitz.functions import (
     SeriesBudget,
     L_multi,
     _cancel_exp,
     _char_coeffs,
-    _geometric,
+    _geometric_mul,
+    _inv_d,
     _monic_block,
     agf_f,
     carlitz_constants,
@@ -42,6 +45,7 @@ from carlitz.tate import (
     tate_const,
     tate_t_minus_theta,
     tate_var,
+    tate_zero,
 )
 
 from oracles import tate_poly_t
@@ -711,7 +715,8 @@ def test_ram_solve_several_right_hand_sides():
 
 
 def _geometric_reference(ctx, tcap, base_exp, shift, sign):
-    """The product-built geometric series that _geometric replaced."""
+    """sign * sum_k t^k theta^(-(k+shift)*base_exp) as a capped element, built
+    by products; _geometric_mul(A, ...) is A times this."""
     step = ctx.theta().inv() ** base_exp
     cur = step**shift
     if sign < 0:
@@ -723,17 +728,149 @@ def _geometric_reference(ctx, tcap, base_exp, shift, sign):
     return TateElem(ctx, 1, tcap, terms, Fraction(-(tcap + 1 + shift) * base_exp))
 
 
+def _geometric_factor(ctx, rng, tcap):
+    """A one-variable element with exact, inexact and term-free coefficients,
+    keys in random order, a cap above, at or below tcap and maybe a tail."""
+    A_cap = max(0, tcap + rng.choice((-2, -1, 0, 0, 1, 3)))
+    slots = list(range(A_cap + 1))
+    rng.shuffle(slots)
+    terms = {}
+    for k in slots[: rng.randrange(len(slots) + 1)]:
+        lo = rng.randrange(-8, 6)
+        x = ctx.from_terms([(lo + i, ctx.spec.from_index(rng.randrange(ctx.spec.order)))
+                            for i in range(rng.randrange(1, 10))])
+        kind = rng.random()
+        if kind < 0.15:
+            x = ctx.zero(rng.randrange(-5, 20))  # term-free
+        elif kind < 0.55:
+            x = x.truncate(lo + rng.randrange(0, 12))
+        terms[(k,)] = x
+    tail = NEG_INF if rng.random() < 0.5 else Fraction(rng.randrange(-30, 5), rng.randrange(1, 4))
+    return TateElem(ctx, 1, A_cap, terms, tail)
+
+
 @pytest.mark.parametrize("p,e,d", KERNEL_TOWERS)
-def test_differential_geometric(p, e, d):
+def test_differential_geometric_mul(p, e, d):
+    """The recurrence equals the product with the geometric series: the same
+    keys in the same order, offsets, precisions, rows, cap and tail."""
     ctx = Completion(p, e, d, wp=64)
-    for tcap in (0, 3, 8):
-        for base_exp in (1, 2, 3, 4, 9):
-            for shift in (0, 1):
-                for sign in (1, -1):
-                    got = _geometric(ctx, tcap, base_exp, shift, sign)
-                    want = _geometric_reference(ctx, tcap, base_exp, shift, sign)
-                    _assert_same(got, want)
-                    assert all(c.is_exact() for c in got.terms.values())
+    rng = random.Random(f"geometric-mul:{p}:{e}:{d}")
+    for _ in range(150):
+        tcap = rng.randrange(0, 9)
+        base_exp = rng.choice((1, 2, 3, 4, 9))
+        shift, sign = rng.choice((0, 1, 2)), rng.choice((1, -1))
+        A = _geometric_factor(ctx, rng, tcap)
+        got = _geometric_mul(A, tcap, base_exp, shift, sign)
+        want = A * _geometric_reference(ctx, tcap, base_exp, shift, sign)
+        assert got.tcap == want.tcap
+        _assert_same(got, want)
+    # a constant: every coefficient is one exact monomial
+    got = _geometric_mul(tate_const(ctx, 1, 8, ctx.one()), 8, 3, 1, -1)
+    _assert_same(got, tate_const(ctx, 1, 8, ctx.one()) * _geometric_reference(ctx, 8, 3, 1, -1))
+    assert all(c.is_exact() and c.coeffs.shape[0] == 1 for c in got.terms.values())
+
+
+def _agf_f_reference(ctx, z, tcap, budget):
+    """agf_f as a sum of scalar multiples of the geometric series, one
+    TateElem addition per term."""
+    wp = budget.wp
+    q, ram = ctx.q, ctx.ram
+    if z.is_exact_zero():
+        return tate_zero(ctx, 1, tcap)
+    a_w = z.norm_exp() + Fraction(q, q - 1)
+    keep = []
+    slack = 0
+    n = 0
+    while True:
+        en = ram * q**n * (a_w - n - 1)
+        if en <= -wp:
+            break
+        keep.append(n)
+        slack = max(slack, math.ceil(en))
+        n += 1
+        if q**n > DEG_LIMIT:
+            raise SizeLimitError("argument too large for the AGF guard")
+    budget.n_terms["agf_f"] = len(keep)
+    pi = pi_tilde(ctx, SeriesBudget(wp + slack + q + max(0, -z.valuation()), 0))
+    w = pi * z
+    acc = tate_zero(ctx, 1, tcap)
+    for n in keep:
+        scal = (w.qpow(n) * _inv_d(ctx, n, wp + slack)).truncate(wp)
+        acc = acc + _geometric_reference(ctx, tcap, q**n, 1, 1).scalar_mul(scal)
+    return acc
+
+
+@pytest.mark.parametrize("params", [(2, 1, 1), (3, 1, 1), (2, 2, 1)])
+def test_differential_agf_f_summed(params):
+    """One reduction per t-coefficient equals the summed form."""
+    ctx = Completion(*params, wp=64)
+    rng = random.Random(f"agf:{params}")
+    zs = [sample_z(ctx, rng, regime) for regime in ("small", "small", "unit", "large")]
+    zs.append(zs[0].truncate(zs[0].valuation() + 3))
+    for z in zs:
+        for tcap in (0, 6):
+            b_got, b_want = default_budget(ctx, 24), default_budget(ctx, 24)
+            got = agf_f(ctx, z, tcap, b_got)
+            _assert_same(got, _agf_f_reference(ctx, z, tcap, b_want))
+            assert b_got.n_terms["agf_f"] == b_want.n_terms["agf_f"]
+
+
+def _papanikolas_reference(ctx, alpha, tcap, budget):
+    """papanikolas_L with whole products: each term is formed exactly and
+    the sum truncated at the end."""
+    wp = budget.wp
+    q, ram = ctx.q, ctx.ram
+    if alpha.is_exact_zero():
+        return tate_zero(ctx, 1, tcap)
+    a = alpha.norm_exp()
+    if a >= Fraction(q, q - 1):
+        raise AlphaTooLargeError(f"|alpha| = q^{a} outside the convergence disk")
+    c_exp = max(a, q * a - q)
+    acc = tate_const(ctx, 1, tcap, alpha)
+    prod = tate_const(ctx, 1, tcap, ctx.one())
+    geom_sum = 0
+    j = 1
+    c_last = None
+    while True:
+        geom_sum += q**j
+        c_j = q**j * a - geom_sum
+        if ram * c_j <= -wp:
+            c_last = c_j
+            break
+        prod = prod * _geometric_reference(ctx, tcap, q**j, 1, -1)
+        acc = acc + prod.scalar_mul(alpha.qpow(j))
+        j += 1
+        if q**j > DEG_LIMIT:
+            raise SizeLimitError("logarithm series guard exceeded")
+    budget.n_terms["papanikolas_L"] = j - 1
+    out = {}
+    for e, c in acc.terms.items():
+        p_m = math.ceil(ram * (q * e[0] - c_last))
+        out[e] = c.truncate(p_m)
+    tail = c_exp - q * (tcap + 1)
+    return TateElem(ctx, 1, tcap, out, tail, decay=(q, c_exp))
+
+
+@pytest.mark.parametrize("params", [(2, 1, 1), (3, 1, 1), (2, 2, 1)])
+def test_differential_papanikolas_truncated(params):
+    """Truncating each coefficient before the scalar product gives the
+    coefficients of the whole products, truncated at the end."""
+    ctx = Completion(*params, wp=64)
+    rng = random.Random(f"papanikolas:{params}")
+    q = ctx.q
+    B = default_budget(ctx, 30)
+    exact = [ctx.one() + ctx.u_pow(1), ctx.u_pow(3), sample_z(ctx, rng, "small"),
+             sample_z(ctx, rng, "unit"), ctx.lam() ** q * ctx.u_pow(1)]
+    inexact = [x.truncate(x.valuation() + rng.randrange(1, 6)) for x in exact]
+    inexact += [carlitz_e(ctx, sample_z(ctx, rng, "small"), B), ctx.zero(7)]
+    for alpha in exact + inexact:
+        for tcap in (0, 5, 12):
+            b_got, b_want = default_budget(ctx, 30), default_budget(ctx, 30)
+            got = papanikolas_L(ctx, alpha, tcap, b_got)
+            want = _papanikolas_reference(ctx, alpha, tcap, b_want)
+            _assert_same(got, want)
+            assert got.decay == want.decay
+            assert b_got.n_terms["papanikolas_L"] == b_want.n_terms["papanikolas_L"]
 
 
 # -- linear solves

@@ -460,3 +460,30 @@ def test_truncation_soundness(tower, lo, idx, idy, cut_x, cut_y, n):
     assert (x.truncate(P) * y.truncate(Q) - x * y).is_zero()
     r = x * x.inv(n) - ctx.one()
     assert r.is_zero() and r.prec >= n
+
+
+@settings(max_examples=120, deadline=None)
+@given(
+    tower=st.sampled_from(SERIES_TOWERS),
+    lo_c=st.integers(-8, 8),
+    lo_b=st.integers(-8, 8),
+    idc=st.lists(st.integers(0, 63), max_size=12),
+    idb=st.lists(st.integers(0, 63), max_size=12),
+    cut_c=st.one_of(st.none(), st.integers(-3, 14)),
+    cut_b=st.one_of(st.none(), st.integers(-3, 14)),
+    P=st.integers(-20, 30),
+)
+def test_truncate_before_multiply(tower, lo_c, lo_b, idc, idb, cut_c, cut_b, P):
+    """(c.truncate(P - v_b) * b).truncate(P) == (c * b).truncate(P) with
+    v_b = b.valuation(), for exact, inexact, term-free and exact-zero factors:
+    the lemma behind papanikolas_L's truncated scalar products."""
+    ctx = Completion(*tower, wp=16)
+    spec = ctx.spec
+
+    def series(lo, ids, cut):
+        x = ctx.from_terms([(lo + k, spec.from_index(i % spec.order))
+                            for k, i in enumerate(ids)])
+        return x if cut is None else x.truncate(lo + cut)
+
+    c, b = series(lo_c, idc, cut_c), series(lo_b, idb, cut_b)
+    assert (c.truncate(P - b.valuation()) * b).truncate(P) == (c * b).truncate(P)
