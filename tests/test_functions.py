@@ -800,11 +800,11 @@ def _agf_f_reference(ctx, z, tcap, budget):
     return acc
 
 
-@pytest.mark.parametrize("params", [(2, 1, 1), (3, 1, 1), (2, 2, 1)])
-def test_differential_agf_f_summed(params):
+@pytest.mark.parametrize("p,e,d", [(2, 1, 1), (3, 1, 1), (2, 2, 1)])
+def test_differential_agf_f_summed(p, e, d):
     """One reduction per t-coefficient equals the summed form."""
-    ctx = Completion(*params, wp=64)
-    rng = random.Random(f"agf:{params}")
+    ctx = Completion(p, e, d, wp=64)
+    rng = random.Random(f"agf:{p}:{e}:{d}")
     zs = [sample_z(ctx, rng, regime) for regime in ("small", "small", "unit", "large")]
     zs.append(zs[0].truncate(zs[0].valuation() + 3))
     for z in zs:
@@ -851,12 +851,12 @@ def _papanikolas_reference(ctx, alpha, tcap, budget):
     return TateElem(ctx, 1, tcap, out, tail, decay=(q, c_exp))
 
 
-@pytest.mark.parametrize("params", [(2, 1, 1), (3, 1, 1), (2, 2, 1)])
-def test_differential_papanikolas_truncated(params):
+@pytest.mark.parametrize("p,e,d", [(2, 1, 1), (3, 1, 1), (2, 2, 1)])
+def test_differential_papanikolas_truncated(p, e, d):
     """Truncating each coefficient before the scalar product gives the
     coefficients of the whole products, truncated at the end."""
-    ctx = Completion(*params, wp=64)
-    rng = random.Random(f"papanikolas:{params}")
+    ctx = Completion(p, e, d, wp=64)
+    rng = random.Random(f"papanikolas:{p}:{e}:{d}")
     q = ctx.q
     B = default_budget(ctx, 30)
     exact = [ctx.one() + ctx.u_pow(1), ctx.u_pow(3), sample_z(ctx, rng, "small"),
