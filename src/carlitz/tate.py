@@ -180,19 +180,7 @@ class TateElem:
             raise FieldMismatchError("scalar from another completion")
         if b.is_exact_zero():
             return TateElem(self.ctx, self.s, self.tcap, {})
-        # RamLaurent.__mul__ per coefficient, with b mapped through the basis
-        # products once: the field product commutes, so b may be the left factor
-        ctx = self.ctx
-        pb, vb = b.prec, b.valuation()
-        BT = left_map(ctx, b.coeffs) if b.coeffs.shape[0] else None
-        out = {}
-        for e, c in self.terms.items():
-            prec = mul_prec(c.prec, c.valuation(), pb, vb)
-            if BT is None or c.is_zero():
-                out[e] = ctx.zero(prec)
-            else:
-                block = pair_mul(ctx, BT, c.coeffs.astype(np.int64)) % ctx.p
-                out[e] = RamLaurent(ctx, c.offset + b.offset, block.astype(np.int8), prec)
+        out = {e: c * b for e, c in self.terms.items()}
         return TateElem(self.ctx, self.s, self.tcap, out,
                         self.tail_norm_exp + b.norm_exp())
 
