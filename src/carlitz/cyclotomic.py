@@ -565,11 +565,14 @@ def embed(x: CycElem, ctx: Completion, budget: SeriesBudget) -> RamLaurent:
     if ctx.spec is not cf.spec:
         raise FieldMismatchError("completion built over a different tower")
     wp = budget.wp
-    # cache on the completion, not the torsion field: the value is ctx-bound
+    # cache on the completion, not the torsion field: the value is ctx-bound;
+    # the truncation index is cached with it and recorded on every call
     key = ("embed_lam", cf.prime, wp)
     if key not in ctx.cache:
-        ctx.cache[key] = carlitz_e(ctx, modulus_inv(ctx, cf.prime, wp), budget)
-    lam_num = ctx.cache[key]
+        first = SeriesBudget(budget.prec, budget.pad)
+        lam = carlitz_e(ctx, modulus_inv(ctx, cf.prime, wp), first)
+        ctx.cache[key] = lam, first.n_terms["carlitz_exp"]
+    lam_num, budget.n_terms["carlitz_exp"] = ctx.cache[key]
     acc = ctx.zero(wp)
     for c in reversed(x.coeffs):
         acc = acc * lam_num + ctx.embed_poly(c)

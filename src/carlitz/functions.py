@@ -45,14 +45,10 @@ class SeriesBudget:
         return self.prec + self.pad
 
 
-def default_pad(q: int) -> int:
-    """Working padding past the requested precision: 4 * ram + 2q + 8, where
-    ram = q - 1 is the ramification index of the completion."""
-    return 4 * (q - 1) + 2 * q + 8
-
-
 def default_budget(ctx: Completion, prec: int) -> SeriesBudget:
-    return SeriesBudget(prec, default_pad(ctx.q))
+    """Budget for prec with working padding 4 * ram + 2q + 8, where ram is
+    the ramification index of the completion."""
+    return SeriesBudget(prec, 4 * ctx.ram + 2 * ctx.q + 8)
 
 
 # -- exact constants in A
@@ -89,17 +85,17 @@ def pi_tilde(ctx: Completion, budget: SeriesBudget) -> RamLaurent:
     wp = budget.wp
     key = ("pi", wp)
     if key not in ctx.cache:
-        th_inv = ctx.theta().inv()
+        th_inv = ctx.theta().inv(1)  # a single exact term: its exact inverse
         prod = ctx.one()
         i = 1
         while ctx.ram * (ctx.q**i - 1) < wp:
             x = ctx.theta() * th_inv ** (ctx.q**i)  # theta^{1-q^i}, exact monomial
             prod = (prod * (ctx.one() - x)).truncate(wp)
             i += 1
-        budget.n_terms["pi_tilde"] = i - 1
         lam_q = ctx.lam() ** ctx.q
-        ctx.cache[key] = -(lam_q * prod.inv(wp))
-    return ctx.cache[key]
+        ctx.cache[key] = -(lam_q * prod.inv(wp)), i - 1
+    value, budget.n_terms["pi_tilde"] = ctx.cache[key]
+    return value
 
 
 # -- exponential family
@@ -265,10 +261,10 @@ def omega(ctx: Completion, tcap: int, budget: SeriesBudget) -> TateElem:
         while ctx.ram * ctx.q**i < wp:
             acc = _geometric_mul(acc, tcap, ctx.q**i, 0, 1)
             i += 1
-        budget.n_terms["omega"] = i
         out = {e: c.truncate(wp) for e, c in acc.terms.items()}
-        ctx.cache[key] = TateElem(ctx, 1, tcap, out, acc.tail_norm_exp)
-    return ctx.cache[key]
+        ctx.cache[key] = TateElem(ctx, 1, tcap, out, acc.tail_norm_exp), i
+    value, budget.n_terms["omega"] = ctx.cache[key]
+    return value
 
 
 def agf_f(ctx: Completion, z: RamLaurent, tcap: int, budget: SeriesBudget) -> TateElem:
@@ -337,9 +333,10 @@ def _tate_inv(A: TateElem, wp: int) -> TateElem:
 
 
 def omega_inv(ctx: Completion, tcap: int, budget: SeriesBudget) -> TateElem:
+    om = omega(ctx, tcap, budget)  # records its truncation index on every call
     key = ("omega_inv", tcap, budget.wp)
     if key not in ctx.cache:
-        ctx.cache[key] = _tate_inv(omega(ctx, tcap, budget), budget.wp)
+        ctx.cache[key] = _tate_inv(om, budget.wp)
     return ctx.cache[key]
 
 
@@ -498,31 +495,21 @@ def _char_coeffs(ctx: Completion, a: GFPoly, powers) -> dict:
     return out
 
 
-# Block tables that depend on the tower alone, shared by every Completion
-# over it (verify builds a new Completion for each check).
-_TOWER_CACHE: dict = {}
-
-
-def _tower_cache(ctx: Completion) -> dict:
-    return _TOWER_CACHE.setdefault(ctx.spec, {})
-
-
 def _monic_rows(ctx: Completion, j: int) -> np.ndarray:
     """(q^j, j*ram + 1, m) coordinates of the monic degree-j embeddings.
 
     Row r of each entry is the coefficient of u^(r - j*ram), so every entry
     starts at its valuation; enumeration order is that of _monic_block.
     """
-    cache = _tower_cache(ctx)
     key = ("monic_rows", j)
-    if key not in cache:
+    if key not in ctx.cache:
         base = -j * ctx.ram
         block = _monic_block(ctx, j)
         rows = np.zeros((len(block), 1 - base, ctx.spec.m), dtype=np.int64)
         for i, (_, emb) in enumerate(block):
             rows[i, emb.offset - base : emb.end() - base] = emb.coeffs
-        cache[key] = rows
-    return cache[key]
+        ctx.cache[key] = rows
+    return ctx.cache[key]
 
 
 def _units(ctx: Completion) -> list:
@@ -533,9 +520,8 @@ def _block_chars(ctx: Completion, j: int, powers: tuple):
     """(keys, C) for a degree-j block, cached per (j, powers): C (K, q^j, m)
     holds the coordinates of chi(a)[e], the coefficients of
     prod_i a(t_i)^{r_i}, with keys in first-appearance order."""
-    cache = _tower_cache(ctx)
     key = ("block_chars", j, powers)
-    if key not in cache:
+    if key not in ctx.cache:
         chis = [_char_coeffs(ctx, a, powers) for a, _ in _monic_block(ctx, j)]
         keys = tuple(dict.fromkeys(e for chi in chis for e in chi))
         slot = {e: k for k, e in enumerate(keys)}
@@ -543,8 +529,8 @@ def _block_chars(ctx: Completion, j: int, powers: tuple):
         for ai, chi in enumerate(chis):
             for e, coef in chi.items():
                 C[slot[e], ai] = coef.coords
-        cache[key] = (keys, C)
-    return cache[key]
+        ctx.cache[key] = (keys, C)
+    return ctx.cache[key]
 
 
 def _block_weights(ctx: Completion, j: int, powers: tuple, with_units: bool):
@@ -556,9 +542,8 @@ def _block_weights(ctx: Completion, j: int, powers: tuple, with_units: bool):
     matrix that contracts stacked F_p coordinate rows into the key
     coefficients through basis_mul_table, mask (K, N) marks nonzero weights.
     """
-    cache = _tower_cache(ctx)
     key = ("psi_block" if with_units else "L_block", j, powers)
-    if key not in cache:
+    if key not in ctx.cache:
         keys, W = _block_chars(ctx, j, powers)
         K, _, m = W.shape
         if with_units:
@@ -566,8 +551,8 @@ def _block_weights(ctx: Completion, j: int, powers: tuple, with_units: bool):
             W = np.einsum("kab,cbd->kacd", W, S).reshape(K, -1, m) % ctx.p
         T = ctx.spec.basis_mul_table.astype(np.int64)
         G = np.einsum("kia,abc->kcib", W, T).reshape(K * m, -1) % ctx.p
-        cache[key] = (keys, G, W.any(axis=2))
-    return cache[key]
+        ctx.cache[key] = (keys, G, W.any(axis=2))
+    return ctx.cache[key]
 
 
 def _contract(ctx: Completion, weights, X: np.ndarray, off: np.ndarray,
@@ -612,13 +597,12 @@ def _assemble(ctx: Completion, parts) -> dict:
 def _psi_denominators(ctx: Completion, j: int, z: RamLaurent):
     """Rows z - c*a over the degree-j block (a outer, unit c inner) in one
     frame (D, lo), truncated at z's precision like the series they stand for."""
-    cache = _tower_cache(ctx)
     key = ("unit_rows", j)
-    if key not in cache:
+    if key not in ctx.cache:
         S = np.stack([ctx.spec.scalar_matrix(c) for c in _units(ctx)])
         rows = np.einsum("nlb,cbd->ncld", _monic_rows(ctx, j), S) % ctx.p
-        cache[key] = rows.reshape(-1, rows.shape[2], rows.shape[3])
-    CA = cache[key]
+        ctx.cache[key] = rows.reshape(-1, rows.shape[2], rows.shape[3])
+    CA = ctx.cache[key]
     base = -j * ctx.ram
     lo = base if z.is_zero() else min(base, z.offset)
     hi = min(max(base + CA.shape[1], z.end()), z.prec)

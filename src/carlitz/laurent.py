@@ -48,21 +48,19 @@ NEG_INF = float("-inf")
 
 
 class Completion:
-    """Shared context: field tower, ramification data, caches, default precision.
+    """Shared context of one tower: field, ramification data and caches.
 
-    wp is the relative precision (number of series terms) used when inverting
-    exact elements or summing series without an explicit budget.
+    Every precision is explicit in the call that needs it, so a completion
+    stands for its tower alone, and its cache holds every constant and block
+    table that depends on the tower and the budget, keyed by that budget.
     """
 
-    def __init__(self, p: int, e: int, d: int = 1, wp: int = 64):
+    def __init__(self, p: int, e: int, d: int = 1):
         self.spec: FieldSpec = make_field(p, e, d)
         self.p = p
         self.q = self.spec.q
         self.d = d
         self.ram = self.q - 1
-        if wp < 1:
-            raise ConfigError("working precision must be >= 1")
-        self.wp = wp
         self.cache: dict = {}
         m = self.spec.m
         self._empty = np.zeros((0, m), dtype=np.int8)
@@ -148,7 +146,7 @@ class Completion:
             raise FieldMismatchError("series from another completion")
 
     def __repr__(self):
-        return f"Completion(q={self.q}, d={self.d}, wp={self.wp})"
+        return f"Completion(q={self.q}, d={self.d})"
 
 
 def mul_prec(pa: int, va: int, pb: int, vb: int) -> int:
@@ -278,14 +276,14 @@ def batch_inv(ctx: Completion, U: np.ndarray, n: int) -> np.ndarray:
 
 
 def stack_inv(ctx: Completion, D: np.ndarray, lo: int, dprec: int,
-              rel_prec: int | None, single: np.ndarray):
+              rel_prec: int, single: np.ndarray):
     """Inverses of N nonzero series stacked in one frame: RamLaurent.inv's rule.
 
     Row i of D (N, F, m) is sum_r D[i, r] u^(lo + r) + O(u^dprec).  With v
-    its valuation, the inverse of row i keeps n coefficients: rel_prec
-    (default ctx.wp) for exact rows, else dprec - v capped at rel_prec, and
-    at least one; it is known to precision -v + n.  Rows flagged single are
-    exact single terms and get their exact single-term inverse.  Returns
+    its valuation, the inverse of row i keeps n coefficients: dprec - v
+    capped at rel_prec (so rel_prec for exact rows), and at least one; it is
+    known to precision -v + n.  Rows flagged single are exact single terms
+    and get their exact single-term inverse.  Returns
     (X, off, prec): inverse i is sum_r X[i, r] u^(off[i] + r) + O(u^prec[i]),
     with X zero from each row's n on.  This is the only place that sets the
     length and precision of an inverse.
@@ -293,11 +291,7 @@ def stack_inv(ctx: Completion, D: np.ndarray, lo: int, dprec: int,
     N, _, m = D.shape
     first = D.any(axis=2).argmax(axis=1)
     v = lo + first
-    if dprec >= PREC_EXACT:
-        n = np.full(N, ctx.wp if rel_prec is None else rel_prec)
-    else:
-        n = dprec - v if rel_prec is None else np.minimum(dprec - v, rel_prec)
-    n = np.where(single, 1, np.maximum(n, 1))
+    n = np.where(single, 1, np.maximum(np.minimum(dprec - v, rel_prec), 1))
     L = int(n.max())
     padded = np.concatenate([D, np.zeros((N, L, m), dtype=D.dtype)], axis=1)
     X = batch_inv(ctx, padded[np.arange(N)[:, None], first[:, None] + np.arange(L)], L)
@@ -437,7 +431,7 @@ class RamLaurent:
         prec = self.prec if self.is_exact() else self.prec + k
         return RamLaurent(self.ctx, self.offset + k, self.coeffs, prec)
 
-    def inv(self, rel_prec: int | None = None) -> "RamLaurent":
+    def inv(self, rel_prec: int) -> "RamLaurent":
         """1/self: the one-row case of stack_inv, which sets length and precision."""
         if self.is_exact_zero():
             raise ZeroInverseError("inverse of exact zero series")
@@ -448,12 +442,9 @@ class RamLaurent:
                                  rel_prec, np.array([single]))
         return RamLaurent(self.ctx, int(off[0]), X[0], int(prec[0]))
 
-    def __truediv__(self, other: "RamLaurent") -> "RamLaurent":
-        return self * other.inv()
-
     def __pow__(self, n: int) -> "RamLaurent":
         if n < 0:
-            return self.inv() ** (-n)
+            raise ConfigError("power exponent must be >= 0; invert with inv(rel_prec)")
         result = self.ctx.one()
         base = self
         while n:

@@ -7,6 +7,7 @@ actually certify, so a pass never rests on an eyeballed tolerance.  Exact
 algebraic checks report the marker "exact" instead of a margin.
 """
 
+import functools
 import math
 import time
 import random
@@ -42,7 +43,6 @@ from .functions import (
     carlitz_e,
     chi_t,
     default_budget,
-    default_pad,
     omega,
     papanikolas_L,
     pi_tilde,
@@ -164,6 +164,14 @@ def _norm_str(z):
 # -- resolved run state
 
 
+@functools.cache
+def _completion(p, e, d):
+    """The one completion of a tower for the whole process: its cache holds
+    the constants and block tables that depend on the tower and the budget
+    alone, so every check over that tower shares them."""
+    return Completion(p, e, d)
+
+
 class _Run:
     __slots__ = ("cfg", "p", "e", "q", "ram", "prime", "prime2", "rng")
 
@@ -178,9 +186,7 @@ class _Run:
         self.rng = random.Random(f"{cfg.seed}:{cfg.check}")
 
     def ctx(self, d):
-        # the completion works 16 terms past the series budget's padding
-        wp = self.cfg.prec + default_pad(self.q) + 16
-        return Completion(self.p, self.e, d, wp=wp)
+        return _completion(self.p, self.e, d)
 
     def ctx_degree(self, d=1):
         """d, raised to 2 when q = 2: the q = 2 base completion has no point
@@ -272,18 +278,26 @@ def _residue_rows(ctx, spec, m_poly, roots_by_var, J, B):
     return rows, top
 
 
-def _moments(ctx, rows, count, B):
-    """The first count character-weighted power sums of the residue rows:
-    moment_k = sum over rows (val, w) of val^k * w."""
-    moments = []
-    acc = [ctx.one() for _ in rows]
-    for k in range(count):
-        tot = ctx.zero(B.wp)
-        for (_, w), pw in zip(rows, acc):
-            tot = tot + pw.scale(w)
-        moments.append(tot)
-        acc = [pw * val for (val, _), pw in zip(rows, acc)]
-    return moments
+class _Moments:
+    """The character-weighted power sums of one set of residue rows,
+    moment_k = sum over rows (val, w) of val^k * w, kept for every sample:
+    upto(count) extends the list only past the counts asked for before."""
+
+    def __init__(self, ctx, rows, B):
+        self.ctx, self.rows, self.wp = ctx, rows, B.wp
+        self.sums = []
+        self._pows = [ctx.one() for _ in rows]  # val^k for k = len(sums)
+
+    def upto(self, count):
+        """The first count moments."""
+        while len(self.sums) < count:
+            if self.sums:
+                self._pows = [pw * val for (val, _), pw in zip(self.rows, self._pows)]
+            tot = self.ctx.zero(self.wp)
+            for (_, w), pw in zip(self.rows, self._pows):
+                tot = tot + pw.scale(w)
+            self.sums.append(tot)
+        return self.sums[:count]
 
 
 def _series_tail_floor(um, top_exp, K, ram, scale_exp=0):
@@ -497,7 +511,8 @@ def _run_thm4(rc):
 
     out = []
     rows, top = _residue_rows(ctx, spec, prime, {0: zeta}, (0,), B)
-    moments = _moments(ctx, rows, k0, B)
+    sums = _Moments(ctx, rows, B)
+    moments = sums.upto(k0)
     for k in range(k0 - 1):
         out.append(_residual_sample(len(out), f"moment {k} vanishes", moments[k], cfg.prec))
 
@@ -535,7 +550,7 @@ def _run_thm4(rc):
         K = k0
         while K < k0 + 150 and _series_tail_floor(um, top, K, ctx.ram, dp) < target:
             K += 1
-        mom = _moments(ctx, rows, K, B)
+        mom = sums.upto(K)
         upow = um**k0
         series = a0_emb * upow
         for k in range(k0, K):
@@ -713,6 +728,7 @@ def _run_prop51(rc):
         espec = EvalSpec(tuple(primes), tuple(roots[j] for j in J))
         s = len(J)
         rows, top = _residue_rows(ctx, spec, m_poly, roots, J, B)
+        sums = _Moments(ctx, rows, B)
         for i in range(max(1, min(cfg.samples, 3))):
             z = _imag_z(rc, ctx, D + i)
             um = u_m_val(ctx, z, m_poly, B)
@@ -721,7 +737,7 @@ def _run_prop51(rc):
             K = 2
             while K < 160 and _series_tail_floor(um, top, K, ctx.ram) < cfg.prec + um.valuation():
                 K += 1
-            mom = _moments(ctx, rows, K, B)
+            mom = sums.upto(K)
             w = psi(ctx, s, z, cfg.degcap, cfg.tcap, B).ev(espec) * pinv
             series = ctx.zero(B.wp)
             upow = ctx.one()

@@ -35,7 +35,7 @@ def test_psi_one_factors_through_interpolation_character():
     for p in (2, 3):
         q = p
         d = 2 if q == 2 else 1
-        ctx = Completion(p, 1, d, wp=60 + 4 * (q - 1) + 2 * q + 24)
+        ctx = Completion(p, 1, d)
         B = default_budget(ctx, 60)
         pi = pi_tilde(ctx, B)
         rng = random.Random(f"9:psi1-factor:{q}")

@@ -7,7 +7,7 @@ from fractions import Fraction
 
 import pytest
 
-from carlitz import functions
+from carlitz import functions, verify
 from carlitz.errors import (
     AlphaTooLargeError,
     ConfigError,
@@ -16,7 +16,8 @@ from carlitz.errors import (
     SingularSystemError,
     SizeLimitError,
 )
-from carlitz.fields import DEG_LIMIT, enumerate_A
+from carlitz.cyclotomic import CycField, embed
+from carlitz.fields import DEG_LIMIT, enumerate_A, roots_in_ext
 from carlitz.functions import (
     SeriesBudget,
     L_multi,
@@ -52,11 +53,11 @@ from oracles import tate_poly_t
 
 
 def ctx2():
-    return Completion(2, 1, 1, wp=64)
+    return Completion(2, 1, 1)
 
 
 def ctx3():
-    return Completion(3, 1, 1, wp=64)
+    return Completion(3, 1, 1)
 
 
 def small_z(ctx, rng, rounds):
@@ -151,7 +152,7 @@ def test_u_inverts_exp_and_poles():
             u_val(ctx, ctx.theta(), B)
         m = ctx.spec.poly([0, 1])
         um = u_m_val(ctx, z, m, B)
-        direct = (ctx.embed_poly(m) * carlitz_e(ctx, z * ctx.theta().inv(), B)).inv(B.wp)
+        direct = (ctx.embed_poly(m) * carlitz_e(ctx, z * ctx.theta().inv(1), B)).inv(B.wp)
         assert (um - direct).is_zero()
 
 
@@ -610,7 +611,7 @@ KERNEL_POWERS = [(), (1,), (2,), (0, 0), (1, 0), (1, 1)]
 
 @pytest.mark.parametrize("p,e,d", KERNEL_TOWERS)
 def test_differential_psi_kernel(p, e, d):
-    ctx = Completion(p, e, d, wp=64)
+    ctx = Completion(p, e, d)
     B = default_budget(ctx, 12)
     rng = random.Random(f"psi-kernel:{p}:{e}:{d}")
     degcap = 3 if ctx.q >= 4 else 5
@@ -643,7 +644,7 @@ def test_differential_psi_kernel(p, e, d):
 
 @pytest.mark.parametrize("p,e,d", KERNEL_TOWERS)
 def test_differential_psi_kernel_poles(p, e, d):
-    ctx = Completion(p, e, d, wp=64)
+    ctx = Completion(p, e, d)
     B = default_budget(ctx, 12)
     lattice = ctx.embed_poly(ctx.spec.poly([1, 1]))  # theta + 1
     near = lattice.truncate(1)  # inexact, agrees with the lattice point
@@ -658,7 +659,7 @@ def test_differential_psi_kernel_poles(p, e, d):
 
 @pytest.mark.parametrize("p,e,d", KERNEL_TOWERS)
 def test_differential_L_multi_kernel(p, e, d):
-    ctx = Completion(p, e, d, wp=64)
+    ctx = Completion(p, e, d)
     degcap = 3 if ctx.q >= 4 else 5
     for powers in ((), (1,), (ctx.q,), (1, 1)):
         for n in (1, 2, 3):
@@ -670,31 +671,48 @@ def test_differential_L_multi_kernel(p, e, d):
 
 
 def test_block_tables_shared_per_tower(monkeypatch):
-    """A second Completion over the same tower reuses the block tables."""
-    monkeypatch.setattr(functions, "_TOWER_CACHE", {})
-    calls = [0]
+    """Two run_check calls over one tower share one completion: the second
+    builds no completion and no block table, and reports the same rows."""
+    verify._completion.cache_clear()
+    made, calls = [], [0]
     orig = functions._char_coeffs
+
+    def counted_completion(*args):
+        made.append(args)
+        return Completion(*args)
 
     def counted(*args):
         calls[0] += 1
         return orig(*args)
 
+    monkeypatch.setattr(verify, "Completion", counted_completion)
     monkeypatch.setattr(functions, "_char_coeffs", counted)
-    results, built = [], []
+    cfg = verify.CheckConfig(check="tau-psi1", p=3, prec=16, tcap=4, degcap=6,
+                             samples=2, seed=3)
+    reports, built = [], []
     for _ in range(2):
-        ctx = Completion(3, 1, 1, wp=64)
-        z = sample_z(ctx, random.Random(71), "small")
         before = calls[0]
-        results.append(psi(ctx, 2, z, 4, 2, default_budget(ctx, 12)))
+        reports.append(verify.run_check(cfg))
         built.append(calls[0] - before)
+    assert made == [(3, 1, 1)]
     assert built[0] > 0 and built[1] == 0
-    want, got = results
-    # the two results live in different completions, so compare their parts
-    assert list(got.terms) == list(want.terms)
-    for e, c in want.terms.items():
-        g = got.terms[e]
-        assert (g.offset, g.prec, g.coeffs.tolist()) == (c.offset, c.prec, c.coeffs.tolist())
-    assert got.tail_norm_exp == want.tail_norm_exp
+    assert reports[0].samples == reports[1].samples
+
+
+def test_differential_n_terms_cache_hit():
+    """A cache hit records the same truncation indices as the miss that
+    filled the cache."""
+    ctx = Completion(3, 1, 1)
+    prime = ctx.spec.poly([1, 1])
+    cf = CycField(ctx.spec, prime, roots_in_ext(prime, ctx.spec)[0])
+    miss, hit = default_budget(ctx, 24), default_budget(ctx, 24)
+    for B in (miss, hit):
+        pi_tilde(ctx, B)
+        chi_t(ctx, ctx.u_pow(1), 4, B)
+        embed(cf.lam, ctx, B)
+    assert miss.n_terms["pi_tilde"] == 2 and miss.n_terms["omega"] == 3
+    assert "carlitz_exp" in miss.n_terms
+    assert hit.n_terms == miss.n_terms
 
 
 def test_ram_solve_several_right_hand_sides():
@@ -717,7 +735,7 @@ def test_ram_solve_several_right_hand_sides():
 def _geometric_reference(ctx, tcap, base_exp, shift, sign):
     """sign * sum_k t^k theta^(-(k+shift)*base_exp) as a capped element, built
     by products; _geometric_mul(A, ...) is A times this."""
-    step = ctx.theta().inv() ** base_exp
+    step = ctx.theta().inv(1) ** base_exp
     cur = step**shift
     if sign < 0:
         cur = -cur
@@ -753,7 +771,7 @@ def _geometric_factor(ctx, rng, tcap):
 def test_differential_geometric_mul(p, e, d):
     """The recurrence equals the product with the geometric series: the same
     keys in the same order, offsets, precisions, rows, cap and tail."""
-    ctx = Completion(p, e, d, wp=64)
+    ctx = Completion(p, e, d)
     rng = random.Random(f"geometric-mul:{p}:{e}:{d}")
     for _ in range(150):
         tcap = rng.randrange(0, 9)
@@ -803,7 +821,7 @@ def _agf_f_reference(ctx, z, tcap, budget):
 @pytest.mark.parametrize("p,e,d", [(2, 1, 1), (3, 1, 1), (2, 2, 1)])
 def test_differential_agf_f_summed(p, e, d):
     """One reduction per t-coefficient equals the summed form."""
-    ctx = Completion(p, e, d, wp=64)
+    ctx = Completion(p, e, d)
     rng = random.Random(f"agf:{p}:{e}:{d}")
     zs = [sample_z(ctx, rng, regime) for regime in ("small", "small", "unit", "large")]
     zs.append(zs[0].truncate(zs[0].valuation() + 3))
@@ -855,7 +873,7 @@ def _papanikolas_reference(ctx, alpha, tcap, budget):
 def test_differential_papanikolas_truncated(p, e, d):
     """Truncating each coefficient before the scalar product gives the
     coefficients of the whole products, truncated at the end."""
-    ctx = Completion(p, e, d, wp=64)
+    ctx = Completion(p, e, d)
     rng = random.Random(f"papanikolas:{p}:{e}:{d}")
     q = ctx.q
     B = default_budget(ctx, 30)

@@ -26,7 +26,7 @@ from carlitz.laurent import (
 
 
 def ctx_q3():
-    return Completion(3, 1, 1, wp=32)
+    return Completion(3, 1, 1)
 
 
 def rand_exact(ctx, rng, lo=-6, hi=8, density=0.6):
@@ -46,7 +46,7 @@ def test_embed_theta_frozen():
     assert k == -2
     assert c.index == 2
     # theta * theta^-1 == 1
-    assert (th * th.inv()) == ctx.one()
+    assert (th * th.inv(1)) == ctx.one()
     # embedding of a polynomial: theta^2 + 1 -> u^-4 + 1
     p = ctx.spec.poly([1, 0, 1])
     s = ctx.embed_poly(p)
@@ -54,7 +54,7 @@ def test_embed_theta_frozen():
 
 
 def test_embed_sign_alternates():
-    ctx = Completion(2, 1, 1, wp=16)
+    ctx = Completion(2, 1, 1)
     # q=2: theta = u^-1 exactly (minus is plus)
     assert ctx.theta().to_pairs() == [(-1, ctx.spec.one)]
     ctx3 = ctx_q3()
@@ -65,7 +65,7 @@ def test_embed_sign_alternates():
 def test_lambda_relation():
     # lambda^(q-1) = -theta in every tower
     for params in ((2, 1, 1), (3, 1, 1), (2, 2, 1), (3, 1, 2)):
-        ctx = Completion(*params, wp=8)
+        ctx = Completion(*params)
         assert ctx.lam() ** ctx.ram == -ctx.theta()
 
 
@@ -94,7 +94,7 @@ def test_geometric_series_inverse():
 
 @pytest.mark.parametrize("params", [(2, 1, 1), (3, 1, 1), (2, 2, 1), (3, 1, 2)])
 def test_ring_laws_exact(params):
-    ctx = Completion(*params, wp=8)
+    ctx = Completion(*params)
     rng = random.Random(400 + ctx.q * ctx.d)
     for _ in range(120):
         a = rand_exact(ctx, rng)
@@ -108,23 +108,23 @@ def test_ring_laws_exact(params):
 
 
 def test_inverse_random():
-    ctx = Completion(3, 1, 2, wp=24)
+    ctx = Completion(3, 1, 2)
     rng = random.Random(9)
     for _ in range(40):
         a = rand_exact(ctx, rng, density=0.8)
         if a.is_zero():
             continue
-        b = a.inv()
+        b = a.inv(24)
         res = a * b - ctx.one()
         assert res.is_zero()
         # relative precision of the certificate
-        assert res.prec >= ctx.wp - a.valuation() + a.valuation()
+        assert res.prec >= 24
 
 
 def test_inverse_precision_rule():
     ctx = ctx_q3()
     a = ctx.from_terms([(-3, ctx.spec.one), (0, ctx.spec.from_subfield(2))], prec=10)
-    b = a.inv()
+    b = a.inv(40)  # the input's precision, not the cap, sets the length
     assert b.offset == 3
     assert b.prec == 10 - 2 * (-3)
     assert (a * b - ctx.one()).is_zero()
@@ -153,18 +153,20 @@ def test_add_cancellation_yields_term_free():
 def test_zero_errors():
     ctx = ctx_q3()
     with pytest.raises(ZeroInverseError):
-        ctx.zero().inv()
+        ctx.zero().inv(8)
     with pytest.raises(EmptyPrecisionError):
-        ctx.zero(prec=5).inv()
+        ctx.zero(prec=5).inv(8)
     with pytest.raises(EmptyPrecisionError):
         ctx.from_terms([(0, ctx.spec.one)], prec=4).coeff_at(6)
     with pytest.raises(FieldMismatchError):
         ctx.one() + Completion(2, 1, 1).one()
+    with pytest.raises(ConfigError):
+        ctx.theta() ** -1  # an inverse needs its precision: inv(rel_prec)
 
 
 def test_qpow_matches_repeated_product():
     for params in ((2, 1, 1), (3, 1, 1), (2, 2, 1), (3, 1, 2)):
-        ctx = Completion(*params, wp=8)
+        ctx = Completion(*params)
         rng = random.Random(31 * ctx.q + ctx.d)
         for _ in range(40):
             a = rand_exact(ctx, rng, lo=-4, hi=5)
@@ -181,7 +183,7 @@ def test_qpow_precision_scaling():
     assert f.prec == 18
     assert f.offset == 3
     # Frobenius acts on coefficients
-    ctx4 = Completion(2, 2, 1, wp=8)
+    ctx4 = Completion(2, 2, 1)
     c = ctx4.spec.from_index(2)
     a4 = ctx4.from_field(c, 1)
     assert a4.qpow().to_pairs() == [(4, c.frobenius())]
@@ -234,7 +236,7 @@ def test_im_part_examples():
     assert ctx.im_norm_exp(ctx.lam()) == Fraction(1, 2)
     assert ctx.im_norm_exp(ctx.theta()) == float("-inf")
     # d=2: tower coordinate outside F_q is imaginary even on the q-1 grid
-    ctx2 = Completion(3, 1, 2, wp=8)
+    ctx2 = Completion(3, 1, 2)
     zeta = ctx2.spec.from_index(3)
     z2 = ctx2.from_field(zeta, -2)
     assert ctx2.im_norm_exp(z2) == 1
@@ -243,7 +245,7 @@ def test_im_part_examples():
 
 
 def test_im_part_q2():
-    ctx = Completion(2, 1, 2, wp=8)
+    ctx = Completion(2, 1, 2)
     # x-block is the base completion at every exponent when q = 2
     z = ctx.from_terms([(-1, ctx.spec.one), (0, ctx.spec.from_index(2))])
     im = ctx.im_part(z)
@@ -257,7 +259,7 @@ def test_im_part_q2():
 ])
 def test_sampler_regimes(regime, check):
     for params in ((2, 1, 1), (3, 1, 1), (2, 2, 1)):
-        ctx = Completion(*params, wp=8)
+        ctx = Completion(*params)
         rng = random.Random(123)
         for _ in range(30):
             z = sample_z(ctx, rng, regime)
@@ -270,13 +272,13 @@ def test_sampler_regimes(regime, check):
 
 def test_sampler_imag_large():
     for params in ((3, 1, 1), (2, 1, 2), (3, 1, 2)):
-        ctx = Completion(*params, wp=8)
+        ctx = Completion(*params)
         rng = random.Random(77)
         for _ in range(25):
             z = sample_z(ctx, rng, "imag_large")
             assert ctx.im_norm_exp(z) >= 1
     with pytest.raises(ConfigError):
-        sample_z(Completion(2, 1, 1, wp=8), random.Random(1), "imag_large")
+        sample_z(Completion(2, 1, 1), random.Random(1), "imag_large")
     with pytest.raises(ConfigError):
         sample_z(ctx_q3(), random.Random(1), "no-such-regime")
 
@@ -320,7 +322,7 @@ def _batch_mul_reference(ctx, A, B, n):
     return out % ctx.p
 
 
-def _inv_reference(x, rel_prec=None):
+def _inv_reference(x, rel_prec):
     """RamLaurent.inv as its own Newton loop over single-series products."""
     if x.is_exact_zero():
         raise ZeroInverseError("inverse of exact zero series")
@@ -330,13 +332,7 @@ def _inv_reference(x, rel_prec=None):
     v = x.offset
     if x.is_exact() and x.coeffs.shape[0] == 1:
         return ctx.from_field(x.coeff_at(v).inv(), -v)
-    if x.is_exact():
-        n = rel_prec if rel_prec is not None else ctx.wp
-    else:
-        n = x.prec - v
-        if rel_prec is not None:
-            n = min(n, rel_prec)
-    n = max(int(n), 1)
+    n = max(int(rel_prec if x.is_exact() else min(x.prec - v, rel_prec)), 1)
     U = x.coeffs[:n]
     B = np.array([x.coeff_at(v).inv().coords], dtype=np.int8)
     one_row = np.array(ctx.spec.one.coords, dtype=np.int64)
@@ -351,9 +347,7 @@ def _inv_reference(x, rel_prec=None):
         newB[: corr.shape[0]] += corr
         B = (newB % ctx.p).astype(np.int8)
         t = t2
-    prec = x.prec - 2 * v if not x.is_exact() else -v + n
-    if rel_prec is not None:
-        prec = min(prec, -v + n)
+    prec = -v + n if x.is_exact() else min(x.prec - 2 * v, -v + n)
     return RamLaurent(ctx, -v, B, prec)
 
 
@@ -401,10 +395,10 @@ def _inv_inputs(ctx, rng):
 
 @pytest.mark.parametrize("p,e,d", SERIES_TOWERS)
 def test_differential_inv(p, e, d):
-    ctx = Completion(p, e, d, wp=24)
+    ctx = Completion(p, e, d)
     rng = random.Random(f"inv:{p}:{e}:{d}")
     for x in _inv_inputs(ctx, rng):
-        for rel in (None, 1, 5, 40):
+        for rel in (1, 5, 24, 40):
             got, want = x.inv(rel), _inv_reference(x, rel)
             assert (got.offset, got.prec) == (want.offset, want.prec)
             assert got.coeffs.shape == want.coeffs.shape
@@ -414,7 +408,7 @@ def test_differential_inv(p, e, d):
 @pytest.mark.parametrize("p,e,d", SERIES_TOWERS)
 def test_differential_stack_inv_rows(p, e, d):
     """Each row of a stacked inverse is that row's inverse taken alone."""
-    ctx = Completion(p, e, d, wp=24)
+    ctx = Completion(p, e, d)
     rng = random.Random(f"stack:{p}:{e}:{d}")
     m = ctx.spec.m
     for dprec in (PREC_EXACT, 14):
@@ -426,7 +420,7 @@ def test_differential_stack_inv_rows(p, e, d):
         for i, x in enumerate(xs):
             D[i, x.offset - lo : x.end() - lo] = x.coeffs
         single = np.array([x.is_exact() and x.coeffs.shape[0] == 1 for x in xs])
-        for rel in (None, 7):
+        for rel in (24, 7):
             X, off, prec = stack_inv(ctx, D, lo, dprec, rel, single)
             for i, x in enumerate(xs):
                 assert RamLaurent(ctx, int(off[i]), X[i], int(prec[i])) == x.inv(rel)
@@ -445,7 +439,7 @@ def test_differential_stack_inv_rows(p, e, d):
 def test_truncation_soundness(tower, lo, idx, idy, cut_x, cut_y, n):
     """A truncated input gives an inverse and a product that agree with the
     exact ones to the precision they claim, and x * x.inv(n) is 1 to that."""
-    ctx = Completion(*tower, wp=16)
+    ctx = Completion(*tower)
     spec = ctx.spec
 
     def series(ids):
@@ -456,7 +450,7 @@ def test_truncation_soundness(tower, lo, idx, idy, cut_x, cut_y, n):
     x, y = series(idx), series(idy)
     P, Q = x.valuation() + cut_x, y.valuation() + cut_y
     big = P - x.valuation() + 8
-    assert (x.truncate(P).inv() - x.inv(big)).is_zero()
+    assert (x.truncate(P).inv(big) - x.inv(big)).is_zero()
     assert (x.truncate(P) * y.truncate(Q) - x * y).is_zero()
     r = x * x.inv(n) - ctx.one()
     assert r.is_zero() and r.prec >= n
@@ -477,7 +471,7 @@ def test_truncate_before_multiply(tower, lo_c, lo_b, idc, idb, cut_c, cut_b, P):
     """(c.truncate(P - v_b) * b).truncate(P) == (c * b).truncate(P) with
     v_b = b.valuation(), for exact, inexact, term-free and exact-zero factors:
     the lemma behind papanikolas_L's truncated scalar products."""
-    ctx = Completion(*tower, wp=16)
+    ctx = Completion(*tower)
     spec = ctx.spec
 
     def series(lo, ids, cut):

@@ -32,12 +32,12 @@ from oracles import tate_poly_t
 
 @pytest.fixture(scope="module")
 def ctx32():
-    return Completion(3, 1, 2, wp=48)
+    return Completion(3, 1, 2)
 
 
 @pytest.fixture(scope="module")
 def ctx21():
-    return Completion(2, 1, 2, wp=48)
+    return Completion(2, 1, 2)
 
 
 def rand_scalar(ctx, rng, exact=True):
@@ -489,7 +489,7 @@ def _diff_inputs(ctx, rng, s):
 @pytest.mark.parametrize("p,e,d", [(2, 1, 1), (2, 1, 2), (2, 2, 1), (3, 1, 1), (3, 1, 2)])
 @pytest.mark.parametrize("s", [1, 2])
 def test_differential_mul(p, e, d, s):
-    ctx = Completion(p, e, d, wp=24)
+    ctx = Completion(p, e, d)
     rng = random.Random(f"tate-mul:{p}:{e}:{d}:{s}")
     seen = {"dropped": 0, "inexact zero": 0, "fold": 0, "tail": 0}
     for a, b in _diff_inputs(ctx, rng, s):
@@ -526,7 +526,7 @@ def test_tate_truncation_soundness(tower, s, caps, xs, ys):
     """The product of truncated elements agrees with the exact product in every
     coefficient to that coefficient's claimed prec, and its tail bound covers
     every exact term past the cap."""
-    ctx = Completion(*tower, wp=16)
+    ctx = Completion(*tower)
     spec = ctx.spec
 
     def pair(terms, cap):

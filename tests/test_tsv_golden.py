@@ -23,6 +23,7 @@ GOLDEN = {
     "p3": (["--p", "3"], 0),
     "p2": (["--p", "2"], 1),
     "p2e2": (["--p", "2", "--e", "2"], 0),
+    "p3prime": (["--p", "3", "--prime", "2,2,0,1"], 0),
 }
 
 

@@ -15,6 +15,8 @@ import pytest
 from carlitz import cli
 from carlitz import verify
 from carlitz.errors import ConfigError, UnknownCheckError
+from carlitz.functions import default_budget
+from carlitz.laurent import Completion
 from carlitz.verify import (
     CheckConfig,
     CheckDef,
@@ -337,3 +339,43 @@ def test_cli_out_file(tmp_path, capsys):
     assert cli.main(["--check", "eq2-omega", "--p", "2", "--prec", "12",
                      "--tcap", "6", "--degcap", "6", "--out", str(bad)]) == 2
     capsys.readouterr()
+
+
+def _moments_per_call(ctx, rows, count, B):
+    """The per-call form of the power sums: the first count of them, from
+    k = 0 on every call."""
+    moments = []
+    acc = [ctx.one() for _ in rows]
+    for k in range(count):
+        tot = ctx.zero(B.wp)
+        for (_, w), pw in zip(rows, acc):
+            tot = tot + pw.scale(w)
+        moments.append(tot)
+        acc = [pw * val for (val, _), pw in zip(rows, acc)]
+    return moments
+
+
+@pytest.mark.parametrize("p", [2, 3])
+def test_differential_moments_extend(p):
+    """_Moments.upto gives the per-call power sums for counts that rise,
+    repeat and fall, as the samples of thm4 and prop51 ask for them."""
+    rc = verify._resolve(CheckConfig(check="prop51-ev", p=p))
+    spec, prime, roots = verify._torsion_for(rc, every=False)
+    ctx = Completion(p, 1, prime.degree)
+    B = default_budget(ctx, 16)
+    rows, _ = verify._residue_rows(ctx, spec, prime, {0: roots[0][1]}, (0,), B)
+    sums = verify._Moments(ctx, rows, B)
+    for count in (3, 1, 7, 7, 0, 9):
+        assert sums.upto(count) == _moments_per_call(ctx, rows, count, B)
+
+
+def test_differential_check_order():
+    """A check's TSV rows do not depend on which checks ran before it in the
+    same process: --all at --p 3 against every check run alone in reverse
+    order, each pass on fresh completions."""
+    cfg = CheckConfig(p=3)
+    verify._completion.cache_clear()
+    forward = run_all(cfg)
+    verify._completion.cache_clear()
+    backward = [run_check(dataclasses.replace(cfg, check=name)) for name in reversed(REGISTRY)]
+    assert cli.emit_tsv(backward[::-1], False) == cli.emit_tsv(forward, False)
