@@ -10,7 +10,7 @@ themselves (functions), exact torsion-field and Gauss-sum machinery
 from .errors import CarlitzError, ConfigError, UnknownCheckError
 from .fields import GFPoly, enumerate_A, make_field, roots_in_ext
 from .laurent import Completion, RamLaurent, sample_z
-from .tate import EvalSpec, TateElem, tate_const, tate_t_minus_theta, tate_zero
+from .tate import TateElem, tate_const, tate_t_minus_theta, tate_zero
 from .functions import (
     L_multi,
     SeriesBudget,
@@ -46,7 +46,7 @@ __all__ = [
     "CarlitzError", "ConfigError", "UnknownCheckError",
     "GFPoly", "enumerate_A", "make_field", "roots_in_ext",
     "Completion", "RamLaurent", "sample_z",
-    "EvalSpec", "TateElem", "tate_const", "tate_t_minus_theta", "tate_zero",
+    "TateElem", "tate_const", "tate_t_minus_theta", "tate_zero",
     "L_multi", "SeriesBudget", "agf_f", "carlitz_e", "carlitz_exp", "chi_t",
     "default_budget", "omega", "omega_inv", "papanikolas_L", "pi_tilde",
     "psi", "u_m_val", "u_val",

@@ -28,8 +28,6 @@ from .fields import (
     carlitz_dl,
     enumerate_A,
     poly_add,
-    poly_degree,
-    poly_eval,
     poly_mul,
     poly_pdivmod,
     poly_sub,
@@ -53,10 +51,6 @@ class LinPoly:
     def __init__(self, spec, coeffs):
         self.spec = spec
         self.coeffs = tuple(poly_trim(coeffs))
-
-    @property
-    def height(self) -> int:
-        return len(self.coeffs) - 1
 
     def coeff(self, j: int) -> GFPoly:
         if 0 <= j < len(self.coeffs):
@@ -415,38 +409,10 @@ def gauss_sum_inv(cf: CycField) -> CycElem:
 # -- interpolation polynomials
 
 
-class ZPoly:
-    """Dense polynomial in the torsion variable over the torsion field."""
-
-    __slots__ = ("coeffs",)
-
-    def __init__(self, coeffs):
-        self.coeffs = tuple(coeffs)
-
-    @property
-    def degree(self) -> int:
-        return poly_degree(self.coeffs)
-
-    def coeff(self, k: int):
-        return self.coeffs[k]
-
-    def eval(self, x):
-        return poly_eval(self.coeffs, x)
-
-    def __eq__(self, other):
-        # torsion-field elements compare structurally: only trailing zeros differ
-        return isinstance(other, ZPoly) and poly_trim(self.coeffs) == poly_trim(other.coeffs)
-
-    def __hash__(self):
-        return hash(tuple(poly_trim(self.coeffs)))
-
-    def __repr__(self):
-        return f"ZPoly(degree={self.degree}, len={len(self.coeffs)})"
-
-
-def interpolation_M(cf: CycField) -> ZPoly:
+def interpolation_M(cf: CycField) -> list:
     """Exact interpolation through the torsion values of all residues:
-    M(C_b(lambda)) = prime * chi(b), with chi(b) = b(zeta).
+    M(C_b(lambda)) = prime * chi(b), with chi(b) = b(zeta).  M is the
+    trimmed coefficient list, low degree first.
 
     The nodes C_b(lambda) are the q^d roots of C_P(Z) = Z * rho(Z), and
     C_P'(Z) = P, so every Lagrange denominator is P and
@@ -467,13 +433,13 @@ def interpolation_M(cf: CycField) -> ZPoly:
             acc = cp[k] * chi + node * acc
         if not acc.is_zero():
             raise InvariantError(f"torsion value of {b!r} is not a root of C_P")
-    return ZPoly(out)
+    return poly_trim(out)
 
 
-def M_from_gauss(cf: CycField) -> ZPoly:
+def M_from_gauss(cf: CycField) -> list:
     """Closed form of the prime interpolation polynomial through the Gauss sum:
     (-1)^d g_inv * sum_j Z^{q^j} * sum over a of degree j..d-1 of
-    chi(a)^{-1} E_j(a).
+    chi(a)^{-1} E_j(a), as interpolation_M's trimmed coefficient list.
     """
     spec = cf.spec
     ginv = gauss_sum_inv(cf)
@@ -490,7 +456,7 @@ def M_from_gauss(cf: CycField) -> ZPoly:
                 raise InvariantError(f"E_{j}({a!r}) is not a polynomial")
             total = total + cf.const(val) * a.eval(cf.zeta).inv()
         out[spec.q**j] = total * ginv * sign
-    return ZPoly(out)
+    return poly_trim(out)
 
 
 # -- exact identities in two symbols
@@ -510,6 +476,17 @@ def telescope_pair(spec, d: int):
     if spec.q**d > DEG_LIMIT:
         raise SizeLimitError("telescope depth beyond the degree guard")
     one = GFPoly(spec, (spec.one,), "x")
+    zero = GFPoly(spec, (), "x")
+
+    def times_y_minus_xq(prod, j):
+        """prod * (y - x^{q^j}), both as y-coefficients in F_q[x]."""
+        xq = GFPoly(spec, (spec.zero,) * spec.q**j + (spec.one,), "x")
+        nxt = [zero] * (len(prod) + 1)
+        for m, c in enumerate(prod):
+            nxt[m + 1] = nxt[m + 1] + c
+            nxt[m] = nxt[m] - xq * c
+        return nxt
+
     # suffix products l_{d-1}/l_j without division
     suffix = [one] * d
     for j in range(d - 2, -1, -1):
@@ -517,30 +494,16 @@ def telescope_pair(spec, d: int):
         f[1] = spec.one
         f[spec.q ** (j + 1)] = -spec.one
         suffix[j] = GFPoly(spec, tuple(f), "x") * suffix[j + 1]
-    lhs = [GFPoly(spec, (), "x")] * d
+    lhs = [zero] * d
     prod = [one]  # prod_{k<j} (y - x^{q^k}) as y-coefficients
     for j in range(d):
         for m, c in enumerate(prod):
             lhs[m] = lhs[m] + suffix[j] * c
         if j < d - 1:
-            mono = [spec.zero] * (spec.q**j + 1)
-            mono[spec.q**j] = spec.one
-            xq = GFPoly(spec, tuple(mono), "x")
-            nxt = [GFPoly(spec, (), "x")] * (len(prod) + 1)
-            for m, c in enumerate(prod):
-                nxt[m + 1] = nxt[m + 1] + c
-                nxt[m] = nxt[m] - xq * c
-            prod = nxt
+            prod = times_y_minus_xq(prod, j)
     rhs = [one]
     for j in range(1, d):
-        mono = [spec.zero] * (spec.q**j + 1)
-        mono[spec.q**j] = spec.one
-        xq = GFPoly(spec, tuple(mono), "x")
-        nxt = [GFPoly(spec, (), "x")] * (len(rhs) + 1)
-        for m, c in enumerate(rhs):
-            nxt[m + 1] = nxt[m + 1] + c
-            nxt[m] = nxt[m] - xq * c
-        rhs = nxt
+        rhs = times_y_minus_xq(rhs, j)
     den = carlitz_dl(spec, d - 1, "x")[1]
     return den, tuple(lhs), tuple(rhs)
 

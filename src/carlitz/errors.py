@@ -61,10 +61,6 @@ class RootMismatchError(CarlitzError):
     """Chosen root is not a root of the designated polynomial."""
 
 
-class DuplicateNodesError(CarlitzError):
-    """Interpolation nodes are not pairwise distinct."""
-
-
 class SingularSystemError(CarlitzError):
     """A linear system that must be solvable is singular."""
 

@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Iterable
 
 import numpy as np
 from numpy.lib.stride_tricks import as_strided
@@ -117,33 +117,6 @@ class Completion:
                 terms.append((-k * self.ram, c * sign))
             sign = -sign
         return self.from_terms(terms)
-
-    # -- imaginary part relative to F_q((1/theta))
-
-    def im_part(self, x: "RamLaurent") -> "RamLaurent":
-        """Component of x orthogonal to F_q((1/theta)) inside the ramified field.
-
-        The base completion occupies exactly the u-exponents divisible by q-1
-        with coefficients in F_q; everything else is the 'imaginary' part.
-        """
-        self._assert_mine(x)
-        if x.is_zero():
-            return x
-        out = x.coeffs.astype(np.int8).copy()
-        e = self.spec.e
-        for r in range(out.shape[0]):
-            k = x.offset + r
-            if k % self.ram == 0:
-                out[r, :e] = 0
-        return RamLaurent(self, x.offset, out, x.prec)
-
-    def im_norm_exp(self, x: "RamLaurent"):
-        """Exponent b with |x|_im = q^b (Fraction), or -inf when the part vanishes."""
-        return self.im_part(x).norm_exp()
-
-    def _assert_mine(self, x: "RamLaurent"):
-        if x.ctx is not self:
-            raise FieldMismatchError("series from another completion")
 
     def __repr__(self):
         return f"Completion(q={self.q}, d={self.d})"
@@ -366,15 +339,6 @@ class RamLaurent:
             return self.ctx.spec.elem(self.coeffs[r])
         return self.ctx.spec.zero
 
-    def to_pairs(self) -> list[tuple[int, GFElem]]:
-        spec = self.ctx.spec
-        out = []
-        for r in range(self.coeffs.shape[0]):
-            row = self.coeffs[r]
-            if row.any():
-                out.append((self.offset + r, spec.elem(row)))
-        return out
-
     def end(self) -> int:
         return self.offset + self.coeffs.shape[0]
 
@@ -426,11 +390,6 @@ class RamLaurent:
         out = (self.coeffs.astype(np.int64) @ M) % self.ctx.p
         return RamLaurent(self.ctx, self.offset, out, self.prec)
 
-    def shift(self, k: int) -> "RamLaurent":
-        """Multiply by u^k."""
-        prec = self.prec if self.is_exact() else self.prec + k
-        return RamLaurent(self.ctx, self.offset + k, self.coeffs, prec)
-
     def inv(self, rel_prec: int) -> "RamLaurent":
         """1/self: the one-row case of stack_inv, which sets length and precision."""
         if self.is_exact_zero():
@@ -481,12 +440,6 @@ class RamLaurent:
     def truncate(self, new_prec: int) -> "RamLaurent":
         """Forget all information at u-exponents >= new_prec."""
         return RamLaurent(self.ctx, self.offset, self.coeffs, min(self.prec, new_prec))
-
-    def window(self, length: int) -> "RamLaurent":
-        """Keep only the first `length` terms past the valuation."""
-        if self.is_zero():
-            return self
-        return self.truncate(self.offset + max(int(length), 1))
 
     def __eq__(self, other):
         return (

@@ -12,15 +12,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .errors import (
-    DuplicateNodesError,
-    EmptyPrecisionError,
-    FieldMismatchError,
-    NotIrreducibleError,
-    PrecisionExhaustedError,
-    RootMismatchError,
-    ShapeMismatchError,
-)
+from .errors import EmptyPrecisionError, FieldMismatchError, ShapeMismatchError
 from .fields import GFElem
 from .laurent import (NEG_INF, PREC_EXACT, Completion, RamLaurent, left_map, mul_prec,
                       pair_mul, sum_blocks)
@@ -89,9 +81,6 @@ class TateElem:
             out = max(out, c.norm_exp())
         return out
 
-    def norm_bound_exp(self):
-        return max(self.gauss_norm_exp(), self.tail_norm_exp)
-
     def prec_floor(self) -> int:
         out = PREC_EXACT
         for c in self.terms.values():
@@ -99,9 +88,6 @@ class TateElem:
         if self.tail_norm_exp != NEG_INF:
             out = min(out, _val_floor(self.tail_norm_exp, self.ctx.ram))
         return out
-
-    def exponents(self) -> list:
-        return sorted(self.terms)
 
     # -- ring structure
 
@@ -206,66 +192,25 @@ class TateElem:
             out[lifted] = c
         return TateElem(self.ctx, self.s, self.tcap, out, tail)
 
-    def ev(self, espec: "EvalSpec") -> RamLaurent:
-        """Evaluate t_i = zeta_i.  |zeta_i| = 1, so the tail bound transfers."""
-        if espec.s != self.s:
-            raise ShapeMismatchError(f"evaluation data has {espec.s} slots, element has {self.s}")
-        if espec.field is not self.ctx.spec:
+    def ev(self, roots: tuple) -> RamLaurent:
+        """Evaluate t_i = roots[i], roots of unity in the tower.
+
+        |roots[i]| = 1, so the tail bound transfers.
+        """
+        if len(roots) != self.s:
+            raise ShapeMismatchError(f"{len(roots)} roots for {self.s} variables")
+        if any(z.field is not self.ctx.spec for z in roots):
             raise FieldMismatchError("evaluation roots from another tower")
         acc = self.ctx.zero()
         for e in sorted(self.terms):
             f = self.ctx.spec.one
-            for zi, k in zip(espec.roots, e):
+            for zi, k in zip(roots, e):
                 if k:
                     f = f * zi**k
             acc = acc + self.terms[e].scale(f)
         if self.tail_norm_exp != NEG_INF:
             acc = acc.truncate(_val_floor(self.tail_norm_exp, self.ctx.ram))
         return acc
-
-    def at_theta(self, i: int) -> "TateElem":
-        """Substitute t_i -> theta, producing an element in one variable fewer.
-
-        For a stored polynomial (no tail) this is plain exact arithmetic.  A
-        truncated series needs the decay certificate: theta-powers grow like
-        q^m, so the discarded degrees only stay below budget when the true
-        coefficients decay strictly faster.
-        """
-        if not 0 <= i < self.s:
-            raise ShapeMismatchError(f"variable index {i} out of range for s={self.s}")
-        ctx = self.ctx
-        err = NEG_INF
-        if self.tail_norm_exp != NEG_INF:
-            if self.decay is None:
-                raise PrecisionExhaustedError(
-                    "t -> theta with a nonzero tail bound needs a decay certificate")
-            delta, c_exp = self.decay
-            if delta <= 1:
-                raise PrecisionExhaustedError(
-                    f"decay rate {delta} too slow against |theta^m| = q^m")
-            for e, c in self.terms.items():
-                if not c.is_zero() and c.norm_exp() > c_exp - delta * sum(e):
-                    raise PrecisionExhaustedError(
-                        f"stored coefficient at {e} violates the decay certificate")
-            err = c_exp - (delta - 1) * (self.tcap + 1)
-        th = ctx.theta()
-        powers = {0: ctx.one()}
-        out: dict = {}
-        for e, c in self.terms.items():
-            m = e[i]
-            if m not in powers:
-                powers[m] = th**m
-            val = c * powers[m]
-            key = e[:i] + e[i + 1 :]
-            prev = out.get(key)
-            out[key] = val if prev is None else prev + val
-        if err != NEG_INF:
-            floor = _val_floor(err, ctx.ram)
-            out = {e: c.truncate(floor) for e, c in out.items()}
-            if not out:
-                out = {(0,) * (self.s - 1): ctx.zero(floor)}
-        tail = err if self.s - 1 > 0 else NEG_INF
-        return TateElem(ctx, self.s - 1, self.tcap, out, tail)
 
     def embed_vars(self, s_new: int, positions: tuple) -> "TateElem":
         """Place variable j of self at slot positions[j] of an s_new-variable element."""
@@ -280,20 +225,6 @@ class TateElem:
                 lifted[positions[j]] = k
             out[tuple(lifted)] = c
         return TateElem(self.ctx, s_new, self.tcap, out, self.tail_norm_exp, self.decay)
-
-    def with_decay(self, delta, c_exp) -> "TateElem":
-        return TateElem(self.ctx, self.s, self.tcap, self.terms,
-                        self.tail_norm_exp, (delta, Fraction(c_exp)))
-
-    # -- output
-
-    def render(self, max_terms: int = 12) -> str:
-        lines = [f"TateElem s={self.s} cap={self.tcap} tail_exp={self.tail_norm_exp}"]
-        for e in self.exponents()[:max_terms]:
-            lines.append(f"  t^{e}: {self.terms[e]!r}")
-        if len(self.terms) > max_terms:
-            lines.append(f"  ... {len(self.terms) - max_terms} more")
-        return "\n".join(lines)
 
     def __eq__(self, other):
         return (
@@ -333,51 +264,3 @@ def tate_var(ctx: Completion, s: int, tcap: int, i: int) -> TateElem:
 def tate_t_minus_theta(ctx: Completion, s: int, tcap: int, i: int) -> TateElem:
     return tate_var(ctx, s, tcap, i) + tate_const(ctx, s, tcap, -ctx.theta())
 
-
-# -- evaluation data
-
-
-class EvalSpec:
-    """Roots of unity data for the evaluation map t_i = zeta_i.
-
-    primes: monic irreducibles p_1..p_s of A with coefficients in the base
-    subfield; roots: one root of each inside the ambient extension field.
-    """
-
-    __slots__ = ("primes", "roots", "field")
-
-    def __init__(self, primes, roots):
-        primes = tuple(primes)
-        roots = tuple(roots)
-        if not primes or len(primes) != len(roots):
-            raise ShapeMismatchError("need one root per prime, at least one prime")
-        field = primes[0].field
-        for f in primes:
-            if f.field is not field:
-                raise FieldMismatchError("primes over different towers")
-            if f.degree < 1 or not f.is_monic():
-                raise NotIrreducibleError(f"{f!r} is not monic of positive degree")
-            f.subfield_coeff_indices()  # FieldMismatchError if outside the base subfield
-            if not f.is_irreducible():
-                raise NotIrreducibleError(f"{f!r} is reducible over the base subfield")
-        seen = set()
-        for f in primes:
-            key = tuple(c.index for c in f.coeffs)
-            if key in seen:
-                raise DuplicateNodesError("repeated prime in evaluation data")
-            seen.add(key)
-        for f, z in zip(primes, roots):
-            if z.field is not field:
-                raise FieldMismatchError("root from another tower")
-            if not f.eval(z).is_zero():
-                raise RootMismatchError(f"{z!r} is not a root of {f!r}")
-        self.primes = primes
-        self.roots = roots
-        self.field = field
-
-    @property
-    def s(self) -> int:
-        return len(self.primes)
-
-    def __repr__(self):
-        return f"EvalSpec(prime degrees {[f.degree for f in self.primes]})"

@@ -25,11 +25,11 @@ from .fields import (
     enumerate_A,
     make_field,
     poly_degree,
+    poly_eval,
     roots_in_ext,
 )
 from .laurent import NEG_INF, PREC_EXACT, Completion, sample_z
 from .tate import (
-    EvalSpec,
     TateElem,
     _val_floor,
     tate_const,
@@ -476,7 +476,7 @@ def _run_thm3(rc):
     for i, zeta in roots:
         cf = CycField(spec, prime, zeta)
         g = gauss_sum(cf)
-        ev = om.ev(EvalSpec((prime,), (zeta,)))
+        ev = om.ev((zeta,))
         resid = ev + embed(g, ctx, B).scale(chl.eval(zeta))
         out.append(_residual_sample(len(out), f"root#{i}", resid, cfg.prec))
     return out, {"d": dp}
@@ -495,7 +495,6 @@ def _run_thm4(rc):
     pi = pi_tilde(ctx, B)
     pinv = pi.inv(B.wp)
     p_emb = ctx.embed_poly(prime)
-    espec = EvalSpec((prime,), (zeta,))
 
     # closed form of the leading coefficient; the prime power rescales the
     # inverse-Gauss-sum expression to the series variable u_prime
@@ -541,7 +540,7 @@ def _run_thm4(rc):
                 break
         vu = um.valuation()
         p1 = psi(ctx, 1, z, cfg.degcap, cfg.tcap, B)
-        pw = (p1.ev(espec) * pinv) * p_emb
+        pw = (p1.ev((zeta,)) * pinv) * p_emb
         want = k0 * vu + a0_val
         order_ok = (not pw.is_zero()) and pw.valuation() == want
         out.append(_exact_sample(len(out), f"order at z#{i}", order_ok,
@@ -725,7 +724,6 @@ def _run_prop51(rc):
         ctx = rc.ctx(d_ctx)
         B = default_budget(ctx, cfg.prec)
         pinv = pi_tilde(ctx, B).inv(B.wp)
-        espec = EvalSpec(tuple(primes), tuple(roots[j] for j in J))
         s = len(J)
         rows, top = _residue_rows(ctx, spec, m_poly, roots, J, B)
         sums = _Moments(ctx, rows, B)
@@ -738,7 +736,7 @@ def _run_prop51(rc):
             while K < 160 and _series_tail_floor(um, top, K, ctx.ram) < cfg.prec + um.valuation():
                 K += 1
             mom = sums.upto(K)
-            w = psi(ctx, s, z, cfg.degcap, cfg.tcap, B).ev(espec) * pinv
+            w = psi(ctx, s, z, cfg.degcap, cfg.tcap, B).ev(tuple(roots[j] for j in J)) * pinv
             series = ctx.zero(B.wp)
             upow = ctx.one()
             for k in range(K):
@@ -760,10 +758,9 @@ def _run_cor52(rc):
     M = interpolation_M(cf)
     ctx = rc.ctx(dp)
     B = default_budget(ctx, cfg.prec)
-    coeffs = [embed(c, ctx, B) for c in M.coeffs]
+    coeffs = [embed(c, ctx, B) for c in M]
     p_emb = ctx.embed_poly(prime)
     p_inv = modulus_inv(ctx, prime, B.wp)
-    espec = EvalSpec((prime,), (zeta,))
     out = []
     for i in range(cfg.samples):
         z = _mixed_z(rc, ctx, i)
@@ -771,7 +768,7 @@ def _run_cor52(rc):
         val = ctx.zero(B.wp)
         for c in reversed(coeffs):
             val = val * w + c
-        lhs = p_emb * chi_t(ctx, z, cfg.tcap, B).ev(espec)
+        lhs = p_emb * chi_t(ctx, z, cfg.tcap, B).ev((zeta,))
         out.append(_residual_sample(i, f"z#{i} |z|={_norm_str(z)}", lhs - val, cfg.prec))
     return out, {"d": dp}
 
@@ -789,12 +786,12 @@ def _run_lem53(rc):
     nodes_ok = True
     for b in enumerate_A(spec, prime.degree):
         want = cf.const(prime) * cf.const(b.eval(zeta))
-        if not (Ml.eval(action_at_lam(cf, b)) - want).is_zero():
+        if not (poly_eval(Ml, action_at_lam(cf, b)) - want).is_zero():
             nodes_ok = False
             break
     out.append(_exact_sample(1, "node values prime * character(b)", nodes_ok))
     qs = {rc.q**j for j in range(prime.degree)}
-    shape_ok = all(Ml.coeff(k).is_zero() or k in qs for k in range(Ml.degree + 1))
+    shape_ok = all(c.is_zero() or k in qs for k, c in enumerate(Ml))
     out.append(_exact_sample(2, "support only on q-power exponents", shape_ok))
     return out, {"d": prime.degree}
 
@@ -824,11 +821,11 @@ def _run_cor56(rc):
         ginv = gauss_sum_inv(cf)
         sgn = cf.one if (d + 1) % 2 == 0 else -cf.one
         chl = carlitz_dl(spec, d - 1)[1].eval(zeta)
-        deg_ok = M.degree == rc.q ** (d - 1)
-        lead_ok = (M.coeff(rc.q ** (d - 1)) - sgn * ginv * cf.const(chl.inv())).is_zero()
+        deg_ok = len(M) - 1 == rc.q ** (d - 1)
+        lead_ok = deg_ok and (M[-1] - sgn * ginv * cf.const(chl.inv())).is_zero()
         tm_inv = cf.const(spec.poly([spec.zero - zeta, spec.one])).inv()
         lin = sgn * cf.const(prime) * cf.const(chl.inv()) * tm_inv * ginv
-        lin_ok = (M.coeff(1) - lin).is_zero()
+        lin_ok = (M[1] - lin).is_zero()
         out.append(_exact_sample(len(out), f"root#{i}", deg_ok and lead_ok and lin_ok,
                                  f"deg={deg_ok} lead={lead_ok} linear={lin_ok}"))
     return out, {"d": d}

@@ -1,8 +1,9 @@
 """Reference constructions shared by the test modules; not part of the package."""
 
+from carlitz.errors import PrecisionExhaustedError, ShapeMismatchError
 from carlitz.fields import GFPoly
-from carlitz.laurent import Completion
-from carlitz.tate import TateElem
+from carlitz.laurent import NEG_INF, Completion, RamLaurent
+from carlitz.tate import TateElem, _val_floor
 
 
 def tate_poly_t(ctx: Completion, s: int, tcap: int, i: int, a: GFPoly) -> TateElem:
@@ -14,3 +15,73 @@ def tate_poly_t(ctx: Completion, s: int, tcap: int, i: int, a: GFPoly) -> TateEl
         e = tuple(k if j == i else 0 for j in range(s))
         terms[e] = ctx.from_field(c)
     return TateElem(ctx, s, tcap, terms)
+
+
+def to_pairs(x: RamLaurent) -> list:
+    """(u-exponent, field coefficient) of every nonzero stored term of x."""
+    spec = x.ctx.spec
+    return [(x.offset + r, spec.elem(row)) for r, row in enumerate(x.coeffs) if row.any()]
+
+
+def im_part(x: RamLaurent) -> RamLaurent:
+    """Component of x orthogonal to F_q((1/theta)) inside the ramified field.
+
+    The base completion occupies exactly the u-exponents divisible by q-1
+    with coefficients in F_q; everything else is the 'imaginary' part.
+    """
+    ctx = x.ctx
+    out = x.coeffs.copy()
+    for r in range(out.shape[0]):
+        if (x.offset + r) % ctx.ram == 0:
+            out[r, : ctx.spec.e] = 0
+    return RamLaurent(ctx, x.offset, out, x.prec)
+
+
+def im_norm_exp(x: RamLaurent):
+    """Exponent b with |x|_im = q^b (Fraction), or -inf when the part vanishes."""
+    return im_part(x).norm_exp()
+
+
+def at_theta(x: TateElem, i: int) -> TateElem:
+    """Substitute t_i -> theta, producing an element in one variable fewer.
+
+    For a stored polynomial (no tail) this is plain exact arithmetic.  A
+    truncated series needs the decay certificate: theta-powers grow like
+    q^m, so the discarded degrees only stay below budget when the true
+    coefficients decay strictly faster.
+    """
+    if not 0 <= i < x.s:
+        raise ShapeMismatchError(f"variable index {i} out of range for s={x.s}")
+    ctx = x.ctx
+    err = NEG_INF
+    if x.tail_norm_exp != NEG_INF:
+        if x.decay is None:
+            raise PrecisionExhaustedError(
+                "t -> theta with a nonzero tail bound needs a decay certificate")
+        delta, c_exp = x.decay
+        if delta <= 1:
+            raise PrecisionExhaustedError(
+                f"decay rate {delta} too slow against |theta^m| = q^m")
+        for e, c in x.terms.items():
+            if not c.is_zero() and c.norm_exp() > c_exp - delta * sum(e):
+                raise PrecisionExhaustedError(
+                    f"stored coefficient at {e} violates the decay certificate")
+        err = c_exp - (delta - 1) * (x.tcap + 1)
+    th = ctx.theta()
+    powers = {0: ctx.one()}
+    out: dict = {}
+    for e, c in x.terms.items():
+        m = e[i]
+        if m not in powers:
+            powers[m] = th**m
+        val = c * powers[m]
+        key = e[:i] + e[i + 1 :]
+        prev = out.get(key)
+        out[key] = val if prev is None else prev + val
+    if err != NEG_INF:
+        floor = _val_floor(err, ctx.ram)
+        out = {e: c.truncate(floor) for e, c in out.items()}
+        if not out:
+            out = {(0,) * (x.s - 1): ctx.zero(floor)}
+    tail = err if x.s - 1 > 0 else NEG_INF
+    return TateElem(ctx, x.s - 1, x.tcap, out, tail)
