@@ -52,11 +52,6 @@ class LinPoly:
         self.spec = spec
         self.coeffs = tuple(poly_trim(coeffs))
 
-    def coeff(self, j: int) -> GFPoly:
-        if 0 <= j < len(self.coeffs):
-            return self.coeffs[j]
-        return self.spec.poly([])
-
     def __add__(self, other: "LinPoly") -> "LinPoly":
         return LinPoly(self.spec, poly_add(self.coeffs, other.coeffs, self.spec.poly([])))
 

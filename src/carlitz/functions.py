@@ -14,6 +14,7 @@ import numpy as np
 from .errors import (
     AlphaTooLargeError,
     ConfigError,
+    InvariantError,
     LatticePoleError,
     PrecisionExhaustedError,
     ShapeMismatchError,
@@ -23,7 +24,7 @@ from .errors import (
 from .fields import DEG_LIMIT, GFPoly, carlitz_dl, enumerate_A
 from .laurent import (NEG_INF, PREC_EXACT, Completion, RamLaurent, batch_mul, stack_inv,
                       sum_blocks)
-from .tate import TateElem, tate_const, tate_zero
+from .tate import TateElem, mul_profile, tate_const, tate_zero
 
 
 @dataclass
@@ -340,9 +341,80 @@ def omega_inv(ctx: Completion, tcap: int, budget: SeriesBudget) -> TateElem:
     return ctx.cache[key]
 
 
+def _omega_inv_factors(ctx: Completion, lo: int, top: int) -> int:
+    """Number of linear factors (1 - t/theta^(q^i)) of omega^{-1} that chi_t
+    applies: the least I with ram * q^I + lo >= top."""
+    i = 0
+    while ctx.ram * ctx.q**i + lo < top:
+        i += 1
+    return i
+
+
 def chi_t(ctx: Completion, z: RamLaurent, tcap: int, budget: SeriesBudget) -> TateElem:
-    """The entire interpolation of a -> a(t): omega^{-1} * agf_f(z)."""
-    return omega_inv(ctx, tcap, budget) * agf_f(ctx, z, tcap, budget)
+    """The entire interpolation of a -> a(t): omega^{-1} * agf_f(z).
+
+    The keys, their order, every precision, the cap and the tail are those
+    of the product omega_inv(...) * agf_f(...), by tate.mul_profile against
+    the cached Newton omega_inv; no product is formed.  The values come from
+    omega^{-1} = lambda^{-1} * prod_{i>=0} (1 - t/theta^(q^i)) applied to F =
+    agf_f(z) as its linear factors.  lambda^{-1} = u shifts every row by one.
+    theta = -u^(-ram), so theta^(-b) = (-1)^b u^(b*ram), and the factor with
+    b = q^i is the recurrence D[e] -= theta^(-b) D[e-1], that is D[e] +=
+    u^(b*ram) D[e-1]: b is odd for odd q, and the sign is void in
+    characteristic 2.  So each factor is one shift by b*ram rows over one
+    int64 buffer that holds every t-coefficient, with row r at u^(lo + r) and
+    lo = 1 + the least offset of F.
+
+    Bound.  Let P[e] be the product's precision at e, top the largest, and I
+    the least index with ram * q^I + lo >= top.  The omitted factors multiply
+    D by prod_{i>=I} (1 - t/theta^(q^i)) = 1 + sum_{k>=1} c_k t^k with
+    v(c_k) >= ram * (q^I + ... + q^(I+k-1)) >= ram * q^I, and every factor
+    has integral coefficients, so no row of D lies below lo.  Each omitted
+    factor therefore moves D[e] only at rows >= ram * q^I + lo >= top >= P[e],
+    and rows at or past top are never needed.  So below P[e] the stored rows
+    are those of the sum over ea + eb = e of omega^{-1}[ea] * F[eb] with the
+    exact omega^{-1}.  They equal the product's rows wherever each Newton
+    coefficient is right below its precision pa, because pa + v(F[eb]) >=
+    P[e].  Where it is not (at wp = ram * q^i omega omits a factor whose
+    first term lies at u^(wp - 1), and _tate_inv can stop before its
+    t-adic doubling reaches the top degrees), these rows are the exact ones
+    and the product's last row is off.  The recurrence's own precision, R[e] = the least over the
+    applied paths of prec(F[eb]) + 1 + the shifts, and ram * q^I + lo, must
+    not fall below P[e]: that would mean the profile claims rows the factors
+    do not fix, and InvariantError is raised.
+    """
+    inv = omega_inv(ctx, tcap, budget)
+    F = agf_f(ctx, z, tcap, budget)
+    cap, precs, tail = mul_profile(inv, F)
+    if not precs:
+        return TateElem(ctx, 1, cap, {}, tail)
+    top = max(precs.values())
+    if top >= PREC_EXACT:
+        raise InvariantError("omega^-1 * agf_f has an exact coefficient")
+    lo = 1 + min((c.offset for c in F.terms.values() if c.coeffs.shape[0]), default=top)
+    D = np.zeros((cap + 1, max(top - lo, 0), ctx.spec.m), dtype=np.int64)
+    rec = [PREC_EXACT] * (cap + 1)  # R[e], before the omitted-factor bound
+    for (e,), c in F.terms.items():
+        at = c.offset + 1 - lo
+        rows = c.coeffs[: max(D.shape[1] - at, 0)]
+        D[e, at : at + rows.shape[0]] = rows
+        if not c.is_exact():
+            rec[e] = c.prec + 1
+    n_factors = _omega_inv_factors(ctx, lo, top)
+    for i in range(n_factors):
+        shift = ctx.q**i * ctx.ram
+        D[1:, shift:] += D[:-1, : max(D.shape[1] - shift, 0)]
+        for e in range(cap, 0, -1):
+            rec[e] = min(rec[e], rec[e - 1] + shift)
+    bound = ctx.ram * ctx.q**n_factors + lo
+    out = {}
+    for (e,), prec in precs.items():
+        if min(rec[e], bound) < prec:
+            raise InvariantError(
+                f"linear factors of omega^-1 fix t^{e} to u^{min(rec[e], bound)}, "
+                f"below the product precision {prec}")
+        out[(e,)] = RamLaurent(ctx, lo, D[e], prec)
+    return TateElem(ctx, 1, cap, out, tail)
 
 
 # -- Carlitz logarithm series

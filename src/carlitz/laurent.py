@@ -29,7 +29,6 @@ from fractions import Fraction
 from typing import Iterable
 
 import numpy as np
-from numpy.lib.stride_tricks import as_strided
 
 from .errors import (
     ConfigError,
@@ -213,8 +212,9 @@ def batch_mul(ctx: Completion, A: np.ndarray, B: np.ndarray, n: int,
     La, Lb = A.shape[1], min(B.shape[1], n)
     Bp = np.zeros((N, La - 1 + n, m), dtype=np.int64)
     Bp[:, La - 1 : La - 1 + Lb] = B[:, :Lb]
-    W = as_strided(Bp[:, start:], shape=(N, n - start, La * m), strides=Bp.strides,
-                   writeable=False)
+    W = np.ndarray((N, n - start, La * m), dtype=np.int64, buffer=Bp,
+                   offset=start * Bp.strides[1], strides=Bp.strides)
+    W.flags.writeable = False
     AT = (A[:, ::-1].reshape(-1, m) @ ctx.mul_rows).reshape(N, La * m, m)
     return (W @ AT) % ctx.p
 
@@ -348,25 +348,33 @@ class RamLaurent:
         if self.ctx is not other.ctx:
             raise FieldMismatchError("series from different completions")
 
-    def __add__(self, other: "RamLaurent") -> "RamLaurent":
+    def _combine(self, other: "RamLaurent", sign: int) -> "RamLaurent":
+        """self + sign * other in one pass, sign +1 or -1."""
         self._check(other)
         prec = min(self.prec, other.prec)
-        if self.is_zero():
-            return RamLaurent(self.ctx, other.offset, other.coeffs, prec)
         if other.is_zero():
             return RamLaurent(self.ctx, self.offset, self.coeffs, prec)
-        lo = min(self.offset, other.offset)
-        hi = max(self.end(), other.end())
+        if self.is_zero() and sign > 0:
+            return RamLaurent(self.ctx, other.offset, other.coeffs, prec)
+        lo, hi = other.offset, other.end()
+        if not self.is_zero():
+            lo, hi = min(lo, self.offset), max(hi, self.end())
         out = np.zeros((hi - lo, self.ctx.spec.m), dtype=np.int64)
         out[self.offset - lo : self.end() - lo] += self.coeffs
-        out[other.offset - lo : other.end() - lo] += other.coeffs
+        if sign > 0:
+            out[other.offset - lo : other.end() - lo] += other.coeffs
+        else:
+            out[other.offset - lo : other.end() - lo] -= other.coeffs
         return RamLaurent(self.ctx, lo, out % self.ctx.p, prec)
+
+    def __add__(self, other: "RamLaurent") -> "RamLaurent":
+        return self._combine(other, 1)
 
     def __neg__(self) -> "RamLaurent":
         return RamLaurent(self.ctx, self.offset, (-self.coeffs.astype(np.int64)) % self.ctx.p, self.prec)
 
-    def __sub__(self, other):
-        return self + (-other)
+    def __sub__(self, other: "RamLaurent") -> "RamLaurent":
+        return self._combine(other, -1)
 
     def __mul__(self, other: "RamLaurent") -> "RamLaurent":
         self._check(other)

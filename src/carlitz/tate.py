@@ -14,13 +14,55 @@ import numpy as np
 
 from .errors import EmptyPrecisionError, FieldMismatchError, ShapeMismatchError
 from .fields import GFElem
-from .laurent import (NEG_INF, PREC_EXACT, Completion, RamLaurent, left_map, mul_prec,
-                      pair_mul, sum_blocks)
+from .laurent import (NEG_INF, PREC_EXACT, Completion, RamLaurent, left_map, pair_mul,
+                      sum_blocks)
 
 
 def _val_floor(exp_bound, ram: int) -> int:
     """Certified valuation floor from a norm-exponent bound |x| <= q^exp."""
     return math.ceil(-Fraction(exp_bound) * ram)
+
+
+def mul_profile(a: "TateElem", b: "TateElem"):
+    """(cap, precs, tail) of the product a * b, from valuations and precisions.
+
+    This is the one rule for a product's shape, computed in ints before any
+    coefficient is formed.  cap = min(a.tcap, b.tcap).  precs maps every
+    exponent ea + eb <= cap of a stored pair, in first-appearance order over
+    a's keys outer and b's inner, to the least mul_prec over the pairs that
+    land there.  The tail is max(fold, ta + gauss(b), tb + gauss(a), ta + tb),
+    where fold is the least v(a[ea]) + v(b[eb]) over the pairs whose exponent
+    passes the cap.  All pairs are taken at once in numpy: mul_prec's rule
+    over arrays, and one sort of the exponents, coded in base cap + 1, for
+    the per-key least precision and first appearance.
+    """
+    a._check(b)
+    cap, s = min(a.tcap, b.tcap), a.s
+
+    def columns(x):
+        cs = x.terms.values()
+        return (np.array(list(x.terms), dtype=np.int64).reshape(len(x.terms), s),
+                np.array([c.prec for c in cs], dtype=np.int64),
+                np.array([c.valuation() for c in cs], dtype=np.int64))
+
+    (EA, pa, va), (EB, pb, vb) = columns(a), columns(b)
+    E = (EA[:, None] + EB[None, :]).reshape(-1, s)
+    exact = (pa[:, None] >= PREC_EXACT) & (pb[None, :] >= PREC_EXACT)
+    P = np.where(exact, PREC_EXACT,
+                 np.minimum(np.minimum(pa[:, None] + vb, pb + va[:, None]), PREC_EXACT))
+    inside = (E <= cap).all(axis=1)
+    V = (va[:, None] + vb).ravel()[~inside]
+    E, P = E[inside], P.ravel()[inside]
+    keys, first, where = np.unique(E @ (cap + 1) ** np.arange(s, dtype=np.int64),
+                                   return_index=True, return_inverse=True)
+    least = np.full(len(keys), PREC_EXACT, dtype=np.int64)
+    np.minimum.at(least, where.ravel(), P)
+    order = np.argsort(first)
+    precs = {tuple(r): int(x) for r, x in zip(E[first[order]].tolist(), least[order])}
+    fold = Fraction(-int(V.min()), a.ctx.ram) if V.size else NEG_INF
+    ta, tb = a.tail_norm_exp, b.tail_norm_exp
+    tail = max(fold, ta + b.gauss_norm_exp(), tb + a.gauss_norm_exp(), ta + tb)
+    return cap, precs, tail
 
 
 class TateElem:
@@ -97,15 +139,22 @@ class TateElem:
         if self.s != other.s:
             raise ShapeMismatchError(f"variable counts differ: {self.s} vs {other.s}")
 
-    def __add__(self, other: "TateElem") -> "TateElem":
+    def _combine(self, other: "TateElem", sign: int) -> "TateElem":
+        """self + sign * other in one pass over the keys, sign +1 or -1."""
         self._check(other)
         cap = min(self.tcap, other.tcap)
         merged = dict(self.terms)
         for e, c in other.terms.items():
             prev = merged.get(e)
-            merged[e] = c if prev is None else prev + c
+            if sign > 0:
+                merged[e] = c if prev is None else prev + c
+            else:
+                merged[e] = -c if prev is None else prev - c
         return TateElem(self.ctx, self.s, cap, merged,
                         max(self.tail_norm_exp, other.tail_norm_exp))
+
+    def __add__(self, other: "TateElem") -> "TateElem":
+        return self._combine(other, 1)
 
     def __neg__(self) -> "TateElem":
         return TateElem(self.ctx, self.s, self.tcap,
@@ -113,7 +162,7 @@ class TateElem:
                         self.decay)
 
     def __sub__(self, other: "TateElem") -> "TateElem":
-        return self + (-other)
+        return self._combine(other, -1)
 
     def __mul__(self, other):
         if isinstance(other, RamLaurent):
@@ -122,41 +171,24 @@ class TateElem:
             return self.scalar_mul(self.ctx.from_field(other))
         if not isinstance(other, TateElem):
             return NotImplemented
-        self._check(other)
         ctx = self.ctx
-        cap = min(self.tcap, other.tcap)
-        # one pass over the pairs: exponents, precisions and the over-cap
-        # fold in ints; the raw product blocks of the pairs that land on one
-        # exponent are summed and reduced once.  Truncating that sum at the
-        # least pair precision equals summing the products each truncated
-        # at its own, so every coefficient is RamLaurent.__mul__'s sum.
-        right = [(eb, cb.offset, cb.prec, cb.valuation(), cb.coeffs.astype(np.int64))
-                 for eb, cb in other.terms.items()]
-        acc: dict = {}
-        over = None
+        cap, precs, tail = mul_profile(self, other)
+        # the raw product blocks of the pairs that land on one exponent are
+        # summed and reduced once.  Truncating that sum at the least pair
+        # precision equals summing the products each truncated at its own,
+        # so every coefficient is RamLaurent.__mul__'s sum.
+        blocks = {e: [] for e in precs}
+        right = [(eb, cb.offset, cb.coeffs.astype(np.int64))
+                 for eb, cb in other.terms.items() if cb.coeffs.shape[0]]
         for ea, ca in self.terms.items():
-            pa, va = ca.prec, ca.valuation()
-            AT = left_map(ctx, ca.coeffs) if ca.coeffs.shape[0] else None
-            for eb, ob, pb, vb, B in right:
-                e = tuple(x + y for x, y in zip(ea, eb))
-                if any(k > cap for k in e):
-                    over = va + vb if over is None else min(over, va + vb)
-                    continue
-                prec = mul_prec(pa, va, pb, vb)
-                slot = acc.get(e)
-                if slot is None:
-                    slot = acc[e] = [prec, []]
-                elif prec < slot[0]:
-                    slot[0] = prec
-                if AT is not None and B.shape[0]:
-                    slot[1].append((ca.offset + ob, pair_mul(ctx, AT, B)))
-        out = {e: sum_blocks(ctx, blocks, prec) for e, (prec, blocks) in acc.items()}
-        fold = NEG_INF if over is None else Fraction(-over, ctx.ram)
-        ta, tb = self.tail_norm_exp, other.tail_norm_exp
-        tail = max(fold,
-                   ta + other.gauss_norm_exp(),
-                   tb + self.gauss_norm_exp(),
-                   ta + tb)
+            if not ca.coeffs.shape[0]:
+                continue
+            AT = left_map(ctx, ca.coeffs)
+            for eb, ob, B in right:
+                slot = blocks.get(tuple(x + y for x, y in zip(ea, eb)))
+                if slot is not None:  # None: the pair passes the cap
+                    slot.append((ca.offset + ob, pair_mul(ctx, AT, B)))
+        out = {e: sum_blocks(ctx, blocks[e], prec) for e, prec in precs.items()}
         return TateElem(self.ctx, self.s, cap, out, tail)
 
     __rmul__ = __mul__

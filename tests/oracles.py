@@ -17,6 +17,13 @@ def tate_poly_t(ctx: Completion, s: int, tcap: int, i: int, a: GFPoly) -> TateEl
     return TateElem(ctx, s, tcap, terms)
 
 
+def linpoly_coeff(f, j: int) -> GFPoly:
+    """Coefficient c_j of Z^{q^j} in the additive polynomial f (zero past its end)."""
+    if 0 <= j < len(f.coeffs):
+        return f.coeffs[j]
+    return f.spec.poly([])
+
+
 def to_pairs(x: RamLaurent) -> list:
     """(u-exponent, field coefficient) of every nonzero stored term of x."""
     spec = x.ctx.spec

@@ -11,6 +11,7 @@ from carlitz import functions, verify
 from carlitz.errors import (
     AlphaTooLargeError,
     ConfigError,
+    InvariantError,
     LatticePoleError,
     ShapeMismatchError,
     SingularSystemError,
@@ -33,6 +34,7 @@ from carlitz.functions import (
     chi_t,
     default_budget,
     omega,
+    omega_inv,
     papanikolas_L,
     pi_tilde,
     psi,
@@ -889,6 +891,63 @@ def test_differential_papanikolas_truncated(p, e, d):
             _assert_same(got, want)
             assert got.decay == want.decay
             assert b_got.n_terms["papanikolas_L"] == b_want.n_terms["papanikolas_L"]
+
+
+def _omega_inv_reference(ctx, tcap, n):
+    """lambda^-1 * prod_i (1 - t/theta^(q^i)) to degree tcap by RamLaurent
+    products, every coefficient right below u^n: an omitted factor moves
+    only rows at valuations >= 1 + ram * q^i >= n."""
+    coeffs = [ctx.u_pow(1)] + [ctx.zero()] * tcap
+    i = 0
+    while 1 + ctx.ram * ctx.q**i < n:
+        f = ctx.theta().inv(1) ** (ctx.q**i)
+        coeffs = coeffs[:1] + [coeffs[k] - f * coeffs[k - 1] for k in range(1, tcap + 1)]
+        i += 1
+    return TateElem(ctx, 1, tcap, {(k,): c.truncate(n) for k, c in enumerate(coeffs)})
+
+
+@pytest.mark.parametrize("p,e,d", KERNEL_TOWERS)
+def test_differential_chi_t_linear_factors(p, e, d):
+    """omega^-1 applied as its linear factors equals the product with the
+    Newton omega_inv: the same keys in the same order, offsets, rows,
+    precisions, cap and tail.  Every stored row also matches omega^-1 built
+    from the factors by RamLaurent products, times agf_f, below its
+    precision.  That holds too at a budget whose working precision is ram *
+    q^i, where omega omits a factor that moves the row just below the working
+    precision and the Newton product carries that error into its rows."""
+    ctx = Completion(p, e, d)
+    rng = random.Random(f"chi-t:{p}:{e}:{d}")
+    zs = [sample_z(ctx, rng, regime) for regime in ("small", "unit", "large")]
+    zs += [z.truncate(z.valuation() + rng.randrange(1, 6)) for z in zs]
+    pad = default_budget(ctx, 0).pad
+    edge = next(ctx.ram * ctx.q**i for i in range(9) if ctx.ram * ctx.q**i > pad + 8) - pad
+    for prec in (24, edge):
+        for z in zs:
+            for tcap in (0, 1, 5, 12):
+                b_got, b_want = default_budget(ctx, prec), default_budget(ctx, prec)
+                got = chi_t(ctx, z, tcap, b_got)
+                F = agf_f(ctx, z, tcap, b_want)
+                if prec == 24:
+                    want = omega_inv(ctx, tcap, b_want) * F
+                    assert got.tcap == want.tcap == tcap
+                    _assert_same(got, want)
+                    assert b_got.n_terms == b_want.n_terms
+                top = max(c.prec for c in got.terms.values())
+                low = min(c.valuation() for c in F.terms.values())
+                exact = _omega_inv_reference(ctx, tcap, top - low) * F
+                for k, c in got.terms.items():
+                    r = exact.coeff(k)
+                    assert r.prec >= c.prec and (c - r).truncate(c.prec).is_zero(), (prec, k)
+
+
+def test_chi_t_invariants_raise(monkeypatch):
+    """Too few linear factors leave rows the product's precision claims
+    undetermined; chi_t raises instead of returning them, also under -O."""
+    ctx = Completion(2, 1, 1)
+    z = sample_z(ctx, random.Random(7), "small")
+    monkeypatch.setattr(functions, "_omega_inv_factors", lambda ctx, lo, top: 1)
+    with pytest.raises(InvariantError, match="below the product precision"):
+        chi_t(ctx, z, 6, default_budget(ctx, 24))
 
 
 # -- linear solves
