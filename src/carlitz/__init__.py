@@ -24,6 +24,7 @@ from .functions import (
     papanikolas_L,
     pi_tilde,
     psi,
+    psi_family,
     u_m_val,
     u_val,
 )
@@ -49,7 +50,7 @@ __all__ = [
     "TateElem", "tate_const", "tate_t_minus_theta", "tate_zero",
     "L_multi", "SeriesBudget", "agf_f", "carlitz_e", "carlitz_exp", "chi_t",
     "default_budget", "omega", "omega_inv", "papanikolas_L", "pi_tilde",
-    "psi", "u_m_val", "u_val",
+    "psi", "psi_family", "u_m_val", "u_val",
     "CycField", "M_from_gauss", "basis_E", "carlitz_poly", "embed", "gauss_sum",
     "gauss_sum_inv", "interpolation_M", "telescope_pair",
     "CheckConfig", "CheckReport", "REGISTRY", "run_all", "run_check",

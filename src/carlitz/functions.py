@@ -250,16 +250,17 @@ def omega(ctx: Completion, tcap: int, budget: SeriesBudget) -> TateElem:
 
     Factor i is the geometric series sum_k t^k theta^(-k q^i), applied by
     _geometric_mul's recurrence, so the product over i costs O(tcap) steps
-    per factor.  Omitted factors only move stored coefficients below the
-    working precision; the geometric tails give the q^(1/(q-1) - (tcap+1))
-    bound.
+    per factor.  Factor i first moves a coefficient at u^(ram * q^i - 1),
+    the valuation of lambda * t/theta^(q^i), so the factors with ram * q^i
+    <= wp are applied and the omitted ones move no row below the working
+    precision; the geometric tails give the q^(1/(q-1) - (tcap+1)) bound.
     """
     wp = budget.wp
     key = ("omega", tcap, wp)
     if key not in ctx.cache:
         acc = tate_const(ctx, 1, tcap, ctx.lam())
         i = 0
-        while ctx.ram * ctx.q**i < wp:
+        while ctx.ram * ctx.q**i <= wp:
             acc = _geometric_mul(acc, tcap, ctx.q**i, 0, 1)
             i += 1
         out = {e: c.truncate(wp) for e, c in acc.terms.items()}
@@ -375,13 +376,12 @@ def chi_t(ctx: Completion, z: RamLaurent, tcap: int, budget: SeriesBudget) -> Ta
     are those of the sum over ea + eb = e of omega^{-1}[ea] * F[eb] with the
     exact omega^{-1}.  They equal the product's rows wherever each Newton
     coefficient is right below its precision pa, because pa + v(F[eb]) >=
-    P[e].  Where it is not (at wp = ram * q^i omega omits a factor whose
-    first term lies at u^(wp - 1), and _tate_inv can stop before its
-    t-adic doubling reaches the top degrees), these rows are the exact ones
-    and the product's last row is off.  The recurrence's own precision, R[e] = the least over the
-    applied paths of prec(F[eb]) + 1 + the shifts, and ram * q^I + lo, must
-    not fall below P[e]: that would mean the profile claims rows the factors
-    do not fix, and InvariantError is raised.
+    P[e].  Where it is not (_tate_inv can stop before its t-adic doubling
+    reaches the top degrees), these rows are the exact ones and the
+    product's last row is off.  The recurrence's own precision, R[e] = the
+    least over the applied paths of prec(F[eb]) + 1 + the shifts, and
+    ram * q^I + lo, must not fall below P[e]: that would mean the profile
+    claims rows the factors do not fix, and InvariantError is raised.
     """
     inv = omega_inv(ctx, tcap, budget)
     F = agf_f(ctx, z, tcap, budget)
@@ -493,7 +493,7 @@ def papanikolas_L(ctx: Completion, alpha: RamLaurent, tcap: int,
     # the tail only carries degrees above the cap
     out = {e: _sum_coeffs(ctx, cs).truncate(p_m[e[0]]) for e, cs in parts.items()}
     tail = c_exp - q * (tcap + 1)
-    return TateElem(ctx, 1, tcap, out, tail, decay=(q, c_exp))
+    return TateElem(ctx, 1, tcap, out, tail)
 
 
 # -- block cancellation bound for lattice sums
@@ -666,25 +666,34 @@ def _assemble(ctx: Completion, parts) -> dict:
     return {e: RamLaurent(ctx, lo, acc[k], kprec[k]) for e, k in slot.items()}
 
 
-def _psi_denominators(ctx: Completion, j: int, z: RamLaurent):
-    """Rows z - c*a over the degree-j block (a outer, unit c inner) in one
-    frame (D, lo), truncated at z's precision like the series they stand for."""
+def _unit_rows(ctx: Completion, j: int) -> np.ndarray:
+    """Rows c*a over the degree-j block (a outer, unit c inner), in the frame
+    of _monic_rows."""
     key = ("unit_rows", j)
     if key not in ctx.cache:
         S = np.stack([ctx.spec.scalar_matrix(c) for c in _units(ctx)])
         rows = np.einsum("nlb,cbd->ncld", _monic_rows(ctx, j), S) % ctx.p
         ctx.cache[key] = rows.reshape(-1, rows.shape[2], rows.shape[3])
-    CA = ctx.cache[key]
-    base = -j * ctx.ram
-    lo = base if z.is_zero() else min(base, z.offset)
-    hi = min(max(base + CA.shape[1], z.end()), z.prec)
-    D = np.zeros((CA.shape[0], max(hi - lo, 0), ctx.spec.m), dtype=np.int64)
-    w = min(CA.shape[1], hi - base)
-    if w > 0:
-        D[:, base - lo : base - lo + w] -= CA[:, :w]
+    return ctx.cache[key]
+
+
+def _psi_denominators(ctx: Completion, js: list, z: RamLaurent):
+    """Rows z - c*a over the degree blocks js, in order, in one frame (D, lo),
+    truncated at z's precision like the series they stand for.  Block js[i]
+    holds rows starts[i] .. starts[i + 1] of D."""
+    CAs = [_unit_rows(ctx, j) for j in js]
+    bases = [-j * ctx.ram for j in js]
+    lo = min(bases) if z.is_zero() else min(min(bases), z.offset)
+    hi = min(max(max(b + CA.shape[1] for b, CA in zip(bases, CAs)), z.end()), z.prec)
+    starts = np.cumsum([0] + [CA.shape[0] for CA in CAs])
+    D = np.zeros((starts[-1], max(hi - lo, 0), ctx.spec.m), dtype=np.int64)
+    for r0, base, CA in zip(starts, bases, CAs):
+        w = min(CA.shape[1], hi - base)
+        if w > 0:
+            D[r0 : r0 + CA.shape[0], base - lo : base - lo + w] -= CA[:, :w]
     if not z.is_zero():
         D[:, z.offset - lo : z.end() - lo] += z.coeffs
-    return D % ctx.p, lo
+    return np.mod(D, ctx.p, out=D), lo, starts
 
 
 # -- the lattice sums
@@ -699,48 +708,107 @@ def psi(ctx: Completion, s: int, z: RamLaurent, degcap: int, tcap: int,
     is kept.  Blocks are summed ascending by degree; once q^j exceeds |z| a
     block is bounded by q^{-(j + C(j))} (series expansion in z/a plus the
     coordinate cancellation bound) and blocks below the working precision are
-    folded into the tail.  Each kept block stacks its denominators z - c*a,
-    inverts them in one batched Newton iteration and contracts the inverses
-    against the cached character weights c^weight * chi(a).
+    folded into the tail.  The one-tuple case of psi_family.
+    """
+    if powers is None:
+        powers = (1,) * s
+    return psi_family(ctx, s, z, degcap, tcap, budget, [powers])[0]
+
+
+def psi_family(ctx: Completion, s: int, z: RamLaurent, degcap: int, tcap: int,
+               budget: SeriesBudget, powers_list) -> list:
+    """[psi(ctx, s, z, degcap, tcap, budget, powers) for powers in powers_list],
+    with each lattice block inverted once for all of them.
+
+    The denominators z - c*a do not depend on the powers, so the kept blocks
+    of every tuple (a prefix 0..J_k, since j + C(j) grows with j) are stacked
+    and inverted together: every block below the largest kept J in one
+    batched Newton iteration, then J alone.  Below J there are q^J - 1 rows,
+    fewer than the (q - 1) * q^J of block J, so no stacked call is larger
+    than block J's own; each group's arrays are freed before the next one is
+    built.  Every row's inverse depends on that row alone (stack_inv), so the
+    stacking changes no coefficient.  Each tuple then contracts its own kept
+    blocks against its character weights c^weight * chi(a).  Raises what
+    psi would raise for the first tuple, in list order, that fails.
+    n_terms["psi"] records the inverted blocks.
     """
     wp = budget.wp
     q, ram = ctx.q, ctx.ram
     if s < 0 or degcap < 1:
         raise ShapeMismatchError("need s >= 0 and degcap >= 1")
-    if powers is None:
-        powers = (1,) * s
-    powers = tuple(powers)
-    if len(powers) != s or any(p < 0 for p in powers):
-        raise ShapeMismatchError("powers must list one exponent >= 0 per variable")
-    weight = sum(powers)
     az = z.norm_exp()
-    if Fraction(degcap) <= az:
-        raise ConfigError(f"degcap {degcap} does not exceed log|z| = {az}")
-    parts = []
-    if weight == 0:
-        if z.is_zero():
-            raise LatticePoleError("z vanishes to working precision (a = 0 pole)")
+    family, kept, tails = [], [], []
+    for powers in powers_list:
+        powers = tuple(powers)
+        if len(powers) != s or any(p < 0 for p in powers):
+            raise ShapeMismatchError("powers must list one exponent >= 0 per variable")
+        if Fraction(degcap) <= az:
+            raise ConfigError(f"degcap {degcap} does not exceed log|z| = {az}")
+        weight = sum(powers)
+        # blocks at degree >= degcap obey the same j + C(j) bound, which only grows
+        tail = Fraction(-(degcap + _cancel_exp(q, weight, degcap)))
+        blocks = []
+        for j in range(degcap):
+            c_j = _cancel_exp(q, weight, j)
+            if Fraction(j) > az and ram * (j + c_j) >= wp + 2:
+                tail = max(tail, Fraction(-(j + c_j)))
+            else:
+                blocks.append(j)
+        family.append(powers)
+        kept.append(blocks)
+        tails.append(tail)
+    # the first weight-zero tuple meets the a = 0 pole when z vanishes; the
+    # tuples before it are checked for lattice poles, nothing is inverted
+    a0 = None
+    if z.is_zero():
+        a0 = next((k for k, powers in enumerate(family) if not any(powers)), None)
+    union = sorted(set().union(*kept[:a0]))
+    parts = [[] for _ in family]
+    if a0 is None and not all(map(any, family)):
         zi = z.inv(wp)
-        parts.append((((0,) * s,), zi.offset, zi.coeffs[None], np.array([zi.prec])))
-    # blocks at degree >= degcap obey the same j + C(j) bound, which only grows
-    tail = Fraction(-(degcap + _cancel_exp(q, weight, degcap)))
-    blocks = []
-    for j in range(degcap):
-        c_j = _cancel_exp(q, weight, j)
-        if Fraction(j) > az and ram * (j + c_j) >= wp + 2:
-            tail = max(tail, Fraction(-(j + c_j)))
+        for powers, out in zip(family, parts):
+            if not any(powers):
+                out.append((((0,) * s,), zi.offset, zi.coeffs[None], np.array([zi.prec])))
+    for group in (union[:-1], union[-1:]):
+        if not group:
             continue
-        blocks.append(j)
-        weights = _block_weights(ctx, j, powers, True)
-        D, lo = _psi_denominators(ctx, j, z)
+        D, lo, starts = _psi_denominators(ctx, group, z)
         nz = D.any(axis=2)
-        if not nz.any(axis=1).all():
-            raise LatticePoleError(
-                f"z meets the lattice at degree {j} to precision {z.prec}")
+        spans = list(zip(group, starts[:-1], starts[1:]))
+        for j, r0, r1 in spans:
+            if not nz[r0:r1].any(axis=1).all():
+                raise LatticePoleError(
+                    f"z meets the lattice at degree {j} to precision {z.prec}")
+        if a0 is not None:
+            continue
         single = nz.sum(axis=1) == 1 if z.is_exact() else np.zeros(len(D), dtype=bool)
-        parts.append(_contract(ctx, weights, *stack_inv(ctx, D, lo, z.prec, wp, single)))
-    budget.n_terms["psi"] = blocks
-    return TateElem(ctx, s, tcap, _assemble(ctx, parts), tail)
+        X, off, prec = stack_inv(ctx, D, lo, z.prec, wp, single)
+        del D, nz, single
+        for powers, blocks, out in zip(family, kept, parts):
+            for j, r0, r1 in spans:
+                if j in blocks:
+                    out.append(_contract(ctx, _block_weights(ctx, j, powers, True),
+                                         X[r0:r1], off[r0:r1], prec[r0:r1]))
+        del X, off, prec
+    if a0 is not None:
+        raise LatticePoleError("z vanishes to working precision (a = 0 pole)")
+    budget.n_terms["psi"] = union
+    return [TateElem(ctx, s, tcap, _assemble(ctx, out), tail)
+            for out, tail in zip(parts, tails)]
+
+
+def _monic_inverses(ctx: Completion, j: int, wp: int):
+    """(X, single): the first wp coefficients of 1/a for the monic degree-j
+    block, stacked like _monic_rows (stack_inv, rows starting at u^(j*ram)),
+    and the mask of the single-term a, whose inverse keeps one coefficient.
+    Cached per (j, wp)."""
+    key = ("monic_inv", j, wp)
+    if key not in ctx.cache:
+        rows = _monic_rows(ctx, j)
+        single = rows.any(axis=2).sum(axis=1) == 1
+        X, _, _ = stack_inv(ctx, rows[:, :wp], -j * ctx.ram, PREC_EXACT, wp, single)
+        ctx.cache[key] = X, single
+    return ctx.cache[key]
 
 
 def L_multi(ctx: Completion, s: int, n: int, degcap: int, tcap: int,
@@ -749,8 +817,11 @@ def L_multi(ctx: Completion, s: int, n: int, degcap: int, tcap: int,
 
     powers defaults to all ones; the q-th-power character variants feed the
     difference-equation checks.  Block j carries |block| <= q^{-jn - C(j)}.
-    Each kept block raises its stacked a to the n-th power, inverts all of
-    them in one batched Newton iteration and contracts against chi(a).
+    Each kept block takes the cached inverses 1/a of its monic rows
+    (_monic_inverses), raises them to the n-th power with batch_mul and
+    contracts against chi(a).  The first wp coefficients of (1/a)^n are
+    those of 1/a^n, and a^n is a single term exactly when a is, so the rows
+    and precisions are those of stack_inv applied to a^n.
     """
     wp = budget.wp
     q, ram = ctx.q, ctx.ram
@@ -771,19 +842,19 @@ def L_multi(ctx: Completion, s: int, n: int, degcap: int, tcap: int,
             tail = max(tail, Fraction(-(j * n + c_j)))
             continue
         blocks.append(j)
-        rows = _monic_rows(ctx, j)
-        # a^n is a single term exactly when a is, and its first wp
-        # coefficients fix those of its inverse
-        single = rows.any(axis=2).sum(axis=1) == 1
-        D, base, k = rows[:, :wp], rows[:, :wp], n - 1
+        X, single = _monic_inverses(ctx, j, wp)
+        L = X.shape[1]
+        Xn, base, k = X, X, n - 1
         while k:
             if k & 1:
-                D = batch_mul(ctx, D, base, wp)
+                Xn = batch_mul(ctx, Xn, base, L)
             k >>= 1
             if k:
-                base = batch_mul(ctx, base, base, wp)
-        inv = stack_inv(ctx, D, -j * ram * n, PREC_EXACT, wp, single)
-        parts.append(_contract(ctx, _block_weights(ctx, j, powers, False), *inv))
+                base = batch_mul(ctx, base, base, L)
+        v = -j * ram * n
+        off = np.full(len(X), -v)
+        prec = np.where(single, PREC_EXACT, -v + wp)
+        parts.append(_contract(ctx, _block_weights(ctx, j, powers, False), Xn, off, prec))
     budget.n_terms["L_multi"] = blocks
     return TateElem(ctx, s, tcap, _assemble(ctx, parts), tail)
 

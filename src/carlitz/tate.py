@@ -71,16 +71,13 @@ class TateElem:
     terms maps exponent tuples (i_1,...,i_s), 0 <= i_j <= tcap, to RamLaurent
     coefficients sharing one completion.  tail_norm_exp is b such that the
     discarded (higher-degree) part has Gauss norm <= q^b; NEG_INF means the
-    stored polynomial is the whole element.  decay, when present, is a pair
-    (delta, c_exp) certifying |coefficient at total degree m| <= q^(c_exp -
-    delta*m) for every m, stored or not; it is what makes the substitution
-    t -> theta of a truncated series sound.
+    stored polynomial is the whole element.
     """
 
-    __slots__ = ("ctx", "s", "tcap", "terms", "tail_norm_exp", "decay")
+    __slots__ = ("ctx", "s", "tcap", "terms", "tail_norm_exp")
 
     def __init__(self, ctx: Completion, s: int, tcap: int, terms: dict,
-                 tail_norm_exp=NEG_INF, decay=None):
+                 tail_norm_exp=NEG_INF):
         if s < 0 or tcap < 0:
             raise ShapeMismatchError("need s >= 0 and tcap >= 0")
         clean = {}
@@ -104,7 +101,6 @@ class TateElem:
         self.tcap = tcap
         self.terms = clean
         self.tail_norm_exp = tail
-        self.decay = decay
 
     # -- views
 
@@ -158,8 +154,7 @@ class TateElem:
 
     def __neg__(self) -> "TateElem":
         return TateElem(self.ctx, self.s, self.tcap,
-                        {e: -c for e, c in self.terms.items()}, self.tail_norm_exp,
-                        self.decay)
+                        {e: -c for e, c in self.terms.items()}, self.tail_norm_exp)
 
     def __sub__(self, other: "TateElem") -> "TateElem":
         return self._combine(other, -1)
@@ -256,7 +251,7 @@ class TateElem:
             for j, k in enumerate(e):
                 lifted[positions[j]] = k
             out[tuple(lifted)] = c
-        return TateElem(self.ctx, s_new, self.tcap, out, self.tail_norm_exp, self.decay)
+        return TateElem(self.ctx, s_new, self.tcap, out, self.tail_norm_exp)
 
     def __eq__(self, other):
         return (

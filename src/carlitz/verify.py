@@ -47,6 +47,7 @@ from .functions import (
     papanikolas_L,
     pi_tilde,
     psi,
+    psi_family,
     ram_solve,
     u_m_val,
     u_val,
@@ -425,10 +426,12 @@ def _run_thm2(rc):
         return chis[(k, i)]
 
     def psi_sub(k, J):
-        if (k, J) not in psis:
-            powers = tuple(1 if i in J else 0 for i in (0, 1))
-            psis[(k, J)] = psi(ctx, 2, zs[k], cfg.degcap, cfg.tcap, B, powers=powers)
-        return psis[(k, J)]
+        if k not in psis:
+            subsets = _subsets((0, 1))
+            powers = [tuple(1 if i in S else 0 for i in (0, 1)) for S in subsets]
+            fam = psi_family(ctx, 2, zs[k], cfg.degcap, cfg.tcap, B, powers)
+            psis[k] = dict(zip(subsets, fam))
+        return psis[k][J]
 
     def h_val(k, I):
         comp = [i for i in (0, 1) if i not in I]

@@ -49,23 +49,24 @@ def im_norm_exp(x: RamLaurent):
     return im_part(x).norm_exp()
 
 
-def at_theta(x: TateElem, i: int) -> TateElem:
+def at_theta(x: TateElem, i: int, decay=None) -> TateElem:
     """Substitute t_i -> theta, producing an element in one variable fewer.
 
     For a stored polynomial (no tail) this is plain exact arithmetic.  A
-    truncated series needs the decay certificate: theta-powers grow like
-    q^m, so the discarded degrees only stay below budget when the true
-    coefficients decay strictly faster.
+    truncated series needs a decay certificate decay = (delta, c_exp),
+    |coefficient at total degree m| <= q^(c_exp - delta*m) for every m,
+    stored or not: theta-powers grow like q^m, so the discarded degrees only
+    stay below budget when the true coefficients decay strictly faster.
     """
     if not 0 <= i < x.s:
         raise ShapeMismatchError(f"variable index {i} out of range for s={x.s}")
     ctx = x.ctx
     err = NEG_INF
     if x.tail_norm_exp != NEG_INF:
-        if x.decay is None:
+        if decay is None:
             raise PrecisionExhaustedError(
                 "t -> theta with a nonzero tail bound needs a decay certificate")
-        delta, c_exp = x.decay
+        delta, c_exp = decay
         if delta <= 1:
             raise PrecisionExhaustedError(
                 f"decay rate {delta} too slow against |theta^m| = q^m")

@@ -38,6 +38,7 @@ from carlitz.functions import (
     papanikolas_L,
     pi_tilde,
     psi,
+    psi_family,
     ram_solve,
     u_m_val,
     u_val,
@@ -259,14 +260,22 @@ def test_chi_growth_off_axis():
 # -- logarithm series
 
 
+def _log_decay(ctx, alpha):
+    """papanikolas_L's decay certificate (q, c_exp), c_exp = max(a, q*a - q)
+    with a = log_q|alpha|."""
+    a = alpha.norm_exp()
+    return ctx.q, max(a, ctx.q * a - ctx.q)
+
+
 def test_log_series_certificate():
     ctx = ctx3()
     B = default_budget(ctx, 40)
     tcap = 10
     alpha = ctx.one() + ctx.u_pow(1)
     L = papanikolas_L(ctx, alpha, tcap, B)
-    delta, c_exp = L.decay
+    delta, c_exp = _log_decay(ctx, alpha)
     assert delta == ctx.q and c_exp == Fraction(0)
+    assert L.tail_norm_exp == c_exp - delta * (tcap + 1)
     for e in L.terms:
         assert L.coeff(e).norm_exp() <= c_exp - delta * e[0]
     with pytest.raises(AlphaTooLargeError):
@@ -280,7 +289,8 @@ def test_log_exp_roundtrip():
         B = default_budget(ctx, 30)
         tcap = 34
         alpha = ctx.one() + ctx.u_pow(1) + ctx.u_pow(3)
-        v = at_theta(papanikolas_L(ctx, alpha, tcap, B), 0).coeff(())
+        v = at_theta(papanikolas_L(ctx, alpha, tcap, B), 0,
+                     _log_decay(ctx, alpha)).coeff(())
         assert v.prec >= B.prec
         back = carlitz_exp(ctx, v, SeriesBudget(v.prec, 0))
         assert (back - alpha).is_zero()
@@ -293,7 +303,8 @@ def test_log_of_exp_recovers_period_multiple():
         tcap = 34
         z = sample_z(ctx, rng, "small")
         alpha = carlitz_e(ctx, z, B)
-        v = at_theta(papanikolas_L(ctx, alpha, tcap, B), 0).coeff(())
+        v = at_theta(papanikolas_L(ctx, alpha, tcap, B), 0,
+                     _log_decay(ctx, alpha)).coeff(())
         d = v - pi_tilde(ctx, B) * z
         assert d.is_zero()
 
@@ -672,6 +683,113 @@ def test_differential_L_multi_kernel(p, e, d):
             assert b_got.n_terms["L_multi"] == b_want.n_terms["L_multi"]
 
 
+def _psi_family_points(ctx, rng, degcap):
+    """The psi kernel points: small, unit and large z, two of them truncated,
+    a lattice point, an inexact point next to one, and exact and inexact zero;
+    zero known only below u^0 meets the degree-0 block as well as a = 0."""
+    zs = [sample_z(ctx, rng, regime) for regime in ("small", "unit", "large")]
+    zs = [z for z in zs if z.norm_exp() < degcap]
+    zs += [z.truncate(z.valuation() + 5) for z in (zs[0], zs[-1])]
+    lattice = ctx.embed_poly(ctx.spec.poly([1, 1]))  # theta + 1
+    return zs + [lattice, lattice.truncate(1), ctx.zero(), ctx.zero(12), ctx.zero(0)]
+
+
+@pytest.mark.parametrize("p,e,d", KERNEL_TOWERS)
+def test_differential_psi_family_kernel(p, e, d):
+    """psi_family over the KERNEL_POWERS of one variable count, in both
+    orders, at one z equals _psi_reference per tuple, or raises the pole
+    message of the first tuple whose reference raises."""
+    ctx = Completion(p, e, d)
+    rng = random.Random(f"psi-family:{p}:{e}:{d}")
+    degcap = 3 if ctx.q >= 4 else 5
+    by_s = {}
+    for powers in KERNEL_POWERS:
+        by_s.setdefault(len(powers), []).append(powers)
+    for z in _psi_family_points(ctx, rng, degcap):
+        for s, family in sorted(by_s.items()):
+            for order in (family, family[::-1]):
+                b_got = default_budget(ctx, 12)
+                want, err, blocks = [], None, set()
+                for powers in order:
+                    b_want = default_budget(ctx, 12)
+                    try:
+                        want.append(_psi_reference(ctx, s, z, degcap, 2, b_want, powers))
+                    except LatticePoleError as exc:
+                        err = exc
+                        break
+                    blocks.update(b_want.n_terms["psi"])
+                if err is not None:
+                    with pytest.raises(LatticePoleError, match=re.escape(str(err))):
+                        psi_family(ctx, s, z, degcap, 2, b_got, order)
+                    continue
+                got = psi_family(ctx, s, z, degcap, 2, b_got, order)
+                assert len(got) == len(want)
+                for g, w in zip(got, want):
+                    _assert_same(g, w)
+                assert b_got.n_terms["psi"] == sorted(blocks)
+
+
+@pytest.mark.parametrize("p,e,d", KERNEL_TOWERS)
+def test_differential_L_multi_cached_inverse(p, e, d):
+    """L_multi for n = 1..5 on one completion, cold and then from the cached
+    inverses, at two budgets, equals _L_multi_reference; the warm calls
+    invert nothing."""
+    ctx = Completion(p, e, d)
+    degcap = 3 if ctx.q >= 4 else 5
+    calls = []
+    orig = functions.stack_inv
+
+    def counted(*args):
+        calls.append(args[1].shape[0])
+        return orig(*args)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(functions, "stack_inv", counted)
+        for prec in (12, 30):
+            for rnd in ("cold", "warm"):
+                before = len(calls)
+                for powers in ((1,), (ctx.q,)):
+                    for n in range(1, 6):
+                        b_got, b_want = default_budget(ctx, prec), default_budget(ctx, prec)
+                        got = L_multi(ctx, 1, n, degcap, 2, b_got, powers=powers)
+                        want = _L_multi_reference(ctx, 1, n, degcap, 2, b_want, powers=powers)
+                        _assert_same(got, want)
+                        assert b_got.n_terms["L_multi"] == b_want.n_terms["L_multi"]
+                if rnd == "warm":
+                    assert len(calls) == before
+                else:
+                    # one inversion per kept block, shared by every n and powers
+                    assert 0 < len(calls) - before <= degcap
+
+
+@pytest.mark.parametrize("p,e,d", KERNEL_TOWERS)
+def test_differential_psi_stacked_call_bound(p, e, d):
+    """No stack_inv call inside psi or psi_family gets more rows than the
+    largest kept block, (q - 1) * q^J, and each argument takes at most two."""
+    ctx = Completion(p, e, d)
+    rng = random.Random(f"psi-bound:{p}:{e}:{d}")
+    degcap = 3 if ctx.q >= 4 else 5
+    zs = [sample_z(ctx, rng, regime) for regime in ("small", "unit", "large")]
+    zs = [z for z in zs if z.norm_exp() < degcap]
+    orig = functions.stack_inv
+    for z in zs:
+        for family in ([(1,)], [(0, 0), (1, 0), (0, 1), (1, 1)]):
+            rows = []
+
+            def counted(*args):
+                rows.append(args[1].shape[0])
+                return orig(*args)
+
+            B = default_budget(ctx, 12)
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(functions, "stack_inv", counted)
+                psi_family(ctx, len(family[0]), z, degcap, 2, B, family)
+            J = max(B.n_terms["psi"])
+            assert 1 <= len(rows) <= 2
+            assert max(rows) <= (ctx.q - 1) * ctx.q**J
+            assert sum(rows) == ctx.q**(J + 1) - 1
+
+
 def test_block_tables_shared_per_tower(monkeypatch):
     """Two run_check calls over one tower share one completion: the second
     builds no completion and no block table, and reports the same rows."""
@@ -868,7 +986,7 @@ def _papanikolas_reference(ctx, alpha, tcap, budget):
         p_m = math.ceil(ram * (q * e[0] - c_last))
         out[e] = c.truncate(p_m)
     tail = c_exp - q * (tcap + 1)
-    return TateElem(ctx, 1, tcap, out, tail, decay=(q, c_exp))
+    return TateElem(ctx, 1, tcap, out, tail)
 
 
 @pytest.mark.parametrize("p,e,d", [(2, 1, 1), (3, 1, 1), (2, 2, 1)])
@@ -889,7 +1007,6 @@ def test_differential_papanikolas_truncated(p, e, d):
             got = papanikolas_L(ctx, alpha, tcap, b_got)
             want = _papanikolas_reference(ctx, alpha, tcap, b_want)
             _assert_same(got, want)
-            assert got.decay == want.decay
             assert b_got.n_terms["papanikolas_L"] == b_want.n_terms["papanikolas_L"]
 
 
@@ -906,6 +1023,24 @@ def _omega_inv_reference(ctx, tcap, n):
     return TateElem(ctx, 1, tcap, {(k,): c.truncate(n) for k, c in enumerate(coeffs)})
 
 
+@pytest.mark.parametrize("p,prec", [(2, 16), (3, 32)])
+def test_omega_keeps_factor_at_working_precision(p, prec):
+    """At a working precision of ram * q^i, factor i of omega first moves
+    the t^1 coefficient at u^(wp - 1); omega keeps that factor, so omega
+    times omega^-1 built from the linear factors by RamLaurent products is 1
+    below every claimed precision."""
+    ctx = Completion(p, 1, 1)
+    B = default_budget(ctx, prec)
+    assert any(ctx.ram * ctx.q**i == B.wp for i in range(8))
+    for tcap in (1, 3, 6):
+        prod = omega(ctx, tcap, B) * _omega_inv_reference(ctx, tcap, B.wp + 8)
+        for k in range(tcap + 1):
+            c = prod.coeff((k,))
+            r = c - ctx.one() if k == 0 else c
+            assert r.truncate(c.prec).is_zero(), (tcap, k)
+            assert c.prec >= B.wp, (tcap, k)
+
+
 @pytest.mark.parametrize("p,e,d", KERNEL_TOWERS)
 def test_differential_chi_t_linear_factors(p, e, d):
     """omega^-1 applied as its linear factors equals the product with the
@@ -913,8 +1048,8 @@ def test_differential_chi_t_linear_factors(p, e, d):
     precisions, cap and tail.  Every stored row also matches omega^-1 built
     from the factors by RamLaurent products, times agf_f, below its
     precision.  That holds too at a budget whose working precision is ram *
-    q^i, where omega omits a factor that moves the row just below the working
-    precision and the Newton product carries that error into its rows."""
+    q^i, where factor i of omega first moves the row just below the working
+    precision."""
     ctx = Completion(p, e, d)
     rng = random.Random(f"chi-t:{p}:{e}:{d}")
     zs = [sample_z(ctx, rng, regime) for regime in ("small", "unit", "large")]

@@ -341,17 +341,15 @@ def test_specialize_requires_certificate(ctx32):
     A = TateElem(ctx32, 1, 4, {(0,): ctx32.one()}, tail_norm_exp=Fraction(-20))
     with pytest.raises(PrecisionExhaustedError):
         at_theta(A, 0)
-    slow = TateElem(ctx32, 1, 4, A.terms, A.tail_norm_exp, decay=(1, Fraction(0)))
     with pytest.raises(PrecisionExhaustedError):
-        at_theta(slow, 0)
+        at_theta(A, 0, decay=(1, Fraction(0)))
 
 
 def test_specialize_detects_certificate_violation(ctx32):
-    bad = TateElem(ctx32, 1, 4, {(3,): ctx32.one()}, tail_norm_exp=Fraction(-20),
-                   decay=(2, Fraction(0)))
+    bad = TateElem(ctx32, 1, 4, {(3,): ctx32.one()}, tail_norm_exp=Fraction(-20))
     # |coeff| = 1 > q^(0 - 2*3)
     with pytest.raises(PrecisionExhaustedError):
-        at_theta(bad, 0)
+        at_theta(bad, 0, decay=(2, Fraction(0)))
 
 
 def test_specialize_decay_budget(ctx32):
@@ -359,11 +357,10 @@ def test_specialize_decay_budget(ctx32):
 
     def series(cap):
         terms = {(m,): ctx32.u_pow(2 * m * ram) for m in range(cap + 1)}
-        return TateElem(ctx32, 1, cap, terms, tail_norm_exp=Fraction(-2 * (cap + 1)),
-                        decay=(2, Fraction(0)))
+        return TateElem(ctx32, 1, cap, terms, tail_norm_exp=Fraction(-2 * (cap + 1)))
 
-    r1 = at_theta(series(4), 0).coeff(())
-    r2 = at_theta(series(7), 0).coeff(())
+    r1 = at_theta(series(4), 0, decay=(2, Fraction(0))).coeff(())
+    r2 = at_theta(series(7), 0, decay=(2, Fraction(0))).coeff(())
     assert r1.prec == 5 * ram
     assert r2.prec == 8 * ram
     assert r1 == r2.truncate(5 * ram)

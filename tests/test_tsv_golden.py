@@ -18,10 +18,13 @@ from carlitz.cli import main
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
 
-# file stem: (flags, exit code); --p 2 exits 1 on the failing carlitz-zeta-s0 rows
+# file stem: (flags, exit code); --p 2 exits 1 on the failing carlitz-zeta-s0
+# rows and --p 5 on the failing thm4-degcoeff rows.  p5 is the one config
+# whose lattice sums run over four units per orbit.
 GOLDEN = {
     "p3": (["--p", "3"], 0),
     "p2": (["--p", "2"], 1),
+    "p5": (["--p", "5"], 1),
     "p2e2": (["--p", "2", "--e", "2"], 0),
     "p3prime": (["--p", "3", "--prime", "2,2,0,1"], 0),
 }
