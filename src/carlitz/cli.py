@@ -101,12 +101,7 @@ def build_parser():
 
 
 def _merge(args):
-    merged = {
-        "check": None, "all": None,
-        "p": 3, "e": 1, "prime": None, "prime2": None, "root_index": None,
-        "prec": 40, "tcap": 12, "degcap": 12, "samples": 5, "seed": 0,
-        "format": "text", "out": None,
-    }
+    merged = {**dataclasses.asdict(CheckConfig()), "all": None, "format": "text", "out": None}
     if args.config is not None:
         merged.update(read_config(args.config))
     for key in merged:
@@ -181,12 +176,7 @@ def main(argv=None):
             raise ConfigError("--check and --all are mutually exclusive")
         if not merged["all"] and not merged["check"]:
             raise ConfigError("one of --check or --all is required")
-        cfg = CheckConfig(
-            check=merged["check"] or "", p=merged["p"], e=merged["e"],
-            prime=merged["prime"], prime2=merged["prime2"],
-            root_index=merged["root_index"], prec=merged["prec"],
-            tcap=merged["tcap"], degcap=merged["degcap"],
-            samples=merged["samples"], seed=merged["seed"])
+        cfg = CheckConfig(**{f.name: merged[f.name] for f in dataclasses.fields(CheckConfig)})
         reports = run_all(cfg) if merged["all"] else [run_check(cfg)]
         payload = _EMITTERS[merged["format"]](reports, single)
     except (UnknownCheckError, ConfigError) as err:

@@ -38,7 +38,7 @@ class SeriesBudget:
     """
 
     prec: int
-    pad: int = 16
+    pad: int
     n_terms: dict = field(default_factory=dict)
 
     @property
@@ -308,47 +308,67 @@ def agf_f(ctx: Completion, z: RamLaurent, tcap: int, budget: SeriesBudget) -> Ta
     return TateElem(ctx, 1, tcap, {e: _sum_coeffs(ctx, cs) for e, cs in parts.items()}, tail)
 
 
-def _tate_inv(A: TateElem, wp: int) -> TateElem:
-    """Newton inverse of a capped element with invertible constant term.
-
-    Converges when the non-constant part has Gauss norm below the constant
-    coefficient's; iteration stops once the residual's stored part sinks to
-    the working precision or to the inherent tail floor.
-    """
-    ctx = A.ctx
-    c0 = A.coeff((0,) * A.s)
-    if c0.is_zero():
-        raise PrecisionExhaustedError("constant term vanishes; no capped inverse")
-    one = tate_const(ctx, A.s, A.tcap, ctx.one())
-    X = tate_const(ctx, A.s, A.tcap, c0.inv(wp + 2 * abs(c0.valuation()) + 2))
-    target = Fraction(-wp, ctx.ram)
-    for _ in range(60):
-        E = one - A * X
-        g = E.gauss_norm_exp()
-        if g <= max(target, E.tail_norm_exp):
-            # remaining error is X * sum_{k>=1} E^k; widen the tail to cover it
-            err = max(target, E.tail_norm_exp, g) + X.gauss_norm_exp()
-            return TateElem(ctx, A.s, A.tcap, dict(X.terms),
-                            max(X.tail_norm_exp, err))
-        X = X + X * E
-    raise PrecisionExhaustedError("capped inverse did not converge")
-
-
-def omega_inv(ctx: Completion, tcap: int, budget: SeriesBudget) -> TateElem:
-    om = omega(ctx, tcap, budget)  # records its truncation index on every call
-    key = ("omega_inv", tcap, budget.wp)
-    if key not in ctx.cache:
-        ctx.cache[key] = _tate_inv(om, budget.wp)
-    return ctx.cache[key]
-
-
 def _omega_inv_factors(ctx: Completion, lo: int, top: int) -> int:
-    """Number of linear factors (1 - t/theta^(q^i)) of omega^{-1} that chi_t
-    applies: the least I with ram * q^I + lo >= top."""
+    """The least I with ram * q^I + lo >= top: the number of linear factors
+    (1 - t/theta^(q^i)) of omega^{-1} that move rows from u^lo below top."""
     i = 0
     while ctx.ram * ctx.q**i + lo < top:
         i += 1
     return i
+
+
+def _apply_omega_inv_factors(ctx: Completion, D: np.ndarray, rec: np.ndarray,
+                             lo: int, top: int) -> np.ndarray:
+    """Multiply D by the first _omega_inv_factors(ctx, lo, top) linear
+    factors of omega^{-1}, in place, and return how far each row is fixed.
+
+    D (cap + 1, R, m) is an int64 buffer with every t-coefficient, row r of
+    D[e] at u^(lo + r), and rec[e] the precision of D[e].  theta = -u^(-ram),
+    so theta^(-b) = (-1)^b u^(b*ram), and the factor with b = q^i is D[e] -=
+    theta^(-b) D[e-1], that is D[e] += u^(b*ram) D[e-1]: b is odd for odd q,
+    and the sign is void in characteristic 2.  So each factor is one shift by
+    b*ram rows (rows past R are dropped), and rec[e] becomes min(rec[e],
+    rec[e-1] + b*ram).  Every factor has integral coefficients, so the
+    omitted ones (i >= I) move D only at rows >= ram * q^I + lo; the result
+    is min(rec[e], ram * q^I + lo).
+    """
+    n = _omega_inv_factors(ctx, lo, top)
+    for i in range(n):
+        shift = ctx.ram * ctx.q**i
+        D[1:, shift:] += D[:-1, : max(D.shape[1] - shift, 0)]
+        rec[1:] = np.minimum(rec[1:], rec[:-1] + shift)
+    return np.minimum(rec, ctx.ram * ctx.q**n + lo)
+
+
+def omega_inv(ctx: Completion, tcap: int, budget: SeriesBudget) -> TateElem:
+    """omega^{-1} = lambda^{-1} * prod_{i>=0} (1 - t/theta^(q^i)) to degree
+    tcap, from its linear factors, cached per (tcap, wp).
+
+    lambda^{-1} = u is one row at u^1, and the factors that move a row below
+    wp + 2 are applied, so every coefficient t^0..t^tcap is exact below
+    u^(wp+2), its precision.  Tail: with g = -1/(q-1), the Gauss norm
+    exponent of omega^{-1}, it is max(tail(omega) + 2g, -wp/ram + g), the
+    bound for inverting the capped omega.  It bounds the true part of degree
+    > tcap.  The t^k coefficient of omega^{-1} is u * (-1)^k e_k(theta^(-1),
+    theta^(-q), ...), of valuation 1 + ram * (1 + ... + q^(k-1)) = q^k, so
+    that part has norm exponent -(1 + (q^(tcap+1) - 1))/(q-1), at most
+    -(tcap+1) - 1/(q-1) since q^(tcap+1) - 1 >= (q-1)(tcap+1).  The t^k
+    coefficient of omega is lambda times a sum led by theta^(-k), of norm
+    exponent 1/(q-1) - k, so omega's sound tail has tail(omega) >= 1/(q-1) -
+    (tcap+1), that is tail(omega) + 2g >= -(tcap+1) - 1/(q-1).
+    """
+    om = omega(ctx, tcap, budget)  # records its truncation index on every call
+    wp = budget.wp
+    key = ("omega_inv", tcap, wp)
+    if key not in ctx.cache:
+        D = np.zeros((tcap + 1, wp + 1, ctx.spec.m), dtype=np.int64)
+        D[0, 0] = ctx.one().coeffs[0]
+        _apply_omega_inv_factors(ctx, D, np.full(tcap + 1, PREC_EXACT), 1, wp + 2)
+        g = Fraction(-1, ctx.q - 1)
+        tail = max(om.tail_norm_exp + 2 * g, Fraction(-wp, ctx.ram) + g)
+        out = {(e,): RamLaurent(ctx, 1, D[e], wp + 2) for e in range(tcap + 1)}
+        ctx.cache[key] = TateElem(ctx, 1, tcap, out, tail)
+    return ctx.cache[key]
 
 
 def chi_t(ctx: Completion, z: RamLaurent, tcap: int, budget: SeriesBudget) -> TateElem:
@@ -356,32 +376,25 @@ def chi_t(ctx: Completion, z: RamLaurent, tcap: int, budget: SeriesBudget) -> Ta
 
     The keys, their order, every precision, the cap and the tail are those
     of the product omega_inv(...) * agf_f(...), by tate.mul_profile against
-    the cached Newton omega_inv; no product is formed.  The values come from
+    the cached omega_inv; no product is formed.  The values come from
     omega^{-1} = lambda^{-1} * prod_{i>=0} (1 - t/theta^(q^i)) applied to F =
-    agf_f(z) as its linear factors.  lambda^{-1} = u shifts every row by one.
-    theta = -u^(-ram), so theta^(-b) = (-1)^b u^(b*ram), and the factor with
-    b = q^i is the recurrence D[e] -= theta^(-b) D[e-1], that is D[e] +=
-    u^(b*ram) D[e-1]: b is odd for odd q, and the sign is void in
-    characteristic 2.  So each factor is one shift by b*ram rows over one
-    int64 buffer that holds every t-coefficient, with row r at u^(lo + r) and
-    lo = 1 + the least offset of F.
+    agf_f(z) as its linear factors (_apply_omega_inv_factors), over one
+    buffer with row r at u^(lo + r) and lo = 1 + the least offset of F:
+    lambda^{-1} = u shifts every row by one.
 
     Bound.  Let P[e] be the product's precision at e, top the largest, and I
     the least index with ram * q^I + lo >= top.  The omitted factors multiply
     D by prod_{i>=I} (1 - t/theta^(q^i)) = 1 + sum_{k>=1} c_k t^k with
-    v(c_k) >= ram * (q^I + ... + q^(I+k-1)) >= ram * q^I, and every factor
-    has integral coefficients, so no row of D lies below lo.  Each omitted
-    factor therefore moves D[e] only at rows >= ram * q^I + lo >= top >= P[e],
-    and rows at or past top are never needed.  So below P[e] the stored rows
-    are those of the sum over ea + eb = e of omega^{-1}[ea] * F[eb] with the
-    exact omega^{-1}.  They equal the product's rows wherever each Newton
-    coefficient is right below its precision pa, because pa + v(F[eb]) >=
-    P[e].  Where it is not (_tate_inv can stop before its t-adic doubling
-    reaches the top degrees), these rows are the exact ones and the
-    product's last row is off.  The recurrence's own precision, R[e] = the
-    least over the applied paths of prec(F[eb]) + 1 + the shifts, and
-    ram * q^I + lo, must not fall below P[e]: that would mean the profile
-    claims rows the factors do not fix, and InvariantError is raised.
+    v(c_k) >= ram * (q^I + ... + q^(I+k-1)) >= ram * q^I, and no row of D
+    lies below lo.  Each omitted factor therefore moves D[e] only at rows >=
+    ram * q^I + lo >= top >= P[e], and rows at or past top are never needed.
+    So below P[e] the stored rows are those of the sum over ea + eb = e of
+    omega^{-1}[ea] * F[eb] with the exact omega^{-1}, which omega_inv's
+    coefficients are below their precision pa; since pa + v(F[eb]) >= P[e],
+    they are the product's rows.  The recurrence's own precision, the least
+    over the applied paths of prec(F[eb]) + 1 + the shifts, and ram * q^I +
+    lo, must not fall below P[e]: that would mean the profile claims rows the
+    factors do not fix, and InvariantError is raised.
     """
     inv = omega_inv(ctx, tcap, budget)
     F = agf_f(ctx, z, tcap, budget)
@@ -393,25 +406,19 @@ def chi_t(ctx: Completion, z: RamLaurent, tcap: int, budget: SeriesBudget) -> Ta
         raise InvariantError("omega^-1 * agf_f has an exact coefficient")
     lo = 1 + min((c.offset for c in F.terms.values() if c.coeffs.shape[0]), default=top)
     D = np.zeros((cap + 1, max(top - lo, 0), ctx.spec.m), dtype=np.int64)
-    rec = [PREC_EXACT] * (cap + 1)  # R[e], before the omitted-factor bound
+    rec = np.full(cap + 1, PREC_EXACT)
     for (e,), c in F.terms.items():
         at = c.offset + 1 - lo
         rows = c.coeffs[: max(D.shape[1] - at, 0)]
         D[e, at : at + rows.shape[0]] = rows
         if not c.is_exact():
             rec[e] = c.prec + 1
-    n_factors = _omega_inv_factors(ctx, lo, top)
-    for i in range(n_factors):
-        shift = ctx.q**i * ctx.ram
-        D[1:, shift:] += D[:-1, : max(D.shape[1] - shift, 0)]
-        for e in range(cap, 0, -1):
-            rec[e] = min(rec[e], rec[e - 1] + shift)
-    bound = ctx.ram * ctx.q**n_factors + lo
+    fixed = _apply_omega_inv_factors(ctx, D, rec, lo, top)
     out = {}
     for (e,), prec in precs.items():
-        if min(rec[e], bound) < prec:
+        if fixed[e] < prec:
             raise InvariantError(
-                f"linear factors of omega^-1 fix t^{e} to u^{min(rec[e], bound)}, "
+                f"linear factors of omega^-1 fix t^{e} to u^{fixed[e]}, "
                 f"below the product precision {prec}")
         out[(e,)] = RamLaurent(ctx, lo, D[e], prec)
     return TateElem(ctx, 1, cap, out, tail)
@@ -781,9 +788,8 @@ def psi_family(ctx: Completion, s: int, z: RamLaurent, degcap: int, tcap: int,
                     f"z meets the lattice at degree {j} to precision {z.prec}")
         if a0 is not None:
             continue
-        single = nz.sum(axis=1) == 1 if z.is_exact() else np.zeros(len(D), dtype=bool)
-        X, off, prec = stack_inv(ctx, D, lo, z.prec, wp, single)
-        del D, nz, single
+        X, off, prec = stack_inv(ctx, D, lo, z.prec, wp)
+        del D, nz
         for powers, blocks, out in zip(family, kept, parts):
             for j, r0, r1 in spans:
                 if j in blocks:
@@ -800,14 +806,12 @@ def psi_family(ctx: Completion, s: int, z: RamLaurent, degcap: int, tcap: int,
 def _monic_inverses(ctx: Completion, j: int, wp: int):
     """(X, single): the first wp coefficients of 1/a for the monic degree-j
     block, stacked like _monic_rows (stack_inv, rows starting at u^(j*ram)),
-    and the mask of the single-term a, whose inverse keeps one coefficient.
-    Cached per (j, wp)."""
+    and the mask of the single-term a, whose inverse is exact and keeps one
+    coefficient.  Cached per (j, wp)."""
     key = ("monic_inv", j, wp)
     if key not in ctx.cache:
-        rows = _monic_rows(ctx, j)
-        single = rows.any(axis=2).sum(axis=1) == 1
-        X, _, _ = stack_inv(ctx, rows[:, :wp], -j * ctx.ram, PREC_EXACT, wp, single)
-        ctx.cache[key] = X, single
+        X, _, prec = stack_inv(ctx, _monic_rows(ctx, j), -j * ctx.ram, PREC_EXACT, wp)
+        ctx.cache[key] = X, prec >= PREC_EXACT
     return ctx.cache[key]
 
 

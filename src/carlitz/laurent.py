@@ -248,21 +248,22 @@ def batch_inv(ctx: Completion, U: np.ndarray, n: int) -> np.ndarray:
     return X
 
 
-def stack_inv(ctx: Completion, D: np.ndarray, lo: int, dprec: int,
-              rel_prec: int, single: np.ndarray):
+def stack_inv(ctx: Completion, D: np.ndarray, lo: int, dprec: int, rel_prec: int):
     """Inverses of N nonzero series stacked in one frame: RamLaurent.inv's rule.
 
     Row i of D (N, F, m) is sum_r D[i, r] u^(lo + r) + O(u^dprec).  With v
     its valuation, the inverse of row i keeps n coefficients: dprec - v
     capped at rel_prec (so rel_prec for exact rows), and at least one; it is
-    known to precision -v + n.  Rows flagged single are exact single terms
-    and get their exact single-term inverse.  Returns
+    known to precision -v + n.  An exact row (dprec PREC_EXACT) with one
+    nonzero coefficient is a single term and gets its exact inverse.  Returns
     (X, off, prec): inverse i is sum_r X[i, r] u^(off[i] + r) + O(u^prec[i]),
     with X zero from each row's n on.  This is the only place that sets the
     length and precision of an inverse.
     """
     N, _, m = D.shape
-    first = D.any(axis=2).argmax(axis=1)
+    nz = D.any(axis=2)
+    first = nz.argmax(axis=1)
+    single = (nz.sum(axis=1) == 1) & (dprec >= PREC_EXACT)
     v = lo + first
     n = np.where(single, 1, np.maximum(np.minimum(dprec - v, rel_prec), 1))
     L = int(n.max())
@@ -404,9 +405,7 @@ class RamLaurent:
             raise ZeroInverseError("inverse of exact zero series")
         if self.is_zero():
             raise EmptyPrecisionError("inverse of a term-free series: no leading term")
-        single = self.is_exact() and self.coeffs.shape[0] == 1
-        X, off, prec = stack_inv(self.ctx, self.coeffs[None], self.offset, self.prec,
-                                 rel_prec, np.array([single]))
+        X, off, prec = stack_inv(self.ctx, self.coeffs[None], self.offset, self.prec, rel_prec)
         return RamLaurent(self.ctx, int(off[0]), X[0], int(prec[0]))
 
     def __pow__(self, n: int) -> "RamLaurent":

@@ -70,6 +70,7 @@ from .cyclotomic import (
 )
 
 _MARGIN_CAP = 10000
+_GENSERIES_KMAX = 2  # a generating-series fit has kmax * ram + s + 2 nodes
 
 
 @dataclass
@@ -564,14 +565,14 @@ def _run_thm4(rc):
     return out, {"d": dp, "k0": k0, "d_ctx": d_ctx}
 
 
-def _genseries_samples(rc, s_list, kmax=2):
+def _genseries_samples(rc, s_list):
     cfg = rc.cfg
     ctx = rc.ctx(1)
     B = default_budget(ctx, cfg.prec)
     out = []
     for s in s_list:
         tcap = cfg.tcap if s else 0
-        M = kmax * rc.ram + s + 2
+        M = _GENSERIES_KMAX * rc.ram + s + 2
         a = max(3, B.wp // (M + 2))
         n0 = 0 if s == 0 else 1
         ns = list(range(n0, n0 + M))
@@ -607,7 +608,7 @@ def _genseries_samples(rc, s_list, kmax=2):
                     worst, w_lvl = r, lvl
             label = f"s={s} n={n} " + ("matches L-value" if in_class else "vanishes")
             out.append(_residual_sample(len(out), label, worst, cfg.prec))
-    return out, {"kmax": kmax}
+    return out, {"kmax": _GENSERIES_KMAX}
 
 
 def _run_lem41(rc):
@@ -968,6 +969,8 @@ def _check_prime_coeffs(spec1, q, coeffs, what):
 def _resolve(cfg: CheckConfig) -> _Run:
     if cfg.check not in REGISTRY:
         raise UnknownCheckError(f"unknown check {cfg.check!r}")
+    if not isinstance(cfg.p, int):
+        raise ConfigError(f"p must be an integer prime, got {cfg.p!r}")
     if not isinstance(cfg.e, int) or cfg.e < 1:
         raise ConfigError("e must be an integer >= 1")
     try:

@@ -13,6 +13,7 @@ from carlitz.errors import (
     ConfigError,
     InvariantError,
     LatticePoleError,
+    PrecisionExhaustedError,
     ShapeMismatchError,
     SingularSystemError,
     SizeLimitError,
@@ -1023,6 +1024,66 @@ def _omega_inv_reference(ctx, tcap, n):
     return TateElem(ctx, 1, tcap, {(k,): c.truncate(n) for k, c in enumerate(coeffs)})
 
 
+def _newton_inv_reference(A, wp):
+    """Newton inverse of a capped element with invertible constant term, the
+    way omega_inv was once computed: iterate X += X * (1 - A * X) until the
+    residual's stored part sinks to the working precision or to its tail,
+    then widen the tail by the remainder X * sum_{k>=1} E^k."""
+    ctx = A.ctx
+    c0 = A.coeff((0,) * A.s)
+    if c0.is_zero():
+        raise PrecisionExhaustedError("constant term vanishes; no capped inverse")
+    one = tate_const(ctx, A.s, A.tcap, ctx.one())
+    X = tate_const(ctx, A.s, A.tcap, c0.inv(wp + 2 * abs(c0.valuation()) + 2))
+    target = Fraction(-wp, ctx.ram)
+    for _ in range(60):
+        E = one - A * X
+        g = E.gauss_norm_exp()
+        if g <= max(target, E.tail_norm_exp):
+            err = max(target, E.tail_norm_exp, g) + X.gauss_norm_exp()
+            return TateElem(ctx, A.s, A.tcap, dict(X.terms), max(X.tail_norm_exp, err))
+        X = X + X * E
+    raise PrecisionExhaustedError("capped inverse did not converge")
+
+
+def _profile(x):
+    """Keys in order, each coefficient's precision and valuation, the Gauss
+    norm and the tail: everything tate.mul_profile reads."""
+    return (list(x.terms), [(c.prec, c.valuation()) for c in x.terms.values()],
+            x.gauss_norm_exp(), x.tail_norm_exp)
+
+
+@pytest.mark.parametrize("p,e,d", KERNEL_TOWERS)
+def test_differential_omega_inv_newton_profile(p, e, d):
+    """omega_inv built from its linear factors has the profile of the Newton
+    inverse of the capped omega: keys, precisions, valuations, Gauss norm and
+    tail, so every product shape taken from it is unchanged."""
+    ctx = Completion(p, e, d)
+    for prec in (24, 40, 64):
+        for tcap in (0, 1, 5, 12, 24):
+            B = default_budget(ctx, prec)
+            want = _newton_inv_reference(omega(ctx, tcap, B), B.wp)
+            got = omega_inv(ctx, tcap, B)
+            assert got.tcap == tcap
+            assert _profile(got) == _profile(want), (prec, tcap)
+
+
+@pytest.mark.parametrize("p,e,d,prec,tcap",
+                         [(*t, 24, 12) for t in KERNEL_TOWERS]
+                         + [(*t, 64, 24) for t in KERNEL_TOWERS] + [(2, 2, 1, 20, 16)])
+def test_differential_omega_inv_exact_rows(p, e, d, prec, tcap):
+    """Every coefficient of omega_inv is omega^-1 built by RamLaurent
+    products, below u^(wp+2).  At (2, 2, 1), prec 20, tcap 16 the Newton
+    inverse kept a spurious row at u^(wp+1) in its top degrees."""
+    ctx = Completion(p, e, d)
+    B = default_budget(ctx, prec)
+    got = omega_inv(ctx, tcap, B)
+    want = _omega_inv_reference(ctx, tcap, B.wp + 2)
+    assert list(got.terms) == [(k,) for k in range(tcap + 1)]
+    for k, c in want.terms.items():
+        assert c.prec == B.wp + 2 and got.terms[k] == c, k
+
+
 @pytest.mark.parametrize("p,prec", [(2, 16), (3, 32)])
 def test_omega_keeps_factor_at_working_precision(p, prec):
     """At a working precision of ram * q^i, factor i of omega first moves
@@ -1043,8 +1104,8 @@ def test_omega_keeps_factor_at_working_precision(p, prec):
 
 @pytest.mark.parametrize("p,e,d", KERNEL_TOWERS)
 def test_differential_chi_t_linear_factors(p, e, d):
-    """omega^-1 applied as its linear factors equals the product with the
-    Newton omega_inv: the same keys in the same order, offsets, rows,
+    """omega^-1 applied as its linear factors equals the product with
+    omega_inv: the same keys in the same order, offsets, rows,
     precisions, cap and tail.  Every stored row also matches omega^-1 built
     from the factors by RamLaurent products, times agf_f, below its
     precision.  That holds too at a budget whose working precision is ram *

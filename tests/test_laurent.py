@@ -421,11 +421,13 @@ def test_differential_stack_inv_rows(p, e, d):
         D = np.zeros((len(xs), hi - lo, m), dtype=np.int64)
         for i, x in enumerate(xs):
             D[i, x.offset - lo : x.end() - lo] = x.coeffs
-        single = np.array([x.is_exact() and x.coeffs.shape[0] == 1 for x in xs])
         for rel in (24, 7):
-            X, off, prec = stack_inv(ctx, D, lo, dprec, rel, single)
+            X, off, prec = stack_inv(ctx, D, lo, dprec, rel)
             for i, x in enumerate(xs):
                 assert RamLaurent(ctx, int(off[i]), X[i], int(prec[i])) == x.inv(rel)
+                # single terms are found from the rows: exact, one coefficient
+                single = x.is_exact() and x.coeffs.shape[0] == 1
+                assert (prec[i] >= PREC_EXACT) == single
 
 
 @settings(max_examples=60, deadline=None)

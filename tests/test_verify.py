@@ -100,7 +100,8 @@ def test_unknown_check():
 
 def test_parameter_range_validation():
     for kw in (dict(prec=4), dict(prec=1000), dict(samples=0), dict(degcap=0),
-               dict(tcap=-1), dict(seed=-1), dict(e=0)):
+               dict(tcap=-1), dict(seed=-1), dict(e=0), dict(p=3.0), dict(p="3"),
+               dict(p=None)):
         cfg = dict(CHEAP)
         cfg.update(kw)
         with pytest.raises(ConfigError):
