@@ -2,7 +2,8 @@
 
 Configuration precedence: built-in defaults, then a key=value config file,
 then explicit command-line flags.  Exit status: 0 every check passed or was
-skipped as not applicable, 1 a check failed (or a computation error), 2
+skipped as not applicable, 1 a check failed or raised a computation error
+(under --all it is reported with status error and the run goes on), 2
 unusable configuration, including a single --check that does not apply.
 """
 
@@ -119,7 +120,8 @@ def _report_dict(rep):
 
 
 def _overall(reports):
-    """pass when no check failed; skipped checks do not count against it."""
+    """pass when no check failed or raised; skipped checks do not count
+    against it."""
     return "pass" if all(r.status in ("pass", "skipped") for r in reports) else "fail"
 
 

@@ -22,8 +22,8 @@ from .errors import (
     SizeLimitError,
 )
 from .fields import DEG_LIMIT, GFPoly, carlitz_dl, enumerate_A
-from .laurent import (NEG_INF, PREC_EXACT, Completion, RamLaurent, batch_mul, stack_inv,
-                      sum_blocks)
+from .laurent import (NEG_INF, PREC_EXACT, Completion, RamLaurent, batch_mul, inv_extent,
+                      stack_inv, sum_blocks)
 from .tate import TateElem, mul_profile, tate_const, tate_zero
 
 
@@ -574,25 +574,30 @@ def _char_coeffs(ctx: Completion, a: GFPoly, powers) -> dict:
     return out
 
 
-def _monic_rows(ctx: Completion, j: int) -> np.ndarray:
-    """(q^j, j*ram + 1, m) coordinates of the monic degree-j embeddings.
+def _monic_rows(ctx: Completion, j: int, k: int = 1) -> np.ndarray:
+    """(q^j, k*j*ram + 1, m) coordinates of a^k, k >= 1, over the monic degree-j a.
 
-    Row r of each entry is the coefficient of u^(r - j*ram), so every entry
-    starts at its valuation; enumeration order is that of _monic_block.
+    Row r of each entry is the coefficient of u^(r - k*j*ram), so every entry
+    starts at its valuation; enumeration order is that of _monic_block.  The
+    powers are exact, cached per (j, k) and built from the power below.  An
+    embedded polynomial in theta has terms at multiples of ram only, so each
+    power is a product of the rows at that stride.
     """
-    key = ("monic_rows", j)
+    key = ("monic_rows", j, k)
     if key not in ctx.cache:
-        base = -j * ctx.ram
         block = _monic_block(ctx, j)
-        rows = np.zeros((len(block), 1 - base, ctx.spec.m), dtype=np.int64)
-        for i, (_, emb) in enumerate(block):
-            rows[i, emb.offset - base : emb.end() - base] = emb.coeffs
+        if k == 1:
+            base = -j * ctx.ram
+            rows = np.zeros((len(block), 1 - base, ctx.spec.m), dtype=np.int64)
+            for i, (_, emb) in enumerate(block):
+                rows[i, emb.offset - base : emb.end() - base] = emb.coeffs
+        else:
+            ram = ctx.ram
+            rows = np.zeros((len(block), k * j * ram + 1, ctx.spec.m), dtype=np.int64)
+            rows[:, ::ram] = batch_mul(ctx, _monic_rows(ctx, j)[:, ::ram],
+                                       _monic_rows(ctx, j, k - 1)[:, ::ram], k * j + 1)
         ctx.cache[key] = rows
     return ctx.cache[key]
-
-
-def _units(ctx: Completion) -> list:
-    return [c for c in ctx.spec.subfield_elements() if not c.is_zero()]
 
 
 def _block_chars(ctx: Completion, j: int, powers: tuple):
@@ -612,24 +617,28 @@ def _block_chars(ctx: Completion, j: int, powers: tuple):
     return ctx.cache[key]
 
 
-def _block_weights(ctx: Completion, j: int, powers: tuple, with_units: bool):
-    """Character-weight matrix of a degree-j block, cached per (j, powers).
+def _block_weights(ctx: Completion, js: tuple, powers: tuple):
+    """Character-weight matrix of the degree blocks js, cached per (js, powers).
 
-    Stacked row i is (monic a, unit c) with c running fastest over the units
-    (a alone without them); its weight on key e is c^weight * chi(a)[e]
-    (chi(a)[e] without units).  Returns (keys, G, mask): G is the (K*m, N*m)
-    matrix that contracts stacked F_p coordinate rows into the key
-    coefficients through basis_mul_table, mask (K, N) marks nonzero weights.
+    Stacked row i is the i-th monic a of the blocks js in order; its weight
+    on key e is chi(a)[e], with keys in first-appearance order.  Returns
+    (keys, G, mask): G is the (K*m, N*m) matrix that contracts stacked F_p
+    coordinate rows into the key coefficients through basis_mul_table, mask
+    (K, N) marks nonzero weights.
     """
-    key = ("psi_block" if with_units else "L_block", j, powers)
+    key = ("block_weights", js, powers)
     if key not in ctx.cache:
-        keys, W = _block_chars(ctx, j, powers)
-        K, _, m = W.shape
-        if with_units:
-            S = np.stack([ctx.spec.scalar_matrix(c ** sum(powers)) for c in _units(ctx)])
-            W = np.einsum("kab,cbd->kacd", W, S).reshape(K, -1, m) % ctx.p
+        chars = [_block_chars(ctx, j, powers) for j in js]
+        keys = tuple(dict.fromkeys(e for ks, _ in chars for e in ks))
+        slot = {e: k for k, e in enumerate(keys)}
+        m = ctx.spec.m
+        W = np.zeros((len(keys), sum(C.shape[1] for _, C in chars), m), dtype=np.int64)
+        r0 = 0
+        for ks, C in chars:
+            W[[slot[e] for e in ks], r0 : r0 + C.shape[1]] = C
+            r0 += C.shape[1]
         T = ctx.spec.basis_mul_table.astype(np.int64)
-        G = np.einsum("kia,abc->kcib", W, T).reshape(K * m, -1) % ctx.p
+        G = np.einsum("kia,abc->kcib", W, T).reshape(len(keys) * m, -1) % ctx.p
         ctx.cache[key] = (keys, G, W.any(axis=2))
     return ctx.cache[key]
 
@@ -673,34 +682,111 @@ def _assemble(ctx: Completion, parts) -> dict:
     return {e: RamLaurent(ctx, lo, acc[k], kprec[k]) for e, k in slot.items()}
 
 
-def _unit_rows(ctx: Completion, j: int) -> np.ndarray:
-    """Rows c*a over the degree-j block (a outer, unit c inner), in the frame
-    of _monic_rows."""
-    key = ("unit_rows", j)
-    if key not in ctx.cache:
-        S = np.stack([ctx.spec.scalar_matrix(c) for c in _units(ctx)])
-        rows = np.einsum("nlb,cbd->ncld", _monic_rows(ctx, j), S) % ctx.p
-        ctx.cache[key] = rows.reshape(-1, rows.shape[2], rows.shape[3])
-    return ctx.cache[key]
-
-
-def _psi_denominators(ctx: Completion, js: list, z: RamLaurent):
-    """Rows z - c*a over the degree blocks js, in order, in one frame (D, lo),
-    truncated at z's precision like the series they stand for.  Block js[i]
-    holds rows starts[i] .. starts[i + 1] of D."""
-    CAs = [_unit_rows(ctx, j) for j in js]
-    bases = [-j * ctx.ram for j in js]
-    lo = min(bases) if z.is_zero() else min(min(bases), z.offset)
-    hi = min(max(max(b + CA.shape[1] for b, CA in zip(bases, CAs)), z.end()), z.prec)
-    starts = np.cumsum([0] + [CA.shape[0] for CA in CAs])
-    D = np.zeros((starts[-1], max(hi - lo, 0), ctx.spec.m), dtype=np.int64)
-    for r0, base, CA in zip(starts, bases, CAs):
-        w = min(CA.shape[1], hi - base)
+def _framed_powers(ctx: Completion, js: list, k: int, lo: int, hi: int) -> np.ndarray:
+    """(N, hi - lo, m): a^k over the monic a of the degree blocks js, in
+    order, each at its valuation -k*j*ram in the frame u^lo .. u^(hi - 1),
+    truncated at u^hi."""
+    rows = [_monic_rows(ctx, j, k) for j in js]
+    out = np.zeros((sum(len(R) for R in rows), max(hi - lo, 0), ctx.spec.m), dtype=np.int64)
+    r0 = 0
+    for j, R in zip(js, rows):
+        base = -k * j * ctx.ram
+        w = min(R.shape[1], hi - base)
         if w > 0:
-            D[r0 : r0 + CA.shape[0], base - lo : base - lo + w] -= CA[:, :w]
+            out[r0 : r0 + len(R), base - lo : base - lo + w] = R[:, :w]
+        r0 += len(R)
+    return out
+
+
+def _orbit_extents(ctx: Completion, js: list, z: RamLaurent, wp: int):
+    """(V, P, starts): what the unit rows z - c*a of each monic a would give.
+
+    Row i is one monic a of the degree blocks js, in order; block js[k]
+    holds rows starts[k] .. starts[k + 1].  Its q - 1 unit rows z - c*a,
+    framed and truncated at z's precision like the series they stand for,
+    are only tested for nonzero coefficients, never inverted: inv_extent
+    reads their valuations v_c and the precisions P_c their inverses would
+    have.  V[i] = sum_c v_c and P[i] = min_c P_c.  Raises LatticePoleError
+    for the first block with a unit row that vanishes in the frame.
+    """
+    lo = -max(js) * ctx.ram if z.is_zero() else min(-max(js) * ctx.ram, z.offset)
+    hi = min(max(1, z.end()), z.prec)  # the monic rows end at u^0
+    A = _framed_powers(ctx, js, 1, lo, hi)
+    F = A.shape[1]
+    Z = np.zeros((F, ctx.spec.m), dtype=np.int64)
     if not z.is_zero():
-        D[:, z.offset - lo : z.end() - lo] += z.coeffs
-    return np.mod(D, ctx.p, out=D), lo, starts
+        Z[z.offset - lo : z.end() - lo] = z.coeffs
+    units = [c for c in ctx.spec.subfield_elements() if not c.is_zero()]
+    S = np.stack([ctx.spec.scalar_matrix(c) for c in units])
+    nz = ((Z - A @ S[:, None]) % ctx.p).any(axis=3)
+    pole = ~nz.any(axis=2).all(axis=0)
+    starts = np.cumsum([0] + [ctx.q**j for j in js])
+    if pole.any():
+        j = js[int(np.searchsorted(starts, pole.argmax(), side="right")) - 1]
+        raise LatticePoleError(f"z meets the lattice at degree {j} to precision {z.prec}")
+    v, _, prec = inv_extent(nz.reshape(-1, F), lo, z.prec, wp)
+    V = v.reshape(len(S), -1).sum(axis=0)
+    P = prec.reshape(len(S), -1).min(axis=0)
+    return V, P, starts
+
+
+def _orbit_sums(ctx: Completion, js: list, starts, z: RamLaurent, V, P, k0s) -> dict:
+    """{k0: (Y, off)}: row i of Y is -a^k0 z^(q-2-k0) / (z^(q-1) - a^(q-1))
+    for the i-th monic a, sum_r Y[i, r] u^(off[i] + r), right below P[i].
+
+    z stands for its stored terms, exactly.  Every row E_a = z^(q-1) -
+    a^(q-1) has valuation V[i] (_orbit_extents) and is inverted in one
+    stack_inv call, to the length that the longest numerator needs to reach
+    P[i]; each k0 takes one batch_mul with its numerators as left factor,
+    and one more to form them when both powers are positive (q >= 4).
+    """
+    q, p, m = ctx.q, ctx.p, ctx.spec.m
+    N = int(starts[-1])
+    deg = np.repeat(js, np.diff(starts))
+    zpow = [ctx.one(), RamLaurent(ctx, z.offset, z.coeffs)]
+    while len(zpow) < q:
+        zpow.append(zpow[-1] * zpow[1])
+    nums = {}
+    n_E = np.ones(N, dtype=np.int64)
+    for k0 in k0s:
+        zk = zpow[q - 2 - k0]
+        if zk.is_zero():
+            # z has no stored terms, so a positive power of it kills the sums
+            nums[k0] = np.zeros((N, 1, m), dtype=np.int64), np.zeros(N, dtype=np.int64)
+            continue
+        num = np.broadcast_to(zk.coeffs, (N, *zk.coeffs.shape))
+        if k0:
+            ak = [_monic_rows(ctx, j, k0) for j in js]
+            A = np.zeros((N, max(R.shape[1] for R in ak), m), dtype=np.int64)
+            for r0, R in zip(starts, ak):
+                A[r0 : r0 + R.shape[0], : R.shape[1]] = R
+            if k0 == q - 2:
+                num = A
+            else:
+                num = batch_mul(ctx, *sorted((A, num), key=lambda f: f.shape[1]),
+                                A.shape[1] + num.shape[1] - 1)
+        L = num.shape[1]
+        vN = zk.offset - k0 * ctx.ram * deg
+        nums[k0] = (-num) % p, vN
+        # an exact orbit has a single-term E_a: its sum is the whole numerator
+        np.maximum(n_E, np.where(P >= PREC_EXACT, L, P - vN + V), out=n_E)
+    zq = zpow[q - 1]
+    lo = -(q - 1) * max(js) * ctx.ram
+    if not zq.is_zero():
+        lo = min(lo, zq.offset)
+    hi = int((V + n_E).max())
+    E = -_framed_powers(ctx, js, q - 1, lo, hi)
+    w = min(zq.end(), hi) - zq.offset
+    if not zq.is_zero() and w > 0:
+        E[:, zq.offset - lo : zq.offset - lo + w] += zq.coeffs[:w]
+    X, off, _ = stack_inv(ctx, np.mod(E, p, out=E), lo, PREC_EXACT, n_E)
+    if (off != -V).any():
+        raise InvariantError("z^(q-1) - a^(q-1) does not have the valuation of its unit rows")
+    out = {}
+    for k0, (num, vN) in nums.items():
+        n = max(int((P - vN + V).clip(max=n_E).max()), 1)
+        out[k0] = batch_mul(ctx, num, X, n), vN - V
+    return out
 
 
 # -- the lattice sums
@@ -725,19 +811,35 @@ def psi(ctx: Completion, s: int, z: RamLaurent, degcap: int, tcap: int,
 def psi_family(ctx: Completion, s: int, z: RamLaurent, degcap: int, tcap: int,
                budget: SeriesBudget, powers_list) -> list:
     """[psi(ctx, s, z, degcap, tcap, budget, powers) for powers in powers_list],
-    with each lattice block inverted once for all of them.
+    with one row per unit orbit, inverted once for all of them.
 
-    The denominators z - c*a do not depend on the powers, so the kept blocks
-    of every tuple (a prefix 0..J_k, since j + C(j) grows with j) are stacked
-    and inverted together: every block below the largest kept J in one
-    batched Newton iteration, then J alone.  Below J there are q^J - 1 rows,
-    fewer than the (q - 1) * q^J of block J, so no stacked call is larger
-    than block J's own; each group's arrays are freed before the next one is
-    built.  Every row's inverse depends on that row alone (stack_inv), so the
-    stacking changes no coefficient.  Each tuple then contracts its own kept
-    blocks against its character weights c^weight * chi(a).  Raises what
-    psi would raise for the first tuple, in list order, that fails.
-    n_terms["psi"] records the inverted blocks.
+    The terms of a = c*b, b monic and c a unit of F_q, form an orbit: since
+    chi(c*b) = c^w chi(b) with w = sum(powers), the orbit contributes
+    chi(b) * S_w(b), S_w(b) = sum_c c^w / (z - c*b).  With k0 = -w mod (q-1),
+
+        S_w(b) = -b^k0 z^(q-2-k0) / (z^(q-1) - b^(q-1)).
+
+    Proof: prod_c (X - c*b) = X^(q-1) - b^(q-1), so both sides are rational
+    in z and b, and it suffices to compare expansions for |z| > |b|.  There
+    1/(z - c*b) = sum_n c^n b^n / z^(n+1), and orthogonality of the
+    characters of F_q^* gives sum_c c^(w+n) = q - 1 = -1 when q - 1 divides
+    w + n and 0 otherwise.  The surviving n = k0 + (q-1)i sum to
+    -b^k0 / z^(k0+1) * 1 / (1 - (b/z)^(q-1)), the right-hand side.
+
+    Precision: z stands for its stored terms, so the identity holds exactly
+    in the series the unit rows z - c*b stand for.  Each orbit is kept below
+    the least precision its q - 1 unit inverses would have had, the rule of
+    inv_extent applied to their valuations (_orbit_extents); below it the
+    sum of those inverses is the orbit sum, so every coefficient, offset,
+    precision and tail is that of the term-by-term sum.  One stack_inv call
+    inverts the rows z^(q-1) - b^(q-1) of every kept block at once
+    (_orbit_sums): sum_{j <= J} q^j rows, fewer than the (q-1) * q^J of
+    block J alone.  The rows do not depend on the powers, so the kept
+    blocks of every tuple (a prefix 0..J_k, since j + C(j) grows with j)
+    share them; each distinct k0 takes one numerator product, and each
+    tuple contracts its kept rows against chi(b), the weights L_multi uses.
+    Raises what psi would raise for the first tuple, in list order, that
+    fails.  n_terms["psi"] records the inverted blocks.
     """
     wp = budget.wp
     q, ram = ctx.q, ctx.ram
@@ -770,34 +872,24 @@ def psi_family(ctx: Completion, s: int, z: RamLaurent, degcap: int, tcap: int,
     if z.is_zero():
         a0 = next((k for k, powers in enumerate(family) if not any(powers)), None)
     union = sorted(set().union(*kept[:a0]))
+    if union:
+        V, P, starts = _orbit_extents(ctx, union, z, wp)
+    if a0 is not None:
+        raise LatticePoleError("z vanishes to working precision (a = 0 pole)")
     parts = [[] for _ in family]
-    if a0 is None and not all(map(any, family)):
+    if not all(map(any, family)):
         zi = z.inv(wp)
         for powers, out in zip(family, parts):
             if not any(powers):
                 out.append((((0,) * s,), zi.offset, zi.coeffs[None], np.array([zi.prec])))
-    for group in (union[:-1], union[-1:]):
-        if not group:
-            continue
-        D, lo, starts = _psi_denominators(ctx, group, z)
-        nz = D.any(axis=2)
-        spans = list(zip(group, starts[:-1], starts[1:]))
-        for j, r0, r1 in spans:
-            if not nz[r0:r1].any(axis=1).all():
-                raise LatticePoleError(
-                    f"z meets the lattice at degree {j} to precision {z.prec}")
-        if a0 is not None:
-            continue
-        X, off, prec = stack_inv(ctx, D, lo, z.prec, wp)
-        del D, nz
-        for powers, blocks, out in zip(family, kept, parts):
-            for j, r0, r1 in spans:
-                if j in blocks:
-                    out.append(_contract(ctx, _block_weights(ctx, j, powers, True),
-                                         X[r0:r1], off[r0:r1], prec[r0:r1]))
-        del X, off, prec
-    if a0 is not None:
-        raise LatticePoleError("z vanishes to working precision (a = 0 pole)")
+    if union:
+        k0s = [(-sum(powers)) % (q - 1) for powers in family]
+        sums = _orbit_sums(ctx, union, starts, z, V, P, sorted(set(k0s)))
+        for powers, k0, blocks, out in zip(family, k0s, kept, parts):
+            Y, off = sums[k0]
+            r1 = starts[len(blocks)]  # the kept blocks are a prefix of union
+            out.append(_contract(ctx, _block_weights(ctx, tuple(blocks), powers),
+                                 Y[:r1], off[:r1], P[:r1]))
     budget.n_terms["psi"] = union
     return [TateElem(ctx, s, tcap, _assemble(ctx, out), tail)
             for out, tail in zip(parts, tails)]
@@ -858,7 +950,7 @@ def L_multi(ctx: Completion, s: int, n: int, degcap: int, tcap: int,
         v = -j * ram * n
         off = np.full(len(X), -v)
         prec = np.where(single, PREC_EXACT, -v + wp)
-        parts.append(_contract(ctx, _block_weights(ctx, j, powers, False), Xn, off, prec))
+        parts.append(_contract(ctx, _block_weights(ctx, (j,), powers), Xn, off, prec))
     budget.n_terms["L_multi"] = blocks
     return TateElem(ctx, s, tcap, _assemble(ctx, parts), tail)
 

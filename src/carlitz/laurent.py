@@ -17,9 +17,10 @@ is that kernel plus the reduction mod p (_raw_mul); TateElem.__mul__ sums the
 unreduced blocks of all pairs that land on one t-exponent and reduces once
 (sum_blocks).
 batch_mul multiplies N stacked pairs in one matrix product, batch_inv is the
-one Newton iteration, and stack_inv holds the one rule for an inverse's
-length and precision.  RamLaurent.inv is the one-row case of stack_inv; the
-lattice sums in functions call stack_inv on whole degree blocks.
+one Newton iteration, and inv_extent holds the one rule for an inverse's
+length and precision.  stack_inv inverts stacked rows by that rule;
+RamLaurent.inv is its one-row case, and the lattice sums in functions call
+it on whole degree blocks.
 """
 
 from __future__ import annotations
@@ -248,29 +249,42 @@ def batch_inv(ctx: Completion, U: np.ndarray, n: int) -> np.ndarray:
     return X
 
 
-def stack_inv(ctx: Completion, D: np.ndarray, lo: int, dprec: int, rel_prec: int):
-    """Inverses of N nonzero series stacked in one frame: RamLaurent.inv's rule.
+def inv_extent(nz: np.ndarray, lo: int, dprec: int, rel_prec):
+    """The one rule for the length and precision of an inverse.
 
-    Row i of D (N, F, m) is sum_r D[i, r] u^(lo + r) + O(u^dprec).  With v
-    its valuation, the inverse of row i keeps n coefficients: dprec - v
-    capped at rel_prec (so rel_prec for exact rows), and at least one; it is
-    known to precision -v + n.  An exact row (dprec PREC_EXACT) with one
-    nonzero coefficient is a single term and gets its exact inverse.  Returns
-    (X, off, prec): inverse i is sum_r X[i, r] u^(off[i] + r) + O(u^prec[i]),
-    with X zero from each row's n on.  This is the only place that sets the
-    length and precision of an inverse.
+    nz (N, F) marks the nonzero coefficients of N nonzero series known
+    modulo u^dprec and stacked in one frame: nz[i, r] when series i has a
+    nonzero coefficient at u^(lo + r).  With v its valuation, the inverse
+    of series i keeps n coefficients: dprec - v capped at rel_prec (so
+    rel_prec for exact series), and at least one; it is known to precision
+    -v + n.  An exact series (dprec PREC_EXACT) with one nonzero coefficient
+    is a single term and gets its exact inverse.  rel_prec may be one cap
+    per series.  Returns (v, n, prec).  It reads valuations only, so the
+    lattice sums apply it to rows they never invert.
+    """
+    v = lo + nz.argmax(axis=1)
+    single = (nz.sum(axis=1) == 1) & (dprec >= PREC_EXACT)
+    n = np.where(single, 1, np.maximum(np.minimum(dprec - v, rel_prec), 1))
+    return v, n, np.where(single, PREC_EXACT, -v + n)
+
+
+def stack_inv(ctx: Completion, D: np.ndarray, lo: int, dprec: int, rel_prec):
+    """Inverses of N nonzero series stacked in one frame, by inv_extent's rule.
+
+    Row i of D (N, F, m) is sum_r D[i, r] u^(lo + r) + O(u^dprec); the
+    inverse of row i keeps the n coefficients and the precision that
+    inv_extent gives it.  Returns (X, off, prec): inverse i is
+    sum_r X[i, r] u^(off[i] + r) + O(u^prec[i]), with X zero from each
+    row's n on.
     """
     N, _, m = D.shape
-    nz = D.any(axis=2)
-    first = nz.argmax(axis=1)
-    single = (nz.sum(axis=1) == 1) & (dprec >= PREC_EXACT)
-    v = lo + first
-    n = np.where(single, 1, np.maximum(np.minimum(dprec - v, rel_prec), 1))
+    v, n, prec = inv_extent(D.any(axis=2), lo, dprec, rel_prec)
+    first = v - lo
     L = int(n.max())
     padded = np.concatenate([D, np.zeros((N, L, m), dtype=D.dtype)], axis=1)
     X = batch_inv(ctx, padded[np.arange(N)[:, None], first[:, None] + np.arange(L)], L)
     X[np.arange(L)[None, :] >= n[:, None]] = 0
-    return X, -v, np.where(single, PREC_EXACT, -v + n)
+    return X, -v, prec
 
 
 class RamLaurent:
@@ -400,7 +414,7 @@ class RamLaurent:
         return RamLaurent(self.ctx, self.offset, out, self.prec)
 
     def inv(self, rel_prec: int) -> "RamLaurent":
-        """1/self: the one-row case of stack_inv, which sets length and precision."""
+        """1/self: the one-row case of stack_inv (length and precision by inv_extent)."""
         if self.is_exact_zero():
             raise ZeroInverseError("inverse of exact zero series")
         if self.is_zero():

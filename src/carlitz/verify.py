@@ -584,7 +584,13 @@ def _genseries_samples(rc, s_list):
             g = g * base
         model_prec = a * (M + 1)
         vals = [psi(ctx, s, z, cfg.degcap, tcap, B).scalar_mul(z) for z in nodes]
-        rows = [[z**n for n in ns] for z in nodes]
+        rows = []
+        for z in nodes:
+            # running powers: the nodes are exact, so z^n = z^(n-1) * z is z**n
+            row = [z**n0]
+            for _ in ns[1:]:
+                row.append(row[-1] * z)
+            rows.append(row)
         keys = sorted(set().union(*[set(v.terms) for v in vals]))
         rhs = [[v.coeff(key).truncate(model_prec) for v in vals] for key in keys]
         sol = {}
@@ -1051,16 +1057,24 @@ def run_all(cfg: CheckConfig):
 
     A check that does not apply to the configuration (q below its min_q) is
     reported as skipped, with the reason as its one sample row, and the run
-    goes on.
+    goes on.  A check that raises a CarlitzError once its configuration is
+    resolved is reported with status error, the error as its one sample
+    row, and the run goes on too.
     """
     reports = []
     for name in REGISTRY:
         sub = CheckConfig(**{**cfg.__dict__, "check": name})
         rc = _resolve(sub)
         reason = _not_applicable(sub, rc)
-        if reason is None:
-            reports.append(run_check(sub))
+        if reason is not None:
+            row = SampleResult(0, reason, "skipped", "skipped", "skipped")
+            reports.append(CheckReport(name, _params(sub, rc), "skipped", "skipped", [row], 0))
             continue
-        row = SampleResult(0, reason, "skipped", "skipped", "skipped")
-        reports.append(CheckReport(name, _params(sub, rc), "skipped", "skipped", [row], 0))
+        t0 = time.perf_counter()
+        try:
+            reports.append(run_check(sub))
+        except CarlitzError as err:
+            row = SampleResult(0, f"{type(err).__name__}: {err}", "error", "error", "error")
+            elapsed = int((time.perf_counter() - t0) * 1000)
+            reports.append(CheckReport(name, _params(sub, rc), "error", "error", [row], elapsed))
     return reports

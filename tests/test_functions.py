@@ -6,6 +6,8 @@ import re
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from carlitz import functions, verify
 from carlitz.errors import (
@@ -44,7 +46,7 @@ from carlitz.functions import (
     u_m_val,
     u_val,
 )
-from carlitz.laurent import NEG_INF, Completion, sample_z
+from carlitz.laurent import NEG_INF, PREC_EXACT, Completion, RamLaurent, sample_z
 from carlitz.tate import (
     TateElem,
     tate_const,
@@ -695,7 +697,7 @@ def _psi_family_points(ctx, rng, degcap):
     return zs + [lattice, lattice.truncate(1), ctx.zero(), ctx.zero(12), ctx.zero(0)]
 
 
-@pytest.mark.parametrize("p,e,d", KERNEL_TOWERS)
+@pytest.mark.parametrize("p,e,d", KERNEL_TOWERS + [(7, 1, 1)])
 def test_differential_psi_family_kernel(p, e, d):
     """psi_family over the KERNEL_POWERS of one variable count, in both
     orders, at one z equals _psi_reference per tuple, or raises the pole
@@ -728,6 +730,60 @@ def test_differential_psi_family_kernel(p, e, d):
                 for g, w in zip(got, want):
                     _assert_same(g, w)
                 assert b_got.n_terms["psi"] == sorted(blocks)
+
+
+ORBIT_TOWERS = [(3, 1, 1), (3, 1, 2), (2, 2, 1), (5, 1, 1), (7, 1, 1)]
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    tower=st.sampled_from(ORBIT_TOWERS),
+    low=st.lists(st.integers(0, 63), max_size=2),
+    kind=st.sampled_from(["exact", "truncated", "zero"]),
+    lo=st.integers(-6, 4),
+    idx=st.lists(st.integers(0, 63), min_size=1, max_size=8),
+    cut=st.integers(1, 12),
+)
+def test_orbit_identity_property(tower, low, kind, lo, idx, cut):
+    """sum_c c^w / (z - c*a) = -a^k0 z^(q-2-k0) / (z^(q-1) - a^(q-1)) with
+    k0 = -w mod (q - 1), for every w, below the least precision of the q - 1
+    unit inverses (an exact sum when they are all exact); a change one place
+    below that precision is seen.  _orbit_extents gives that precision and
+    the valuation of z^(q-1) - a^(q-1) without inverting a unit row."""
+    ctx = Completion(*tower)
+    spec, q, wp = ctx.spec, ctx.q, 20
+    a = spec.poly([spec.from_index(c % q) for c in low] + [spec.one])
+    emb = ctx.embed_poly(a)
+    if kind == "zero":
+        z = ctx.zero(cut) if cut % 2 else ctx.zero()
+    else:
+        z = ctx.from_terms([(lo + i, spec.from_index(c % spec.order)) for i, c in enumerate(idx)])
+        if kind == "truncated":
+            z = z.truncate(lo + cut)
+    units = [c for c in spec.subfield_elements() if not c.is_zero()]
+    rows = [z - emb.scale(c) for c in units]
+    assume(not any(r.is_zero() for r in rows))
+    invs = [r.inv(wp) for r in rows]
+    zt = RamLaurent(ctx, z.offset, z.coeffs)
+    E = zt ** (q - 1) - emb ** (q - 1)
+    for w in range(q - 1):
+        lhs = ctx.zero()
+        for c, x in zip(units, invs):
+            lhs = lhs + x.scale(c ** w)
+        assert lhs.prec == min(x.prec for x in invs)
+        k0 = (-w) % (q - 1)
+        rhs = -(emb ** k0 * zt ** (q - 2 - k0)) * E.inv(200)
+        assert rhs.prec >= lhs.prec
+        assert (lhs - rhs).is_zero()
+        if lhs.prec < PREC_EXACT:
+            assert not (lhs - rhs - ctx.u_pow(lhs.prec - 1)).is_zero()
+    j = a.degree
+    where = [i for i, (b, _) in enumerate(_monic_block(ctx, j)) if b.coeffs == a.coeffs]
+    try:
+        V, P, _ = functions._orbit_extents(ctx, [j], z, wp)
+    except LatticePoleError:
+        return  # z meets another a of the block
+    assert (V[where[0]], P[where[0]]) == (E.valuation(), lhs.prec)
 
 
 @pytest.mark.parametrize("p,e,d", KERNEL_TOWERS)
@@ -765,8 +821,8 @@ def test_differential_L_multi_cached_inverse(p, e, d):
 
 @pytest.mark.parametrize("p,e,d", KERNEL_TOWERS)
 def test_differential_psi_stacked_call_bound(p, e, d):
-    """No stack_inv call inside psi or psi_family gets more rows than the
-    largest kept block, (q - 1) * q^J, and each argument takes at most two."""
+    """psi and psi_family invert one row per monic a, in exactly one
+    stack_inv call per argument: sum_{j <= J} q^j rows."""
     ctx = Completion(p, e, d)
     rng = random.Random(f"psi-bound:{p}:{e}:{d}")
     degcap = 3 if ctx.q >= 4 else 5
@@ -786,9 +842,8 @@ def test_differential_psi_stacked_call_bound(p, e, d):
                 mp.setattr(functions, "stack_inv", counted)
                 psi_family(ctx, len(family[0]), z, degcap, 2, B, family)
             J = max(B.n_terms["psi"])
-            assert 1 <= len(rows) <= 2
-            assert max(rows) <= (ctx.q - 1) * ctx.q**J
-            assert sum(rows) == ctx.q**(J + 1) - 1
+            assert B.n_terms["psi"] == list(range(J + 1))
+            assert rows == [(ctx.q**(J + 1) - 1) // (ctx.q - 1)]
 
 
 def test_block_tables_shared_per_tower(monkeypatch):

@@ -14,7 +14,7 @@ import pytest
 
 from carlitz import cli
 from carlitz import verify
-from carlitz.errors import ConfigError, UnknownCheckError
+from carlitz.errors import ConfigError, SizeLimitError, UnknownCheckError
 from carlitz.functions import default_budget
 from carlitz.laurent import Completion
 from carlitz.verify import (
@@ -267,6 +267,30 @@ def test_cli_all_aggregates(capsys, monkeypatch):
                    "--degcap", "6", "--format", "text"])
     assert rc == 1
     assert "overall: fail" in capsys.readouterr().out
+
+
+def test_all_error_row(capsys, monkeypatch):
+    """Under --all a check whose runner raises a CarlitzError becomes one row
+    with status error and the error as its label; the other checks still
+    run, and the exit status is 1.  Run alone, the check still aborts."""
+    def runner(rc):
+        raise SizeLimitError("argument too large for the exponential guard")
+
+    small = {"zz-raise": CheckDef("always raises", runner), "eq2-omega": REGISTRY["eq2-omega"]}
+    monkeypatch.setattr(verify, "REGISTRY", small)
+    monkeypatch.setattr(cli, "REGISTRY", small)
+    flags = ["--p", "2", "--prec", "12", "--tcap", "6", "--degcap", "6"]
+    assert cli.main(["--all", *flags, "--format", "tsv"]) == 1
+    rows = capsys.readouterr().out.splitlines()
+    assert rows[1] == ("zz-raise\t0\tSizeLimitError: argument too large for the"
+                       " exponential guard\terror\terror\terror")
+    assert rows[2].startswith("eq2-omega\t0\t") and rows[2].split("\t")[3] == "pass"
+    assert cli.main(["--all", *flags, "--format", "json"]) == 1
+    data = json.loads(capsys.readouterr().out)
+    assert [c["status"] for c in data["checks"]] == ["error", "pass"]
+    assert data["status"] == "fail"
+    assert cli.main(["--check", "zz-raise", *flags]) == 1
+    assert "SizeLimitError" in capsys.readouterr().err
 
 
 def test_run_all_order(monkeypatch):
