@@ -22,10 +22,10 @@ from .errors import (
     ZeroInverseError,
 )
 from .fields import (
-    DEG_LIMIT,
     GFElem,
     GFPoly,
     carlitz_dl,
+    degree_guard,
     enumerate_A,
     poly_add,
     poly_mul,
@@ -107,8 +107,7 @@ def carlitz_poly(spec, a: GFPoly) -> LinPoly:
     satisfies the two ring laws and the coefficient formula through d_j.
     """
     a.subfield_coeff_indices()
-    if a.degree >= 0 and spec.q**a.degree > DEG_LIMIT:
-        raise SizeLimitError(f"action of degree-{a.degree} element beyond guard")
+    degree_guard(spec.q, a.degree)
     c_theta = LinPoly(spec, [spec.poly([0, 1]), spec.poly([1])])
     out = LinPoly(spec, [])
     power = LinPoly(spec, [spec.poly([1])])  # identity Z
@@ -129,8 +128,7 @@ def basis_E(spec, j: int) -> tuple[LinPoly, GFPoly]:
     with v = e_{j-1}(theta^{j-1}); the tests pin this against the literal
     product and against the module-action coefficients.
     """
-    if spec.q**j > DEG_LIMIT:
-        raise SizeLimitError(f"degree q^{j} beyond the polynomial guard")
+    degree_guard(spec.q, j)
     e = LinPoly(spec, [spec.poly([1])])
     for i in range(1, j + 1):
         v = e.eval(spec.poly([0] * (i - 1) + [1]))
@@ -468,8 +466,7 @@ def telescope_pair(spec, d: int):
     """
     if d < 1:
         raise ShapeMismatchError("telescope depth must be >= 1")
-    if spec.q**d > DEG_LIMIT:
-        raise SizeLimitError("telescope depth beyond the degree guard")
+    degree_guard(spec.q, d)
     one = GFPoly(spec, (spec.one,), "x")
     zero = GFPoly(spec, (), "x")
 

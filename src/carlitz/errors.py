@@ -10,7 +10,9 @@ class NotPrimeError(CarlitzError):
 
 
 class SizeLimitError(CarlitzError):
-    """A desk-scale enumeration or field-size guard was exceeded."""
+    """A size limit was exceeded: a field order, an enumeration, the degree
+    q^j of a j-fold q-power recursion, a torsion field, or the length of a
+    series block."""
 
 
 class FieldMismatchError(CarlitzError):

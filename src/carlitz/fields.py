@@ -664,6 +664,14 @@ def enumerate_A(spec: FieldSpec, j: int, monic: bool = False, var: str = "theta"
     return out
 
 
+def degree_guard(q: int, j: int):
+    """Refuse a polynomial built by a j-fold q-power recursion (D_j, the
+    action of a degree-j element, e_j, a depth-j telescope) once q^j >
+    DEG_LIMIT: the one home of that rule."""
+    if q**j > DEG_LIMIT:
+        raise SizeLimitError(f"degree q^{j} beyond the polynomial guard")
+
+
 def carlitz_dl(spec: FieldSpec, j: int, var: str = "theta") -> tuple[GFPoly, GFPoly]:
     """(D_j, l_j) in F_q[var]: the product of all monic polynomials of degree
     j, and (-1)^j times their least common multiple.
@@ -673,8 +681,7 @@ def carlitz_dl(spec: FieldSpec, j: int, var: str = "theta") -> tuple[GFPoly, GFP
     """
     if j < 0:
         raise ShapeMismatchError("index must be >= 0")
-    if spec.q**j > DEG_LIMIT:
-        raise SizeLimitError(f"degree q^{j} beyond the polynomial guard")
+    degree_guard(spec.q, j)
     q = spec.q
     d = ell = GFPoly(spec, (spec.one,), var)
     for i in range(1, j + 1):

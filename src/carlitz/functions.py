@@ -19,9 +19,8 @@ from .errors import (
     PrecisionExhaustedError,
     ShapeMismatchError,
     SingularSystemError,
-    SizeLimitError,
 )
-from .fields import DEG_LIMIT, GFPoly, carlitz_dl, enumerate_A
+from .fields import GFPoly, carlitz_dl, degree_guard, enumerate_A
 from .laurent import (NEG_INF, PREC_EXACT, Completion, RamLaurent, batch_mul, inv_extent,
                       stack_inv, sum_blocks)
 from .tate import TateElem, mul_profile, tate_const, tate_zero
@@ -74,6 +73,21 @@ def _inv_d(ctx: Completion, i: int, rel: int) -> RamLaurent:
     return ctx.cache[key]
 
 
+def _term(ctx: Completion, z: RamLaurent, i: int, wp: int, rel: int) -> RamLaurent:
+    """(z^(q^i) / d_i).truncate(wp), with z truncated before it is dilated.
+
+    Let b = 1/d_i, v its valuation, c = z.qpow(i) and K = ceil((wp - v) / q^i).
+    qpow commutes with truncation, z.truncate(K).qpow(i) == c.truncate(q^i K)
+    (RamLaurent.qpow), and q^i K >= wp - v.  The truncate-before-multiply
+    lemma of papanikolas_L at P = wp turns both (c.truncate(q^i K) * b) and
+    (c * b), truncated at wp, into (c.truncate(wp - v) * b).truncate(wp).  So
+    only the rows of z below K reach the result, and the block qpow allocates
+    has at most (K - v(z) - 1) q^i + 1 rows, not the whole dilation of z.
+    """
+    inv = _inv_d(ctx, i, rel)
+    return (z.truncate(-((inv.valuation() - wp) // ctx.q**i)).qpow(i) * inv).truncate(wp)
+
+
 # -- period
 
 
@@ -103,7 +117,9 @@ def pi_tilde(ctx: Completion, budget: SeriesBudget) -> RamLaurent:
 
 
 def _exp_indices(ctx: Completion, v: int, wp: int):
-    """Kept term indices and positive-exponent slack for sum z^{q^i}/d_i."""
+    """Kept term indices and positive-exponent slack for sum z^{q^i}/d_i,
+    term i of valuation q^i (v + i ram).  A kept term divides by D_i, so it
+    is refused by D_i's degree guard before any term is formed."""
     keep = []
     slack = 0
     i = 0
@@ -111,11 +127,10 @@ def _exp_indices(ctx: Completion, v: int, wp: int):
         tv = ctx.q**i * (v + i * ctx.ram)
         if tv >= wp:
             break
+        degree_guard(ctx.q, i)
         keep.append(i)
         slack = max(slack, -tv)
         i += 1
-        if ctx.q**i > DEG_LIMIT:
-            raise SizeLimitError("argument too large for the exponential guard")
     return keep, slack
 
 
@@ -128,7 +143,7 @@ def carlitz_exp(ctx: Completion, z: RamLaurent, budget: SeriesBudget) -> RamLaur
     budget.n_terms["carlitz_exp"] = len(keep)
     acc = ctx.zero(wp)
     for i in keep:
-        acc = acc + (z.qpow(i) * _inv_d(ctx, i, wp + slack)).truncate(wp)
+        acc = acc + _term(ctx, z, i, wp, wp + slack)
     if acc.prec < budget.prec:
         raise PrecisionExhaustedError(
             f"exponential delivered precision {acc.prec} < target {budget.prec}")
@@ -276,32 +291,24 @@ def agf_f(ctx: Completion, z: RamLaurent, tcap: int, budget: SeriesBudget) -> Ta
     sum_k t^k theta^(-(k+1) q^n), applied by _geometric_mul.  Each
     t-coefficient of the sum is one reduction over the terms (_sum_coeffs),
     known to the least precision among them; the tail is the largest tail.
+    pi has valuation -q and the geometric series leads with theta^(-q^n), of
+    valuation q^n ram, so term n has valuation q^n (v(z) - 1 + n ram): that
+    of the exponential's term n at v = v(z) - 1, and _exp_indices there gives
+    the kept indices and the slack.
     """
     wp = budget.wp
-    q, ram = ctx.q, ctx.ram
+    q = ctx.q
     if z.is_exact_zero():
         return tate_zero(ctx, 1, tcap)
-    a_w = z.norm_exp() + Fraction(q, q - 1)
-    keep = []
-    slack = 0
-    n = 0
-    while True:
-        en = ram * q**n * (a_w - n - 1)
-        if en <= -wp:
-            break
-        keep.append(n)
-        slack = max(slack, math.ceil(en))
-        n += 1
-        if q**n > DEG_LIMIT:
-            raise SizeLimitError("argument too large for the AGF guard")
+    keep, slack = _exp_indices(ctx, z.valuation() - 1, wp)
     budget.n_terms["agf_f"] = len(keep)
     pi = pi_tilde(ctx, SeriesBudget(wp + slack + q + max(0, -z.valuation()), 0))
     w = pi * z
     parts: dict = {}
     tail = NEG_INF
     for n in keep:
-        scal = (w.qpow(n) * _inv_d(ctx, n, wp + slack)).truncate(wp)
-        term = _geometric_mul(tate_const(ctx, 1, tcap, scal), tcap, q**n, 1, 1)
+        term = _geometric_mul(tate_const(ctx, 1, tcap, _term(ctx, w, n, wp, wp + slack)),
+                              tcap, q**n, 1, 1)
         tail = max(tail, term.tail_norm_exp)
         for e, c in term.terms.items():
             parts.setdefault(e, []).append(c)
@@ -438,7 +445,11 @@ def papanikolas_L(ctx: Completion, alpha: RamLaurent, tcap: int,
 
     The series stops at the first j with ram * C_j <= -wp, and c_last is that
     C_j; both come from the closed form q + ... + q^j = q(q^j - 1)/(q - 1)
-    before any term is formed.  An omitted term moves the t^m coefficient by
+    before any term is formed.  stop needs no size guard: the valuation v of
+    alpha is an integer and ram = q - 1, so a = -v/ram < q/(q-1) = 1 + 1/ram
+    forces a <= 1.  Then ram * C_j <= (q-1) q^j - q(q^j - 1) = q - q^j, which
+    is <= -wp once q^j >= wp + q; so stop = 1 or q^(stop-1) < wp + q, and
+    q^stop <= q (wp + q).  An omitted term moves the t^m coefficient by
     at most q^(c_last - q m), so that coefficient is kept to precision
     p_m = ceil(ram (q m - c_last)).  prod_j = prod_{k<=j} (t - theta^{q^k})^{-1}
     is prod_{j-1} times -sum_i t^i theta^(-(i+1) q^j), applied exactly by
@@ -447,9 +458,9 @@ def papanikolas_L(ctx: Completion, alpha: RamLaurent, tcap: int,
     run to thousands of rows, of which the final truncation at p_m keeps
     few.  Truncation commutes with sums, and the product is unchanged by:
 
-    Lemma.  For series c and b, an integer P and v_b = b.valuation(),
-    (c.truncate(P - v_b) * b).truncate(P) == (c * b).truncate(P), for
-    exponents far below the PREC_EXACT sentinel.
+    Lemma (truncate before multiply).  For series c and b, an integer P and
+    v_b = b.valuation(), (c.truncate(P - v_b) * b).truncate(P) ==
+    (c * b).truncate(P), for exponents far below the PREC_EXACT sentinel.
 
     Proof.  Let c' = c.truncate(P - v_b), so p_c' = min(p_c, P - v_b).  If b
     is the exact zero both products are.  If c is, c' is term-free with
@@ -484,8 +495,6 @@ def papanikolas_L(ctx: Completion, alpha: RamLaurent, tcap: int,
     stop = 1
     while ram * c_at(stop) > -wp:
         stop += 1
-        if q**stop > DEG_LIMIT:
-            raise SizeLimitError("logarithm series guard exceeded")
     c_last = c_at(stop)
     p_m = [math.ceil(ram * (q * m - c_last)) for m in range(tcap + 1)]
     parts = {(0,): [alpha]}

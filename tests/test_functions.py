@@ -3,6 +3,7 @@
 import math
 import random
 import re
+import time
 from fractions import Fraction
 
 import pytest
@@ -21,7 +22,7 @@ from carlitz.errors import (
     SizeLimitError,
 )
 from carlitz.cyclotomic import CycField, embed
-from carlitz.fields import DEG_LIMIT, enumerate_A, roots_in_ext
+from carlitz.fields import enumerate_A, roots_in_ext
 from carlitz.functions import (
     SeriesBudget,
     L_multi,
@@ -982,8 +983,6 @@ def _agf_f_reference(ctx, z, tcap, budget):
         keep.append(n)
         slack = max(slack, math.ceil(en))
         n += 1
-        if q**n > DEG_LIMIT:
-            raise SizeLimitError("argument too large for the AGF guard")
     budget.n_terms["agf_f"] = len(keep)
     pi = pi_tilde(ctx, SeriesBudget(wp + slack + q + max(0, -z.valuation()), 0))
     w = pi * z
@@ -1007,6 +1006,67 @@ def test_differential_agf_f_summed(p, e, d):
             got = agf_f(ctx, z, tcap, b_got)
             _assert_same(got, _agf_f_reference(ctx, z, tcap, b_want))
             assert b_got.n_terms["agf_f"] == b_want.n_terms["agf_f"]
+
+
+TERM_TOWERS = [(2, 1, 1), (3, 1, 1), (2, 2, 1), (5, 1, 1), (7, 1, 1)]
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    tower=st.sampled_from(TERM_TOWERS),
+    kind=st.sampled_from(["exact", "truncated", "no rows", "zero"]),
+    lo=st.integers(-6, 4),
+    idx=st.lists(st.integers(0, 63), min_size=1, max_size=8),
+    cut=st.integers(0, 12),
+    i=st.integers(0, 3),
+    wp=st.integers(-10, 40),
+    slack=st.integers(0, 40),
+)
+def test_truncated_term_property(tower, kind, lo, idx, cut, i, wp, slack):
+    """functions._term, which truncates z before it dilates it, equals
+    dilate-then-truncate, (z.qpow(i) * 1/d_i).truncate(wp), for exact and
+    truncated z of either sign of valuation, z truncated to no rows, and the
+    exact zero."""
+    ctx = Completion(*tower)
+    spec = ctx.spec
+    z = ctx.from_terms([(lo + k, spec.from_index(c % spec.order)) for k, c in enumerate(idx)])
+    if kind == "truncated":
+        z = z.truncate(lo + cut + 1)
+    elif kind == "no rows":
+        z = z.truncate(lo - cut)
+    elif kind == "zero":
+        z = ctx.zero()
+    want = (z.qpow(i) * _inv_d(ctx, i, wp + slack)).truncate(wp)
+    assert functions._term(ctx, z, i, wp, wp + slack) == want
+
+
+def test_size_guard_refuses_only_kept_terms():
+    """The last term the series keeps is formed: at q = 2, u^-10 keeps
+    D_12 (q^12 = DEG_LIMIT), at q = 3, u^-12 keeps D_7, and neither needs
+    the next index."""
+    for p, k in ((2, 10), (3, 12)):
+        ctx = Completion(p, 1, 1)
+        z = ctx.u_pow(-k)
+        B = default_budget(ctx, 20)
+        assert carlitz_e(ctx, z, B).prec >= B.prec
+        assert B.n_terms["carlitz_exp"] == {2: 13, 3: 8}[p]
+    ctx = Completion(2, 1, 1)
+    B = default_budget(ctx, 20)
+    assert agf_f(ctx, ctx.u_pow(-10), 4, B).tcap == 4
+
+
+def test_size_guard_before_period():
+    """A z whose kept terms would need D_i with q^i > DEG_LIMIT raises
+    SizeLimitError at once, before pi_tilde or any D_j is built."""
+    for k in (40, 200):
+        for f in (lambda ctx, z: carlitz_e(ctx, z, default_budget(ctx, 20)),
+                  lambda ctx, z: agf_f(ctx, z, 4, default_budget(ctx, 20))):
+            ctx = Completion(3, 1, 1)
+            start = time.perf_counter()
+            with pytest.raises(SizeLimitError):
+                f(ctx, ctx.u_pow(-k))
+            assert time.perf_counter() - start < 1.0
+            assert not any(key[0] in ("pi", "const", "inv_d") for key in ctx.cache)
 
 
 def _papanikolas_reference(ctx, alpha, tcap, budget):
@@ -1034,8 +1094,6 @@ def _papanikolas_reference(ctx, alpha, tcap, budget):
         prod = prod * _geometric_reference(ctx, tcap, q**j, 1, -1)
         acc = acc + prod.scalar_mul(alpha.qpow(j))
         j += 1
-        if q**j > DEG_LIMIT:
-            raise SizeLimitError("logarithm series guard exceeded")
     budget.n_terms["papanikolas_L"] = j - 1
     out = {}
     for e, c in acc.terms.items():

@@ -20,7 +20,8 @@ GOLDEN_DIR = Path(__file__).parent / "golden"
 
 # file stem: (flags, exit code); --p 2 exits 1 on the failing carlitz-zeta-s0
 # rows and --p 5 on the failing thm4-degcoeff rows.  p5 runs the lattice sums
-# over four units per orbit, p7-prop51 over six.
+# over four units per orbit, p7-prop51 over six.  p7-lem31 and p7-growth
+# run the Carlitz exponential at q = 7 up to its last kept term.
 GOLDEN = {
     "p3": (["--p", "3"], 0),
     "p2": (["--p", "2"], 1),
@@ -28,6 +29,8 @@ GOLDEN = {
     "p2e2": (["--p", "2", "--e", "2"], 0),
     "p3prime": (["--p", "3", "--prime", "2,2,0,1"], 0),
     "p7-prop51": (["--check", "prop51-ev", "--p", "7"], 0),
+    "p7-lem31": (["--check", "lem31-bound", "--p", "7"], 0),
+    "p7-growth": (["--check", "growth-remark", "--p", "7"], 0),
 }
 
 

@@ -274,7 +274,7 @@ def test_all_error_row(capsys, monkeypatch):
     with status error and the error as its label; the other checks still
     run, and the exit status is 1.  Run alone, the check still aborts."""
     def runner(rc):
-        raise SizeLimitError("argument too large for the exponential guard")
+        raise SizeLimitError("qpow block too long")
 
     small = {"zz-raise": CheckDef("always raises", runner), "eq2-omega": REGISTRY["eq2-omega"]}
     monkeypatch.setattr(verify, "REGISTRY", small)
@@ -282,8 +282,7 @@ def test_all_error_row(capsys, monkeypatch):
     flags = ["--p", "2", "--prec", "12", "--tcap", "6", "--degcap", "6"]
     assert cli.main(["--all", *flags, "--format", "tsv"]) == 1
     rows = capsys.readouterr().out.splitlines()
-    assert rows[1] == ("zz-raise\t0\tSizeLimitError: argument too large for the"
-                       " exponential guard\terror\terror\terror")
+    assert rows[1] == "zz-raise\t0\tSizeLimitError: qpow block too long\terror\terror\terror"
     assert rows[2].startswith("eq2-omega\t0\t") and rows[2].split("\t")[3] == "pass"
     assert cli.main(["--all", *flags, "--format", "json"]) == 1
     data = json.loads(capsys.readouterr().out)
