@@ -39,6 +39,14 @@ from .laurent import Completion, RamLaurent
 _TORSION_LIMIT = 512
 
 
+def torsion_guard(q: int, d: int):
+    """Refuse the torsion field of a degree-d prime once its q^d residues
+    exceed _TORSION_LIMIT: the one home of that rule."""
+    if q**d > _TORSION_LIMIT:
+        raise SizeLimitError(
+            f"torsion field of degree {d} beyond the torsion guard q^d <= {_TORSION_LIMIT}")
+
+
 class LinPoly:
     """Additive polynomial sum_j c_j Z^{q^j} with coefficients in F_q[theta].
 
@@ -194,8 +202,7 @@ class CycField:
             raise FieldMismatchError("root from another tower")
         if not prime.eval(zeta).is_zero():
             raise RootMismatchError("zeta is not a root of the prime")
-        if spec.q**prime.degree > _TORSION_LIMIT:
-            raise SizeLimitError("torsion field beyond the size guard")
+        torsion_guard(spec.q, prime.degree)
         self.spec = spec
         self.prime = prime
         self.zeta = zeta
@@ -338,21 +345,45 @@ class CycElem:
         return "CycElem(" + " + ".join(parts) + tail + ")"
 
 
+def _ladder(cf: CycField, n: int) -> list:
+    """[lambda^(q^j) for j < n], kept once per field and extended on demand."""
+    ladder = cf.cache.setdefault("ladder", [cf.lam])
+    while len(ladder) < n:
+        x = ladder[-1]
+        for _ in range(cf.spec.e):
+            x = x ** cf.spec.p
+        ladder.append(x)
+    return ladder
+
+
 def action_at_lam(cf: CycField, a: GFPoly) -> CycElem:
-    """The module action of a applied to the torsion generator, reduced."""
+    """The module action of a applied to the torsion generator, reduced.
+
+    The action is F_q-linear, so a non-monic a is its leading coefficient
+    times the action of the monic a / lead: only a monic a (or zero) builds
+    its action polynomial.
+    """
     key = ("act", a.coeffs)
     if key not in cf.cache:
-        cp = carlitz_poly(cf.spec, a)
-        acc = cf.zero
-        lam_pow = cf.lam
-        for j, c in enumerate(cp.coeffs):
-            if j:
-                for _ in range(cf.spec.e):
-                    lam_pow = lam_pow ** cf.spec.p
-            if not c.is_zero():
-                acc = acc + lam_pow * c
-        cf.cache[key] = acc
+        a.subfield_coeff_indices()
+        if not a.is_zero() and not a.is_monic():
+            cf.cache[key] = action_at_lam(cf, a.scale(a.lead.inv())) * a.lead
+        else:
+            cp = carlitz_poly(cf.spec, a)
+            acc = cf.zero
+            for x, c in zip(_ladder(cf, len(cp.coeffs)), cp.coeffs):
+                if not c.is_zero():
+                    acc = acc + x * c
+            cf.cache[key] = acc
     return cf.cache[key]
+
+
+def _monic_orbits(cf: CycField):
+    """(b, chi(b), C_b(lambda)) for each monic b of degree < d: one b per
+    unit orbit of the nonzero residues, none with chi(b) = 0."""
+    for j in range(cf.d):
+        for b in enumerate_A(cf.spec, j, monic=True):
+            yield b, b.eval(cf.zeta), action_at_lam(cf, b)
 
 
 def galois_sigma(a: GFPoly, x: CycElem) -> CycElem:
@@ -409,24 +440,65 @@ def interpolation_M(cf: CycField) -> list:
 
     The nodes C_b(lambda) are the q^d roots of C_P(Z) = Z * rho(Z), and
     C_P'(Z) = P, so every Lagrange denominator is P and
-    M = sum_b chi(b) * C_P(Z) / (Z - C_b(lambda)): one Horner synthetic
-    division of chi(b) * C_P(Z) per residue with chi(b) != 0, and no
-    inverse.  A nonzero remainder means a node is not a root of C_P.
+    M = sum_b chi(b) * C_P(Z) / (Z - C_b(lambda)).  The sum runs over one
+    unit orbit at a time.  For a unit c and x = C_b(lambda),
+    chi(c*b) = c * chi(b) and C_{c*b}(lambda) = c * x, and
+
+        sum_c c / (Z - c*x) = -x^(q-2) / (Z^(q-1) - x^(q-1)):
+
+    expanded in 1/Z, the left side is sum_n x^n / Z^(n+1) * sum_c c^(n+1),
+    and sum_c c^(n+1) is -1 when q - 1 divides n + 1 and 0 otherwise; the
+    surviving n = q - 2 + (q - 1)i sum to the right side.  rho(Z) =
+    sum_j c_j Z^(q^j - 1) is a polynomial R(W) in W = Z^(q-1), and
+    R(x^(q-1)) = rho(x) = 0 for a nonzero node x, so
+
+        M = Z * sum over monic b of -chi(b) * x^(q-2) * R(W) / (W - x^(q-1)):
+
+    one exact synthetic division of length (q^d - 1)/(q - 1) per monic b,
+    and no inverse.  A nonzero remainder means a node is not a root of C_P;
+    a term of rho off the multiples of q - 1 means rho is no polynomial in
+    W.  At q = 2, W = Z, R = rho and x^(q-2) = 1.
     """
-    cp = [cf.zero] + [cf.const(c) for c in cf.rho]  # C_P(Z), low degree first
-    out = [cf.zero] * (len(cp) - 1)
-    for b in enumerate_A(cf.spec, cf.d):
-        chi = b.eval(cf.zeta)
-        if chi.is_zero():
-            continue
-        node = action_at_lam(cf, b)
-        acc = cp[-1] * chi
-        for k in range(len(cp) - 2, -1, -1):
+    q = cf.spec.q
+    R = cf.rho
+    if q > 2:
+        if any(not c.is_zero() for k, c in enumerate(R) if k % (q - 1)):
+            raise InvariantError("rho has a term off the multiples of q - 1")
+        R = R[:: q - 1]
+    out = [cf.zero] * (len(R) - 1)  # W-coefficients of the summed quotients
+    for b, chi, x in _monic_orbits(cf):
+        if q > 2:
+            xp = x ** (q - 2)
+            scale, y = xp * -chi, xp * x
+        else:
+            scale, y = cf.const(-chi), x
+        acc = scale * R[-1]
+        for k in range(len(R) - 2, -1, -1):
             out[k] = out[k] + acc
-            acc = cp[k] * chi + node * acc
+            acc = y * acc
+            if not R[k].is_zero():
+                acc = acc + scale * R[k]
         if not acc.is_zero():
             raise InvariantError(f"torsion value of {b!r} is not a root of C_P")
-    return poly_trim(out)
+    M = [cf.zero] * ((q - 1) * (len(out) - 1) + 2)
+    M[1 :: q - 1] = out
+    return poly_trim(M)
+
+
+def torsion_moment(cf: CycField, k: int) -> CycElem:
+    """sum over nonzero residues b of C_b(lambda)^k * chi(b), over monic b.
+
+    The term of c*b, for a unit c, is c^(k+1) times the term of b, and
+    sum_c c^(k+1) is -1 when q - 1 divides k + 1 and 0 otherwise.  So the
+    sum is -sum over monic b of C_b(lambda)^k * chi(b) in the first case
+    and 0 in the second.
+    """
+    acc = cf.zero
+    if (k + 1) % (cf.spec.q - 1):
+        return acc
+    for _, chi, x in _monic_orbits(cf):
+        acc = acc + x**k * chi
+    return -acc
 
 
 def M_from_gauss(cf: CycField) -> list:

@@ -17,6 +17,7 @@ from fractions import Fraction
 from .errors import (
     CarlitzError,
     ConfigError,
+    SizeLimitError,
     UnknownCheckError,
 )
 from .fields import (
@@ -64,9 +65,10 @@ from .cyclotomic import (
     gauss_sum_inv,
     interpolation_M,
     M_from_gauss,
-    _TORSION_LIMIT,
     modulus_inv,
     telescope_pair,
+    torsion_guard,
+    torsion_moment,
 )
 
 _MARGIN_CAP = 10000
@@ -504,7 +506,8 @@ def _run_thm4(rc):
     # inverse-Gauss-sum expression to the series variable u_prime
     chl = carlitz_dl(spec, dp - 1)[1].eval(zeta)
     pe = cf.const(prime)
-    a0 = pe**k0 * gauss_sum_inv(cf) * cf.const(chl.inv())
+    pk = pe ** (k0 - 1)
+    a0 = pk * pe * gauss_sum_inv(cf) * cf.const(chl.inv())
     if (dp + 1) % 2:
         a0 = -a0
     # the leading coefficient has norm up to q^(d*(k0+2)); widen the pad
@@ -519,11 +522,9 @@ def _run_thm4(rc):
     for k in range(k0 - 1):
         out.append(_residual_sample(len(out), f"moment {k} vanishes", moments[k], cfg.prec))
 
-    # exact leading coefficient: the residue moment lives in the torsion field
-    c_exact = cf.zero
-    for b in enumerate_A(spec, dp):
-        if not b.is_zero():
-            c_exact = c_exact + (pe * action_at_lam(cf, b)) ** (k0 - 1) * cf.const(b.eval(zeta))
+    # exact leading coefficient: the residue moment sum_b (P * C_b(lambda))^(k0-1)
+    # * chi(b) lives in the torsion field; P^(k0-1) leaves the sum
+    c_exact = pk * torsion_moment(cf, k0 - 1)
     out.append(_exact_sample(len(out), "leading coefficient, torsion-exact",
                              (pe * c_exact - a0).is_zero()))
     out.append(_residual_sample(len(out), "leading coefficient, embedded",
@@ -966,8 +967,10 @@ def _check_prime_coeffs(spec1, q, coeffs, what):
     if coeffs[-1] != 1:
         raise ConfigError(f"{what} must be monic")
     d = len(coeffs) - 1
-    if q**d > _TORSION_LIMIT:
-        raise ConfigError(f"{what} of degree {d} beyond the torsion guard q^d <= {_TORSION_LIMIT}")
+    try:
+        torsion_guard(q, d)
+    except SizeLimitError as err:
+        raise ConfigError(f"{what}: {err}") from err
     if not spec1.poly(coeffs).is_irreducible():
         raise ConfigError(f"{what} is not irreducible over the coefficient field")
 

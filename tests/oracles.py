@@ -1,7 +1,8 @@
 """Reference constructions shared by the test modules; not part of the package."""
 
-from carlitz.errors import PrecisionExhaustedError, ShapeMismatchError
-from carlitz.fields import GFPoly
+from carlitz.cyclotomic import action_at_lam, carlitz_poly
+from carlitz.errors import InvariantError, PrecisionExhaustedError, ShapeMismatchError
+from carlitz.fields import GFPoly, enumerate_A, poly_trim
 from carlitz.laurent import NEG_INF, Completion, RamLaurent
 from carlitz.tate import TateElem, _val_floor
 
@@ -93,3 +94,45 @@ def at_theta(x: TateElem, i: int, decay=None) -> TateElem:
             out = {(0,) * (x.s - 1): ctx.zero(floor)}
     tail = err if x.s - 1 > 0 else NEG_INF
     return TateElem(ctx, x.s - 1, x.tcap, out, tail)
+
+
+def action_at_lam_direct(cf, a: GFPoly):
+    """sum_j c_j * lambda^(q^j) over the action polynomial of a, monic or
+    not, with each lambda^(q^j) raised afresh: the reference for
+    action_at_lam."""
+    acc = cf.zero
+    for j, c in enumerate(carlitz_poly(cf.spec, a).coeffs):
+        acc = acc + cf.lam ** (cf.spec.q**j) * c
+    return acc
+
+
+def interpolation_M_per_residue(cf) -> list:
+    """M = sum over residues b of chi(b) * C_P(Z) / (Z - C_b(lambda)), one
+    Horner synthetic division of chi(b) * C_P(Z) per residue with
+    chi(b) != 0: the per-residue reference for interpolation_M."""
+    cp = [cf.zero] + [cf.const(c) for c in cf.rho]  # C_P(Z), low degree first
+    out = [cf.zero] * (len(cp) - 1)
+    for b in enumerate_A(cf.spec, cf.d):
+        chi = b.eval(cf.zeta)
+        if chi.is_zero():
+            continue
+        node = action_at_lam(cf, b)
+        acc = cp[-1] * chi
+        for k in range(len(cp) - 2, -1, -1):
+            out[k] = out[k] + acc
+            acc = cp[k] * chi + node * acc
+        if not acc.is_zero():
+            raise InvariantError(f"torsion value of {b!r} is not a root of C_P")
+    return poly_trim(out)
+
+
+def moment_per_residue(cf, k: int):
+    """sum over nonzero residues b of (prime * C_b(lambda))^k * chi(b), one
+    power per residue: the per-residue reference for the torsion-exact
+    moment of thm4-degcoeff."""
+    pe = cf.const(cf.prime)
+    acc = cf.zero
+    for b in enumerate_A(cf.spec, cf.d):
+        if not b.is_zero():
+            acc = acc + (pe * action_at_lam(cf, b)) ** k * cf.const(b.eval(cf.zeta))
+    return acc

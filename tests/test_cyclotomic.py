@@ -5,7 +5,7 @@ import functools
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from carlitz import cyclotomic, verify
@@ -24,6 +24,7 @@ from carlitz.cyclotomic import (
     gauss_sum_inv,
     interpolation_M,
     telescope_pair,
+    torsion_moment,
 )
 from carlitz.errors import (
     FieldMismatchError,
@@ -49,7 +50,12 @@ from carlitz.fields import (
 from carlitz.functions import carlitz_e, default_budget
 from carlitz.laurent import Completion
 
-from oracles import linpoly_coeff
+from oracles import (
+    action_at_lam_direct,
+    interpolation_M_per_residue,
+    linpoly_coeff,
+    moment_per_residue,
+)
 
 
 @functools.lru_cache(maxsize=None)
@@ -590,6 +596,42 @@ def test_interpolation_extreme_coefficients(args):
     assert M[1] == lin
 
 
+# torsion fields for the unit-orbit sums, q in {2, 3, 4, 5, 7}: _tf arguments
+_ORBIT_FIELDS = [
+    (2, 1, 2, (1, 1, 1)), (2, 1, 2, (1, 1, 1), 1), (2, 1, 3, (1, 1, 0, 1)),
+    (3, 1, 2, (1, 0, 1)), (3, 1, 2, (2, 2, 1), 1), (2, 2, 2, (2, 1, 1)),
+    (5, 1, 2, (2, 0, 1)), (5, 1, 2, (2, 0, 1), 1), (7, 1, 1, (3, 1)),
+    (7, 1, 2, (1, 0, 1)),
+]
+
+
+@functools.lru_cache(maxsize=None)
+def _M_reference(args):
+    return interpolation_M_per_residue(_tf(*args))
+
+
+@functools.lru_cache(maxsize=None)
+def _moment_reference(args, k):
+    return moment_per_residue(_tf(*args), k)
+
+
+@settings(max_examples=14, deadline=None)
+@given(st.sampled_from(_ORBIT_FIELDS), st.integers(0, 3), st.integers(0, 48))
+@example((7, 1, 2, (1, 0, 1)), 3, 9)
+@example((2, 2, 2, (2, 1, 1)), 3, 6)
+def test_orbit_sums_match_per_residue(args, j, a_index):
+    # one term per unit orbit gives the per-residue M and moment exactly, at
+    # the thm4 weight k0 - 1 (j = 3) and at the small weights 0, 1 and 2
+    cf = _tf(*args)
+    q, d = cf.spec.q, cf.d
+    k = q ** (d - 1) * (q - 1) - 1 if j == 3 else j
+    assert interpolation_M(cf) == _M_reference(args)
+    assert cf.const(cf.prime) ** k * torsion_moment(cf, k) == _moment_reference(args, k)
+    # a non-monic residue takes its action from its monic associate
+    a = enumerate_A(cf.spec, d)[a_index % q**d]
+    assert action_at_lam(cf, a) == action_at_lam_direct(cf, a)
+
+
 # -- exact identities in two symbols
 
 
@@ -672,7 +714,18 @@ def test_invariants_raise_when_broken(monkeypatch):
     monkeypatch.setattr(cyclotomic, "action_at_lam", lambda cf, b: act(cf, b) + cf.one)
     with pytest.raises(InvariantError):
         interpolation_M(cf)
+    # at q = 3 the shifted node leaves a remainder in the division by W - x^2
+    spec3 = make_field(3, 1, 2)
+    prime3 = spec3.poly([1, 0, 1])
+    cf3 = CycField(spec3, prime3, roots_in_ext(prime3, spec3)[0])
+    with pytest.raises(InvariantError, match="not a root"):
+        interpolation_M(cf3)
     monkeypatch.undo()
+    # a term of rho at an odd power of Z: rho is no polynomial in W = Z^2
+    cf3 = CycField(spec3, prime3, roots_in_ext(prime3, spec3)[0])
+    cf3.rho = (cf3.rho[0], cf3.poly_one) + cf3.rho[2:]
+    with pytest.raises(InvariantError, match="off the multiples"):
+        interpolation_M(cf3)
     # scaled by theta^2 + theta + 1, D_j leaves remainders: E_j(a) is no polynomial
     monkeypatch.setattr(cyclotomic, "basis_E", _bent_basis)
     with pytest.raises(InvariantError):

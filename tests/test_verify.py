@@ -120,8 +120,10 @@ def test_prime_validation():
     with pytest.raises(ConfigError):
         run_check(CheckConfig(check="lem53-M-oracle", prime=(1,), **base))
     big = (1, 0, 0, 0, 0, 0, 1)
-    with pytest.raises(ConfigError):
+    with pytest.raises(ConfigError, match="torsion guard") as err:
         run_check(CheckConfig(check="lem53-M-oracle", prime=big, **base))
+    # the one torsion guard, the one CycField calls, refused it
+    assert isinstance(err.value.__cause__, SizeLimitError)
     with pytest.raises(ConfigError):
         run_check(CheckConfig(check="prop51-ev", prime=(1, 0, 1), prime2=(1, 0, 1), **base))
     with pytest.raises(ConfigError):
@@ -239,6 +241,8 @@ def test_cli_config_errors(capsys):
     assert cli.main([]) == 2
     assert cli.main(["--check", "eq2-omega", "--p", "2", "--prec", "4"]) == 2
     assert cli.main(["--check", "lem53-M-oracle", "--p", "2", "--prime", "a,b"]) == 2
+    assert cli.main(["--check", "lem53-M-oracle", "--p", "2",
+                     "--prime", "1,1,0,0,0,0,0,0,0,0,1"]) == 2
     capsys.readouterr()
 
 
