@@ -22,8 +22,8 @@ from .errors import (
 )
 from .fields import GFPoly, carlitz_dl, degree_guard, enumerate_A
 from .laurent import (NEG_INF, PREC_EXACT, Completion, RamLaurent, batch_mul, inv_extent,
-                      stack_inv, sum_blocks)
-from .tate import TateElem, mul_profile, tate_const, tate_zero
+                      stack_inv)
+from .tate import TateElem, mul_profile, tate_zero
 
 
 @dataclass
@@ -78,11 +78,33 @@ def _term(ctx: Completion, z: RamLaurent, i: int, wp: int, rel: int) -> RamLaure
 
     Let b = 1/d_i, v its valuation, c = z.qpow(i) and K = ceil((wp - v) / q^i).
     qpow commutes with truncation, z.truncate(K).qpow(i) == c.truncate(q^i K)
-    (RamLaurent.qpow), and q^i K >= wp - v.  The truncate-before-multiply
-    lemma of papanikolas_L at P = wp turns both (c.truncate(q^i K) * b) and
-    (c * b), truncated at wp, into (c.truncate(wp - v) * b).truncate(wp).  So
-    only the rows of z below K reach the result, and the block qpow allocates
-    has at most (K - v(z) - 1) q^i + 1 rows, not the whole dilation of z.
+    (RamLaurent.qpow), and q^i K >= wp - v.  The lemma below at P = wp turns
+    both (c.truncate(q^i K) * b) and (c * b), truncated at wp, into
+    (c.truncate(wp - v) * b).truncate(wp).  So only the rows of z below K
+    reach the result, and the block qpow allocates has at most
+    (K - v(z) - 1) q^i + 1 rows, not the whole dilation of z.
+
+    Lemma (truncate before multiply).  For series c and b, an integer P and
+    v_b = b.valuation(), (c.truncate(P - v_b) * b).truncate(P) ==
+    (c * b).truncate(P), for exponents far below the PREC_EXACT sentinel.
+
+    Proof.  Let c' = c.truncate(P - v_b), so p_c' = min(p_c, P - v_b).  If b
+    is the exact zero both products are.  If c is, c' is term-free with
+    valuation P - v_b, and c' * b is term-free with precision
+    min(P, p_b + P - v_b) = P, because p_b >= v_b; so is (c * b).truncate(P).
+    Otherwise: the rows.  A row of c at exponent i >= P - v_b meets only rows
+    of b at exponents >= v_b, so it reaches only exponents >= P, and below
+    P - v_b the rows of c and c' agree; so both products have the same rows
+    below P.  The precisions, by mul_prec, are min(P, p_c' + v_b,
+    p_b + v_c', PREC_EXACT) on the left and min(P, p_c + v_b, p_b + v_c,
+    PREC_EXACT) on the right (PREC_EXACT alone when c and b are exact, and
+    then the left one is P as well).  If c' keeps a term, v_c' = v_c and
+    p_c' + v_b = min(p_c + v_b, P), so they agree.  If c' is term-free and
+    p_c' = p_c, c is term-free too and the same holds.  Else v_c >= P - v_b
+    and p_c > P - v_b; the left is P since p_b + v_c' = p_b + P - v_b >= P,
+    and the right is P since p_c + v_b > P and p_b + v_c >= P.  The
+    RamLaurent constructor trims both to the rows below that common
+    precision, so they are equal.
     """
     inv = _inv_d(ctx, i, rel)
     return (z.truncate(-((inv.valuation() - wp) // ctx.q**i)).qpow(i) * inv).truncate(wp)
@@ -186,100 +208,55 @@ def u_m_val(ctx: Completion, z: RamLaurent, m: GFPoly, budget: SeriesBudget) -> 
 # -- omega and the generating function
 
 
-def _sum_coeffs(ctx: Completion, cs: list) -> RamLaurent:
-    """Sum of series with one reduction, equal to chaining + over them."""
-    return sum_blocks(ctx, [(c.offset, c.coeffs) for c in cs if not c.is_zero()],
-                      min(c.prec for c in cs))
+def _geometric_rows(ctx: Completion, D: np.ndarray, rec: np.ndarray, b: int):
+    """Multiply D by 1/(1 - t theta^(-b)) in place: the one geometric kernel.
 
-
-def _geometric_mul(A: TateElem, tcap: int, b: int, shift: int, sign: int) -> TateElem:
-    """A * sign * sum_k t^k theta^(-(k+shift)*b) for a one-variable A, in O(tcap).
-
-    This is exactly TateElem.__mul__ against that geometric series with its
-    cap tcap and tail -(tcap+1+shift)*b: the same keys in the same order, the
-    same coefficients and precisions, cap min(A.tcap, tcap), and the product's
-    tail rule max(fold, tA + g, tG + gauss(A), tA + tG) with g = -shift*b the
-    series' Gauss norm exponent and fold the least v(A[ea]) + (k+shift)*b*ram
-    over the pairs whose degree ea + k passes the cap.
-
-    theta = -u^(-ram), so theta^(-n) = (-1)^n u^(n*ram).  The coefficient at
-    t^e is the first-order recurrence D[e] = A[e] + theta^(-b) D[e-1] times
-    the monomial sign * theta^(-shift*b): each step is a shift by b*ram rows
-    and a sign, with no product.  In the frame that moves b*ram rows per step
-    the recurrence is a running sum of (-1)^(b*ea) A[ea] placed at row
-    A[ea].offset - ea*b*ram, so one int64 buffer carries every D[e].  The
-    precision of D[e] follows the same recurrence, P[e] = min(P[e-1] + b*ram,
-    prec of A[e] times the monomial), which is mul_prec's least pa + vb over
-    the pairs for exponents far below the PREC_EXACT sentinel; it never
-    exceeds P[e-1] + b*ram, so rows of the running sum past P[e] are never
-    needed again.
+    D (cap + 1, R, m) int64 holds every t-coefficient, row r of each D[e] at
+    u^(lo + r) for one lo, and rec[e] is the precision of D[e].  The t^e
+    coefficient of the product is D[e] + theta^(-b) times its t^(e-1)
+    coefficient, and theta^(-b) = (-1)^b u^(b ram): a shift by b ram rows
+    and a sign per step, rows past R dropped, then one reduction mod p.
+    rec[e] becomes the least rec[ea] + (e - ea) b ram over ea <= e.
     """
-    ctx = A.ctx
-    ram, p = ctx.ram, ctx.p
-    cap = min(A.tcap, tcap)
-    step, base = b * ram, shift * b * ram
-    lead_neg = (sign < 0) != bool(shift * b % 2)
-    # keys in the product's first-appearance order, and the over-cap fold
-    low, keys, over = cap + 1, [], None
-    for (ea,), c in A.terms.items():
-        k = max(0, cap + 1 - ea)
-        if k <= tcap:
-            v = c.valuation() + k * step + base
-            over = v if over is None else min(over, v)
-        if ea < low:
-            keys.extend(range(ea, low))
-            low = ea
-    stored = [(ea, c) for (ea,), c in A.terms.items() if ea <= cap and c.coeffs.shape[0]]
-    lo = min((c.offset - ea * step for ea, c in stored), default=0)
-    hi = max((c.end() - ea * step for ea, c in stored), default=0)
-    run = np.zeros((hi - lo, ctx.spec.m), dtype=np.int64)
-    first, last = hi - lo, 0  # rows of run that hold a term so far
-    r = math.inf  # least pa + vb over the inexact pairs so far
-    out = {}
-    for e in range(low, cap + 1):
-        odd = b % 2 and e % 2  # the sign of theta^(-b*e)
-        r += step
-        c = A.terms.get((e,))
-        if c is not None:
-            if not c.is_exact():
-                r = min(r, c.prec + base)
-            if c.coeffs.shape[0]:
-                at = c.offset - e * step - lo
-                run[at : at + c.coeffs.shape[0]] += -c.coeffs if odd else c.coeffs
-                first, last = min(first, at), max(last, at + c.coeffs.shape[0])
-        prec = min(r, PREC_EXACT)
-        frame = lo + e * step + base  # u-exponent of row 0 of run at this e
-        block = run[first : max(first, min(last, prec - frame))]
-        if lead_neg != bool(odd):
-            block = -block
-        out[(e,)] = RamLaurent(ctx, frame + first, (block % p).astype(np.int8), prec)
-    out = {(e,): out[(e,)] for e in keys}
-    fold = NEG_INF if over is None else Fraction(-over, ram)
-    ta, tb = A.tail_norm_exp, Fraction(-(tcap + 1 + shift) * b)
-    tail = max(fold, ta + Fraction(-base, ram), tb + A.gauss_norm_exp(), ta + tb)
-    return TateElem(ctx, 1, cap, out, tail)
+    s, R = b * ctx.ram, D.shape[1]
+    combine = np.subtract if b % 2 else np.add
+    for e in range(1, D.shape[0] if s < R else 0):
+        combine(D[e, s:], D[e - 1, : R - s], out=D[e, s:])
+    np.remainder(D, ctx.p, out=D)
+    steps = s * np.arange(len(rec))
+    rec[:] = np.minimum.accumulate(rec - steps) + steps
 
 
 def omega(ctx: Completion, tcap: int, budget: SeriesBudget) -> TateElem:
     """lambda * prod_{i>=0} (1 - t/theta^{q^i})^{-1} to degree tcap.
 
-    Factor i is the geometric series sum_k t^k theta^(-k q^i), applied by
-    _geometric_mul's recurrence, so the product over i costs O(tcap) steps
-    per factor.  Factor i first moves a coefficient at u^(ram * q^i - 1),
-    the valuation of lambda * t/theta^(q^i), so the factors with ram * q^i
-    <= wp are applied and the omitted ones move no row below the working
-    precision; the geometric tails give the q^(1/(q-1) - (tcap+1)) bound.
+    Factor i is _geometric_rows with b = q^i on one buffer of the rows below
+    wp, O(tcap) shifts each.  It first moves a coefficient at u^(ram q^i -
+    1), the valuation of lambda t/theta^(q^i), so the factors with ram q^i
+    <= wp are applied and the omitted ones move no row below wp.  Tail: the
+    product rule (tate.mul_profile) with factor i's series, of tail -(tcap+1)
+    q^i and Gauss norm exponent 0, gives max(fold, tail, gauss - (tcap+1)
+    q^i, tail - (tcap+1) q^i), where gauss = 1/(q-1) is the norm of the t^0
+    coefficient lambda.  After factor 0 the t^e coefficient has valuation ram
+    e - 1 (its cheapest monomial lambda theta^(-e) comes from factor 0
+    alone), so factor 0 gives 1/(q-1) - (tcap+1), and for i >= 1 the fold,
+    from the least ram e - 1 + (tcap+1-e) q^i ram over 1 <= e <= tcap, is
+    at most 1/(q-1) - tcap - q^i, and the other terms are smaller.
     """
     wp = budget.wp
     key = ("omega", tcap, wp)
     if key not in ctx.cache:
-        acc = tate_const(ctx, 1, tcap, ctx.lam())
+        D = np.zeros((tcap + 1, max(wp + 1, 1), ctx.spec.m), dtype=np.int64)
+        D[0, 0] = ctx.lam().coeffs[0]  # row r at u^(r - 1)
+        rec = np.full(tcap + 1, PREC_EXACT)
         i = 0
         while ctx.ram * ctx.q**i <= wp:
-            acc = _geometric_mul(acc, tcap, ctx.q**i, 0, 1)
+            _geometric_rows(ctx, D, rec, ctx.q**i)
             i += 1
-        out = {e: c.truncate(wp) for e, c in acc.terms.items()}
-        ctx.cache[key] = TateElem(ctx, 1, tcap, out, acc.tail_norm_exp), i
+        tail = Fraction(1, ctx.q - 1) - (tcap + 1) if i else NEG_INF
+        out = {(e,): RamLaurent(ctx, -1, D[e], min(int(rec[e]), wp))
+               for e in range(tcap + 1 if i else 1)}  # no factor: lambda alone
+        ctx.cache[key] = TateElem(ctx, 1, tcap, out, tail), i
     value, budget.n_terms["omega"] = ctx.cache[key]
     return value
 
@@ -287,32 +264,48 @@ def omega(ctx: Completion, tcap: int, budget: SeriesBudget) -> TateElem:
 def agf_f(ctx: Completion, z: RamLaurent, tcap: int, budget: SeriesBudget) -> TateElem:
     """Generating function sum_n (pi z)^{q^n} / ((theta^{q^n} - t) d_n).
 
-    Term n is scal_n = (pi z)^{q^n} / d_n times the geometric series
-    sum_k t^k theta^(-(k+1) q^n), applied by _geometric_mul.  Each
-    t-coefficient of the sum is one reduction over the terms (_sum_coeffs),
-    known to the least precision among them; the tail is the largest tail.
-    pi has valuation -q and the geometric series leads with theta^(-q^n), of
+    pi has valuation -q and 1/(theta^{q^n} - t) leads with theta^(-q^n), of
     valuation q^n ram, so term n has valuation q^n (v(z) - 1 + n ram): that
     of the exponential's term n at v = v(z) - 1, and _exp_indices there gives
     the kept indices and the slack.
+
+    Closed form.  Term n is s_n = (pi z)^{q^n} / d_n (_term) times
+    1/(theta^{q^n} - t) = sum_e t^e theta^(-(e+1) q^n), and theta^(-(e+1)
+    q^n) = (-1)^(e+1) u^((e+1) q^n ram): q^n is odd for odd q, and signs
+    vanish in characteristic 2.  So the t^e coefficient of the sum is
+    (-1)^(e+1) sum_n s_n u^((e+1) q^n ram), known below P[e], the least
+    prec(s_n) + (e+1) q^n ram (finite: _term truncates s_n at wp).  One int64
+    buffer, row r of D[e] at u^(lo + (e+1) ram + r) with lo the least offset
+    of the s_n, takes every kept n at the rows below P[e] and is reduced mod
+    p once.  These are the rows and precisions of the capped products of
+    each s_n with its geometric series, summed; the tail is the largest tail
+    of those products, -(tcap+2) q^n + log_q|s_n| = -((tcap+2) q^n ram +
+    v(s_n))/ram, as s_n is never the exact zero.
     """
     wp = budget.wp
-    q = ctx.q
+    q, ram, m = ctx.q, ctx.ram, ctx.spec.m
     if z.is_exact_zero():
         return tate_zero(ctx, 1, tcap)
     keep, slack = _exp_indices(ctx, z.valuation() - 1, wp)
     budget.n_terms["agf_f"] = len(keep)
     pi = pi_tilde(ctx, SeriesBudget(wp + slack + q + max(0, -z.valuation()), 0))
     w = pi * z
-    parts: dict = {}
-    tail = NEG_INF
-    for n in keep:
-        term = _geometric_mul(tate_const(ctx, 1, tcap, _term(ctx, w, n, wp, wp + slack)),
-                              tcap, q**n, 1, 1)
-        tail = max(tail, term.tail_norm_exp)
-        for e, c in term.terms.items():
-            parts.setdefault(e, []).append(c)
-    return TateElem(ctx, 1, tcap, {e: _sum_coeffs(ctx, cs) for e, cs in parts.items()}, tail)
+    terms = [(q**n * ram, _term(ctx, w, n, wp, wp + slack)) for n in keep]
+    if not terms:
+        return tate_zero(ctx, 1, tcap)
+    tail = Fraction(max(-(tcap + 2) * st - s.valuation() for st, s in terms), ram)
+    e1 = np.arange(1, tcap + 2)
+    prec = np.minimum.reduce([s.prec + e1 * st for st, s in terms])
+    base = min((s.offset for _, s in terms if s.coeffs.shape[0]), default=0) + e1 * ram
+    D = np.zeros((tcap + 1, max(int((prec - base).max()), 0), m), dtype=np.int64)
+    for st, s in terms:
+        at = s.offset + e1 * st  # u-exponent of the first row of s_n at t^e
+        e, r = np.nonzero(np.arange(s.coeffs.shape[0]) < (prec - at)[:, None])
+        D[e, (at - base)[e] + r] += s.coeffs[r]
+    D[::2] *= -1  # the sign (-1)^(e+1)
+    D = (D % ctx.p).astype(np.int8)
+    out = {(e,): RamLaurent(ctx, int(base[e]), D[e], prec[e]) for e in range(tcap + 1)}
+    return TateElem(ctx, 1, tcap, out, tail)
 
 
 def _omega_inv_factors(ctx: Completion, lo: int, top: int) -> int:
@@ -451,34 +444,29 @@ def papanikolas_L(ctx: Completion, alpha: RamLaurent, tcap: int,
     is <= -wp once q^j >= wp + q; so stop = 1 or q^(stop-1) < wp + q, and
     q^stop <= q (wp + q).  An omitted term moves the t^m coefficient by
     at most q^(c_last - q m), so that coefficient is kept to precision
-    p_m = ceil(ram (q m - c_last)).  prod_j = prod_{k<=j} (t - theta^{q^k})^{-1}
-    is prod_{j-1} times -sum_i t^i theta^(-(i+1) q^j), applied exactly by
-    _geometric_mul.  Its t^m coefficient c is multiplied by beta_j =
-    alpha^{q^j} only after truncation at p_m - v(beta_j): the exact products
-    run to thousands of rows, of which the final truncation at p_m keeps
-    few.  Truncation commutes with sums, and the product is unchanged by:
+    p_m = ceil(ram (q m - c_last)).
 
-    Lemma (truncate before multiply).  For series c and b, an integer P and
-    v_b = b.valuation(), (c.truncate(P - v_b) * b).truncate(P) ==
-    (c * b).truncate(P), for exponents far below the PREC_EXACT sentinel.
+    Horner form.  With beta_j = alpha^{q^j}, G_j = 1/(t - theta^{q^j}) and
+    J = stop - 1, L = alpha + G_1(beta_1 + G_2(beta_2 + ... + G_J beta_J)).
+    G_j = -theta^(-q^j) H_j, H_j = 1/(1 - t theta^(-q^j)), and monomials
+    commute with the H_j, so L = sum_j beta'_j H_1 ... H_j with beta'_j =
+    (-1)^j theta^(-(q + ... + q^j)) beta_j = u^(g_j) beta_j, g_j = ram (q +
+    ... + q^j) = q^(j+1) - q: the sign (-1)^(j + q + ... + q^j) is 1 for
+    odd q and void for even q.  One int64 buffer holds every t-coefficient,
+    row r at u^(lo + r) with lo the least offset of the beta'_j, below top =
+    p_tcap; for j = J, ..., 1 it takes beta'_j at t^0 and then H_j
+    (_geometric_rows, b = q^j), and alpha last.  Each H_j moves rows up, so
+    rows at or past top never reach a kept row.  No series product is formed.
 
-    Proof.  Let c' = c.truncate(P - v_b), so p_c' = min(p_c, P - v_b).  If b
-    is the exact zero both products are.  If c is, c' is term-free with
-    valuation P - v_b, and c' * b is term-free with precision
-    min(P, p_b + P - v_b) = P, because p_b >= v_b; so is (c * b).truncate(P).
-    Otherwise: the rows.  A row of c at exponent i >= P - v_b meets only rows
-    of b at exponents >= v_b, so it reaches only exponents >= P, and below
-    P - v_b the rows of c and c' agree; so both products have the same rows
-    below P.  The precisions, by mul_prec, are min(P, p_c' + v_b,
-    p_b + v_c', PREC_EXACT) on the left and min(P, p_c + v_b, p_b + v_c,
-    PREC_EXACT) on the right (PREC_EXACT alone when c and b are exact, and
-    then the left one is P as well).  If c' keeps a term, v_c' = v_c and
-    p_c' + v_b = min(p_c + v_b, P), so they agree.  If c' is term-free and
-    p_c' = p_c, c is term-free too and the same holds.  Else v_c >= P - v_b
-    and p_c > P - v_b; the left is P since p_b + v_c' = p_b + P - v_b >= P,
-    and the right is P since p_c + v_b > P and p_b + v_c >= P.  The
-    RamLaurent constructor trims both to the rows below that common
-    precision, so they are equal.
+    Precision.  The t^e coefficient of G_1 ... G_j is c_{j,e} = (-1)^j
+    theta^(-(q + ... + q^j)) h_e(theta^(-q), ..., theta^(-q^j)), h_e the
+    complete homogeneous polynomial, whose cheapest monomial theta^(-e q)
+    comes from one path alone (all e steps in H_1): it does not cancel, and
+    v(c_{j,e}) = g_j + e q ram.  So t^e is kept to min(p_e, prec(alpha) at
+    e = 0, prec(beta_j) + v(c_{j,e}) for j >= 1), the precision of the
+    capped products truncated at p_e.  The recurrence's own precision, the
+    least prec(beta'_j) plus the shifts over the paths, must not fall below
+    it, else InvariantError is raised.
     """
     wp = budget.wp
     q, ram = ctx.q, ctx.ram
@@ -497,18 +485,30 @@ def papanikolas_L(ctx: Completion, alpha: RamLaurent, tcap: int,
         stop += 1
     c_last = c_at(stop)
     p_m = [math.ceil(ram * (q * m - c_last)) for m in range(tcap + 1)]
-    parts = {(0,): [alpha]}
-    prod = tate_const(ctx, 1, tcap, ctx.one())
-    for j in range(1, stop):
-        prod = _geometric_mul(prod, tcap, q**j, 1, -1)
-        beta = alpha.qpow(j)
-        v_b = beta.valuation()
-        for e, c in prod.terms.items():
-            parts.setdefault(e, []).append(c.truncate(p_m[e[0]] - v_b) * beta)
     budget.n_terms["papanikolas_L"] = stop - 1
     # the tail only carries degrees above the cap
-    out = {e: _sum_coeffs(ctx, cs).truncate(p_m[e[0]]) for e, cs in parts.items()}
     tail = c_exp - q * (tcap + 1)
+    if stop == 1:
+        return TateElem(ctx, 1, tcap, {(0,): alpha.truncate(p_m[0])}, tail)
+    top = p_m[-1]
+    terms = [(0, alpha)] + [(q ** (j + 1) - q, alpha.qpow(j)) for j in range(1, stop)]
+    lo = min((g + b.offset for g, b in terms if b.coeffs.shape[0]), default=top)
+    D = np.zeros((tcap + 1, max(top - lo, 0), ctx.spec.m), dtype=np.int64)
+    rec = np.full(tcap + 1, PREC_EXACT)
+    for j in range(stop - 1, -1, -1):
+        g, b = terms[j]
+        at = g + b.offset - lo
+        rows = b.coeffs[: max(D.shape[1] - at, 0)]
+        D[0, at : at + rows.shape[0]] += rows
+        rec[0] = min(rec[0], g + b.prec)
+        if j:
+            _geometric_rows(ctx, D, rec, q**j)
+    claim = np.minimum(p_m, min(g + b.prec for g, b in terms[1:]) + q * ram * np.arange(tcap + 1))
+    claim[0] = min(claim[0], alpha.prec)
+    if (rec < claim).any():
+        raise InvariantError("the Horner recurrence fixes a row below its claimed precision")
+    D = (D % ctx.p).astype(np.int8)
+    out = {(e,): RamLaurent(ctx, lo, D[e], c) for e, c in enumerate(claim.tolist())}
     return TateElem(ctx, 1, tcap, out, tail)
 
 

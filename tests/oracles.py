@@ -1,9 +1,14 @@
 """Reference constructions shared by the test modules; not part of the package."""
 
+import math
+from fractions import Fraction
+
+import numpy as np
+
 from carlitz.cyclotomic import action_at_lam, carlitz_poly
 from carlitz.errors import InvariantError, PrecisionExhaustedError, ShapeMismatchError
 from carlitz.fields import GFPoly, enumerate_A, poly_trim
-from carlitz.laurent import NEG_INF, Completion, RamLaurent
+from carlitz.laurent import NEG_INF, PREC_EXACT, Completion, RamLaurent
 from carlitz.tate import TateElem, _val_floor
 
 
@@ -136,3 +141,73 @@ def moment_per_residue(cf, k: int):
         if not b.is_zero():
             acc = acc + (pe * action_at_lam(cf, b)) ** k * cf.const(b.eval(cf.zeta))
     return acc
+
+
+def _geometric_mul(A: TateElem, tcap: int, b: int, shift: int, sign: int) -> TateElem:
+    """A * sign * sum_k t^k theta^(-(k+shift)*b) for a one-variable A, in O(tcap):
+    the product that omega, agf_f and papanikolas_L once formed term by term,
+    kept as the reference for functions._geometric_rows.
+
+    This is exactly TateElem.__mul__ against that geometric series with its
+    cap tcap and tail -(tcap+1+shift)*b: the same keys in the same order, the
+    same coefficients and precisions, cap min(A.tcap, tcap), and the product's
+    tail rule max(fold, tA + g, tG + gauss(A), tA + tG) with g = -shift*b the
+    series' Gauss norm exponent and fold the least v(A[ea]) + (k+shift)*b*ram
+    over the pairs whose degree ea + k passes the cap.
+
+    theta = -u^(-ram), so theta^(-n) = (-1)^n u^(n*ram).  The coefficient at
+    t^e is the first-order recurrence D[e] = A[e] + theta^(-b) D[e-1] times
+    the monomial sign * theta^(-shift*b): each step is a shift by b*ram rows
+    and a sign, with no product.  In the frame that moves b*ram rows per step
+    the recurrence is a running sum of (-1)^(b*ea) A[ea] placed at row
+    A[ea].offset - ea*b*ram, so one int64 buffer carries every D[e].  The
+    precision of D[e] follows the same recurrence, P[e] = min(P[e-1] + b*ram,
+    prec of A[e] times the monomial), which is mul_prec's least pa + vb over
+    the pairs for exponents far below the PREC_EXACT sentinel; it never
+    exceeds P[e-1] + b*ram, so rows of the running sum past P[e] are never
+    needed again.
+    """
+    ctx = A.ctx
+    ram, p = ctx.ram, ctx.p
+    cap = min(A.tcap, tcap)
+    step, base = b * ram, shift * b * ram
+    lead_neg = (sign < 0) != bool(shift * b % 2)
+    # keys in the product's first-appearance order, and the over-cap fold
+    low, keys, over = cap + 1, [], None
+    for (ea,), c in A.terms.items():
+        k = max(0, cap + 1 - ea)
+        if k <= tcap:
+            v = c.valuation() + k * step + base
+            over = v if over is None else min(over, v)
+        if ea < low:
+            keys.extend(range(ea, low))
+            low = ea
+    stored = [(ea, c) for (ea,), c in A.terms.items() if ea <= cap and c.coeffs.shape[0]]
+    lo = min((c.offset - ea * step for ea, c in stored), default=0)
+    hi = max((c.end() - ea * step for ea, c in stored), default=0)
+    run = np.zeros((hi - lo, ctx.spec.m), dtype=np.int64)
+    first, last = hi - lo, 0  # rows of run that hold a term so far
+    r = math.inf  # least pa + vb over the inexact pairs so far
+    out = {}
+    for e in range(low, cap + 1):
+        odd = b % 2 and e % 2  # the sign of theta^(-b*e)
+        r += step
+        c = A.terms.get((e,))
+        if c is not None:
+            if not c.is_exact():
+                r = min(r, c.prec + base)
+            if c.coeffs.shape[0]:
+                at = c.offset - e * step - lo
+                run[at : at + c.coeffs.shape[0]] += -c.coeffs if odd else c.coeffs
+                first, last = min(first, at), max(last, at + c.coeffs.shape[0])
+        prec = min(r, PREC_EXACT)
+        frame = lo + e * step + base  # u-exponent of row 0 of run at this e
+        block = run[first : max(first, min(last, prec - frame))]
+        if lead_neg != bool(odd):
+            block = -block
+        out[(e,)] = RamLaurent(ctx, frame + first, (block % p).astype(np.int8), prec)
+    out = {(e,): out[(e,)] for e in keys}
+    fold = NEG_INF if over is None else Fraction(-over, ram)
+    ta, tb = A.tail_norm_exp, Fraction(-(tcap + 1 + shift) * b)
+    tail = max(fold, ta + Fraction(-base, ram), tb + A.gauss_norm_exp(), ta + tb)
+    return TateElem(ctx, 1, cap, out, tail)

@@ -6,6 +6,7 @@ import re
 import time
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
@@ -13,6 +14,7 @@ from hypothesis import strategies as st
 from carlitz import functions, verify
 from carlitz.errors import (
     AlphaTooLargeError,
+    CarlitzError,
     ConfigError,
     InvariantError,
     LatticePoleError,
@@ -28,7 +30,6 @@ from carlitz.functions import (
     L_multi,
     _cancel_exp,
     _char_coeffs,
-    _geometric_mul,
     _inv_d,
     _monic_block,
     agf_f,
@@ -56,7 +57,7 @@ from carlitz.tate import (
     tate_zero,
 )
 
-from oracles import at_theta, im_norm_exp, tate_poly_t
+from oracles import _geometric_mul, at_theta, im_norm_exp, tate_poly_t
 
 
 def ctx2():
@@ -944,10 +945,35 @@ def _geometric_factor(ctx, rng, tcap):
     return TateElem(ctx, 1, A_cap, terms, tail)
 
 
+def _kernel_coeffs(A, tcap, b, shift, sign):
+    """A * sign * sum_k t^k theta^(-(k+shift)*b) by functions._geometric_rows:
+    A's coefficients up to the cap in one buffer with room for every row,
+    the kernel, then the monomial sign * theta^(-shift*b) as an offset and a
+    sign.  One coefficient per degree 0..cap, an absent one read as the
+    exact zero."""
+    ctx = A.ctx
+    cap, step = min(A.tcap, tcap), b * ctx.ram
+    stored = [(ea, c) for (ea,), c in A.terms.items() if ea <= cap]
+    lo = min((c.offset for _, c in stored if c.coeffs.shape[0]), default=0)
+    hi = max((c.end() for _, c in stored if c.coeffs.shape[0]), default=lo)
+    D = np.zeros((cap + 1, hi - lo + cap * step, ctx.spec.m), dtype=np.int64)
+    rec = np.full(cap + 1, PREC_EXACT)
+    for ea, c in stored:
+        D[ea, c.offset - lo : c.end() - lo] = c.coeffs
+        rec[ea] = c.prec
+    functions._geometric_rows(ctx, D, rec, b)
+    neg = (sign < 0) != bool(shift * b % 2)
+    return [RamLaurent(ctx, lo + shift * step, -D[k] if neg else D[k],
+                       min(int(rec[k]) + shift * step, PREC_EXACT)) for k in range(cap + 1)]
+
+
 @pytest.mark.parametrize("p,e,d", KERNEL_TOWERS)
 def test_differential_geometric_mul(p, e, d):
-    """The recurrence equals the product with the geometric series: the same
-    keys in the same order, offsets, precisions, rows, cap and tail."""
+    """The in-place kernel functions._geometric_rows equals the recurrence
+    oracles._geometric_mul coefficient by coefficient (rows, offsets and
+    precisions), and that recurrence equals the product with the geometric
+    series: the same keys in the same order, offsets, precisions, rows, cap
+    and tail."""
     ctx = Completion(p, e, d)
     rng = random.Random(f"geometric-mul:{p}:{e}:{d}")
     for _ in range(150):
@@ -959,10 +985,42 @@ def test_differential_geometric_mul(p, e, d):
         want = A * _geometric_reference(ctx, tcap, base_exp, shift, sign)
         assert got.tcap == want.tcap
         _assert_same(got, want)
+        for k, c in enumerate(_kernel_coeffs(A, tcap, base_exp, shift, sign)):
+            assert c == got.coeff((k,)), k
     # a constant: every coefficient is one exact monomial
     got = _geometric_mul(tate_const(ctx, 1, 8, ctx.one()), 8, 3, 1, -1)
     _assert_same(got, tate_const(ctx, 1, 8, ctx.one()) * _geometric_reference(ctx, 8, 3, 1, -1))
     assert all(c.is_exact() and c.coeffs.shape[0] == 1 for c in got.terms.values())
+    assert _kernel_coeffs(tate_const(ctx, 1, 8, ctx.one()), 8, 3, 1, -1) == list(got.terms.values())
+
+
+def _omega_chain(ctx, tcap, wp):
+    """omega as it was once formed: lambda times one _geometric_mul per
+    factor, every coefficient truncated at wp at the end."""
+    acc = tate_const(ctx, 1, tcap, ctx.lam())
+    i = 0
+    while ctx.ram * ctx.q**i <= wp:
+        acc = _geometric_mul(acc, tcap, ctx.q**i, 0, 1)
+        i += 1
+    out = {k: c.truncate(wp) for k, c in acc.terms.items()}
+    return TateElem(ctx, 1, tcap, out, acc.tail_norm_exp), i
+
+
+@pytest.mark.parametrize("p,e,d", KERNEL_TOWERS + [(7, 1, 1), (2, 3, 1)])
+def test_differential_omega_geometric_chain(p, e, d):
+    """omega on the in-place kernel equals the chain of capped geometric
+    products: keys, rows, precisions, the tail from the product rule (its
+    type too) and the factor count, also at a working precision below
+    q - 1, where no factor is applied."""
+    for prec in (-3, 0, 5, 24, 40, 64, 90):
+        for tcap in (0, 1, 5, 12, 24):
+            ctx = Completion(p, e, d)
+            B = default_budget(ctx, prec) if prec > 0 else SeriesBudget(prec, 0)
+            got = omega(ctx, tcap, B)
+            want, n = _omega_chain(ctx, tcap, B.wp)
+            _assert_same(got, want)
+            assert type(got.tail_norm_exp) is type(want.tail_norm_exp)
+            assert B.n_terms["omega"] == n
 
 
 def _agf_f_reference(ctx, z, tcap, budget):
@@ -1122,6 +1180,70 @@ def test_differential_papanikolas_truncated(p, e, d):
             want = _papanikolas_reference(ctx, alpha, tcap, b_want)
             _assert_same(got, want)
             assert b_got.n_terms["papanikolas_L"] == b_want.n_terms["papanikolas_L"]
+
+
+SERIES_TOWERS = [(2, 1, 1), (3, 1, 1), (2, 2, 1), (5, 1, 1), (7, 1, 1)]
+
+
+def _same_or_same_raise(got, want):
+    """Run want(); if it raises, got() must raise the same error type, else
+    return both results."""
+    try:
+        w = want()
+    except CarlitzError as err:
+        with pytest.raises(type(err)):
+            got()
+        return None
+    return got(), w
+
+
+@settings(max_examples=120, deadline=None)
+@given(
+    tower=st.sampled_from(SERIES_TOWERS),
+    tcap=st.integers(0, 12),
+    regime=st.sampled_from(["small", "unit", "large", "imag_large"]),
+    kind=st.sampled_from(["exact", "truncated", "term-free", "carlitz_e"]),
+    seed=st.integers(0, 2**20),
+    prec=st.sampled_from([12, 24, 40]),
+)
+def test_differential_series_buffers_property(tower, tcap, regime, kind, seed, prec):
+    """agf_f in closed form and papanikolas_L by Horner equal the references
+    built from TateElem products (_agf_f_reference, _papanikolas_reference):
+    keys, offsets, rows, precisions, tail and n_terms, or the same error.
+    z runs over every sample_z regime, exact or truncated; alpha is z, z
+    truncated, a term-free series or carlitz_e of a small z."""
+    ctx = Completion(*tower)
+    assume(regime != "imag_large" or (ctx.q, ctx.d) != (2, 1))
+    rng = random.Random(seed)
+    z = sample_z(ctx, rng, regime)
+    if kind == "truncated":
+        z = z.truncate(z.valuation() + rng.randrange(1, 6))
+    alpha = {"exact": z, "truncated": z,
+             "term-free": ctx.zero(rng.randrange(-ctx.ram, 4 * ctx.ram)),
+             "carlitz_e": carlitz_e(ctx, sample_z(ctx, rng, "small"), default_budget(ctx, prec)),
+             }[kind]
+    for f, ref, x in ((agf_f, _agf_f_reference, z),
+                      (papanikolas_L, _papanikolas_reference, alpha)):
+        b_got, b_want = default_budget(ctx, prec), default_budget(ctx, prec)
+        pair = _same_or_same_raise(lambda: f(ctx, x, tcap, b_got),
+                                   lambda: ref(ctx, x, tcap, b_want))
+        if pair is not None:
+            _assert_same(*pair)
+            assert b_got.n_terms == b_want.n_terms
+
+
+def test_papanikolas_invariants_raise(monkeypatch):
+    """A kernel that applies each factor H_j with the step of the factor
+    before it (b = q^(j-1)) fixes rows below the precision papanikolas_L
+    claims; it raises instead of returning them, also under -O."""
+    ctx = Completion(3, 1, 1)
+    alpha = (ctx.one() + ctx.u_pow(1)).truncate(3)
+    papanikolas_L(ctx, alpha, 6, default_budget(ctx, 24))
+    kernel = functions._geometric_rows
+    monkeypatch.setattr(functions, "_geometric_rows",
+                        lambda ctx, D, rec, b: kernel(ctx, D, rec, b // ctx.q))
+    with pytest.raises(InvariantError, match="below its claimed precision"):
+        papanikolas_L(ctx, alpha, 6, default_budget(ctx, 24))
 
 
 def _omega_inv_reference(ctx, tcap, n):
