@@ -254,9 +254,9 @@ def omega(ctx: Completion, tcap: int, budget: SeriesBudget) -> TateElem:
             _geometric_rows(ctx, D, rec, ctx.q**i)
             i += 1
         tail = Fraction(1, ctx.q - 1) - (tcap + 1) if i else NEG_INF
-        out = {(e,): RamLaurent(ctx, -1, D[e], min(int(rec[e]), wp))
-               for e in range(tcap + 1 if i else 1)}  # no factor: lambda alone
-        ctx.cache[key] = TateElem(ctx, 1, tcap, out, tail), i
+        n = tcap + 1 if i else 1  # no factor: lambda alone
+        ctx.cache[key] = TateElem.frame(ctx, 1, tcap, [(e,) for e in range(n)], -1, D[:n],
+                                        np.minimum(rec[:n], wp), tail), i
     value, budget.n_terms["omega"] = ctx.cache[key]
     return value
 
@@ -275,9 +275,12 @@ def agf_f(ctx: Completion, z: RamLaurent, tcap: int, budget: SeriesBudget) -> Ta
     vanish in characteristic 2.  So the t^e coefficient of the sum is
     (-1)^(e+1) sum_n s_n u^((e+1) q^n ram), known below P[e], the least
     prec(s_n) + (e+1) q^n ram (finite: _term truncates s_n at wp).  One int64
-    buffer, row r of D[e] at u^(lo + (e+1) ram + r) with lo the least offset
-    of the s_n, takes every kept n at the rows below P[e] and is reduced mod
-    p once.  These are the rows and precisions of the capped products of
+    frame, row r at u^(lo + r), lo = ram + the least offset of the s_n, W rows
+    below the largest P[e] and L more (the longest s_n), takes each s_n at
+    row a + e q^n ram of key e through one strided view, for the keys whose
+    start is at most W: a later one starts past its P[e], and no write passes
+    row W + L.  TateElem.frame drops the rows from P[e] on and reduces once.
+    These are the rows and precisions of the capped products of
     each s_n with its geometric series, summed; the tail is the largest tail
     of those products, -(tcap+2) q^n + log_q|s_n| = -((tcap+2) q^n ram +
     v(s_n))/ram, as s_n is never the exact zero.
@@ -296,16 +299,18 @@ def agf_f(ctx: Completion, z: RamLaurent, tcap: int, budget: SeriesBudget) -> Ta
     tail = Fraction(max(-(tcap + 2) * st - s.valuation() for st, s in terms), ram)
     e1 = np.arange(1, tcap + 2)
     prec = np.minimum.reduce([s.prec + e1 * st for st, s in terms])
-    base = min((s.offset for _, s in terms if s.coeffs.shape[0]), default=0) + e1 * ram
-    D = np.zeros((tcap + 1, max(int((prec - base).max()), 0), m), dtype=np.int64)
+    lo = min((s.offset for _, s in terms if s.coeffs.shape[0]), default=0) + ram
+    W, L = max(int((prec - lo).max()), 0), max(s.coeffs.shape[0] for _, s in terms)
+    D = np.zeros((tcap + 1, W + L, m), dtype=np.int64)
+    row, col = D.strides[1:]
     for st, s in terms:
-        at = s.offset + e1 * st  # u-exponent of the first row of s_n at t^e
-        e, r = np.nonzero(np.arange(s.coeffs.shape[0]) < (prec - at)[:, None])
-        D[e, (at - base)[e] + r] += s.coeffs[r]
+        a = s.offset + st - lo  # frame row of the first row of s_n at t^0
+        k = min(tcap + 1, (W - a) // st + 1) if a <= W else 0
+        if k and s.coeffs.shape[0]:
+            np.ndarray((k, s.coeffs.shape[0], m), dtype=np.int64, buffer=D, offset=a * row,
+                       strides=((W + L + st) * row, row, col))[:] += s.coeffs
     D[::2] *= -1  # the sign (-1)^(e+1)
-    D = (D % ctx.p).astype(np.int8)
-    out = {(e,): RamLaurent(ctx, int(base[e]), D[e], prec[e]) for e in range(tcap + 1)}
-    return TateElem(ctx, 1, tcap, out, tail)
+    return TateElem.frame(ctx, 1, tcap, [(e,) for e in range(tcap + 1)], lo, D, prec, tail)
 
 
 def _omega_inv_factors(ctx: Completion, lo: int, top: int) -> int:
@@ -366,8 +371,8 @@ def omega_inv(ctx: Completion, tcap: int, budget: SeriesBudget) -> TateElem:
         _apply_omega_inv_factors(ctx, D, np.full(tcap + 1, PREC_EXACT), 1, wp + 2)
         g = Fraction(-1, ctx.q - 1)
         tail = max(om.tail_norm_exp + 2 * g, Fraction(-wp, ctx.ram) + g)
-        out = {(e,): RamLaurent(ctx, 1, D[e], wp + 2) for e in range(tcap + 1)}
-        ctx.cache[key] = TateElem(ctx, 1, tcap, out, tail)
+        ctx.cache[key] = TateElem.frame(ctx, 1, tcap, [(e,) for e in range(tcap + 1)], 1, D,
+                                        np.full(tcap + 1, wp + 2), tail)
     return ctx.cache[key]
 
 
@@ -398,30 +403,26 @@ def chi_t(ctx: Completion, z: RamLaurent, tcap: int, budget: SeriesBudget) -> Ta
     """
     inv = omega_inv(ctx, tcap, budget)
     F = agf_f(ctx, z, tcap, budget)
-    cap, precs, tail = mul_profile(inv, F)
-    if not precs:
+    cap, keys, precs, tail = mul_profile(inv, F)
+    if not keys:
         return TateElem(ctx, 1, cap, {}, tail)
-    top = max(precs.values())
+    top = int(precs.max())
     if top >= PREC_EXACT:
         raise InvariantError("omega^-1 * agf_f has an exact coefficient")
-    lo = 1 + min((c.offset for c in F.terms.values() if c.coeffs.shape[0]), default=top)
+    lo = 1 + (F.lo if F.block.shape[1] else top)
     D = np.zeros((cap + 1, max(top - lo, 0), ctx.spec.m), dtype=np.int64)
+    rows = F.block[:, : D.shape[1]]  # F's frame starts at u^(lo - 1)
+    D[[e for (e,) in F.keys], : rows.shape[1]] = rows
     rec = np.full(cap + 1, PREC_EXACT)
-    for (e,), c in F.terms.items():
-        at = c.offset + 1 - lo
-        rows = c.coeffs[: max(D.shape[1] - at, 0)]
-        D[e, at : at + rows.shape[0]] = rows
-        if not c.is_exact():
-            rec[e] = c.prec + 1
+    rec[[e for (e,) in F.keys]] = np.where(F.precs < PREC_EXACT, F.precs + 1, PREC_EXACT)
     fixed = _apply_omega_inv_factors(ctx, D, rec, lo, top)
-    out = {}
-    for (e,), prec in precs.items():
-        if fixed[e] < prec:
-            raise InvariantError(
-                f"linear factors of omega^-1 fix t^{e} to u^{fixed[e]}, "
-                f"below the product precision {prec}")
-        out[(e,)] = RamLaurent(ctx, lo, D[e], prec)
-    return TateElem(ctx, 1, cap, out, tail)
+    e = np.array(keys).reshape(-1)
+    if (fixed[e] < precs).any():
+        k = int(np.argmax(fixed[e] < precs))
+        raise InvariantError(
+            f"linear factors of omega^-1 fix t^{e[k]} to u^{fixed[e[k]]}, "
+            f"below the product precision {precs[k]}")
+    return TateElem.frame(ctx, 1, cap, keys, lo, D[e], precs, tail)
 
 
 # -- Carlitz logarithm series
@@ -507,9 +508,7 @@ def papanikolas_L(ctx: Completion, alpha: RamLaurent, tcap: int,
     claim[0] = min(claim[0], alpha.prec)
     if (rec < claim).any():
         raise InvariantError("the Horner recurrence fixes a row below its claimed precision")
-    D = (D % ctx.p).astype(np.int8)
-    out = {(e,): RamLaurent(ctx, lo, D[e], c) for e, c in enumerate(claim.tolist())}
-    return TateElem(ctx, 1, tcap, out, tail)
+    return TateElem.frame(ctx, 1, tcap, [(e,) for e in range(tcap + 1)], lo, D, claim, tail)
 
 
 # -- block cancellation bound for lattice sums
@@ -674,12 +673,9 @@ def _contract(ctx: Completion, weights, X: np.ndarray, off: np.ndarray,
     return keys, lo, Y, kprec
 
 
-def _assemble(ctx: Completion, parts) -> dict:
-    """Sum contracted blocks per key; each coefficient is built once."""
-    slot: dict = {}
-    for keys, *_ in parts:
-        for e in keys:
-            slot.setdefault(e, len(slot))
+def _assemble(ctx: Completion, parts):
+    """Sum contracted blocks per key into one frame: (keys, lo, block, precs)."""
+    slot = {e: k for k, e in enumerate(dict.fromkeys(e for keys, *_ in parts for e in keys))}
     lo = min(part[1] for part in parts)
     hi = max(part[1] + part[2].shape[1] for part in parts)
     acc = np.zeros((len(slot), hi - lo, ctx.spec.m), dtype=np.int64)
@@ -688,7 +684,7 @@ def _assemble(ctx: Completion, parts) -> dict:
         idx = [slot[e] for e in keys]
         acc[idx, plo - lo : plo - lo + Y.shape[1]] += Y
         kprec[idx] = np.minimum(kprec[idx], pprec)
-    return {e: RamLaurent(ctx, lo, acc[k], kprec[k]) for e, k in slot.items()}
+    return tuple(slot), lo, acc, kprec
 
 
 def _framed_powers(ctx: Completion, js: list, k: int, lo: int, hi: int) -> np.ndarray:
@@ -900,7 +896,7 @@ def psi_family(ctx: Completion, s: int, z: RamLaurent, degcap: int, tcap: int,
             out.append(_contract(ctx, _block_weights(ctx, tuple(blocks), powers),
                                  Y[:r1], off[:r1], P[:r1]))
     budget.n_terms["psi"] = union
-    return [TateElem(ctx, s, tcap, _assemble(ctx, out), tail)
+    return [TateElem.frame(ctx, s, tcap, *_assemble(ctx, out), tail)
             for out, tail in zip(parts, tails)]
 
 
@@ -961,7 +957,7 @@ def L_multi(ctx: Completion, s: int, n: int, degcap: int, tcap: int,
         prec = np.where(single, PREC_EXACT, -v + wp)
         parts.append(_contract(ctx, _block_weights(ctx, (j,), powers), Xn, off, prec))
     budget.n_terms["L_multi"] = blocks
-    return TateElem(ctx, s, tcap, _assemble(ctx, parts), tail)
+    return TateElem.frame(ctx, s, tcap, *_assemble(ctx, parts), tail)
 
 
 # -- exact ultrametric linear solves

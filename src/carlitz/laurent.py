@@ -13,9 +13,8 @@ has an exact fast path because the coefficient field has characteristic p.
 
 One path each: pair_mul is the one kernel for a pair of series, on a left
 factor mapped through the basis products once by left_map.  RamLaurent.__mul__
-is that kernel plus the reduction mod p (_raw_mul); TateElem.__mul__ sums the
-unreduced blocks of all pairs that land on one t-exponent and reduces once
-(sum_blocks).
+is that kernel, reduced by the constructor; TateElem.__mul__ sums the
+unreduced blocks of all pairs into one frame and reduces once.
 batch_mul multiplies N stacked pairs in one matrix product, batch_inv is the
 one Newton iteration, and inv_extent holds the one rule for an inverse's
 length and precision.  stack_inv inverts stacked rows by that rule;
@@ -148,7 +147,7 @@ def pair_mul(ctx: Completion, AT: np.ndarray, B: np.ndarray) -> np.ndarray:
     np.convolve per pair of nonzero columns (at most m*m), straight into the
     output columns.  Coefficients in a subfield leave columns zero: on the
     series-q2 benchmark workload 70% of the m = 2 column pairs are.
-    RamLaurent.__mul__ (through _raw_mul) reduces the block at once;
+    RamLaurent.__mul__ reduces the block at once;
     TateElem.__mul__ sums the blocks of every pair that lands on one
     exponent and reduces the sum once.  Measurement rules out sending pair
     products through batch_mul: on series-q2 single products through it made
@@ -166,34 +165,6 @@ def pair_mul(ctx: Completion, AT: np.ndarray, B: np.ndarray) -> np.ndarray:
             if np.count_nonzero(ca):
                 out[:, k] += np.convolve(ca, cb)
     return out
-
-
-def sum_blocks(ctx: Completion, blocks: list, prec: int) -> "RamLaurent":
-    """sum of u^off * block over (off, block) pairs of raw blocks, + O(u^prec).
-
-    The blocks are summed unreduced and reduced mod p once.
-    """
-    if not blocks:
-        return ctx.zero(prec)
-    lo = min(off for off, _ in blocks)
-    buf = np.zeros((max(off + b.shape[0] for off, b in blocks) - lo, ctx.spec.m),
-                   dtype=np.int64)
-    for off, b in blocks:
-        buf[off - lo : off - lo + b.shape[0]] += b
-    return RamLaurent(ctx, lo, (buf % ctx.p).astype(np.int8), prec)
-
-
-def _raw_mul(ctx: Completion, A: np.ndarray, B: np.ndarray) -> np.ndarray:
-    """Coefficient block of one series product without offsets, reduced mod p.
-
-    A (La, m), B (Lb, m) -> (La+Lb-1, m) int8: pair_mul plus the reduction,
-    for RamLaurent.__mul__.  TateElem.__mul__ shares pair_mul but reduces
-    once per t-exponent, after summing the blocks that land there.
-    """
-    if A.shape[0] == 0 or B.shape[0] == 0:
-        return np.zeros((0, ctx.spec.m), dtype=np.int8)
-    block = pair_mul(ctx, left_map(ctx, A), B.astype(np.int64))
-    return (block % ctx.p).astype(np.int8)
 
 
 def batch_mul(ctx: Completion, A: np.ndarray, B: np.ndarray, n: int,
@@ -300,29 +271,21 @@ class RamLaurent:
                 arr = np.zeros((0, m), dtype=np.int8)
             else:
                 raise ShapeMismatchError(f"coefficient block must be (L, {m})")
-        if arr.dtype != np.int8:
-            arr = (arr.astype(np.int64) % ctx.p).astype(np.int8)
         prec = min(int(prec), PREC_EXACT)
         if arr.shape[0] > _MAX_LEN:
             raise SizeLimitError("series block too long")
-        if arr.shape[0]:
-            keep = prec - offset
-            if keep < arr.shape[0]:
-                arr = arr[: max(keep, 0)]
-        if arr.shape[0]:
-            nz = np.nonzero(arr.any(axis=1))[0]
-            if nz.size == 0:
-                arr = arr[:0]
-                offset = 0
-            else:
-                arr = np.ascontiguousarray(arr[nz[0] : nz[-1] + 1])
-                offset += int(nz[0])
+        # one pass: truncate at prec, reduce what is left, and find the first
+        # and last nonzero rows from one flatnonzero (without its wrappers)
+        arr = arr[: max(prec - offset, 0)]
+        if arr.dtype != np.int8:
+            arr = ((arr if arr.dtype == np.int64 else arr.astype(np.int64)) % ctx.p).astype(np.int8)
+        nz = arr.ravel().nonzero()[0]
+        if nz.size:
+            first = int(nz[0]) // m
+            arr, offset = np.ascontiguousarray(arr[first : nz[-1] // m + 1]), offset + first
         else:
-            offset = 0
-        self.ctx = ctx
-        self.offset = offset
-        self.coeffs = arr
-        self.prec = prec
+            arr, offset = arr[:0], 0
+        self.ctx, self.offset, self.coeffs, self.prec = ctx, offset, arr, prec
 
     # -- predicates and views
 
@@ -398,7 +361,7 @@ class RamLaurent:
         prec = mul_prec(self.prec, self.valuation(), other.prec, other.valuation())
         if self.is_zero() or other.is_zero():
             return self.ctx.zero(prec)
-        block = _raw_mul(self.ctx, self.coeffs, other.coeffs)
+        block = pair_mul(self.ctx, left_map(self.ctx, self.coeffs), other.coeffs.astype(np.int64))
         return RamLaurent(self.ctx, self.offset + other.offset, block, prec)
 
     def scale(self, c: GFElem) -> "RamLaurent":

@@ -130,9 +130,7 @@ def _levels(resid):
     fully vanishing residual could have certified under the same caps.
     """
     if isinstance(resid, TateElem):
-        lvl = PREC_EXACT
-        for c in resid.terms.values():
-            lvl = min(lvl, c.prec if c.is_zero() else c.valuation())
+        lvl = int(resid.vals.min()) if resid.keys else PREC_EXACT
         if resid.tail_norm_exp != NEG_INF:
             lvl = min(lvl, _val_floor(resid.tail_norm_exp, resid.ctx.ram))
         return lvl, resid.prec_floor()
@@ -592,12 +590,10 @@ def _genseries_samples(rc, s_list):
             for _ in ns[1:]:
                 row.append(row[-1] * z)
             rows.append(row)
-        keys = sorted(set().union(*[set(v.terms) for v in vals]))
-        rhs = [[v.coeff(key).truncate(model_prec) for v in vals] for key in keys]
-        sol = {}
-        for key, xs in zip(keys, ram_solve(rows, rhs, B.wp)):
-            for jj, x in enumerate(xs):
-                sol.setdefault(jj, {})[key] = x
+        keys = sorted(set().union(*[v.keys for v in vals]))
+        # one read of each frame gives every key's right-hand side
+        rhs = list(zip(*[v.coeffs_at(keys, model_prec) for v in vals]))
+        sols = ram_solve(rows, rhs, B.wp)  # per key, the coefficient of each z^n
         for jj, n in enumerate(ns):
             in_class = (n - s) % rc.ram == 0
             if in_class and n == 0:
@@ -606,13 +602,8 @@ def _genseries_samples(rc, s_list):
                 ref = L_multi(ctx, s, n, cfg.degcap, tcap, B)
             else:
                 ref = None
-            worst, w_lvl = None, None
-            for key in keys:
-                x = sol[jj][key]
-                r = x - (ref.coeff(key) if ref is not None else ctx.zero(B.wp))
-                lvl = _levels(r)[0]
-                if w_lvl is None or lvl < w_lvl:
-                    worst, w_lvl = r, lvl
+            refs = ref.coeffs_at(keys) if ref is not None else [ctx.zero(B.wp)] * len(keys)
+            worst = min((xs[jj] - y for xs, y in zip(sols, refs)), key=lambda r: _levels(r)[0])
             label = f"s={s} n={n} " + ("matches L-value" if in_class else "vanishes")
             out.append(_residual_sample(len(out), label, worst, cfg.prec))
     return out, {"kmax": _GENSERIES_KMAX}

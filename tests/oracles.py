@@ -6,10 +6,167 @@ from fractions import Fraction
 import numpy as np
 
 from carlitz.cyclotomic import action_at_lam, carlitz_poly
-from carlitz.errors import InvariantError, PrecisionExhaustedError, ShapeMismatchError
-from carlitz.fields import GFPoly, enumerate_A, poly_trim
+from carlitz.errors import (EmptyPrecisionError, FieldMismatchError, InvariantError,
+                            PrecisionExhaustedError, ShapeMismatchError)
+from carlitz.fields import GFElem, GFPoly, enumerate_A, poly_trim
 from carlitz.laurent import NEG_INF, PREC_EXACT, Completion, RamLaurent
 from carlitz.tate import TateElem, _val_floor
+
+
+def terms(x) -> dict:
+    """{key: coefficient} of a TateElem in key order, each built by coeff."""
+    return {e: x.coeff(e) for e in x.keys}
+
+
+class DictTate:
+    """TateElem as a dict of RamLaurent coefficients, one per key, every
+    operation the per-coefficient RamLaurent one: the reference for the
+    frame-based tate.TateElem.
+
+    terms maps exponent tuples (i_1,...,i_s), 0 <= i_j <= tcap, to RamLaurent
+    coefficients sharing one completion; the constructor drops exact zeros
+    and folds keys past tcap into the tail by their norm.  A product is one
+    RamLaurent product and one sum per coefficient pair.
+    """
+
+    def __init__(self, ctx, s, tcap, terms, tail_norm_exp=NEG_INF):
+        if s < 0 or tcap < 0:
+            raise ShapeMismatchError("need s >= 0 and tcap >= 0")
+        clean = {}
+        tail = tail_norm_exp
+        for e, c in terms.items():
+            if not (isinstance(e, tuple) and len(e) == s):
+                raise ShapeMismatchError(f"exponent {e!r} does not have {s} slots")
+            if not isinstance(c, RamLaurent) or c.ctx is not ctx:
+                raise FieldMismatchError("coefficient from another completion")
+            if any(k < 0 for k in e):
+                raise ShapeMismatchError(f"negative exponent in {e!r}")
+            if c.is_exact_zero():
+                continue
+            if any(k > tcap for k in e):
+                tail = max(tail, c.norm_exp())
+                continue
+            clean[e] = c
+        self.ctx, self.s, self.tcap = ctx, s, tcap
+        self.terms = clean
+        self.tail_norm_exp = tail
+
+    @classmethod
+    def of(cls, x: TateElem) -> "DictTate":
+        return cls(x.ctx, x.s, x.tcap, terms(x), x.tail_norm_exp)
+
+    def coeff(self, e):
+        if len(e) != self.s:
+            raise ShapeMismatchError(f"exponent {e!r} does not have {self.s} slots")
+        if any(k > self.tcap for k in e):
+            raise EmptyPrecisionError(f"exponent {e!r} beyond the degree cap {self.tcap}")
+        return self.terms.get(tuple(e), self.ctx.zero())
+
+    def gauss_norm_exp(self):
+        return max((c.norm_exp() for c in self.terms.values()), default=NEG_INF)
+
+    def prec_floor(self):
+        out = min((c.prec for c in self.terms.values()), default=PREC_EXACT)
+        if self.tail_norm_exp != NEG_INF:
+            out = min(out, _val_floor(self.tail_norm_exp, self.ctx.ram))
+        return out
+
+    def levels(self):
+        """verify._levels of the element, term by term."""
+        lvl = PREC_EXACT
+        for c in self.terms.values():
+            lvl = min(lvl, c.prec if c.is_zero() else c.valuation())
+        if self.tail_norm_exp != NEG_INF:
+            lvl = min(lvl, _val_floor(self.tail_norm_exp, self.ctx.ram))
+        return lvl, self.prec_floor()
+
+    def _combine(self, other, sign):
+        merged = dict(self.terms)
+        for e, c in other.terms.items():
+            prev = merged.get(e)
+            if sign > 0:
+                merged[e] = c if prev is None else prev + c
+            else:
+                merged[e] = -c if prev is None else prev - c
+        return DictTate(self.ctx, self.s, min(self.tcap, other.tcap), merged,
+                        max(self.tail_norm_exp, other.tail_norm_exp))
+
+    def __add__(self, other):
+        return self._combine(other, 1)
+
+    def __sub__(self, other):
+        return self._combine(other, -1)
+
+    def __neg__(self):
+        return DictTate(self.ctx, self.s, self.tcap, {e: -c for e, c in self.terms.items()},
+                        self.tail_norm_exp)
+
+    def __mul__(self, other):
+        if isinstance(other, RamLaurent):
+            return self.scalar_mul(other)
+        if isinstance(other, GFElem):
+            return self.scalar_mul(self.ctx.from_field(other))
+        cap = min(self.tcap, other.tcap)
+        out = {}
+        fold = NEG_INF
+        for ea, ca in self.terms.items():
+            for eb, cb in other.terms.items():
+                e = tuple(x + y for x, y in zip(ea, eb))
+                if any(k > cap for k in e):
+                    fold = max(fold, ca.norm_exp() + cb.norm_exp())
+                    continue
+                prod = ca * cb
+                prev = out.get(e)
+                out[e] = prod if prev is None else prev + prod
+        ta, tb = self.tail_norm_exp, other.tail_norm_exp
+        tail = max(fold, ta + other.gauss_norm_exp(), tb + self.gauss_norm_exp(), ta + tb)
+        return DictTate(self.ctx, self.s, cap, out, tail)
+
+    def scalar_mul(self, b):
+        if b.is_exact_zero():
+            return DictTate(self.ctx, self.s, self.tcap, {})
+        return DictTate(self.ctx, self.s, self.tcap, {e: c * b for e, c in self.terms.items()},
+                        self.tail_norm_exp + b.norm_exp())
+
+    def tau(self):
+        return DictTate(self.ctx, self.s, self.tcap,
+                        {e: c.qpow(1) for e, c in self.terms.items()},
+                        self.tail_norm_exp * self.ctx.q)
+
+    def phi(self, i):
+        out, tail = {}, self.tail_norm_exp
+        for e, c in self.terms.items():
+            lifted = e[:i] + (self.ctx.q * e[i],) + e[i + 1 :]
+            if lifted[i] > self.tcap:
+                tail = max(tail, c.norm_exp())
+                continue
+            out[lifted] = c
+        return DictTate(self.ctx, self.s, self.tcap, out, tail)
+
+    def ev(self, roots):
+        acc = self.ctx.zero()
+        for e in sorted(self.terms):
+            f = self.ctx.spec.one
+            for zi, k in zip(roots, e):
+                if k:
+                    f = f * zi**k
+            acc = acc + self.terms[e].scale(f)
+        if self.tail_norm_exp != NEG_INF:
+            acc = acc.truncate(_val_floor(self.tail_norm_exp, self.ctx.ram))
+        return acc
+
+    def embed_vars(self, s_new, positions):
+        out = {}
+        for e, c in self.terms.items():
+            lifted = [0] * s_new
+            for j, k in enumerate(e):
+                lifted[positions[j]] = k
+            out[tuple(lifted)] = c
+        return DictTate(self.ctx, s_new, self.tcap, out, self.tail_norm_exp)
+
+    def __eq__(self, other):
+        return (self.ctx is other.ctx and self.s == other.s and self.tcap == other.tcap
+                and self.tail_norm_exp == other.tail_norm_exp and self.terms == other.terms)
 
 
 def tate_poly_t(ctx: Completion, s: int, tcap: int, i: int, a: GFPoly) -> TateElem:
@@ -76,7 +233,7 @@ def at_theta(x: TateElem, i: int, decay=None) -> TateElem:
         if delta <= 1:
             raise PrecisionExhaustedError(
                 f"decay rate {delta} too slow against |theta^m| = q^m")
-        for e, c in x.terms.items():
+        for e, c in terms(x).items():
             if not c.is_zero() and c.norm_exp() > c_exp - delta * sum(e):
                 raise PrecisionExhaustedError(
                     f"stored coefficient at {e} violates the decay certificate")
@@ -84,7 +241,7 @@ def at_theta(x: TateElem, i: int, decay=None) -> TateElem:
     th = ctx.theta()
     powers = {0: ctx.one()}
     out: dict = {}
-    for e, c in x.terms.items():
+    for e, c in terms(x).items():
         m = e[i]
         if m not in powers:
             powers[m] = th**m
@@ -174,7 +331,8 @@ def _geometric_mul(A: TateElem, tcap: int, b: int, shift: int, sign: int) -> Tat
     lead_neg = (sign < 0) != bool(shift * b % 2)
     # keys in the product's first-appearance order, and the over-cap fold
     low, keys, over = cap + 1, [], None
-    for (ea,), c in A.terms.items():
+    A_terms = terms(A)
+    for (ea,), c in A_terms.items():
         k = max(0, cap + 1 - ea)
         if k <= tcap:
             v = c.valuation() + k * step + base
@@ -182,7 +340,7 @@ def _geometric_mul(A: TateElem, tcap: int, b: int, shift: int, sign: int) -> Tat
         if ea < low:
             keys.extend(range(ea, low))
             low = ea
-    stored = [(ea, c) for (ea,), c in A.terms.items() if ea <= cap and c.coeffs.shape[0]]
+    stored = [(ea, c) for (ea,), c in A_terms.items() if ea <= cap and c.coeffs.shape[0]]
     lo = min((c.offset - ea * step for ea, c in stored), default=0)
     hi = max((c.end() - ea * step for ea, c in stored), default=0)
     run = np.zeros((hi - lo, ctx.spec.m), dtype=np.int64)
@@ -192,7 +350,7 @@ def _geometric_mul(A: TateElem, tcap: int, b: int, shift: int, sign: int) -> Tat
     for e in range(low, cap + 1):
         odd = b % 2 and e % 2  # the sign of theta^(-b*e)
         r += step
-        c = A.terms.get((e,))
+        c = A_terms.get((e,))
         if c is not None:
             if not c.is_exact():
                 r = min(r, c.prec + base)

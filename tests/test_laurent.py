@@ -18,8 +18,9 @@ from carlitz.laurent import (
     PREC_EXACT,
     Completion,
     RamLaurent,
-    _raw_mul,
     batch_mul,
+    left_map,
+    pair_mul,
     sample_z,
     stack_inv,
 )
@@ -322,6 +323,15 @@ def _batch_mul_reference(ctx, A, B, n):
             w = min(Ba.shape[1], n - s)
             out[:, s : s + w] += A[:, s, a, None, None] * Ba[:, :w]
     return out % ctx.p
+
+
+def _raw_mul(ctx, A, B):
+    """Coefficient block of one series product without offsets, reduced mod
+    p: the pair kernel plus the reduction, as RamLaurent.__mul__ once called
+    it."""
+    if A.shape[0] == 0 or B.shape[0] == 0:
+        return np.zeros((0, ctx.spec.m), dtype=np.int8)
+    return (pair_mul(ctx, left_map(ctx, A), B.astype(np.int64)) % ctx.p).astype(np.int8)
 
 
 def _inv_reference(x, rel_prec):

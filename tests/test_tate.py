@@ -1,8 +1,10 @@
 """Tests for the truncated Tate-algebra layer: arithmetic, twists, evaluation."""
 
+import contextlib
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -14,7 +16,9 @@ from carlitz.errors import (
     ShapeMismatchError,
 )
 from carlitz.fields import roots_in_ext
-from carlitz.laurent import NEG_INF, PREC_EXACT, Completion, RamLaurent
+from carlitz.functions import (L_multi, agf_f, chi_t, default_budget, omega, omega_inv,
+                               papanikolas_L, psi_family)
+from carlitz.laurent import NEG_INF, PREC_EXACT, Completion, RamLaurent, sample_z
 from carlitz.tate import (
     TateElem,
     tate_const,
@@ -23,7 +27,9 @@ from carlitz.tate import (
     tate_zero,
 )
 
-from oracles import at_theta, tate_poly_t
+from carlitz.verify import _levels
+
+from oracles import DictTate, at_theta, tate_poly_t, terms
 
 
 @pytest.fixture(scope="module")
@@ -60,11 +66,11 @@ def rand_elem(ctx, rng, s, cap, exact=True):
 
 def test_zero_and_const(ctx32):
     z = tate_zero(ctx32, 2, 6)
-    assert z.terms == {} and z.tail_norm_exp == NEG_INF
+    assert z.keys == () and z.tail_norm_exp == NEG_INF
     assert z.gauss_norm_exp() == NEG_INF
     assert z.prec_floor() == PREC_EXACT
     c = tate_const(ctx32, 2, 6, ctx32.zero())
-    assert c.terms == {}
+    assert c.keys == ()
     th = tate_const(ctx32, 1, 6, ctx32.theta())
     assert th.coeff((0,)) == ctx32.theta()
     assert th.coeff((3,)).is_exact_zero()
@@ -72,7 +78,7 @@ def test_zero_and_const(ctx32):
 
 def test_constructor_folds_overcap(ctx32):
     x = TateElem(ctx32, 1, 3, {(5,): ctx32.theta()})
-    assert x.terms == {}
+    assert x.keys == ()
     assert x.tail_norm_exp == Fraction(1)
 
 
@@ -97,7 +103,7 @@ def test_t_minus_theta_cancels(ctx32):
     a = tate_t_minus_theta(ctx32, 1, 8, 0)
     b = -a
     z = a + b
-    assert z.terms == {} and z.tail_norm_exp == NEG_INF
+    assert z.keys == () and z.tail_norm_exp == NEG_INF
 
 
 def test_t_minus_theta_norm(ctx32):
@@ -120,7 +126,7 @@ def test_ring_laws(ctx32):
         assert A * B == B * A
         assert (A * B) * C == A * (B * C)
         assert A * (B + C) == A * B + A * C
-        assert (A - A).terms == {}
+        assert (A - A).keys == ()
 
 
 def test_scalar_mul_matches_const_mul(ctx32):
@@ -150,11 +156,11 @@ def test_gauss_norm_multiplicative_exact(ctx32):
     # Gauss lemma: with exact coefficients and no tails the norm multiplies
     rng = random.Random(7004)
     for _ in range(25):
-        A = TateElem(ctx32, 2, 8, rand_elem(ctx32, rng, 2, 4).terms)
-        B = TateElem(ctx32, 2, 8, rand_elem(ctx32, rng, 2, 4).terms)
+        A = TateElem(ctx32, 2, 8, terms(rand_elem(ctx32, rng, 2, 4)))
+        B = TateElem(ctx32, 2, 8, terms(rand_elem(ctx32, rng, 2, 4)))
         P = A * B
         assert P.tail_norm_exp == NEG_INF
-        if P.terms:
+        if P.keys:
             assert P.gauss_norm_exp() == A.gauss_norm_exp() + B.gauss_norm_exp()
 
 
@@ -176,7 +182,7 @@ def test_mul_fold_beyond_cap(ctx32):
     x = TateElem(ctx32, 1, 3, {(2,): ctx32.theta()})
     p = x * t * t
     # t^4 falls outside the cap; its norm (exponent 1) lands in the tail
-    assert p.terms == {}
+    assert p.keys == ()
     assert p.tail_norm_exp == Fraction(1)
 
 
@@ -216,7 +222,7 @@ def test_tau_scales_norm_and_tail(ctx32):
 def test_phi_on_variable_and_constant(ctx32):
     t = tate_var(ctx32, 1, 9, 0)
     ft = t.phi(0)
-    assert list(ft.terms) == [(3,)]
+    assert list(ft.keys) == [(3,)]
     c = tate_const(ctx32, 1, 9, ctx32.theta())
     assert c.phi(0) == c
 
@@ -227,8 +233,8 @@ def test_phi_ring_hom_and_tau_commute(ctx32):
         A = rand_elem(ctx32, rng, 2, 2)
         B = rand_elem(ctx32, rng, 2, 2)
         big = 30
-        A = TateElem(ctx32, 2, big, A.terms)
-        B = TateElem(ctx32, 2, big, B.terms)
+        A = TateElem(ctx32, 2, big, terms(A))
+        B = TateElem(ctx32, 2, big, terms(B))
         i = rng.choice([0, 1])
         assert (A * B).phi(i) == A.phi(i) * B.phi(i)
         assert A.tau().phi(i) == A.phi(i).tau()
@@ -237,7 +243,7 @@ def test_phi_ring_hom_and_tau_commute(ctx32):
 def test_phi_folds_overcap(ctx32):
     x = TateElem(ctx32, 1, 4, {(2,): ctx32.theta()})
     f = x.phi(0)  # exponent 6 > cap 4
-    assert f.terms == {}
+    assert f.keys == ()
     assert f.tail_norm_exp == Fraction(1)
 
 
@@ -261,8 +267,8 @@ def test_ev_constant_and_variable(ctx21, roots21):
 def test_ev_ring_hom(ctx21, roots21):
     rng = random.Random(7008)
     for _ in range(25):
-        A = TateElem(ctx21, 1, 5, rand_elem(ctx21, rng, 1, 2).terms)
-        B = TateElem(ctx21, 1, 5, rand_elem(ctx21, rng, 1, 2).terms)
+        A = TateElem(ctx21, 1, 5, terms(rand_elem(ctx21, rng, 1, 2)))
+        B = TateElem(ctx21, 1, 5, terms(rand_elem(ctx21, rng, 1, 2)))
         assert (A + B).ev(roots21) == A.ev(roots21) + B.ev(roots21)
         assert (A * B).ev(roots21) == A.ev(roots21) * B.ev(roots21)
 
@@ -313,7 +319,7 @@ def test_specialize_t_minus_theta(ctx32):
     A = tate_t_minus_theta(ctx32, 1, 6, 0)
     r = at_theta(A, 0)
     assert r.s == 0
-    assert r.terms == {} and r.tail_norm_exp == NEG_INF
+    assert r.keys == () and r.tail_norm_exp == NEG_INF
 
 
 def test_specialize_poly_image_is_embedding(ctx32):
@@ -373,44 +379,15 @@ def test_embed_vars(ctx32):
     A2 = A.embed_vars(2, (0,))
     B2 = B.embed_vars(2, (1,))
     prod = A2 * B2
-    for ea, ca in A.terms.items():
-        for eb, cb in B.terms.items():
+    for ea, ca in terms(A).items():
+        for eb, cb in terms(B).items():
             assert prod.coeff((ea[0], eb[0])) == ca * cb
     with pytest.raises(ShapeMismatchError):
         A.embed_vars(2, (3,))
 
 
-# -- the one-pass product against the pairwise product it replaced
-
-
-def _mul_reference(a, b):
-    """TateElem.__mul__ as one RamLaurent product and one sum per coefficient pair."""
-    cap = min(a.tcap, b.tcap)
-    out = {}
-    fold = NEG_INF
-    for ea, ca in a.terms.items():
-        na = ca.norm_exp()
-        for eb, cb in b.terms.items():
-            e = tuple(x + y for x, y in zip(ea, eb))
-            if any(k > cap for k in e):
-                fold = max(fold, na + cb.norm_exp())
-                continue
-            prod = ca * cb
-            prev = out.get(e)
-            out[e] = prod if prev is None else prev + prod
-    ta, tb = a.tail_norm_exp, b.tail_norm_exp
-    tail = max(fold, ta + b.gauss_norm_exp(), tb + a.gauss_norm_exp(), ta + tb)
-    return TateElem(a.ctx, a.s, cap, out, tail)
-
-
-def _assert_same_product(got, want):
-    assert list(got.terms) == list(want.terms)
-    for e, w in want.terms.items():
-        g = got.terms[e]
-        assert (g.offset, g.prec) == (w.offset, w.prec), e
-        assert g.coeffs.shape == w.coeffs.shape and (g.coeffs == w.coeffs).all(), e
-    assert got.tail_norm_exp == want.tail_norm_exp
-    assert (got.s, got.tcap) == (want.s, want.tcap)
+# -- the one-pass product against the pairwise product it replaced, which
+# oracles.DictTate keeps: one RamLaurent product and one sum per pair
 
 
 def _rand_coeff(ctx, rng, kind):
@@ -435,12 +412,12 @@ def _diff_inputs(ctx, rng, s):
         cap_a, cap_b = rng.randrange(1, 7), rng.randrange(1, 7)
         fs = []
         for cap in (cap_a, cap_b):
-            terms = {}
+            cs = {}
             for _ in range(rng.randrange(1, 9)):
                 e = tuple(rng.randrange(cap + 1) for _ in range(s))
-                terms[e] = _rand_coeff(ctx, rng, rng.choice(kinds))
+                cs[e] = _rand_coeff(ctx, rng, rng.choice(kinds))
             tail = rng.choice([NEG_INF, NEG_INF, Fraction(rng.randrange(-20, 4), ctx.ram)])
-            fs.append(TateElem(ctx, s, cap, terms, tail))
+            fs.append(TateElem(ctx, s, cap, cs, tail))
         yield fs
     # (t + c)(t - c) = t^2 - c^2: the t coefficient is c - c, an exact zero
     # the constructor drops for exact c and a term-free inexact zero it keeps
@@ -449,7 +426,7 @@ def _diff_inputs(ctx, rng, s):
         c = _rand_coeff(ctx, rng, kind)
         t = tate_var(ctx, s, 4, 0)
         for cap in (4, 1):
-            a = TateElem(ctx, s, cap, (t + tate_const(ctx, s, 4, c)).terms)
+            a = TateElem(ctx, s, cap, terms(t + tate_const(ctx, s, 4, c)))
             yield a, t - tate_const(ctx, s, 4, c)
 
 
@@ -461,13 +438,13 @@ def test_differential_mul(p, e, d, s):
     seen = {"dropped": 0, "inexact zero": 0, "fold": 0, "tail": 0}
     for a, b in _diff_inputs(ctx, rng, s):
         for x, y in ((a, b), (b, a)):
-            got, want = x * y, _mul_reference(x, y)
-            _assert_same_product(got, want)
+            got, want = x * y, DictTate.of(x) * DictTate.of(y)
+            _assert_agrees(got, want)
             raw = {tuple(i + j for i, j in zip(ea, eb))
-                   for ea in x.terms for eb in y.terms}
+                   for ea in x.keys for eb in y.keys}
             cap = min(x.tcap, y.tcap)
-            seen["dropped"] += any(all(k <= cap for k in r) and r not in got.terms for r in raw)
-            seen["inexact zero"] += any(c.is_zero() for c in got.terms.values())
+            seen["dropped"] += any(all(k <= cap for k in r) and r not in got.keys for r in raw)
+            seen["inexact zero"] += any(c.is_zero() for c in terms(got).values())
             seen["fold"] += any(any(k > cap for k in r) for r in raw)
             seen["tail"] += x.tail_norm_exp != NEG_INF
     assert all(seen.values()), seen
@@ -514,10 +491,197 @@ def test_tate_truncation_soundness(tower, s, caps, xs, ys):
     (X, Xt), (Y, Yt) = pair(xs, caps[0]), pair(ys, caps[1])
     P, E = Xt * Yt, X * Y
     assert P.tcap == min(caps)
-    for e, c in E.terms.items():
+    for e, c in terms(E).items():
         if all(k <= P.tcap for k in e):
             got = P.coeff(e)
             assert (got - c).is_zero(), e
         else:
             assert c.norm_exp() <= P.tail_norm_exp, e
-    assert all(e in E.terms or c.is_zero() for e, c in P.terms.items())
+    assert all(e in E.keys or c.is_zero() for e, c in terms(P).items())
+
+
+# -- the frame against the dict-of-RamLaurent reference
+
+# q in {2, 3, 4, 5, 7}, at m = 1 and m = 2 (q = 4 has m = 2 only)
+FRAME_TOWERS = [(2, 1, 1), (2, 1, 2), (3, 1, 1), (3, 1, 2), (2, 2, 1),
+                (5, 1, 1), (5, 1, 2), (7, 1, 1), (7, 1, 2)]
+_COMPLETIONS: dict = {}
+_KINDS = ("exact", "truncated", "term-free", "exact zero")
+
+
+def _tower_ctx(tower):
+    if tower not in _COMPLETIONS:
+        _COMPLETIONS[tower] = Completion(*tower)
+    return _COMPLETIONS[tower]
+
+
+def _draw_coeff(data, ctx, kind):
+    """A coefficient of the given kind: exact, truncated (possibly to no
+    term), term-free inexact or the exact zero."""
+    if kind == "exact zero":
+        return ctx.zero()
+    if kind == "term-free":
+        return ctx.zero(data.draw(st.integers(-10, 30)))
+    spec = ctx.spec
+    lo = data.draw(st.integers(-8, 8))
+    ids = data.draw(st.lists(st.integers(0, spec.order - 1), min_size=1, max_size=12))
+    x = ctx.from_terms([(lo + k, spec.from_index(i or (k == 0))) for k, i in enumerate(ids)])
+    return x if kind == "exact" else x.truncate(lo + data.draw(st.integers(0, 14)))
+
+
+def _draw_elem(data, ctx, s, tcap):
+    """(TateElem, DictTate) from one dict: keys up to tcap + 2, so some pass
+    the cap, coefficients of every kind, with or without a tail."""
+    cs = {}
+    for _ in range(data.draw(st.integers(0, 5))):
+        e = tuple(data.draw(st.integers(0, tcap + 2)) for _ in range(s))
+        cs[e] = _draw_coeff(data, ctx, data.draw(st.sampled_from(_KINDS)))
+    tail = data.draw(st.one_of(st.just(NEG_INF),
+                               st.integers(-30, 6).map(lambda n: Fraction(n, ctx.ram))))
+    return TateElem(ctx, s, tcap, cs, tail), DictTate(ctx, s, tcap, cs, tail)
+
+
+def _assert_agrees(got, want):
+    """Key order, every coefficient through coeff, precisions, the tail and
+    its type, the norm, prec_floor and verify._levels."""
+    assert (got.s, got.tcap) == (want.s, want.tcap)
+    assert list(got.keys) == list(want.terms)
+    for e, c in want.terms.items():
+        assert got.coeff(e) == c, e
+    assert got.precs.tolist() == [c.prec for c in want.terms.values()]
+    assert got.tail_norm_exp == want.tail_norm_exp
+    assert type(got.tail_norm_exp) is type(want.tail_norm_exp)
+    assert got.gauss_norm_exp() == want.gauss_norm_exp()
+    assert got.prec_floor() == want.prec_floor()
+    assert _levels(got) == want.levels()
+
+
+def _assert_frame(x):
+    """The frame invariants of the tate module docstring."""
+    K, R, m = x.block.shape
+    assert x.block.dtype == np.int8 and m == x.ctx.spec.m
+    assert len(x.keys) == len(set(x.keys)) == K == len(x.precs) == len(x.vals) == len(x.ends)
+    assert all(len(e) == x.s and 0 <= min(e, default=0) and max(e, default=0) <= x.tcap
+               for e in x.keys)
+    assert ((x.block >= 0) & (x.block < x.ctx.p)).all()
+    assert (x.precs <= PREC_EXACT).all()
+    live = x.block.any(axis=2)
+    assert not (live & (np.arange(x.lo, x.lo + R) >= x.precs[:, None])).any()
+    has = live.any(axis=1)
+    assert (has | (x.precs < PREC_EXACT)).all()  # no exact-zero key
+    if R:
+        assert live[:, 0].any() and live[:, -1].any()  # trimmed
+    else:
+        assert x.lo == 0
+    for k in range(K):
+        rows = np.flatnonzero(live[k])
+        span = (x.lo + rows[0], x.lo + rows[-1] + 1) if has[k] else (x.precs[k], x.precs[k])
+        assert (x.vals[k], x.ends[k]) == span, k
+
+
+@contextlib.contextmanager
+def _frames_built():
+    """Every frame built inside, as (the per-coefficient reference from its
+    buffer, the normalized frame): one RamLaurent per key, then the dict
+    constructor, as the Tate layer did before frames."""
+    seen, orig = [], TateElem.frame.__func__
+
+    def spy(cls, ctx, s, tcap, keys, lo, block, precs, tail_norm_exp=NEG_INF):
+        keys = tuple(keys)
+        P = np.broadcast_to(np.asarray(precs), (len(keys),))
+        ref = DictTate(ctx, s, tcap, {e: RamLaurent(ctx, lo, block[k], int(P[k]))
+                                      for k, e in enumerate(keys)}, tail_norm_exp)
+        out = orig(cls, ctx, s, tcap, keys, lo, block, precs, tail_norm_exp)
+        seen.append((ref, out))
+        return out
+
+    TateElem.frame = classmethod(spy)
+    try:
+        yield seen
+    finally:
+        TateElem.frame = classmethod(orig)
+
+
+def _ops(data, ctx, s, caps):
+    """Every TateElem operation on drawn elements, with its reference result:
+    (name, got, want) triples, ev and == as values."""
+    (A, Ar), (B, Br) = (_draw_elem(data, ctx, s, cap) for cap in caps)
+    b = _draw_coeff(data, ctx, data.draw(st.sampled_from(_KINDS)))
+    c = ctx.spec.from_index(data.draw(st.integers(0, ctx.spec.order - 1)))
+    roots = tuple(ctx.spec.from_index(data.draw(st.integers(0, ctx.spec.order - 1)))
+                  for _ in range(s))
+    i = data.draw(st.integers(0, s - 1))
+    pos = tuple(data.draw(st.permutations(range(s + 1)))[:s])
+    return [("A", A, Ar), ("B", B, Br), ("+", A + B, Ar + Br), ("-", A - B, Ar - Br),
+            ("neg", -A, -Ar), ("*", A * B, Ar * Br), ("scalar_mul", A.scalar_mul(b), Ar.scalar_mul(b)),
+            ("* scalar", A * b, Ar * b), ("* field", A * c, Ar * c), ("tau", A.tau(), Ar.tau()),
+            ("phi", A.phi(i), Ar.phi(i)), ("embed_vars", A.embed_vars(s + 1, pos), Ar.embed_vars(s + 1, pos)),
+            ("ev", A.ev(roots), Ar.ev(roots)), ("==", A == B, Ar == Br),
+            ("== self", A == TateElem(ctx, s, A.tcap, terms(A), A.tail_norm_exp), True),
+            ("+ commutes", A + B == B + A, True)]
+
+
+def _producers(tower, tcap, seed, prec):
+    """Every producer that hands a buffer to TateElem.frame, on a fresh
+    completion so that no cached frame is skipped: (name, got, want) with
+    chi_t against the product it stands for."""
+    ctx = Completion(*tower)
+    B = default_budget(ctx, prec)
+    rng = random.Random(seed)
+    z, w = sample_z(ctx, rng, "small"), sample_z(ctx, rng, "unit")
+    inv, F = omega_inv(ctx, tcap, B), agf_f(ctx, z, tcap, B)
+    chi = chi_t(ctx, z, tcap, B)
+    out = [("omega", omega(ctx, tcap, B), None), ("omega_inv", inv, None), ("agf_f", F, None),
+           ("chi_t", chi, DictTate.of(inv) * DictTate.of(F)),
+           ("papanikolas_L", papanikolas_L(ctx, z, tcap, B), None)]
+    for s in (1, 2):
+        for k, x in enumerate(psi_family(ctx, s, w, 3, tcap, B, [(1,) * s, (0,) * s, (1,) + (0,) * (s - 1)])):
+            out.append((f"psi_family s={s} #{k}", x, None))
+        out.append((f"L_multi s={s}", L_multi(ctx, s, 1, 3, tcap, B), None))
+    return out
+
+
+_OPS_ARGS = dict(data=st.data(), tower=st.sampled_from(FRAME_TOWERS), s=st.integers(1, 2),
+                 caps=st.tuples(st.integers(0, 8), st.integers(0, 8)))
+_PRODUCER_ARGS = dict(tower=st.sampled_from(FRAME_TOWERS), tcap=st.integers(0, 8),
+                      seed=st.integers(0, 2**16), prec=st.integers(4, 24))
+
+
+@settings(max_examples=200, deadline=None)
+@given(**_OPS_ARGS)
+def test_differential_frame_ops_property(data, tower, s, caps):
+    """Every operation on frames agrees with the dict-of-RamLaurent reference."""
+    for name, got, want in _ops(data, _tower_ctx(tower), s, caps):
+        if isinstance(got, TateElem):
+            _assert_agrees(got, want)
+        else:
+            assert got == want, name
+
+
+@settings(max_examples=25, deadline=None)
+@given(**_PRODUCER_ARGS)
+def test_differential_frame_producers_property(tower, tcap, seed, prec):
+    """Every frame a producer builds, intermediate ones too, equals one
+    RamLaurent per key from the same buffer through the dict constructor;
+    chi_t equals the product omega_inv * agf_f."""
+    with _frames_built() as seen:
+        outs = _producers(tower, tcap, seed, prec)
+    assert len(seen) >= len(outs)
+    for ref, got in seen:
+        _assert_agrees(got, ref)
+    for name, got, want in outs:
+        if want is not None:
+            _assert_agrees(got, want)
+
+
+@settings(max_examples=100, deadline=None)
+@given(**_OPS_ARGS, **{k: v for k, v in _PRODUCER_ARGS.items() if k != "tower"})
+def test_frame_invariants_property(data, tower, s, caps, tcap, seed, prec):
+    """Every frame built by an operation or a producer is normalized."""
+    with _frames_built() as seen:
+        _ops(data, _tower_ctx(tower), s, caps)
+        if data.draw(st.booleans()):
+            _producers(tower, tcap, seed, prec)
+    assert seen
+    for _, x in seen:
+        _assert_frame(x)
