@@ -1,10 +1,12 @@
 """Exact torsion arithmetic for the Carlitz module.
 
-Linearized polynomials over F_q[theta], prime-torsion fields with their
+The module action as additive polynomials, prime-torsion fields with their
 Galois action, Gauss sums, interpolation polynomials, and the exact
-telescope identity.  Coefficients are polynomials in theta over the
-coefficient extension; a torsion-field element is a tuple of such
-numerators over one monic denominator, which is 1 except after a division.
+telescope identity.  An additive polynomial sum_j c_j Z^{q^j} is the tuple
+of its coefficients c_j in F_q[theta].  Coefficients of torsion-field
+elements are polynomials in theta over the coefficient extension; a
+torsion-field element is a tuple of such numerators over one monic
+denominator, which is 1 except after a division.
 Everything here is exact; the only numerics is the final embedding into the
 completion.
 """
@@ -28,6 +30,7 @@ from .fields import (
     degree_guard,
     enumerate_A,
     poly_add,
+    poly_eval,
     poly_mul,
     poly_pdivmod,
     poly_sub,
@@ -47,103 +50,55 @@ def torsion_guard(q: int, d: int):
             f"torsion field of degree {d} beyond the torsion guard q^d <= {_TORSION_LIMIT}")
 
 
-class LinPoly:
-    """Additive polynomial sum_j c_j Z^{q^j} with coefficients in F_q[theta].
+def carlitz_poly(spec, a: GFPoly) -> tuple:
+    """The additive polynomial C_a(Z) = sum_j c_j Z^{q^j} of the module
+    action of a, as the trimmed tuple (c_0, c_1, ...) in F_q[theta].
 
-    The representation is the coefficient list indexed by j, so additivity is
-    structural; composition is the ring multiplication.
-    """
-
-    __slots__ = ("spec", "coeffs")
-
-    def __init__(self, spec, coeffs):
-        self.spec = spec
-        self.coeffs = tuple(poly_trim(coeffs))
-
-    def __add__(self, other: "LinPoly") -> "LinPoly":
-        return LinPoly(self.spec, poly_add(self.coeffs, other.coeffs, self.spec.poly([])))
-
-    def __neg__(self) -> "LinPoly":
-        return LinPoly(self.spec, [-c for c in self.coeffs])
-
-    def __sub__(self, other: "LinPoly") -> "LinPoly":
-        return self + (-other)
-
-    def scale(self, c) -> "LinPoly":
-        return LinPoly(self.spec, [f * c for f in self.coeffs])
-
-    def qtwist(self, k: int = 1) -> "LinPoly":
-        """Composition with Z^{q^k} on the left: coefficients pushed up."""
-        shifted = [self.spec.poly([])] * k + [c.qpow(k) for c in self.coeffs]
-        return LinPoly(self.spec, shifted)
-
-    def compose(self, other: "LinPoly") -> "LinPoly":
-        out = LinPoly(self.spec, [])
-        for j, c in enumerate(self.coeffs):
-            if c.is_zero():
-                continue
-            piece = [self.spec.poly([])] * j + [g.qpow(j) for g in other.coeffs]
-            out = out + LinPoly(self.spec, piece).scale(c)
-        return out
-
-    def eval(self, x: GFPoly) -> GFPoly:
-        acc = self.spec.poly([])
-        for j, c in enumerate(self.coeffs):
-            if not c.is_zero():
-                acc = acc + c * x.qpow(j)
-        return acc
-
-    def __eq__(self, other):
-        return (isinstance(other, LinPoly) and self.spec is other.spec
-                and self.coeffs == other.coeffs)
-
-    def __hash__(self):
-        return hash(self.coeffs)
-
-    def __repr__(self):
-        if not self.coeffs:
-            return "LinPoly(0)"
-        parts = [f"({c})*Z^{self.spec.q**j}" for j, c in enumerate(self.coeffs)
-                 if not c.is_zero()]
-        return "LinPoly(" + " + ".join(parts) + ")"
-
-
-def carlitz_poly(spec, a: GFPoly) -> LinPoly:
-    """The additive polynomial of the module action of a, from theta -> theta Z + Z^q.
-
-    Built as sum_i a_i T^i where T is the action of theta under composition;
-    satisfies the two ring laws and the coefficient formula through d_j.
+    C_theta(Z) = theta Z + Z^q, so c_j of C_{theta^(i+1)} is theta c_j +
+    c_{j-1}^q of C_{theta^i}, and C_a = sum_i a_i C_{theta^i} since the
+    action is F_q-linear in a.
     """
     a.subfield_coeff_indices()
     degree_guard(spec.q, a.degree)
-    c_theta = LinPoly(spec, [spec.poly([0, 1]), spec.poly([1])])
-    out = LinPoly(spec, [])
-    power = LinPoly(spec, [spec.poly([1])])  # identity Z
+    zero, theta = spec.poly([]), spec.poly([0, 1])
+    power = [spec.poly([1])]  # C_1(Z) = Z
+    out = []
     for i, c in enumerate(a.coeffs):
         if i:
-            power = c_theta.compose(power)
+            power = [theta * x + y.qpow(1) for x, y in zip(power + [zero], [zero] + power)]
         if not c.is_zero():
-            out = out + power.scale(c)
-    return out
+            out = poly_add(out, [x * c for x in power], zero)
+    return tuple(out)
 
 
-def basis_E(spec, j: int) -> tuple[LinPoly, GFPoly]:
+def lin_eval(coeffs, x: GFPoly) -> GFPoly:
+    """sum_j c_j x^{q^j} for the additive polynomial with coefficients coeffs."""
+    acc = x.field.poly([])
+    for j, c in enumerate(coeffs):
+        if not c.is_zero():
+            acc = acc + c * x.qpow(j)
+    return acc
+
+
+def basis_E(spec, j: int) -> tuple[tuple, GFPoly]:
     """(e_j, D_j): the degree-q^j interpolation basis is E_j = e_j / D_j,
     where e_j = prod over all a of degree < j of (Z - a) has coefficients
-    in F_q[theta] and D_j = e_j(theta^j).
+    in F_q[theta] and D_j = e_j(theta^j).  e_j is a coefficient tuple, as
+    carlitz_poly's.
 
     Computed by the separable recursion e_j = e_{j-1}^q - v^{q-1} e_{j-1}
     with v = e_{j-1}(theta^{j-1}); the tests pin this against the literal
     product and against the module-action coefficients.
     """
     degree_guard(spec.q, j)
-    e = LinPoly(spec, [spec.poly([1])])
+    zero = spec.poly([])
+    e = (spec.poly([1]),)
     for i in range(1, j + 1):
-        v = e.eval(spec.poly([0] * (i - 1) + [1]))
+        v = lin_eval(e, spec.poly([0] * (i - 1) + [1]))
         scale = v
         for _ in range(spec.q - 2):
             scale = scale * v
-        e = e.qtwist(1) - e.scale(scale)
+        e = tuple(poly_sub([zero] + [c.qpow(1) for c in e], [c * scale for c in e], zero))
     return e, carlitz_dl(spec, j)[0]
 
 
@@ -209,9 +164,8 @@ class CycField:
         self.d = prime.degree
         self.poly_zero = spec.poly([])
         self.poly_one = spec.poly([1])
-        cp = carlitz_poly(spec, prime)
         dense = [self.poly_zero] * (spec.q**self.d + 1)
-        for jj, c in enumerate(cp.coeffs):
+        for jj, c in enumerate(carlitz_poly(spec, prime)):
             dense[spec.q**jj] = c
         # the action polynomial has no constant term; divide by Z exactly
         self.rho = tuple(dense[1:])
@@ -345,36 +299,24 @@ class CycElem:
         return "CycElem(" + " + ".join(parts) + tail + ")"
 
 
-def _ladder(cf: CycField, n: int) -> list:
-    """[lambda^(q^j) for j < n], kept once per field and extended on demand."""
-    ladder = cf.cache.setdefault("ladder", [cf.lam])
-    while len(ladder) < n:
-        x = ladder[-1]
-        for _ in range(cf.spec.e):
-            x = x ** cf.spec.p
-        ladder.append(x)
-    return ladder
-
-
 def action_at_lam(cf: CycField, a: GFPoly) -> CycElem:
-    """The module action of a applied to the torsion generator, reduced.
+    """C_a(lambda), the module action of a on the torsion generator, reduced.
 
-    The action is F_q-linear, so a non-monic a is its leading coefficient
-    times the action of the monic a / lead: only a monic a (or zero) builds
-    its action polynomial.
+    The action is F_q-linear in a, so C_a(lambda) = sum_i a_i x_i with x_i =
+    C_{theta^i}(lambda): x_0 = lambda and x_{i+1} = C_theta(x_i) = theta x_i
+    + x_i^q, kept once per field and extended on demand.
     """
     key = ("act", a.coeffs)
     if key not in cf.cache:
         a.subfield_coeff_indices()
-        if not a.is_zero() and not a.is_monic():
-            cf.cache[key] = action_at_lam(cf, a.scale(a.lead.inv())) * a.lead
-        else:
-            cp = carlitz_poly(cf.spec, a)
-            acc = cf.zero
-            for x, c in zip(_ladder(cf, len(cp.coeffs)), cp.coeffs):
-                if not c.is_zero():
-                    acc = acc + x * c
-            cf.cache[key] = acc
+        xs = cf.cache.setdefault("theta_actions", [cf.lam])
+        while len(xs) < len(a.coeffs):
+            xs.append(xs[-1] * cf.spec.poly([0, 1]) + xs[-1] ** cf.spec.q)
+        acc = cf.zero
+        for x, c in zip(xs, a.coeffs):
+            if not c.is_zero():
+                acc = acc + x * c
+        cf.cache[key] = acc
     return cf.cache[key]
 
 
@@ -395,9 +337,7 @@ def galois_sigma(a: GFPoly, x: CycElem) -> CycElem:
     if a.gcd(cf.prime).degree != 0:
         raise NotCoprimeError("class of a is not invertible modulo the prime")
     lam_img = action_at_lam(cf, a % cf.prime)
-    acc = cf.zero
-    for c in reversed(x.coeffs):
-        acc = acc * lam_img + cf.const(c)
+    acc = poly_eval([cf.const(c) for c in x.coeffs], lam_img, cf.zero)
     # the automorphism fixes F(theta), so the denominator stays
     return CycElem(cf, acc.coeffs, x.den)
 
@@ -516,7 +456,7 @@ def M_from_gauss(cf: CycField) -> list:
         for a in enumerate_A(spec, cf.d):
             if a.degree < j:
                 continue
-            val, rem = divmod(ej.eval(a), dj)
+            val, rem = divmod(lin_eval(ej, a), dj)
             if not rem.is_zero():
                 raise InvariantError(f"E_{j}({a!r}) is not a polynomial")
             total = total + cf.const(val) * a.eval(cf.zeta).inv()

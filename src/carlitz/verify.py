@@ -27,6 +27,7 @@ from .fields import (
     make_field,
     poly_degree,
     poly_eval,
+    poly_trim,
     roots_in_ext,
 )
 from .laurent import NEG_INF, PREC_EXACT, Completion, sample_z
@@ -55,7 +56,6 @@ from .functions import (
 )
 from .cyclotomic import (
     CycField,
-    LinPoly,
     action_at_lam,
     basis_E,
     carlitz_poly,
@@ -64,6 +64,7 @@ from .cyclotomic import (
     gauss_sum,
     gauss_sum_inv,
     interpolation_M,
+    lin_eval,
     M_from_gauss,
     modulus_inv,
     telescope_pair,
@@ -840,10 +841,10 @@ def _run_ca_ej(rc):
     ok, count = True, 0
     for a in enumerate_A(spec, cap):
         # E_j(a) = e_j(a) / D_j must be a polynomial
-        quots = [divmod(ej.eval(a), dj) for ej, dj in es]
+        quots = [divmod(lin_eval(ej, a), dj) for ej, dj in es]
         count += 1
         if (any(not r.is_zero() for _, r in quots)
-                or carlitz_poly(spec, a) != LinPoly(spec, [v for v, _ in quots])):
+                or carlitz_poly(spec, a) != tuple(poly_trim(v for v, _ in quots))):
             ok = False
             break
     return [_exact_sample(0, f"exhaustive, degree < {cap} ({count} elements)", ok)], {"cap": cap}

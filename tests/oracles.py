@@ -1,5 +1,6 @@
 """Reference constructions shared by the test modules; not part of the package."""
 
+import functools
 import math
 from fractions import Fraction
 
@@ -8,7 +9,7 @@ import numpy as np
 from carlitz.cyclotomic import action_at_lam, carlitz_poly
 from carlitz.errors import (EmptyPrecisionError, FieldMismatchError, InvariantError,
                             PrecisionExhaustedError, ShapeMismatchError)
-from carlitz.fields import GFElem, GFPoly, enumerate_A, poly_trim
+from carlitz.fields import GFElem, GFPoly, enumerate_A, poly_add, poly_trim
 from carlitz.laurent import NEG_INF, PREC_EXACT, Completion, RamLaurent
 from carlitz.tate import TateElem, _val_floor
 
@@ -180,11 +181,31 @@ def tate_poly_t(ctx: Completion, s: int, tcap: int, i: int, a: GFPoly) -> TateEl
     return TateElem(ctx, s, tcap, terms)
 
 
-def linpoly_coeff(f, j: int) -> GFPoly:
-    """Coefficient c_j of Z^{q^j} in the additive polynomial f (zero past its end)."""
-    if 0 <= j < len(f.coeffs):
-        return f.coeffs[j]
-    return f.spec.poly([])
+def linpoly_coeff(spec, f: tuple, j: int) -> GFPoly:
+    """Coefficient c_j of Z^{q^j} in the additive polynomial f, a coefficient
+    tuple (zero past its end)."""
+    if 0 <= j < len(f):
+        return f[j]
+    return spec.poly([])
+
+
+def lin_add(spec, f: tuple, g: tuple) -> tuple:
+    """f(Z) + g(Z) for additive polynomials as coefficient tuples."""
+    return tuple(poly_add(f, g, spec.poly([])))
+
+
+def lin_compose(spec, f: tuple, g: tuple) -> tuple:
+    """f(g(Z)) = sum_j c_j g(Z)^{q^j} for additive polynomials as coefficient
+    tuples: g^{q^j} has coefficients g_k^{q^j} at Z^{q^(j+k)}.  Generic
+    composition, the reference for the ring law of carlitz_poly, which steps
+    through C_theta alone."""
+    zero = spec.poly([])
+    out = []
+    for j, c in enumerate(f):
+        if c.is_zero():
+            continue
+        out = poly_add(out, [zero] * j + [x.qpow(j) * c for x in g], zero)
+    return tuple(out)
 
 
 def to_pairs(x: RamLaurent) -> list:
@@ -258,13 +279,19 @@ def at_theta(x: TateElem, i: int, decay=None) -> TateElem:
     return TateElem(ctx, x.s - 1, x.tcap, out, tail)
 
 
+@functools.lru_cache(maxsize=None)
+def _lam_qpow(cf, j: int):
+    """lambda^(q^j) by square-and-multiply, once per torsion field and j."""
+    return cf.lam ** (cf.spec.q**j)
+
+
 def action_at_lam_direct(cf, a: GFPoly):
-    """sum_j c_j * lambda^(q^j) over the action polynomial of a, monic or
-    not, with each lambda^(q^j) raised afresh: the reference for
-    action_at_lam."""
+    """sum_j c_j * lambda^(q^j) over the coefficients c_j of C_a, monic or
+    not: the reference for action_at_lam, which sums a_i * C_{theta^i}(lambda)
+    instead."""
     acc = cf.zero
-    for j, c in enumerate(carlitz_poly(cf.spec, a).coeffs):
-        acc = acc + cf.lam ** (cf.spec.q**j) * c
+    for j, c in enumerate(carlitz_poly(cf.spec, a)):
+        acc = acc + _lam_qpow(cf, j) * c
     return acc
 
 

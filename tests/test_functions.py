@@ -1381,6 +1381,28 @@ def test_chi_t_invariants_raise(monkeypatch):
         chi_t(ctx, z, 6, default_budget(ctx, 24))
 
 
+
+@pytest.mark.parametrize("regime", ["small", "unit", "large"])
+@pytest.mark.parametrize("p", [2, 3])
+def test_chi_t_invariants_raise_on_overclaimed_rows(monkeypatch, p, regime):
+    """A product profile that claims t^0 one row past what agf_f's precision
+    fixes (its precision, plus one for lambda^{-1} = u) makes chi_t raise,
+    also under -O: the linear factors cannot fix that row."""
+    ctx = Completion(p, 1, 1)
+    z = sample_z(ctx, random.Random(7), regime)
+    real = functions.mul_profile
+
+    def overclaimed(inv, F):
+        cap, keys, precs, tail = real(inv, F)
+        assert F.precs.max() < PREC_EXACT
+        precs = precs.copy()
+        precs[keys.index((0,))] = F.precs[F.keys.index((0,))] + 2
+        return cap, keys, precs, tail
+
+    monkeypatch.setattr(functions, "mul_profile", overclaimed)
+    with pytest.raises(InvariantError, match=r"fix t\^0 to"):
+        chi_t(ctx, z, 6, default_budget(ctx, 24))
+
 # -- linear solves
 
 

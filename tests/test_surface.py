@@ -6,7 +6,7 @@ Oracles that only tests need live in tests/oracles.py instead.
 
 Callers are matched by bare name, not by class: a method counts as called
 whenever any attribute of that name is read in package code.  So a method
-that shares its name with a called one (LinPoly.coeff beside TateElem.coeff
+that shares its name with a called one (a coeff method beside TateElem.coeff
 and GFPoly.coeff) passes here although only tests call it; such a method is
 found by reading, not by this test.
 """
