@@ -63,11 +63,11 @@ def carlitz_poly(spec, a: GFPoly) -> tuple:
     zero, theta = spec.poly([]), spec.poly([0, 1])
     power = [spec.poly([1])]  # C_1(Z) = Z
     out = []
-    for i, c in enumerate(a.coeffs):
+    for i, c in enumerate(a.idx):
         if i:
             power = [theta * x + y.qpow(1) for x, y in zip(power + [zero], [zero] + power)]
-        if not c.is_zero():
-            out = poly_add(out, [x * c for x in power], zero)
+        if c:
+            out = poly_add(out, [x.scale(spec.elems[c]) for x in power], zero)
     return tuple(out)
 
 
@@ -169,6 +169,8 @@ class CycField:
             dense[spec.q**jj] = c
         # the action polynomial has no constant term; divide by Z exactly
         self.rho = tuple(dense[1:])
+        # the d + 1 nonzero terms of rho below its top, for reduce
+        self.rho_support = [(k, c) for k, c in enumerate(self.rho[:-1]) if not c.is_zero()]
         self.cache = {}
 
     @property
@@ -191,7 +193,7 @@ class CycField:
 
     def reduce(self, coeffs, den=None) -> "CycElem":
         """coeffs / den, with coeffs reduced modulo the monic rho."""
-        rem = poly_pdivmod(coeffs, self.rho, self.poly_zero, self.poly_one)[2]
+        rem = poly_pdivmod(coeffs, self.rho, self.poly_zero, self.poly_one, self.rho_support)[2]
         return CycElem(self, rem, den)
 
     def __repr__(self):
@@ -219,7 +221,7 @@ class CycElem:
             if g.degree > 0:
                 cs = [c // g for c in cs]
                 den = den // g
-        if den.lead != cf.spec.one:
+        if den.idx[-1] != 1:
             inv = den.lead.inv()
             cs = [c.scale(inv) for c in cs]
             den = den.scale(inv)
@@ -306,16 +308,16 @@ def action_at_lam(cf: CycField, a: GFPoly) -> CycElem:
     C_{theta^i}(lambda): x_0 = lambda and x_{i+1} = C_theta(x_i) = theta x_i
     + x_i^q, kept once per field and extended on demand.
     """
-    key = ("act", a.coeffs)
+    key = ("act", a.idx)
     if key not in cf.cache:
         a.subfield_coeff_indices()
         xs = cf.cache.setdefault("theta_actions", [cf.lam])
-        while len(xs) < len(a.coeffs):
+        while len(xs) < len(a.idx):
             xs.append(xs[-1] * cf.spec.poly([0, 1]) + xs[-1] ** cf.spec.q)
         acc = cf.zero
-        for x, c in zip(xs, a.coeffs):
-            if not c.is_zero():
-                acc = acc + x * c
+        for x, c in zip(xs, a.idx):
+            if c:
+                acc = acc + x * cf.spec.elems[c]
         cf.cache[key] = acc
     return cf.cache[key]
 
@@ -494,10 +496,8 @@ def telescope_pair(spec, d: int):
     # suffix products l_{d-1}/l_j without division
     suffix = [one] * d
     for j in range(d - 2, -1, -1):
-        f = [spec.zero] * (spec.q ** (j + 1) + 1)
-        f[1] = spec.one
-        f[spec.q ** (j + 1)] = -spec.one
-        suffix[j] = GFPoly(spec, tuple(f), "x") * suffix[j + 1]
+        f = spec.poly([0, 1] + [0] * (spec.q ** (j + 1) - 2) + [spec.p - 1], "x")
+        suffix[j] = f * suffix[j + 1]
     lhs = [zero] * d
     prod = [one]  # prod_{k<j} (y - x^{q^k}) as y-coefficients
     for j in range(d):

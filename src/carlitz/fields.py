@@ -19,12 +19,14 @@ log(1 + g^k) (zech): a product adds two logarithms, and a sum needs one Zech
 lookup.  Every table derives from basis_mul_table, the products of the m
 basis elements, by linear algebra over F_p.
 
-The poly_* helpers are the one dense-polynomial implementation.  They take
-coefficient lists, low degree first, over any coefficient type with + - *
-and is_zero.  poly_pdivmod divides without a coefficient inverse, so it
-serves coefficients in F_q[theta] (the torsion-field numerators) as well;
-poly_divmod, poly_gcd and poly_powmod, which GFPoly uses over field
-elements, need inv too.
+Dense polynomials come at two levels.  A polynomial over a tower (GFPoly,
+F[theta]) stores the trimmed tuple of its coefficients' field indices, and
+its arithmetic is the _ix_* kernels: int-list loops on the tower's log, exp
+and zech lists that skip zero coefficients on both sides of a product.  The
+level above, polynomials whose coefficients are GFPoly (the torsion-field
+numerators) or torsion-field elements (the interpolation polynomials), uses
+the generic poly_* helpers over any coefficient type with + - * and
+is_zero; poly_pdivmod divides there without a coefficient inverse.
 """
 
 from __future__ import annotations
@@ -53,17 +55,6 @@ DEG_LIMIT = 4096
 ENUM_LIMIT = 65536
 
 
-def _is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    k = 2
-    while k * k <= n:
-        if n % k == 0:
-            return False
-        k += 1
-    return True
-
-
 def _prime_factors(n: int) -> list[int]:
     out = []
     k = 2
@@ -79,8 +70,10 @@ def _prime_factors(n: int) -> list[int]:
 
 
 # ---------------------------------------------------------------------------
-# Coefficient-list polynomials over a ring-like coefficient type.  Results
-# are trimmed: no trailing coefficient is_zero().  zero and one are the
+# Coefficient-list polynomials over a ring-like coefficient type: the
+# torsion-field numerators, whose coefficients are GFPoly, and the
+# interpolation polynomials, whose coefficients are CycElem.  Results are
+# trimmed: no trailing coefficient is_zero().  zero and one are the
 # coefficient ring's constants, passed in, never built here.
 
 
@@ -92,12 +85,12 @@ def poly_trim(cs) -> list:
 
 
 def poly_add(a, b, zero) -> list:
-    n = max(len(a), len(b))
-    out = []
-    for i in range(n):
-        x = a[i] if i < len(a) else zero
-        y = b[i] if i < len(b) else zero
-        out.append(x + y)
+    if len(a) < len(b):
+        a, b = b, a
+    out = list(a)
+    for i, y in enumerate(b):
+        if not y.is_zero():
+            out[i] = out[i] + y
     return poly_trim(out)
 
 
@@ -106,27 +99,33 @@ def poly_sub(a, b, zero) -> list:
 
 
 def poly_mul(a, b, zero) -> list:
-    """Schoolbook product; skips zero left factors."""
+    """Schoolbook product; skips zero factors on both sides."""
     if not a or not b:
         return []
+    nz = [(k, y) for k, y in enumerate(b) if not y.is_zero()]
     out = [zero] * (len(a) + len(b) - 1)
     for i, x in enumerate(a):
         if x.is_zero():
             continue
-        for k, y in enumerate(b):
+        for k, y in nz:
             out[i + k] = out[i + k] + x * y
     return poly_trim(out)
 
 
-def poly_pdivmod(a, b, zero, one) -> tuple[object, list, list]:
+def poly_pdivmod(a, b, zero, one, support=None) -> tuple[object, list, list]:
     """Pseudo-division, with no coefficient inverse: (s, quot, rem) with
     s * a = quot * b + rem and deg rem < deg b, where s is a power of the
-    leading coefficient of b, and s = one when b is monic."""
+    leading coefficient of b, and s = one when b is monic.  Each step
+    subtracts only at support, the pairs (k, b_k) of the nonzero b_k below
+    the top; a caller that divides by one b many times builds it once.
+    """
     b = poly_trim(b)
     if not b:
         raise PolyZeroDivisionError("polynomial division by zero")
     rem = poly_trim(a)
     db = len(b) - 1
+    if support is None:
+        support = [(k, c) for k, c in enumerate(b[:db]) if not c.is_zero()]
     lead = b[-1]
     monic = lead == one
     s = one
@@ -137,47 +136,13 @@ def poly_pdivmod(a, b, zero, one) -> tuple[object, list, list]:
             continue
         if not monic:
             s = s * lead
-            rem[:i] = [lead * x for x in rem[:i]]
+            rem[:i] = [x if x.is_zero() else lead * x for x in rem[:i]]
             quot[i - db + 1 :] = [lead * x for x in quot[i - db + 1 :]]
         quot[i - db] = c
         # the top coefficient cancels exactly and is cut below
-        for k in range(db):
-            rem[i - db + k] = rem[i - db + k] - c * b[k]
+        for k, y in support:
+            rem[i - db + k] = rem[i - db + k] - c * y
     return s, poly_trim(quot), poly_trim(rem[:db])
-
-
-def poly_divmod(a, b, zero) -> tuple[list, list]:
-    """Quotient and remainder over a field: pseudo-division by b made monic."""
-    b = poly_trim(b)
-    if not b:
-        raise PolyZeroDivisionError("polynomial division by zero")
-    lead_inv = b[-1].inv()
-    one = b[-1] * lead_inv
-    _, quot, rem = poly_pdivmod(a, [c * lead_inv for c in b], zero, one)
-    return [c * lead_inv for c in quot], rem
-
-
-def poly_gcd(a, b, zero) -> list:
-    """Monic gcd; the empty list when both inputs are zero."""
-    a, b = poly_trim(a), poly_trim(b)
-    while b:
-        a, b = b, poly_divmod(a, b, zero)[1]
-    if a:
-        inv = a[-1].inv()
-        a = [c * inv for c in a]
-    return a
-
-
-def poly_powmod(a, n: int, mod, zero, one) -> list:
-    result = [one]
-    base = poly_divmod(a, mod, zero)[1]
-    while n:
-        if n & 1:
-            result = poly_divmod(poly_mul(result, base, zero), mod, zero)[1]
-        n >>= 1
-        if n:
-            base = poly_divmod(poly_mul(base, base, zero), mod, zero)[1]
-    return result
 
 
 def poly_eval(cs, x, zero=None):
@@ -196,6 +161,127 @@ def poly_degree(cs) -> int:
 
 
 # ---------------------------------------------------------------------------
+# Index kernels: polynomials over one tower F as field-index lists, low degree
+# first, on F's log, exp and zech lists.  Every logarithm sum here stays below
+# 2N, N = |F| - 1, and every difference above -2N: exp and zech have 2N
+# entries, so neither needs a reduction and a negative index wraps.  Results
+# are trimmed tuples.
+
+
+def _ix_trim(cs) -> tuple:
+    n = len(cs)
+    while n and not cs[n - 1]:
+        n -= 1
+    return tuple(cs[:n])
+
+
+def _ix_add(F, a, b) -> tuple:
+    if len(a) < len(b):
+        a, b = b, a
+    log, exp, zech = F.log, F.exp, F.zech
+    out = list(a)
+    for k, y in enumerate(b):
+        if y:
+            x = out[k]
+            if x:
+                lx = log[x]
+                z = zech[log[y] - lx]
+                out[k] = exp[lx + z] if z >= 0 else 0
+            else:
+                out[k] = y
+    return _ix_trim(out) if len(a) == len(b) else tuple(out)
+
+
+def _ix_scale(F, a, c: int) -> tuple:
+    """c * a for a field index c."""
+    if not c:
+        return ()
+    log, exp = F.log, F.exp
+    lc = log[c]
+    return tuple(exp[log[x] + lc] if x else 0 for x in a)
+
+
+def _ix_mul(F, a, b) -> tuple:
+    if not a or not b:
+        return ()
+    log, exp, zech = F.log, F.exp, F.zech
+    lb = [(k, log[y]) for k, y in enumerate(b) if y]
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        if not x:
+            continue
+        lx = log[x]
+        for k, ly in lb:
+            o = out[i + k]
+            if o:
+                lo = log[o]
+                z = zech[lx + ly - lo]
+                out[i + k] = exp[lo + z] if z >= 0 else 0
+            else:
+                out[i + k] = exp[lx + ly]
+    return _ix_trim(out)
+
+
+def _ix_divmod(F, a, b) -> tuple[tuple, tuple]:
+    """Quotient and remainder by a nonzero b: each step subtracts q_i * b
+    at the nonzero coefficients of b below its top only."""
+    db = len(b) - 1
+    log, exp, zech = F.log, F.exp, F.zech
+    N = F.order - 1
+    inv_lead = N - log[b[-1]]
+    # logarithms of -b_k
+    nb = [(k, (log[c] + F.log_neg_one) % N) for k, c in enumerate(b[:db]) if c]
+    rem = list(a)
+    quot = [0] * max(0, len(a) - db)
+    for i in range(len(a) - 1, db - 1, -1):
+        c = rem[i]
+        if not c:
+            continue
+        lq = (log[c] + inv_lead) % N
+        quot[i - db] = exp[lq]
+        for k, lb in nb:
+            j = i - db + k
+            o = rem[j]
+            if o:
+                lo = log[o]
+                z = zech[lq + lb - lo]
+                rem[j] = exp[lo + z] if z >= 0 else 0
+            else:
+                rem[j] = exp[lq + lb]
+    return tuple(quot), _ix_trim(rem[:db])
+
+
+def _ix_gcd(F, a, b) -> tuple:
+    """Monic gcd; () when both inputs are zero."""
+    while b:
+        a, b = b, _ix_divmod(F, a, b)[1]
+    return _ix_scale(F, a, F.exp[-F.log[a[-1]]]) if a else ()
+
+
+def _ix_powmod(F, a, n: int, m) -> tuple:
+    """a^n modulo m of degree >= 1."""
+    out, base = (1,), _ix_divmod(F, a, m)[1]
+    while n:
+        if n & 1:
+            out = _ix_divmod(F, _ix_mul(F, out, base), m)[1]
+        n >>= 1
+        base = _ix_divmod(F, _ix_mul(F, base, base), m)[1] if n else base
+    return out
+
+
+def _ix_qpow(F, a, j: int) -> tuple:
+    """a^(q^j): c^(q^j) at exponent k * q^j for each c at k; p-th powers add."""
+    if j == 0 or not a:
+        return a
+    log, exp = F.log, F.exp
+    N = F.order - 1
+    step = F.q**j
+    out = [0] * ((len(a) - 1) * step + 1)
+    out[::step] = [exp[log[x] * step % N] if x else 0 for x in a]
+    return tuple(out)
+
+
+# ---------------------------------------------------------------------------
 
 
 def _lex_least_irreducible(base: "FieldSpec", deg: int) -> "GFPoly":
@@ -207,24 +293,17 @@ def _lex_least_irreducible(base: "FieldSpec", deg: int) -> "GFPoly":
     raise NotIrreducibleError(f"no irreducible of degree {deg}")
 
 
-def _basis_mul_table(base: "FieldSpec", f: Sequence["GFElem"]) -> np.ndarray:
+def _basis_mul_table(base: "FieldSpec", f: "GFPoly") -> np.ndarray:
     """Coordinates of the products of the basis x^i y^j of base[y]/(f)."""
-    n, mb = len(f) - 1, base.m
-    zero = base.zero
+    n, mb = f.degree, base.m
     # y^s reduced modulo the monic f, for every s a basis product reaches
-    ys = [[base.one if t == s else zero for t in range(n)] for s in range(n)]
-    for _ in range(n - 1):
-        prev = ys[-1]
-        ys.append([(prev[t - 1] if t else zero) - prev[-1] * f[t] for t in range(n)])
+    ys = [_ix_divmod(base, (0,) * s + (1,), f.idx)[1] for s in range(2 * n - 1)]
     xs = [base.from_index(base.p**i) for i in range(mb)]
-    m = mb * n
-    T = np.zeros((m, m, m), dtype=np.int8)
-    for i1, i2 in itertools.product(range(mb), repeat=2):
-        c = xs[i1] * xs[i2]
-        for j1, j2 in itertools.product(range(n), repeat=2):
-            row = T[i1 + mb * j1, i2 + mb * j2]
-            for t, y in enumerate(ys[j1 + j2]):
-                row[mb * t : mb * (t + 1)] = (c * y).coords
+    T = np.zeros((mb * n,) * 3, dtype=np.int8)
+    for i1, i2, j1, j2 in itertools.product(range(mb), range(mb), range(n), range(n)):
+        c = _ix_scale(base, ys[j1 + j2], (xs[i1] * xs[i2]).index)
+        row = [k for t in c for k in base._coords[t]]
+        T[i1 + mb * j1, i2 + mb * j2, : len(row)] = row
     return T
 
 
@@ -248,7 +327,7 @@ class FieldSpec:
     """
 
     def __init__(self, p: int, e: int, d: int):
-        if not _is_prime(p):
+        if _prime_factors(p) != [p]:
             raise NotPrimeError(f"p = {p} is not prime")
         if e < 1 or d < 1:
             raise SizeLimitError("e and d must be >= 1")
@@ -268,12 +347,12 @@ class FieldSpec:
         else:
             self.base = make_field(p, e, 1) if d > 1 else make_field(p, 1, 1)
             f = _lex_least_irreducible(self.base, d if d > 1 else e)
-            idx = tuple(c.index for c in f.coeffs)
+            idx = f.idx
             if d > 1:
                 self.modulus_base, self.modulus_ext = self.base.modulus_base, idx
             else:
                 self.modulus_base, self.modulus_ext = idx, (0, 1)
-            self.basis_mul_table = _basis_mul_table(self.base, f.coeffs)
+            self.basis_mul_table = _basis_mul_table(self.base, f)
         self._build_tables()
 
     def coord_rows(self, idx) -> np.ndarray:
@@ -307,11 +386,12 @@ class FieldSpec:
         self.log = [0] * self.order
         for k in range(N):
             self.log[self.exp[k]] = k
-        # 1 + x adds one to digit 0; -1 marks 1 + g^k = 0
-        self.zech = []
+        # 1 + x adds one to digit 0; -1 marks 1 + g^k = 0; two periods, as exp
+        zech = []
         for x in self.exp[:N]:
             y = x + 1 if x % p != p - 1 else x - (p - 1)
-            self.zech.append(self.log[y] if y else -1)
+            zech.append(self.log[y] if y else -1)
+        self.zech = zech * 2
         self.log_neg_one = self.log[p - 1]
         frob = [self.exp[self.log[p**i] * self.q % N] for i in range(m)]
         self.frob_matrix = self.coord_rows(frob).astype(np.int8)
@@ -347,15 +427,15 @@ class FieldSpec:
         return iter(self.elems[: self.q])
 
     def poly(self, coeffs: Sequence, var: str = "theta") -> "GFPoly":
+        """A polynomial from GFElem coefficients or F_q indices."""
         out = []
         for c in coeffs:
-            if isinstance(c, GFElem):
-                if c.field is not self:
-                    raise FieldMismatchError("coefficient from another tower")
-                out.append(c)
-            else:
-                out.append(self.from_subfield(int(c)))
-        return GFPoly(self, tuple(out), var)
+            if not isinstance(c, GFElem):
+                c = self.from_subfield(int(c))
+            elif c.field is not self:
+                raise FieldMismatchError("coefficient from another tower")
+            out.append(c.index)
+        return _gfpoly(self, _ix_trim(out), var)
 
     def scalar_matrix(self, elem: "GFElem") -> np.ndarray:
         """m x m int64 matrix of left-multiplication by elem on coordinates."""
@@ -435,20 +515,6 @@ class GFElem:
             return f.zero
         return f.elems[f.exp[f.log[self.index] * n % (f.order - 1)]]
 
-    def frobenius(self, k: int = 1) -> "GFElem":
-        """x -> x^(q^k)."""
-        return self ** (self.field.q**k) if self.index else self
-
-    def in_subfield(self) -> bool:
-        """True iff the element lies in F_q, which is exactly the indices below q."""
-        return self.index < self.field.q
-
-    @property
-    def subfield_index(self) -> int:
-        if not self.in_subfield():
-            raise FieldMismatchError("element not in F_q")
-        return self.index
-
     def __eq__(self, other):
         return (
             isinstance(other, GFElem)
@@ -464,13 +530,17 @@ class GFElem:
 
 
 class GFPoly:
-    """Dense polynomial over a FieldSpec, tagged with its indeterminate name."""
+    """Dense polynomial over a FieldSpec, tagged with its indeterminate name.
 
-    __slots__ = ("field", "coeffs", "var")
+    Stored once, as idx: the trimmed tuple of its coefficients' field indices,
+    low degree first, for the _ix_* kernels.  coeffs is a GFElem view of idx.
+    """
 
-    def __init__(self, field: FieldSpec, coeffs: tuple[GFElem, ...], var: str = "theta"):
+    __slots__ = ("field", "idx", "var")
+
+    def __init__(self, field: FieldSpec, coeffs: Sequence[GFElem], var: str = "theta"):
         self.field = field
-        self.coeffs = tuple(poly_trim(coeffs))
+        self.idx = _ix_trim([c.index for c in coeffs])
         self.var = var
 
     def _check(self, other: "GFPoly"):
@@ -479,35 +549,40 @@ class GFPoly:
         if self.var != other.var:
             raise FieldMismatchError(f"indeterminate mismatch: {self.var} vs {other.var}")
 
-    def _new(self, coeffs) -> "GFPoly":
-        return GFPoly(self.field, coeffs, self.var)
+    def _new(self, idx: tuple) -> "GFPoly":
+        return _gfpoly(self.field, idx, self.var)
+
+    @property
+    def coeffs(self) -> tuple[GFElem, ...]:
+        elems = self.field.elems
+        return tuple(elems[i] for i in self.idx)
 
     @property
     def degree(self) -> int:
         """Degree; -1 is the sentinel for the zero polynomial."""
-        return len(self.coeffs) - 1
+        return len(self.idx) - 1
 
     def is_zero(self) -> bool:
-        return not self.coeffs
+        return not self.idx
 
     @property
     def lead(self) -> GFElem:
-        if self.is_zero():
+        if not self.idx:
             raise PolyZeroDivisionError("zero polynomial has no leading coefficient")
-        return self.coeffs[-1]
+        return self.field.elems[self.idx[-1]]
 
     def is_monic(self) -> bool:
-        return not self.is_zero() and self.lead == self.field.one
+        return bool(self.idx) and self.idx[-1] == 1
 
     def coeff(self, k: int) -> GFElem:
-        return self.coeffs[k] if 0 <= k < len(self.coeffs) else self.field.zero
+        return self.field.elems[self.idx[k] if 0 <= k < len(self.idx) else 0]
 
     def __add__(self, other):
         self._check(other)
-        return self._new(poly_add(self.coeffs, other.coeffs, self.field.zero))
+        return self._new(_ix_add(self.field, self.idx, other.idx))
 
     def __neg__(self):
-        return self._new(tuple(-c for c in self.coeffs))
+        return self._new(_ix_scale(self.field, self.idx, self.field.p - 1))
 
     def __sub__(self, other):
         return self + (-other)
@@ -516,14 +591,16 @@ class GFPoly:
         if isinstance(other, GFElem):
             return self.scale(other)
         self._check(other)
-        return self._new(poly_mul(self.coeffs, other.coeffs, self.field.zero))
+        return self._new(_ix_mul(self.field, self.idx, other.idx))
 
     def scale(self, c: GFElem) -> "GFPoly":
-        return self._new(tuple(a * c for a in self.coeffs))
+        return self._new(_ix_scale(self.field, self.idx, c.index))
 
     def __divmod__(self, other: "GFPoly"):
         self._check(other)
-        q, r = poly_divmod(self.coeffs, other.coeffs, self.field.zero)
+        if not other.idx:
+            raise PolyZeroDivisionError("polynomial division by zero")
+        q, r = _ix_divmod(self.field, self.idx, other.idx)
         return self._new(q), self._new(r)
 
     def __mod__(self, other):
@@ -533,32 +610,27 @@ class GFPoly:
         return divmod(self, other)[0]
 
     def gcd(self, other: "GFPoly") -> "GFPoly":
-        return self._new(poly_gcd(self.coeffs, other.coeffs, self.field.zero))
+        return self._new(_ix_gcd(self.field, self.idx, other.idx))
 
     def eval(self, x: GFElem) -> GFElem:
+        """The remainder of self by theta - x."""
         if x.field is not self.field:
             raise FieldMismatchError("evaluation point from another tower")
-        return poly_eval(self.coeffs, x, self.field.zero)
+        r = _ix_divmod(self.field, self.idx, ((-x).index, 1))[1]
+        return self.field.elems[r[0] if r else 0]
 
     def qpow(self, j: int = 1) -> "GFPoly":
-        """self^(q^j): every coefficient to the q^j-th power, exponents times q^j.
-
-        Raising to a power of p is additive in characteristic p, so the
-        power of a sum is the sum of the powers of its terms.
-        """
-        if j == 0 or self.is_zero():
-            return self
-        step = self.field.q**j
-        out = [self.field.zero] * (self.degree * step + 1)
-        out[::step] = [c.frobenius(j) for c in self.coeffs]
-        return self._new(out)
+        """self^(q^j): every coefficient to the q^j-th power, exponents times q^j."""
+        return self._new(_ix_qpow(self.field, self.idx, j))
 
     def retag(self, var: str) -> "GFPoly":
-        return GFPoly(self.field, self.coeffs, var)
+        return _gfpoly(self.field, self.idx, var)
 
-    def subfield_coeff_indices(self) -> list[int]:
+    def subfield_coeff_indices(self) -> tuple[int, ...]:
         """Coefficients as F_q indices; raises if any lies outside F_q."""
-        return [c.subfield_index for c in self.coeffs]
+        if self.idx and max(self.idx) >= self.field.q:
+            raise FieldMismatchError("coefficient not in F_q")
+        return self.idx
 
     def is_irreducible(self) -> bool:
         """Irreducibility over F_q by the Frobenius-gcd criterion.
@@ -566,50 +638,48 @@ class GFPoly:
         Requires all coefficients in F_q.  The criterion is computed in the
         tower itself: a gcd does not change under a field extension.
         """
-        self.subfield_coeff_indices()
-        f, n, q = self.coeffs, self.degree, self.field.q
-        if n < 1:
-            return False
-        if n == 1:
-            return True
-        zero, one = self.field.zero, self.field.one
-        if f[0].is_zero():
-            return False  # divisible by the indeterminate
-        x = [zero, one]
-        if poly_powmod(x, q**n, f, zero, one) != x:
+        f = self.subfield_coeff_indices()
+        F, n, q = self.field, self.degree, self.field.q
+        if n <= 1 or not f[0]:
+            return n == 1  # of degree >= 2 and divisible by the indeterminate
+        x, minus_x = (0, 1), (0, F.p - 1)
+        if _ix_powmod(F, x, q**n, f) != x:
             return False
         for r in _prime_factors(n):
-            u = poly_powmod(x, q ** (n // r), f, zero, one)
-            if len(poly_gcd(poly_sub(u, x, zero), f, zero)) != 1:
+            u = _ix_powmod(F, x, q ** (n // r), f)
+            if len(_ix_gcd(F, _ix_add(F, u, minus_x), f)) != 1:
                 return False
         return True
 
     def __eq__(self, other):
-        return (
-            isinstance(other, GFPoly)
-            and self.field is other.field
-            and self.var == other.var
-            and self.coeffs == other.coeffs
-        )
+        return (isinstance(other, GFPoly) and self.field is other.field
+                and self.var == other.var and self.idx == other.idx)
 
     def __hash__(self):
-        return hash((id(self.field), self.var, tuple(c.index for c in self.coeffs)))
+        return hash((id(self.field), self.var, self.idx))
 
     def __repr__(self):
-        if self.is_zero():
+        if not self.idx:
             return "0"
         parts = []
         for k in range(self.degree, -1, -1):
-            c = self.coeff(k)
-            if c.is_zero():
+            c = self.coeff(k).index
+            if not c:
                 continue
             if k == 0:
-                parts.append(str(c.index))
+                parts.append(str(c))
             else:
-                head = "" if c == self.field.one else f"{c.index}*"
+                head = "" if c == 1 else f"{c}*"
                 exp = self.var if k == 1 else f"{self.var}^{k}"
                 parts.append(head + exp)
         return " + ".join(parts)
+
+
+def _gfpoly(field: FieldSpec, idx: tuple, var: str) -> GFPoly:
+    """A GFPoly on an index tuple that is already trimmed."""
+    out = object.__new__(GFPoly)
+    out.field, out.idx, out.var = field, idx, var
+    return out
 
 
 _FIELD_CACHE: dict[tuple[int, int, int], FieldSpec] = {}
@@ -651,17 +721,9 @@ def enumerate_A(spec: FieldSpec, j: int, monic: bool = False, var: str = "theta"
     """
     if j < 0 or spec.q**j > ENUM_LIMIT:
         raise SizeLimitError(f"enumeration of size q^{j} refused")
-    out = []
-    for n in range(spec.q**j):
-        digits = []
-        t = n
-        for _ in range(j):
-            digits.append(spec.from_subfield(t % spec.q))
-            t //= spec.q
-        if monic:
-            digits.append(spec.one)
-        out.append(GFPoly(spec, tuple(digits), var))
-    return out
+    top = (1,) if monic else ()
+    return [_gfpoly(spec, _ix_trim(ds[::-1] + top), var)
+            for ds in itertools.product(range(spec.q), repeat=j)]
 
 
 def degree_guard(q: int, j: int):
@@ -683,12 +745,9 @@ def carlitz_dl(spec: FieldSpec, j: int, var: str = "theta") -> tuple[GFPoly, GFP
         raise ShapeMismatchError("index must be >= 0")
     degree_guard(spec.q, j)
     q = spec.q
-    d = ell = GFPoly(spec, (spec.one,), var)
+    d = ell = _gfpoly(spec, (1,), var)
     for i in range(1, j + 1):
-        brk = [spec.zero] * (q**i + 1)
-        brk[1] = -spec.one
-        brk[q**i] = spec.one
-        brk = GFPoly(spec, tuple(brk), var)
+        brk = _gfpoly(spec, (0, spec.p - 1) + (0,) * (q**i - 2) + (1,), var)
         d = brk * d.qpow(1)
         ell = (-brk) * ell
     return d, ell

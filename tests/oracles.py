@@ -396,3 +396,117 @@ def _geometric_mul(A: TateElem, tcap: int, b: int, shift: int, sign: int) -> Tat
     ta, tb = A.tail_norm_exp, Fraction(-(tcap + 1 + shift) * b)
     tail = max(fold, ta + Fraction(-base, ram), tb + A.gauss_norm_exp(), ta + tb)
     return TateElem(ctx, 1, cap, out, tail)
+
+
+# -- GFElem-list polynomials: the references for GFPoly's index kernels.
+# Coefficient lists over one tower, low degree first, every operation a
+# schoolbook loop over GFElem arithmetic.
+
+
+def frobenius(x: GFElem, k: int = 1) -> GFElem:
+    """x -> x^(q^k)."""
+    return x ** (x.field.q**k) if not x.is_zero() else x
+
+
+def ref_trim(cs) -> list:
+    cs = list(cs)
+    while cs and cs[-1].is_zero():
+        cs.pop()
+    return cs
+
+
+def ref_add(a, b, zero) -> list:
+    n = max(len(a), len(b))
+    out = []
+    for i in range(n):
+        x = a[i] if i < len(a) else zero
+        y = b[i] if i < len(b) else zero
+        out.append(x + y)
+    return ref_trim(out)
+
+
+def ref_mul(a, b, zero) -> list:
+    """Schoolbook product; skips zero left factors."""
+    if not a or not b:
+        return []
+    out = [zero] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        if x.is_zero():
+            continue
+        for k, y in enumerate(b):
+            out[i + k] = out[i + k] + x * y
+    return ref_trim(out)
+
+
+def ref_divmod(a, b, zero) -> tuple[list, list]:
+    """Long division by b made monic; raises ZeroInverseError for b = 0."""
+    b = ref_trim(b)
+    lead_inv = (b[-1] if b else zero).inv()
+    b = [c * lead_inv for c in b]
+    rem = ref_trim(a)
+    db = len(b) - 1
+    quot = [zero] * max(0, len(rem) - db)
+    for i in range(len(rem) - 1, db - 1, -1):
+        c = rem[i]
+        quot[i - db] = c
+        for k in range(db + 1):
+            rem[i - db + k] = rem[i - db + k] - c * b[k]
+    return ref_trim(c * lead_inv for c in quot), ref_trim(rem[:db])
+
+
+def ref_gcd(a, b, zero) -> list:
+    """Monic gcd; the empty list when both inputs are zero."""
+    a, b = ref_trim(a), ref_trim(b)
+    while b:
+        a, b = b, ref_divmod(a, b, zero)[1]
+    if a:
+        inv = a[-1].inv()
+        a = [c * inv for c in a]
+    return a
+
+
+def ref_powmod(a, n: int, mod, zero, one) -> list:
+    result = ref_divmod([one], mod, zero)[1]
+    base = ref_divmod(a, mod, zero)[1]
+    while n:
+        if n & 1:
+            result = ref_divmod(ref_mul(result, base, zero), mod, zero)[1]
+        n >>= 1
+        if n:
+            base = ref_divmod(ref_mul(base, base, zero), mod, zero)[1]
+    return result
+
+
+def ref_eval(cs, x: GFElem) -> GFElem:
+    acc = x.field.zero
+    for c in reversed(cs):
+        acc = acc * x + c
+    return acc
+
+
+def ref_qpow(cs, j: int, zero) -> list:
+    """cs(T)^(q^j) = sum of c^(q^j) T^(k q^j), with c^(q^j) by GFElem powers
+    (test_differential_qpow_outside_subfield checks it against products)."""
+    step = zero.field.q**j
+    out = [zero] * (max(len(cs) - 1, 0) * step + 1)
+    out[::step] = [frobenius(c, j) for c in cs] or [zero]
+    return ref_trim(out)
+
+
+def ref_is_irreducible(cs) -> bool:
+    """Frobenius-gcd criterion over F_q on GFElem lists: T^(q^n) = T mod f,
+    and gcd(T^(q^(n/r)) - T, f) = 1 for every prime r dividing n."""
+    f = ref_trim(cs)
+    n = len(f) - 1
+    if n < 1:
+        return False
+    spec = f[0].field
+    zero, one = spec.zero, spec.one
+    x = ref_divmod([zero, one], f, zero)[1]
+    if ref_powmod(x, spec.q**n, f, zero, one) != x:
+        return False
+    for r in (k for k in range(2, n + 1) if n % k == 0 and all(k % i for i in range(2, k))):
+        u = ref_powmod(x, spec.q ** (n // r), f, zero, one)
+        if len(ref_gcd(ref_add(u, [-c for c in x], zero), f, zero)) != 1:
+            return False
+    return True

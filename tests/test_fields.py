@@ -34,6 +34,17 @@ from carlitz.fields import (
     roots_in_ext,
 )
 
+from oracles import (
+    frobenius,
+    ref_add,
+    ref_divmod,
+    ref_eval,
+    ref_gcd,
+    ref_is_irreducible,
+    ref_mul,
+    ref_qpow,
+)
+
 
 def brute_lex_least_irreducible_over_fp(p, deg):
     # independent re-derivation: trial division over all lower-degree polys
@@ -127,19 +138,19 @@ def test_field_axioms_random(params):
 @pytest.mark.parametrize("params", [(2, 1, 2), (3, 1, 2), (2, 2, 2)])
 def test_frobenius_fixed_field(params):
     spec = make_field(*params)
-    fixed = [x for x in spec.elements() if x.frobenius() == x]
+    fixed = [x for x in spec.elements() if frobenius(x) == x]
     assert len(fixed) == spec.q
-    assert sorted(x.subfield_index for x in fixed) == list(range(spec.q))
+    assert sorted(x.index for x in fixed) == list(range(spec.q))
     # Frobenius is additive and multiplicative
     rng = random.Random(5)
     for _ in range(100):
         a = spec.from_index(rng.randrange(spec.order))
         b = spec.from_index(rng.randrange(spec.order))
-        assert (a + b).frobenius() == a.frobenius() + b.frobenius()
-        assert (a * b).frobenius() == a.frobenius() * b.frobenius()
+        assert frobenius(a + b) == frobenius(a) + frobenius(b)
+        assert frobenius(a * b) == frobenius(a) * frobenius(b)
     # full orbit returns home
     x = spec.from_index(spec.order - 1)
-    assert x.frobenius(spec.d) == x
+    assert frobenius(x, spec.d) == x
 
 
 def test_subfield_injection_ring_hom():
@@ -290,7 +301,7 @@ def test_differential_qpow_outside_subfield(j):
     # with coefficients outside F_q, where c^q differs from c
     spec = make_field(2, 2, 2)
     c = spec.from_index(5)
-    assert not c.in_subfield() and c.frobenius(1) != c
+    assert c.index >= spec.q and frobenius(c, 1) != c
     rng = random.Random(f"qpow:{j}")
     rand = spec.poly([spec.from_index(rng.randrange(spec.order)) for _ in range(4)])
     for a in (spec.poly([spec.one, c]), rand, spec.poly([])):
@@ -301,6 +312,66 @@ def test_differential_qpow_outside_subfield(j):
                 want = want * base
         assert a.qpow(j) == want
         assert a.qpow(0) == a
+
+
+# -- GFPoly's index kernels against the GFElem-list references
+
+KERNEL_TOWERS = [(2, 1, 1), (3, 1, 1), (2, 2, 1), (2, 2, 2), (3, 2, 2), (5, 1, 2)]
+
+
+@st.composite
+def kernel_operands(draw, order):
+    """Field-index lists, low degree first: zero, a constant, a dense short
+    one (length <= 6) or a sparse long one (length up to 1,100, about 2% of
+    its coefficients nonzero, as the telescope numerators of lem55)."""
+    nonzero = st.integers(1, order - 1)
+    kind = draw(st.sampled_from(["zero", "constant", "dense", "sparse"]))
+    if kind == "zero":
+        return []
+    if kind == "constant":
+        return [draw(nonzero)]
+    if kind == "dense":
+        return draw(st.lists(st.integers(0, order - 1), min_size=1, max_size=6))
+    n = draw(st.integers(2, 1100))
+    cs = [0] * n
+    for k, c in draw(st.dictionaries(st.integers(0, n - 2), nonzero, max_size=n // 50 + 1)).items():
+        cs[k] = c
+    cs[-1] = draw(nonzero)
+    return cs
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from(KERNEL_TOWERS), st.data())
+def test_differential_gfpoly_kernels_match_gfelem_references(params, data):
+    spec = make_field(*params)
+    zero = spec.zero
+    a, b = (data.draw(kernel_operands(spec.order)) for _ in range(2))
+    ea, eb = [spec.from_index(i) for i in a], [spec.from_index(i) for i in b]
+    A, B = GFPoly(spec, ea), GFPoly(spec, eb)
+    assert list(A.coeffs) == ref_add(ea, [], zero) and A == spec.poly(ea)
+    assert hash(A) == hash(GFPoly(spec, tuple(A.coeffs)))
+    c = spec.from_index(data.draw(st.integers(0, spec.order - 1)))
+    x = spec.from_index(data.draw(st.integers(0, spec.order - 1)))
+    assert list((A + B).coeffs) == ref_add(ea, eb, zero)
+    assert list((A - B).coeffs) == ref_add(ea, [-y for y in eb], zero)
+    assert list((-A).coeffs) == ref_add([-y for y in ea], [], zero)
+    assert list(A.scale(c).coeffs) == ref_add([y * c for y in ea], [], zero)
+    assert list((A * B).coeffs) == ref_mul(ea, eb, zero)
+    assert A.eval(x) == ref_eval(ea, x)
+    for j in (1, 2):
+        assert list(A.qpow(j).coeffs) == ref_qpow(ea, j, zero)
+    if B.is_zero():
+        with pytest.raises(PolyZeroDivisionError):
+            divmod(A, B)
+    else:
+        q, r = divmod(A, B)
+        assert (list(q.coeffs), list(r.coeffs)) == ref_divmod(ea, eb, zero)
+    if min(len(a), len(b)) <= 6:
+        assert list(A.gcd(B).coeffs) == ref_gcd(ea, eb, zero)
+    # irreducibility over F_q needs coefficients in F_q
+    if len(a) <= 6:
+        f = spec.poly([i % spec.q for i in a])
+        assert f.is_irreducible() == ref_is_irreducible(list(f.coeffs))
 
 
 # -- the index/log/Zech core against independent oracles
