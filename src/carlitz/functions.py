@@ -22,7 +22,7 @@ from .errors import (
 )
 from .fields import GFPoly, carlitz_dl, degree_guard, enumerate_A
 from .laurent import (NEG_INF, PREC_EXACT, Completion, RamLaurent, batch_mul, inv_extent,
-                      stack_inv)
+                      mul_precs, stack_inv)
 from .tate import TateElem, mul_profile, tate_zero
 
 
@@ -961,55 +961,194 @@ def L_multi(ctx: Completion, s: int, n: int, degcap: int, tcap: int,
 
 
 # -- exact ultrametric linear solves
+#
+# A stack is N RamLaurent entries as (X, v, prec): X (N, L, m) int64 holds
+# entry i's rows from its valuation v[i] on, zero past them, and prec[i] is
+# its precision.  As RamLaurent.valuation, v[i] is the precision of a
+# term-free entry, so entry i has terms exactly when v[i] < prec[i], and it
+# is the exact zero exactly when v[i] >= PREC_EXACT.  L >= 1.  ram_solve
+# lays a matrix out as a frame: a stack of n rows of w entries, X (n, w, L, m)
+# with v and prec (n, w).
+
+
+def _stack(ctx: Completion, entries) -> tuple:
+    """The stack of a list of RamLaurent entries."""
+    X = np.zeros((len(entries), max([x.coeffs.shape[0] for x in entries] + [1]), ctx.spec.m),
+                 dtype=np.int64)
+    for i, x in enumerate(entries):
+        X[i, : x.coeffs.shape[0]] = x.coeffs
+    return (X, np.array([x.valuation() for x in entries], dtype=np.int64),
+            np.array([x.prec for x in entries], dtype=np.int64))
+
+
+def _cat(stacks) -> tuple:
+    """The stacks one after another, in one frame of their greatest width."""
+    X = np.zeros((sum(len(v) for _, v, _ in stacks), max(Y.shape[1] for Y, _, _ in stacks),
+                  stacks[0][0].shape[2]), dtype=np.int64)
+    i = 0
+    for Y, v, _ in stacks:
+        X[i : i + len(v), : Y.shape[1]] = Y
+        i += len(v)
+    return (X, np.concatenate([v for _, v, _ in stacks]),
+            np.concatenate([p for _, _, p in stacks]))
+
+
+def _windows(Xp: np.ndarray, start: np.ndarray, W: int) -> np.ndarray:
+    """Xp[i, start[i] : start[i] + W] for every i, in one gather from a strided
+    view of the C-contiguous Xp (N, F, m) whose row j for entry i is
+    Xp[i, j : j + W]; every window must lie inside Xp."""
+    N, F, m = Xp.shape
+    s0, s1, s2 = Xp.strides
+    view = np.ndarray((N, F - W + 1, W, m), dtype=Xp.dtype, buffer=Xp, strides=(s0, s1, s1, s2))
+    return view[np.arange(N), start]
+
+
+def _stack_mul(ctx: Completion, a: tuple, ia: np.ndarray, b: tuple, ib: np.ndarray) -> tuple:
+    """RamLaurent.__mul__ on the N pairs (a[ia[i]], b[ib[i]]) at once: one
+    batch_mul over the pairs aligned at their valuations, product i cut at
+    its mul_prec (mul_precs), and only the rows the products keep gathered.
+    A pair with an exact-zero factor gives the exact zero, one with a
+    term-free factor a term-free product.  A product of two entries with
+    terms has valuation va + vb: its first row is the product of two
+    nonzero field elements."""
+    (A, va, pa), (B, vb, pb) = a, b
+    va, pa, vb, pb = va[ia], pa[ia], vb[ib], pb[ib]
+    prec = np.where((va >= PREC_EXACT) | (vb >= PREC_EXACT), PREC_EXACT,
+                    mul_precs(pa, va, pb, vb))
+    v = np.where((va < pa) & (vb < pb), va + vb, prec)
+    n = np.minimum(prec - v, A.shape[1] + B.shape[1] - 1)
+    L = max(int(n.max()), 1)
+    C = batch_mul(ctx, A[ia, :L], B[ib, :L], L)
+    C *= (np.arange(L) < n[:, None])[:, :, None]
+    return C, v, prec
+
+
+def _stack_sub(ctx: Completion, a: tuple, b: tuple) -> tuple:
+    """a[i] - sum_j b[j * N + i] entry by entry, for a of N entries (rows in
+    any shape (..., L, m)) and b of g * N.  A chain of RamLaurent
+    subtractions keeps the exact difference below the least precision of
+    its terms, in whatever order it is taken, since no link cuts below it.
+    So every term is placed in one frame from the least valuation with
+    terms (one _windows gather), no wider than that precision, the frame is
+    summed once and cut at the precision, and each entry is realigned at
+    its first nonzero row, which gives its valuation (the precision when
+    there is none)."""
+    (A, va, pa), (B, vb, pb) = a, b
+    N, m = va.size, ctx.spec.m
+    v = np.concatenate([va.ravel(), vb]).reshape(-1, N)
+    p = np.concatenate([pa.ravel(), pb]).reshape(-1, N)
+    has = v < p
+    prec = p.min(axis=0)
+    lo = np.where(has, v, PREC_EXACT).min(axis=0)
+    d = np.where(has, v - lo, 0)
+    s = int(d.max())
+    W = max(min(s + max(A.shape[-2], B.shape[1]), int((prec - lo).max())), 1)
+    Xp = np.zeros((d.size, s + W, m), dtype=np.int64)
+    w = min(A.shape[-2], W)
+    Xp[:N].reshape(A.shape[:-2] + Xp.shape[1:])[..., s : s + w, :] = A[..., :w, :]
+    w = min(B.shape[1], W)
+    np.negative(B[:, :w], out=Xp[N:, s : s + w])
+    S = np.zeros((N, 2 * W, m), dtype=np.int64)
+    np.sum(_windows(Xp, s - d.ravel(), W).reshape(-1, N, W, m), axis=0, out=S[:, :W])
+    S %= ctx.p
+    S[:, :W] *= (np.arange(W) < (prec - lo)[:, None])[:, :, None]
+    nz = S[:, :W].any(axis=2)
+    first = nz.argmax(axis=1)
+    has = nz[np.arange(N), first]
+    width = max(int((W - nz[:, ::-1].argmax(axis=1) - first)[has].max(initial=0)), 1)
+    return _windows(S, first, width), np.where(has, lo + first, prec), prec
+
+
+def _eliminate(ctx: Completion, frame: list, col: int, R, c0: int, f: tuple):
+    """frame[r][c] -= f[i] * frame[col][c] for the i-th row r of R and every
+    column c >= c0 of a frame [X, V, P] of shape (n, w): one _stack_mul and
+    one _stack_sub.  The frame is widened in place when the rows need it."""
+    X, V, P = frame
+    k, nr = X.shape[1] - c0, len(f[1])
+    if not k:
+        return
+    prod = _stack_mul(ctx, f, np.repeat(np.arange(nr), k),
+                      (X[col, c0:], V[col, c0:], P[col, c0:]), np.tile(np.arange(k), nr))
+    S, v, p = _stack_sub(ctx, (X[R, c0:], V[R, c0:], P[R, c0:]), prod)
+    if S.shape[1] > X.shape[2]:
+        frame[0] = X = np.pad(X, ((0, 0), (0, 0), (0, S.shape[1] - X.shape[2]), (0, 0)))
+    X[R, c0:, : S.shape[1]] = S.reshape(nr, k, -1, X.shape[3])
+    X[R, c0:, S.shape[1] :] = 0
+    V[R, c0:], P[R, c0:] = v.reshape(nr, k), p.reshape(nr, k)
 
 
 def ram_solve(rows, rhs, wp: int):
     """Solve a small linear system with RamLaurent entries by elimination.
 
     rhs is one right-hand side (n entries), giving one solution, or a list
-    of them, giving a list of solutions.  The matrix is eliminated once and
-    the recorded swaps and multipliers are replayed on every right-hand side;
-    pivots depend on the matrix alone.  Pivots on the largest-norm entry per
-    column; raises on term-free pivot columns (the system is singular to
-    working precision).
+    of them, giving a list of solutions.  Pivots depend on the matrix alone:
+    per column the largest-norm entry with terms, the first row on ties;
+    raises on term-free pivot columns (the system is singular to working
+    precision).
+
+    The matrix and the K right-hand sides are two stacks, of shape (n, n)
+    and (n, K): two frames, because an exact pivot makes the matrix rows
+    exact and long while the right-hand sides stay truncated.  Each column
+    takes one _stack_mul for the multipliers (entry times the pivot inverse,
+    RamLaurent.inv(wp) by its stack_inv; rows whose entry is term-free are
+    skipped) and, in each frame, one _stack_mul for every (multiplier,
+    pivot-row entry) pair right of the column and one _stack_sub
+    (_eliminate).  The entries of the pivot column below the pivot are
+    never read again and are not formed.  Back substitution takes one
+    _stack_mul, one _stack_sub and one scaling by the pivot inverse per row,
+    for all K right-hand sides at once.  Each step is RamLaurent's
+    arithmetic entry by entry, so every solution equals that of the
+    element-wise elimination, which tests/oracles.py keeps as
+    ram_solve_reference.
     """
     n = len(rows)
     several = bool(rhs) and not isinstance(rhs[0], RamLaurent)
     bs = [list(b) for b in rhs] if several else [list(rhs)]
     if any(len(r) != n for r in rows) or any(len(b) != n for b in bs):
         raise ShapeMismatchError("system must be square with matching rhs")
-    A = [list(r) for r in rows]
-    steps = []
+    if not n:
+        return [[] for _ in bs] if several else []
+    ctx, K, m = rows[0][0].ctx, len(bs), rows[0][0].ctx.spec.m
+    frames = []
+    for entries, w in (([x for row in rows for x in row], n), ([b[r] for r in range(n) for b in bs], K)):
+        X, V, P = _stack(ctx, entries)
+        frames.append([X.reshape(n, w, -1, m), V.reshape(n, w), P.reshape(n, w)])
+    mat, rhs_frame = frames
+    invs = []
     for col in range(n):
-        best, best_norm = None, NEG_INF
-        for r in range(col, n):
-            x = A[r][col]
-            if not x.is_zero() and x.norm_exp() > best_norm:
-                best, best_norm = r, x.norm_exp()
-        if best is None:
+        X, V, P = mat
+        live = V[col:, col] < P[col:, col]
+        if not live.any():
             raise SingularSystemError(f"no usable pivot in column {col}")
-        A[col], A[best] = A[best], A[col]
-        inv_p = A[col][col].inv(wp)
-        mults = []
-        for r in range(col + 1, n):
-            if A[r][col].is_zero():
-                continue
-            f = A[r][col] * inv_p
-            for c in range(col, n):
-                A[r][c] = A[r][c] - f * A[col][c]
-            mults.append((r, f))
-        steps.append((best, inv_p, mults))
-    sols = []
-    for b in bs:
-        for col, (best, _, mults) in enumerate(steps):
-            b[col], b[best] = b[best], b[col]
-            for r, f in mults:
-                b[r] = b[r] - f * b[col]
-        out = [None] * n
-        for r in range(n - 1, -1, -1):
-            acc = b[r]
-            for c in range(r + 1, n):
-                acc = acc - A[r][c] * out[c]
-            out[r] = acc * steps[r][1]
-        sols.append(out)
+        best = col + int(np.where(live, V[col:, col], PREC_EXACT).argmin())
+        for Y in frames[0] + frames[1]:
+            Y[[col, best]] = Y[[best, col]]
+        # RamLaurent.inv's one row: an inverse has terms, from its first row on
+        invs.append(stack_inv(ctx, X[col, col][None], int(V[col, col]), int(P[col, col]), wp))
+        R = col + 1 + (V[col + 1 :, col] < P[col + 1 :, col]).nonzero()[0]
+        nr = R.size
+        if not nr:
+            continue
+        if nr == n - col - 1:
+            R = slice(col + 1, n)  # every row: views instead of copies
+        f = _stack_mul(ctx, (X[R, col], V[R, col], P[R, col]), np.arange(nr),
+                       invs[col], np.zeros(nr, dtype=np.int64))
+        _eliminate(ctx, mat, col, R, col + 1, f)
+        _eliminate(ctx, rhs_frame, col, R, 0, f)
+    (X, V, P), (B, BV, BP) = frames
+    out = [None] * n
+    to_inv = np.zeros(K, dtype=np.int64)
+    for r in range(n - 1, -1, -1):
+        acc = (B[r], BV[r], BP[r])
+        if r < n - 1:
+            c = n - 1 - r
+            prod = _stack_mul(ctx, (X[r, r + 1 :], V[r, r + 1 :], P[r, r + 1 :]),
+                              np.repeat(np.arange(c), K), _cat(out[r + 1 :]), np.arange(c * K))
+            acc = _stack_sub(ctx, acc, prod)
+        out[r] = _stack_mul(ctx, acc, np.arange(K), invs[r], to_inv)
+    sols = [[None] * n for _ in bs]
+    for r, (S, v, p) in enumerate(out):
+        S = S.astype(np.int8)
+        for k, (vk, pk) in enumerate(zip(v.tolist(), p.tolist())):
+            sols[k][r] = RamLaurent(ctx, vk, S[k], pk)
     return sols if several else sols[0]

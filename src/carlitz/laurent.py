@@ -128,6 +128,14 @@ def mul_prec(pa: int, va: int, pb: int, vb: int) -> int:
     return min(pa + vb, pb + va, PREC_EXACT)
 
 
+def mul_precs(pa, va, pb, vb):
+    """mul_prec applied elementwise: int arrays (or ints) that broadcast
+    together give the precision of every product at once.  The array form of
+    the rule for mul_profile, TateElem.scalar_mul and the stacked ram_solve."""
+    return np.where((pa >= PREC_EXACT) & (pb >= PREC_EXACT), PREC_EXACT,
+                    np.minimum(np.minimum(pa + vb, pb + va), PREC_EXACT))
+
+
 def left_map(ctx: Completion, A: np.ndarray) -> np.ndarray:
     """The left factor of a pair product, mapped through basis_mul_table once.
 

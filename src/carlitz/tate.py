@@ -21,7 +21,7 @@ from .errors import (EmptyPrecisionError, FieldMismatchError, ShapeMismatchError
                      SizeLimitError)
 from .fields import GFElem
 from .laurent import (_MAX_LEN, NEG_INF, PREC_EXACT, Completion, RamLaurent, left_map,
-                      pair_mul)
+                      mul_precs, pair_mul)
 
 
 def _val_floor(exp_bound, ram: int) -> int:
@@ -38,16 +38,13 @@ def mul_profile(a: "TateElem", b: "TateElem"):
     precs gives each the least mul_prec over its pairs.  The tail is
     max(fold, ta + gauss(b), tb + gauss(a), ta + tb), fold the least v(a[ea])
     + v(b[eb]) over the pairs past the cap.  All pairs are taken at once:
-    mul_prec's rule over arrays, and one sort of the exponents coded in base
-    cap + 1.
+    one mul_precs, and one sort of the exponents coded in base cap + 1.
     """
     a._check(b)
     cap, s = min(a.tcap, b.tcap), a.s
     pa, va, pb, vb = a.precs, a.vals, b.precs, b.vals
     E = (a._exps()[:, None] + b._exps()[None, :]).reshape(-1, s)
-    exact = (pa[:, None] >= PREC_EXACT) & (pb[None, :] >= PREC_EXACT)
-    P = np.where(exact, PREC_EXACT,
-                 np.minimum(np.minimum(pa[:, None] + vb, pb + va[:, None]), PREC_EXACT))
+    P = mul_precs(pa[:, None], va[:, None], pb, vb)
     inside = (E <= cap).all(axis=1)
     V = (va[:, None] + vb).ravel()[~inside]
     E = E[inside]
@@ -235,13 +232,12 @@ class TateElem:
 
     def scalar_mul(self, b: RamLaurent) -> "TateElem":
         """Every coefficient times b: one pair_mul per key on its rows alone, into
-        one int64 frame, and mul_prec's rule over the precision vector."""
+        one int64 frame, and mul_precs on the precision vector."""
         if b.ctx is not self.ctx:
             raise FieldMismatchError("scalar from another completion")
         if b.is_exact_zero():
             return TateElem(self.ctx, self.s, self.tcap, {})
-        precs = np.where((self.precs >= PREC_EXACT) & b.is_exact(), PREC_EXACT, np.minimum(
-            np.minimum(self.precs + b.valuation(), b.prec + self.vals), PREC_EXACT))
+        precs = mul_precs(self.precs, self.vals, b.prec, b.valuation())
         K, R, m = self.block.shape
         out = np.zeros((K, max(R + b.coeffs.shape[0] - 1, 0), m), dtype=np.int64)
         B = b.coeffs.astype(np.int64)

@@ -8,7 +8,7 @@ import numpy as np
 
 from carlitz.cyclotomic import action_at_lam, carlitz_poly
 from carlitz.errors import (EmptyPrecisionError, FieldMismatchError, InvariantError,
-                            PrecisionExhaustedError, ShapeMismatchError)
+                            PrecisionExhaustedError, ShapeMismatchError, SingularSystemError)
 from carlitz.fields import GFElem, GFPoly, enumerate_A, poly_add, poly_trim
 from carlitz.laurent import NEG_INF, PREC_EXACT, Completion, RamLaurent
 from carlitz.tate import TateElem, _val_floor
@@ -510,3 +510,56 @@ def ref_is_irreducible(cs) -> bool:
         if len(ref_gcd(ref_add(u, [-c for c in x], zero), f, zero)) != 1:
             return False
     return True
+
+
+def ram_solve_reference(rows, rhs, wp: int):
+    """functions.ram_solve one RamLaurent at a time: the element-wise
+    elimination the stacked solve must reproduce entry for entry.
+
+    rhs is one right-hand side (n entries), giving one solution, or a list
+    of them, giving a list of solutions.  The matrix is eliminated once and
+    the recorded swaps and multipliers are replayed on every right-hand side;
+    pivots depend on the matrix alone.  Pivots on the largest-norm entry per
+    column (the first row on ties, term-free entries skipped); raises on
+    term-free pivot columns.
+    """
+    n = len(rows)
+    several = bool(rhs) and not isinstance(rhs[0], RamLaurent)
+    bs = [list(b) for b in rhs] if several else [list(rhs)]
+    if any(len(r) != n for r in rows) or any(len(b) != n for b in bs):
+        raise ShapeMismatchError("system must be square with matching rhs")
+    A = [list(r) for r in rows]
+    steps = []
+    for col in range(n):
+        best, best_norm = None, NEG_INF
+        for r in range(col, n):
+            x = A[r][col]
+            if not x.is_zero() and x.norm_exp() > best_norm:
+                best, best_norm = r, x.norm_exp()
+        if best is None:
+            raise SingularSystemError(f"no usable pivot in column {col}")
+        A[col], A[best] = A[best], A[col]
+        inv_p = A[col][col].inv(wp)
+        mults = []
+        for r in range(col + 1, n):
+            if A[r][col].is_zero():
+                continue
+            f = A[r][col] * inv_p
+            for c in range(col, n):
+                A[r][c] = A[r][c] - f * A[col][c]
+            mults.append((r, f))
+        steps.append((best, inv_p, mults))
+    sols = []
+    for b in bs:
+        for col, (best, _, mults) in enumerate(steps):
+            b[col], b[best] = b[best], b[col]
+            for r, f in mults:
+                b[r] = b[r] - f * b[col]
+        out = [None] * n
+        for r in range(n - 1, -1, -1):
+            acc = b[r]
+            for c in range(r + 1, n):
+                acc = acc - A[r][c] * out[c]
+            out[r] = acc * steps[r][1]
+        sols.append(out)
+    return sols if several else sols[0]

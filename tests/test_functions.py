@@ -23,8 +23,8 @@ from carlitz.errors import (
     SingularSystemError,
     SizeLimitError,
 )
-from carlitz.cyclotomic import CycField, embed
-from carlitz.fields import enumerate_A, roots_in_ext
+from carlitz.cyclotomic import CycField, basis_E, embed
+from carlitz.fields import DEG_LIMIT, enumerate_A, roots_in_ext
 from carlitz.functions import (
     SeriesBudget,
     L_multi,
@@ -57,7 +57,8 @@ from carlitz.tate import (
     tate_zero,
 )
 
-from oracles import _geometric_mul, at_theta, im_norm_exp, tate_poly_t, terms
+from oracles import (_geometric_mul, at_theta, im_norm_exp, ram_solve_reference, tate_poly_t,
+                     terms)
 
 
 def ctx2():
@@ -420,6 +421,45 @@ def test_psi_zero_matches_exp_route():
             assert (lhs - rhs).valuation() >= B.prec - 1
             w = lhs * z - ctx.one()
             assert w.valuation() == (ctx.q - 1) * z.valuation()
+
+
+LOG_DERIVATIVE_TOWERS = {2: (2, 1), 3: (3, 1), 4: (2, 2), 5: (5, 1), 7: (7, 1), 8: (2, 3),
+                         9: (3, 2)}
+
+
+@pytest.mark.parametrize("q", sorted(LOG_DERIVATIVE_TOWERS))
+def test_psi_zero_log_derivative_of_e_d(q):
+    """psi(0, z) at degcap d is sum_(deg a < d) 1/(z - a) = e_d'(0) / e_d(z):
+    e_d(Z) = prod_(deg a < d) (Z - a) is F_q-linear, e_d = sum_j c_j Z^(q^j)
+    with c_j from basis_E, so its derivative is the constant c_0 (the
+    logarithmic derivative of an additive polynomial).  Small, unit and
+    large z at the two largest d with q^d <= 729 (within DEG_LIMIT); the
+    difference vanishes below the least of its precision and psi's
+    certified floor.  A sample counts only when psi(0, z) has a term below
+    that level: at large z both sides are often term-free there, which
+    proves nothing.  Each q needs two counted samples."""
+    ctx = Completion(*LOG_DERIVATIVE_TOWERS[q], 1)
+    B = default_budget(ctx, 24)
+    top = int(math.log(729, q) + 1e-9)
+    counted = 0
+    for d in (top - 1, top):
+        assert q**d <= DEG_LIMIT
+        c = [ctx.embed_poly(x) for x in basis_E(ctx.spec, d)[0]]
+        rng = random.Random(f"log-derivative:{q}:{d}")
+        for regime in ("small", "unit", "large"):
+            z = sample_z(ctx, rng, regime)
+            if z.norm_exp() >= d:
+                continue  # psi needs degcap > log|z|
+            value = psi(ctx, 0, z, d, 0, B)
+            lhs = value.coeff(())
+            e_z = ctx.zero()
+            for j, cj in enumerate(c):
+                e_z = e_z + cj * z.qpow(j)
+            diff = lhs - c[0] * e_z.inv(B.wp)
+            level = min(diff.prec, value.prec_floor())
+            assert diff.valuation() >= level, (q, d, regime)
+            counted += (not lhs.is_zero()) and lhs.valuation() < level
+    assert counted >= 2
 
 
 def test_psi_one_product_route():
@@ -1431,6 +1471,118 @@ def test_ram_solve_singular_and_shapes():
         ram_solve([row, row], [ctx.one(), ctx.zero(16)], 16)
     with pytest.raises(ShapeMismatchError):
         ram_solve([row], [ctx.one(), ctx.one()], 16)
+
+
+# -- the stacked solve against the element-wise reference
+
+SOLVE_KINDS = ["exact", "exact", "inexact", "inexact", "term-free", "exact zero"]
+SOLVE_ENTRY = st.tuples(st.sampled_from(SOLVE_KINDS), st.integers(-4, 4),
+                        st.lists(st.integers(0, 80), min_size=1, max_size=6), st.integers(1, 12))
+
+
+def _solve_entry(ctx, entry):
+    """A RamLaurent from (kind, offset, coefficient indices, precision past
+    the offset); an inexact entry keeps the terms below its precision."""
+    kind, off, idx, extra = entry
+    if kind == "exact zero":
+        return ctx.zero()
+    if kind == "term-free":
+        return ctx.zero(off + extra)
+    spec = ctx.spec
+    x = ctx.from_terms([(off + i, spec.from_index(c % spec.order)) for i, c in enumerate(idx)])
+    return x if kind == "exact" else x.truncate(off + extra)
+
+
+def _solve_outcome(solve, rows, rhs, wp):
+    try:
+        return solve(rows, rhs, wp)
+    except (SingularSystemError, ShapeMismatchError) as err:
+        return type(err), str(err)
+
+
+def _assert_same_solve(rows, rhs, wp):
+    """ram_solve and ram_solve_reference return == RamLaurents (offset,
+    precision and rows) in the same nesting, or raise the same error with
+    the same message."""
+    got, want = (_solve_outcome(f, rows, rhs, wp) for f in (ram_solve, ram_solve_reference))
+    if isinstance(want, tuple):
+        assert got == want
+        return
+    several = bool(rhs) and not isinstance(rhs[0], RamLaurent)
+    got, want = (got, want) if several else ([got], [want])
+    assert len(got) == len(want)
+    for xs, ys in zip(got, want):
+        assert len(xs) == len(ys)
+        for x, y in zip(xs, ys):
+            assert isinstance(x, RamLaurent) and x == y, (x, y)
+
+
+@settings(max_examples=150, deadline=None)
+@given(tower=st.sampled_from([(3, 1, 1), (2, 1, 2)]), n=st.integers(1, 8),
+       keys=st.integers(0, 3), wp=st.integers(4, 40), data=st.data())
+def test_differential_ram_solve_stacked_matches_elementwise(tower, n, keys, wp, data):
+    """The stacked ram_solve equals the element-wise elimination of
+    ram_solve_reference entry for entry on systems of exact, inexact (mixed
+    precisions), term-free and exact-zero entries, with one right-hand side
+    (keys = 0) or several; singular systems raise the same error."""
+    ctx = Completion(*tower)
+    draw = lambda k: [_solve_entry(ctx, e) for e in data.draw(st.lists(SOLVE_ENTRY, min_size=k,
+                                                                       max_size=k))]
+    rows = [draw(n) for _ in range(n)]
+    rhs = draw(n) if keys == 0 else [draw(n) for _ in range(keys)]
+    _assert_same_solve(rows, rhs, wp)
+
+
+@pytest.mark.parametrize("tower", [(3, 1, 1), (2, 1, 2)])
+def test_differential_ram_solve_swaps_skips_and_singular(tower):
+    """Constructed systems: column 0 pivots on row 2 (a row swap) and skips
+    rows whose entry is term-free or the exact zero; column 1 pivots on the
+    largest norm among several; one and several right-hand sides; a
+    term-free pivot column raises the reference's SingularSystemError."""
+    ctx = Completion(*tower)
+    spec = ctx.spec
+    g = spec.from_index(spec.order - 1)
+
+    def ser(off, *idx, prec=PREC_EXACT):
+        return ctx.from_terms([(off + i, spec.from_index(c % spec.order))
+                               for i, c in enumerate(idx)], prec)
+
+    rows = [[ser(3, 1, 2), ser(0, 1, 1, 2), ser(-1, 2), ser(1, 1, 0, 1, prec=9)],
+            [ctx.zero(7), ser(-2, 1, 2, prec=10), ser(0, 1), ser(2, 2, 2)],
+            [ser(0, 2, 1, 1, prec=12), ser(1, 1), ser(0, 1, 2, prec=8), ser(-1, 1, 1)],
+            [ctx.zero(), ser(-2, 2, 1), ser(4, 1, prec=9), ser(0, 1, 2, 1)]]
+    rows[3][3] = rows[3][3].scale(g)
+    rhs = [[ser(k, 1, k, 2, prec=14 + k), ser(-1, 2), ctx.zero(6 + k), ser(0, 1, 1, prec=11)]
+           for k in range(3)]
+    piv = [[x.norm_exp() if not x.is_zero() else None for x in r] for r in rows]
+    assert piv[2][0] == max(v for v in (r[0] for r in piv) if v is not None)  # row swap
+    for wp in (6, 24):
+        _assert_same_solve(rows, rhs[0], wp)
+        _assert_same_solve(rows, rhs, wp)
+    singular = [[r[0], ctx.zero(5), r[2]] for r in rows[:3]]
+    _assert_same_solve(singular, [ctx.one()] * 3, 16)
+    with pytest.raises(SingularSystemError, match="no usable pivot in column 1"):
+        ram_solve(singular, [ctx.one()] * 3, 16)
+
+
+@pytest.mark.parametrize("p,e", [(2, 1), (3, 1), (2, 2)])
+def test_differential_ram_solve_lem41_systems(monkeypatch, p, e):
+    """lem41's own systems at q = 2, 3 and 4: the Vandermonde rows at its
+    nodes with z * psi(s, z) right-hand sides, one per Tate key, for s = 1
+    and 2; the stacked solve equals the element-wise one on each."""
+    seen = []
+
+    def spy(rows, rhs, wp):
+        seen.append((rows, rhs, wp))
+        return ram_solve(rows, rhs, wp)
+
+    monkeypatch.setattr(verify, "ram_solve", spy)
+    cfg = verify.CheckConfig(check="lem41-genseries", p=p, e=e, prec=24, tcap=8,
+                             degcap=8 if p ** e < 4 else 5, samples=2)
+    verify.run_check(cfg)
+    assert len(seen) == 2 and all(len(rhs) > 1 for _, rhs, _ in seen)
+    for rows, rhs, wp in seen:
+        _assert_same_solve(rows, rhs, wp)
 
 
 def test_budget_bookkeeping():

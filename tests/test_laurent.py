@@ -20,6 +20,8 @@ from carlitz.laurent import (
     RamLaurent,
     batch_mul,
     left_map,
+    mul_prec,
+    mul_precs,
     pair_mul,
     sample_z,
     stack_inv,
@@ -495,3 +497,31 @@ def test_truncate_before_multiply(tower, lo_c, lo_b, idc, idb, cut_c, cut_b, P):
 
     c, b = series(lo_c, idc, cut_c), series(lo_b, idb, cut_b)
     assert (c.truncate(P - b.valuation()) * b).truncate(P) == (c * b).truncate(P)
+
+
+PRECS = st.one_of(st.just(PREC_EXACT), st.integers(-40, 60))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.tuples(PRECS, st.integers(-40, 60), PRECS, st.integers(-40, 60)),
+                min_size=1, max_size=12))
+def test_mul_precs_is_mul_prec_elementwise(quads):
+    """mul_precs on arrays equals mul_prec on every (pa, va, pb, vb), exact
+    and inexact factors at negative and positive valuations alike, also when
+    one side is a scalar broadcast against an array."""
+    pa, va, pb, vb = (np.array(c, dtype=np.int64) for c in zip(*quads))
+    want = [mul_prec(*q) for q in quads]
+    assert mul_precs(pa, va, pb, vb).tolist() == want
+    assert mul_precs(pa, va, int(pb[0]), int(vb[0])).tolist() == [
+        mul_prec(int(x), int(y), int(pb[0]), int(vb[0])) for x, y in zip(pa, va)]
+
+
+def test_mul_precs_exact_times_exact_negative_valuations():
+    """Two exact factors give an exact product whatever their valuations;
+    one exact factor at a negative valuation lowers the other's precision."""
+    P = mul_precs(np.array([PREC_EXACT, PREC_EXACT, 10]), np.array([-5, -30, -3]),
+                  np.array([PREC_EXACT, PREC_EXACT, PREC_EXACT]), np.array([-7, 2, -4]))
+    assert P.tolist() == [PREC_EXACT, PREC_EXACT, 6]
+    assert P.tolist() == [mul_prec(PREC_EXACT, -5, PREC_EXACT, -7),
+                          mul_prec(PREC_EXACT, -30, PREC_EXACT, 2),
+                          mul_prec(10, -3, PREC_EXACT, -4)]
