@@ -1050,7 +1050,7 @@ def _stack_sub(ctx: Completion, a: tuple, b: tuple) -> tuple:
     np.negative(B[:, :w], out=Xp[N:, s : s + w])
     S = np.zeros((N, 2 * W, m), dtype=np.int64)
     np.sum(_windows(Xp, s - d.ravel(), W).reshape(-1, N, W, m), axis=0, out=S[:, :W])
-    S %= ctx.p
+    S[:, :W] %= ctx.p
     S[:, :W] *= (np.arange(W) < (prec - lo)[:, None])[:, :, None]
     nz = S[:, :W].any(axis=2)
     first = nz.argmax(axis=1)

@@ -393,6 +393,28 @@ def test_differential_batch_mul(p, e, d):
                     assert (got == want[:, start:]).all(), (N, La, Lb, n, start)
 
 
+@pytest.mark.parametrize("p,e,d", [t for t in SERIES_TOWERS if t[1] * t[2] > 1])
+def test_differential_batch_mul_unused_coordinates(p, e, d):
+    """Coordinate columns that are zero in every pair, in one factor, the
+    other or both (coefficients in a subfield, or no coefficient at all),
+    drop out of batch_mul and leave the product as the reference loop gives
+    it, the products' unreached columns zero."""
+    ctx = Completion(p, e, d)
+    m = ctx.spec.m
+    rng = np.random.default_rng(p * 1000 + e * 10 + d)
+    masks = [np.arange(m) < 1, np.arange(m) < m - 1, np.arange(m) == m - 1, np.zeros(m, bool),
+             np.ones(m, bool)]
+    for N in (1, 5):
+        for ma in masks:
+            for mb in masks:
+                A = rng.integers(0, p, (N, 13, m)) * ma
+                B = rng.integers(0, p, (N, 9, m)) * mb
+                for n in (4, 21, 25):
+                    want = _batch_mul_reference(ctx, A, B, n)
+                    assert (batch_mul(ctx, A, B, n) == want).all(), (N, ma, mb, n)
+                    assert (batch_mul(ctx, A, B, n, 3) == want[:, 3:]).all(), (N, ma, mb, n)
+
+
 def _inv_inputs(ctx, rng):
     """Exact, inexact and single-term series of assorted lengths and valuations."""
     out = []
