@@ -8,7 +8,7 @@ elements are polynomials in theta over the coefficient extension; a
 torsion-field element is a tuple of such numerators over one monic
 denominator, which is 1 except after a division.
 Everything here is exact; the only numerics is the final embedding into the
-completion.
+completion, which inverts its moduli by functions.modulus_inv.
 """
 
 from .errors import (
@@ -35,8 +35,9 @@ from .fields import (
     poly_pdivmod,
     poly_sub,
     poly_trim,
+    power,
 )
-from .functions import SeriesBudget, carlitz_e
+from .functions import SeriesBudget, carlitz_e, modulus_inv
 from .laurent import Completion, RamLaurent
 
 _TORSION_LIMIT = 512
@@ -94,10 +95,7 @@ def basis_E(spec, j: int) -> tuple[tuple, GFPoly]:
     zero = spec.poly([])
     e = (spec.poly([1]),)
     for i in range(1, j + 1):
-        v = lin_eval(e, spec.poly([0] * (i - 1) + [1]))
-        scale = v
-        for _ in range(spec.q - 2):
-            scale = scale * v
+        scale = power(lin_eval(e, spec.poly([0] * (i - 1) + [1])), spec.q - 1)
         e = tuple(poly_sub([zero] + [c.qpow(1) for c in e], [c * scale for c in e], zero))
     return e, carlitz_dl(spec, j)[0]
 
@@ -275,15 +273,7 @@ class CycElem:
     def __pow__(self, n: int) -> "CycElem":
         if n < 0:
             return self.inv() ** (-n)
-        out = self.cf.one
-        base = self
-        while n:
-            if n & 1:
-                out = out * base
-            n >>= 1
-            if n:
-                base = base * base
-        return out
+        return power(self, n) if n else self.cf.one
 
     def __eq__(self, other):
         return (isinstance(other, CycElem) and self.cf is other.cf
@@ -345,14 +335,14 @@ def galois_sigma(a: GFPoly, x: CycElem) -> CycElem:
 
 
 def gauss_sum(cf: CycField) -> CycElem:
-    """Character sum over nonzero residues: sum of chi(a)^{-1} C_a(lambda)."""
+    """Character sum over nonzero residues: sum of chi(a)^{-1} C_a(lambda).
+    A unit c leaves chi(c*b)^{-1} C_{c*b}(lambda) = chi(b)^{-1} C_b(lambda),
+    so it is -sum over monic b of chi(b)^{-1} C_b(lambda), as q - 1 = -1."""
     key = "gauss"
     if key not in cf.cache:
         acc = cf.zero
-        for a in enumerate_A(cf.spec, cf.d):
-            if a.is_zero():
-                continue
-            acc = acc + action_at_lam(cf, a) * a.eval(cf.zeta).inv()
+        for _, chi, x in _monic_orbits(cf):
+            acc = acc - x * chi.inv()
         if acc.is_zero():
             raise NotInvertibleError("character sum degenerated to zero")
         cf.cache[key] = acc
@@ -484,44 +474,28 @@ def telescope_pair(spec, d: int):
     one = GFPoly(spec, (spec.one,), "x")
     zero = GFPoly(spec, (), "x")
 
-    def times_y_minus_xq(prod, j):
-        """prod * (y - x^{q^j}), both as y-coefficients in F_q[x]."""
-        xq = GFPoly(spec, (spec.zero,) * spec.q**j + (spec.one,), "x")
-        nxt = [zero] * (len(prod) + 1)
-        for m, c in enumerate(prod):
-            nxt[m + 1] = nxt[m + 1] + c
-            nxt[m] = nxt[m] - xq * c
-        return nxt
+    def xq(j):
+        return GFPoly(spec, (spec.zero,) * spec.q**j + (spec.one,), "x")
 
     # suffix products l_{d-1}/l_j without division
     suffix = [one] * d
     for j in range(d - 2, -1, -1):
         f = spec.poly([0, 1] + [0] * (spec.q ** (j + 1) - 2) + [spec.p - 1], "x")
         suffix[j] = f * suffix[j + 1]
-    lhs = [zero] * d
+    lhs = []
     prod = [one]  # prod_{k<j} (y - x^{q^k}) as y-coefficients
     for j in range(d):
-        for m, c in enumerate(prod):
-            lhs[m] = lhs[m] + suffix[j] * c
+        lhs = poly_add(lhs, [suffix[j] * c for c in prod], zero)
         if j < d - 1:
-            prod = times_y_minus_xq(prod, j)
+            prod = poly_mul(prod, [-xq(j), one], zero)
     rhs = [one]
     for j in range(1, d):
-        rhs = times_y_minus_xq(rhs, j)
+        rhs = poly_mul(rhs, [-xq(j), one], zero)
     den = carlitz_dl(spec, d - 1, "x")[1]
     return den, tuple(lhs), tuple(rhs)
 
 
 # -- the numeric embedding
-
-
-def modulus_inv(ctx: Completion, m: GFPoly, wp: int) -> RamLaurent:
-    """1/m for a monic m in F_q[theta], embedded in the completion.
-
-    The one precision rule for inverting an embedded modulus: the inverse
-    keeps wp + 2 * deg(m) * ram + q terms.
-    """
-    return ctx.embed_poly(m).inv(wp + 2 * m.degree * ctx.ram + ctx.q)
 
 
 def embed(x: CycElem, ctx: Completion, budget: SeriesBudget) -> RamLaurent:

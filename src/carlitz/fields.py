@@ -27,16 +27,19 @@ level above, polynomials whose coefficients are GFPoly (the torsion-field
 numerators) or torsion-field elements (the interpolation polynomials), uses
 the generic poly_* helpers over any coefficient type with + - * and
 is_zero; poly_pdivmod divides there without a coefficient inverse.
+power is the one square-and-multiply, over any product passed to it.
 """
 
 from __future__ import annotations
 
 import itertools
+import operator
 from typing import Iterator, Sequence
 
 import numpy as np
 
 from .errors import (
+    ConfigError,
     FieldMismatchError,
     NoRootError,
     NotIrreducibleError,
@@ -160,6 +163,32 @@ def poly_degree(cs) -> int:
     return len(poly_trim(cs)) - 1
 
 
+def power(x, n: int, mul=operator.mul):
+    """x^n for n >= 1: x times the squares x^(2^i) at the set bits of n - 1.
+
+    Every mul passed here is exact, or exact modulo a fixed ideal, except
+    RamLaurent's, and there x^n's rows and precision depend on n alone.  An
+    exact x has exact powers.  Else let x have stored terms X, valuation v,
+    precision p and P_k = min(p + (k - 1) v, PREC_EXACT).  mul_prec gives
+    x^a x^b the precision min(P_a + b v, P_b + a v, PREC_EXACT) = P_(a+b);
+    x^a, x^b differ from X^a, X^b only at exponents >= P_a, P_b, so their
+    product differs from X^(a+b) only at exponents >= P_(a+b); its valuation
+    is (a + b) v, as leading coefficients multiply to nonzero when v < p and
+    a term-free x (v = p) has term-free powers.  By induction every x^k
+    formed has the rows of X^k below P_k, whatever the order of products.
+    """
+    if n < 1:
+        raise ConfigError("power exponent must be >= 1")
+    out, n = x, n - 1
+    while n:
+        if n & 1:
+            out = mul(out, x)
+        n >>= 1
+        if n:
+            x = mul(x, x)
+    return out
+
+
 # ---------------------------------------------------------------------------
 # Index kernels: polynomials over one tower F as field-index lists, low degree
 # first, on F's log, exp and zech lists.  Every logarithm sum here stays below
@@ -259,14 +288,8 @@ def _ix_gcd(F, a, b) -> tuple:
 
 
 def _ix_powmod(F, a, n: int, m) -> tuple:
-    """a^n modulo m of degree >= 1."""
-    out, base = (1,), _ix_divmod(F, a, m)[1]
-    while n:
-        if n & 1:
-            out = _ix_divmod(F, _ix_mul(F, out, base), m)[1]
-        n >>= 1
-        base = _ix_divmod(F, _ix_mul(F, base, base), m)[1] if n else base
-    return out
+    """a^n modulo m of degree >= 1, n >= 1."""
+    return power(_ix_divmod(F, a, m)[1], n, lambda x, y: _ix_divmod(F, _ix_mul(F, x, y), m)[1])
 
 
 def _ix_qpow(F, a, j: int) -> tuple:
@@ -308,14 +331,7 @@ def _basis_mul_table(base: "FieldSpec", f: "GFPoly") -> np.ndarray:
 
 
 def _mat_pow(M: np.ndarray, n: int, p: int) -> np.ndarray:
-    out = np.eye(M.shape[0], dtype=np.int64)
-    while n:
-        if n & 1:
-            out = out @ M % p
-        n >>= 1
-        if n:
-            M = M @ M % p
-    return out
+    return power(M, n, lambda a, b: a @ b % p) if n else np.eye(M.shape[0], dtype=np.int64)
 
 
 class FieldSpec:

@@ -20,7 +20,7 @@ from .errors import (
     ShapeMismatchError,
     SingularSystemError,
 )
-from .fields import GFPoly, carlitz_dl, degree_guard, enumerate_A
+from .fields import GFPoly, carlitz_dl, degree_guard, enumerate_A, power
 from .laurent import (NEG_INF, PREC_EXACT, Completion, RamLaurent, batch_mul, inv_extent,
                       mul_precs, stack_inv)
 from .tate import TateElem, mul_profile, tate_zero
@@ -156,6 +156,12 @@ def _exp_indices(ctx: Completion, v: int, wp: int):
     return keep, slack
 
 
+def _pi_times(ctx: Completion, z: RamLaurent, slack: int, wp: int) -> RamLaurent:
+    """pi_tilde * z for the exponential terms of working precision wp and
+    positive-exponent slack: pi_tilde to wp + slack + q + max(0, -v(z))."""
+    return pi_tilde(ctx, SeriesBudget(wp + slack + ctx.q + max(0, -z.valuation()), 0)) * z
+
+
 def carlitz_exp(ctx: Completion, z: RamLaurent, budget: SeriesBudget) -> RamLaurent:
     """sum_i z^{q^i}/d_i, truncated when the term valuation clears the budget."""
     wp = budget.wp
@@ -178,11 +184,8 @@ def carlitz_e(ctx: Completion, z: RamLaurent, budget: SeriesBudget) -> RamLauren
     if z.is_exact_zero():
         return ctx.zero()
     v_pi = -ctx.ram * ctx.q // (ctx.q - 1)
-    vw = z.valuation() + v_pi
-    _, slack = _exp_indices(ctx, vw, wp)
-    need = wp + slack + ctx.q + max(0, -z.valuation())
-    pi = pi_tilde(ctx, SeriesBudget(need, 0))
-    return carlitz_exp(ctx, pi * z, budget)
+    _, slack = _exp_indices(ctx, z.valuation() + v_pi, wp)
+    return carlitz_exp(ctx, _pi_times(ctx, z, slack, wp), budget)
 
 
 def u_val(ctx: Completion, z: RamLaurent, budget: SeriesBudget) -> RamLaurent:
@@ -193,13 +196,17 @@ def u_val(ctx: Completion, z: RamLaurent, budget: SeriesBudget) -> RamLaurent:
     return e.inv(budget.wp)
 
 
+def modulus_inv(ctx: Completion, m: GFPoly, wp: int) -> RamLaurent:
+    """1/m for a monic m in F_q[theta], embedded: the one precision rule for
+    inverting an embedded modulus keeps wp + 2 * deg(m) * ram + q terms."""
+    return ctx.embed_poly(m).inv(wp + 2 * m.degree * ctx.ram + ctx.q)
+
+
 def u_m_val(ctx: Completion, z: RamLaurent, m: GFPoly, budget: SeriesBudget) -> RamLaurent:
     """1/(m * e_C(z/m)) for monic m: the conductor-m uniformizer."""
     wp = budget.wp
-    emb = ctx.embed_poly(m)
-    zm = z * emb.inv(wp + max(0, -z.valuation()) + 2 * m.degree * ctx.ram)
-    e = carlitz_e(ctx, zm, budget)
-    denom = emb * e
+    e = carlitz_e(ctx, z * modulus_inv(ctx, m, wp + max(0, -z.valuation())), budget)
+    denom = ctx.embed_poly(m) * e
     if denom.is_zero():
         raise LatticePoleError(f"m * e_C(z/m) vanishes to precision {denom.prec}")
     return denom.inv(wp)
@@ -249,10 +256,9 @@ def omega(ctx: Completion, tcap: int, budget: SeriesBudget) -> TateElem:
         D = np.zeros((tcap + 1, max(wp + 1, 1), ctx.spec.m), dtype=np.int64)
         D[0, 0] = ctx.lam().coeffs[0]  # row r at u^(r - 1)
         rec = np.full(tcap + 1, PREC_EXACT)
-        i = 0
-        while ctx.ram * ctx.q**i <= wp:
-            _geometric_rows(ctx, D, rec, ctx.q**i)
-            i += 1
+        i = _omega_factors(ctx, -1, wp)
+        for k in range(i):
+            _geometric_rows(ctx, D, rec, ctx.q**k)
         tail = Fraction(1, ctx.q - 1) - (tcap + 1) if i else NEG_INF
         n = tcap + 1 if i else 1  # no factor: lambda alone
         ctx.cache[key] = TateElem.frame(ctx, 1, tcap, [(e,) for e in range(n)], -1, D[:n],
@@ -291,8 +297,7 @@ def agf_f(ctx: Completion, z: RamLaurent, tcap: int, budget: SeriesBudget) -> Ta
         return tate_zero(ctx, 1, tcap)
     keep, slack = _exp_indices(ctx, z.valuation() - 1, wp)
     budget.n_terms["agf_f"] = len(keep)
-    pi = pi_tilde(ctx, SeriesBudget(wp + slack + q + max(0, -z.valuation()), 0))
-    w = pi * z
+    w = _pi_times(ctx, z, slack, wp)
     terms = [(q**n * ram, _term(ctx, w, n, wp, wp + slack)) for n in keep]
     if not terms:
         return tate_zero(ctx, 1, tcap)
@@ -313,9 +318,9 @@ def agf_f(ctx: Completion, z: RamLaurent, tcap: int, budget: SeriesBudget) -> Ta
     return TateElem.frame(ctx, 1, tcap, [(e,) for e in range(tcap + 1)], lo, D, prec, tail)
 
 
-def _omega_inv_factors(ctx: Completion, lo: int, top: int) -> int:
-    """The least I with ram * q^I + lo >= top: the number of linear factors
-    (1 - t/theta^(q^i)) of omega^{-1} that move rows from u^lo below top."""
+def _omega_factors(ctx: Completion, lo: int, top: int) -> int:
+    """The least I with ram * q^I + lo >= top: how many factors (1 - t/theta^(q^i))
+    of omega^{-1}, or their inverses in omega, move rows from u^lo below top."""
     i = 0
     while ctx.ram * ctx.q**i + lo < top:
         i += 1
@@ -324,7 +329,7 @@ def _omega_inv_factors(ctx: Completion, lo: int, top: int) -> int:
 
 def _apply_omega_inv_factors(ctx: Completion, D: np.ndarray, rec: np.ndarray,
                              lo: int, top: int) -> np.ndarray:
-    """Multiply D by the first _omega_inv_factors(ctx, lo, top) linear
+    """Multiply D by the first _omega_factors(ctx, lo, top) linear
     factors of omega^{-1}, in place, and return how far each row is fixed.
 
     D (cap + 1, R, m) is an int64 buffer with every t-coefficient, row r of
@@ -337,7 +342,7 @@ def _apply_omega_inv_factors(ctx: Completion, D: np.ndarray, rec: np.ndarray,
     omitted ones (i >= I) move D only at rows >= ram * q^I + lo; the result
     is min(rec[e], ram * q^I + lo).
     """
-    n = _omega_inv_factors(ctx, lo, top)
+    n = _omega_factors(ctx, lo, top)
     for i in range(n):
         shift = ctx.ram * ctx.q**i
         D[1:, shift:] += D[:-1, : max(D.shape[1] - shift, 0)]
@@ -542,6 +547,24 @@ def _cancel_exp(q: int, weight: int, j: int) -> int:
     return max(0, base - red)
 
 
+def _kept_blocks(ctx: Completion, weight: int, n: int, degcap: int, wp: int, az=NEG_INF):
+    """(blocks, tail) of a lattice sum of chi(a) a^-n over deg a < degcap,
+    chi of total weight weight: the degrees j it keeps, and its tail.  Block
+    j beyond log|z| = az (psi: n = 1; L_multi: no z) is bounded by
+    q^-(j n + C(j)), C = _cancel_exp, and folded into the tail once that is
+    below u^(wp + 2).  The blocks at j >= degcap obey the same bound, which
+    grows with j, so the tail starts at degcap's."""
+    tail = Fraction(-(n * degcap + _cancel_exp(ctx.q, weight, degcap)))
+    blocks = []
+    for j in range(degcap):
+        c_j = _cancel_exp(ctx.q, weight, j)
+        if j > az and ctx.ram * (j * n + c_j) >= wp + 2:
+            tail = max(tail, Fraction(-(j * n + c_j)))
+        else:
+            blocks.append(j)
+    return blocks, tail
+
+
 def _monic_block(ctx: Completion, j: int):
     """All monic degree-j lattice polynomials with their exact embeddings."""
     key = ("monic", j)
@@ -555,15 +578,7 @@ def _char_coeffs(ctx: Completion, a: GFPoly, powers) -> dict:
     """Multi-exponent coefficients of prod_i a(t_i)^{powers[i]}."""
     per_var = []
     for p in powers:
-        f = a.retag("t")
-        pw = ctx.spec.poly([1], "t")
-        base = f
-        n = p
-        while n:
-            if n & 1:
-                pw = pw * base
-            base = base * base if n > 1 else base
-            n >>= 1
+        pw = power(a.retag("t"), p) if p else ctx.spec.poly([1], "t")
         per_var.append([(k, c) for k, c in enumerate(pw.coeffs) if not c.is_zero()])
     out = {(): ctx.spec.one}
     for terms in per_var:
@@ -847,7 +862,6 @@ def psi_family(ctx: Completion, s: int, z: RamLaurent, degcap: int, tcap: int,
     fails.  n_terms["psi"] records the inverted blocks.
     """
     wp = budget.wp
-    q, ram = ctx.q, ctx.ram
     if s < 0 or degcap < 1:
         raise ShapeMismatchError("need s >= 0 and degcap >= 1")
     az = z.norm_exp()
@@ -858,16 +872,7 @@ def psi_family(ctx: Completion, s: int, z: RamLaurent, degcap: int, tcap: int,
             raise ShapeMismatchError("powers must list one exponent >= 0 per variable")
         if Fraction(degcap) <= az:
             raise ConfigError(f"degcap {degcap} does not exceed log|z| = {az}")
-        weight = sum(powers)
-        # blocks at degree >= degcap obey the same j + C(j) bound, which only grows
-        tail = Fraction(-(degcap + _cancel_exp(q, weight, degcap)))
-        blocks = []
-        for j in range(degcap):
-            c_j = _cancel_exp(q, weight, j)
-            if Fraction(j) > az and ram * (j + c_j) >= wp + 2:
-                tail = max(tail, Fraction(-(j + c_j)))
-            else:
-                blocks.append(j)
+        blocks, tail = _kept_blocks(ctx, sum(powers), 1, degcap, wp, az)
         family.append(powers)
         kept.append(blocks)
         tails.append(tail)
@@ -888,7 +893,7 @@ def psi_family(ctx: Completion, s: int, z: RamLaurent, degcap: int, tcap: int,
             if not any(powers):
                 out.append((((0,) * s,), zi.offset, zi.coeffs[None], np.array([zi.prec])))
     if union:
-        k0s = [(-sum(powers)) % (q - 1) for powers in family]
+        k0s = [(-sum(powers)) % (ctx.q - 1) for powers in family]
         sums = _orbit_sums(ctx, union, starts, z, V, P, sorted(set(k0s)))
         for powers, k0, blocks, out in zip(family, k0s, kept, parts):
             Y, off = sums[k0]
@@ -925,7 +930,6 @@ def L_multi(ctx: Completion, s: int, n: int, degcap: int, tcap: int,
     and precisions are those of stack_inv applied to a^n.
     """
     wp = budget.wp
-    q, ram = ctx.q, ctx.ram
     if s < 0 or n < 1 or degcap < 1:
         raise ShapeMismatchError("need s >= 0, n >= 1, degcap >= 1")
     if powers is None:
@@ -933,26 +937,13 @@ def L_multi(ctx: Completion, s: int, n: int, degcap: int, tcap: int,
     powers = tuple(powers)
     if len(powers) != s or any(p < 1 for p in powers):
         raise ShapeMismatchError("powers must list one positive exponent per variable")
-    weight = sum(powers)
+    blocks, tail = _kept_blocks(ctx, sum(powers), n, degcap, wp)
     parts = []
-    tail = Fraction(-(n * degcap + _cancel_exp(q, weight, degcap)))
-    blocks = []
-    for j in range(degcap):
-        c_j = _cancel_exp(q, weight, j)
-        if ram * (j * n + c_j) >= wp + 2:
-            tail = max(tail, Fraction(-(j * n + c_j)))
-            continue
-        blocks.append(j)
+    for j in blocks:
         X, single = _monic_inverses(ctx, j, wp)
         L = X.shape[1]
-        Xn, base, k = X, X, n - 1
-        while k:
-            if k & 1:
-                Xn = batch_mul(ctx, Xn, base, L)
-            k >>= 1
-            if k:
-                base = batch_mul(ctx, base, base, L)
-        v = -j * ram * n
+        Xn = power(X, n, lambda a, b: batch_mul(ctx, a, b, L))
+        v = -j * ctx.ram * n
         off = np.full(len(X), -v)
         prec = np.where(single, PREC_EXACT, -v + wp)
         parts.append(_contract(ctx, _block_weights(ctx, (j,), powers), Xn, off, prec))

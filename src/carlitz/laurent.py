@@ -38,7 +38,7 @@ from .errors import (
     SizeLimitError,
     ZeroInverseError,
 )
-from .fields import FieldSpec, GFElem, GFPoly, _mat_pow, make_field
+from .fields import FieldSpec, GFElem, GFPoly, _mat_pow, make_field, power
 
 PREC_EXACT = 10**9
 _MAX_LEN = 2_000_000
@@ -414,14 +414,7 @@ class RamLaurent:
     def __pow__(self, n: int) -> "RamLaurent":
         if n < 0:
             raise ConfigError("power exponent must be >= 0; invert with inv(rel_prec)")
-        result = self.ctx.one()
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base if n > 1 else base
-            n >>= 1
-        return result
+        return power(self, n) if n else self.ctx.one()
 
     def qpow(self, k: int = 1) -> "RamLaurent":
         """Exact q^k-th power: coefficientwise Frobenius plus exponent dilation.

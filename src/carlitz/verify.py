@@ -45,6 +45,7 @@ from .functions import (
     carlitz_e,
     chi_t,
     default_budget,
+    modulus_inv,
     omega,
     papanikolas_L,
     pi_tilde,
@@ -66,7 +67,6 @@ from .cyclotomic import (
     interpolation_M,
     lin_eval,
     M_from_gauss,
-    modulus_inv,
     telescope_pair,
     torsion_guard,
     torsion_moment,
@@ -451,11 +451,7 @@ def _run_thm2(rc):
     for idx, I in enumerate(((), (0,), (1,))):
         vals = [h_val(k, I) for k in range(n)]
         consts[I] = vals[0]
-        worst = vals[0] - vals[1]
-        for v in vals[2:]:
-            d = vals[0] - v
-            if _levels(d)[0] < _levels(worst)[0]:
-                worst = d
+        worst = min((vals[0] - v for v in vals[1:]), key=lambda r: _levels(r)[0])
         name = "h(%s)" % (",".join(str(i + 1) for i in I) or "empty")
         out.append(_residual_sample(idx, f"{name} constant across {n} points",
                                     worst, cfg.prec))

@@ -24,7 +24,8 @@ from carlitz.errors import (
     SizeLimitError,
 )
 from carlitz.cyclotomic import CycField, basis_E, embed
-from carlitz.fields import DEG_LIMIT, enumerate_A, roots_in_ext
+from carlitz.fields import (DEG_LIMIT, _ix_powmod, _mat_pow, enumerate_A, make_field, power,
+                            roots_in_ext)
 from carlitz.functions import (
     SeriesBudget,
     L_multi,
@@ -57,8 +58,8 @@ from carlitz.tate import (
     tate_zero,
 )
 
-from oracles import (_geometric_mul, at_theta, im_norm_exp, ram_solve_reference, tate_poly_t,
-                     terms)
+from oracles import (_geometric_mul, at_theta, im_norm_exp, ram_solve_reference, ref_powmod,
+                     tate_poly_t, terms)
 
 
 def ctx2():
@@ -1416,7 +1417,7 @@ def test_chi_t_invariants_raise(monkeypatch):
     undetermined; chi_t raises instead of returning them, also under -O."""
     ctx = Completion(2, 1, 1)
     z = sample_z(ctx, random.Random(7), "small")
-    monkeypatch.setattr(functions, "_omega_inv_factors", lambda ctx, lo, top: 1)
+    monkeypatch.setattr(functions, "_omega_factors", lambda ctx, lo, top: 1)
     with pytest.raises(InvariantError, match="below the product precision"):
         chi_t(ctx, z, 6, default_budget(ctx, 24))
 
@@ -1583,6 +1584,56 @@ def test_differential_ram_solve_lem41_systems(monkeypatch, p, e):
     assert len(seen) == 2 and all(len(rhs) > 1 for _, rhs, _ in seen)
     for rows, rhs, wp in seen:
         _assert_same_solve(rows, rhs, wp)
+
+
+# -- the one square-and-multiply against repeated products
+
+POWER_FIELDS = [(2, 1, 2, (1, 1, 1)), (3, 1, 1, (1, 1))]  # torsion fields (p, e, d, prime)
+
+
+@settings(max_examples=80, deadline=None)
+@given(n=st.integers(0, 9), tower=st.sampled_from([(3, 1, 1), (2, 1, 2)]), entry=SOLVE_ENTRY,
+       torsion=st.sampled_from(POWER_FIELDS), data=st.data())
+def test_differential_power_matches_repeated_products(n, tower, entry, torsion, data):
+    """x ** n equals the left-to-right product x * x * ... * x for n in 0..9:
+    RamLaurent powers of exact, inexact (mixed precisions), term-free and
+    exact-zero series on two towers with the same offset, precision and rows,
+    CycElem and GFPoly powers, _mat_pow against repeated @ % p, and
+    _ix_powmod against ref_powmod; power itself refuses n = 0."""
+    def repeated(x, one, mul=lambda a, b: a * b):
+        out = one
+        for _ in range(n):
+            out = mul(out, x)
+        return out
+
+    ctx = Completion(*tower)
+    x = _solve_entry(ctx, entry)
+    got, want = x ** n, repeated(x, ctx.one())
+    assert got == want, (got, want)  # offset, precision and rows
+
+    p, e, d, prime = torsion
+    spec = make_field(p, e, d)
+    prime = spec.poly(list(prime))
+    cf = CycField(spec, prime, roots_in_ext(prime, spec)[0])
+    coeffs = lambda k: [spec.elems[i] for i in data.draw(st.lists(st.integers(0, spec.order - 1),
+                                                                  min_size=k, max_size=3))]
+    poly = lambda: spec.poly(coeffs(0))
+    den = data.draw(st.sampled_from([None, spec.poly([1, 1])]))
+    y = cf.reduce([poly() for _ in range(data.draw(st.integers(0, 3)))], den)
+    assert y ** n == repeated(y, cf.one)
+
+    M = np.array(data.draw(st.lists(st.integers(0, p - 1), min_size=9, max_size=9))).reshape(3, 3)
+    assert (_mat_pow(M, n, p) == repeated(M, np.eye(3, dtype=np.int64), lambda a, b: a @ b % p)).all()
+
+    f = poly()
+    m = spec.poly(coeffs(1) + [spec.one])
+    if n == 0:
+        with pytest.raises(ConfigError):
+            power(f, n)
+        return
+    assert power(f, n) == repeated(f, spec.poly([1]))
+    ref = ref_powmod(list(f.coeffs), n, list(m.coeffs), spec.zero, spec.one)
+    assert _ix_powmod(spec, f.idx, n, m.idx) == tuple(c.index for c in ref)
 
 
 def test_budget_bookkeeping():
