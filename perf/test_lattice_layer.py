@@ -19,8 +19,10 @@ Shapes:
   the arguments of their calls on all of those rows in that psi call: the
   inversion of the orbit rows z^(q-1) - a^(q-1) (stack_inv), the numerator
   product with those inverses (batch_mul) and the contraction against the
-  characters (_contract).  One untimed pass of this file peaks at about
-  870 MB of RSS, at q = 9.
+  characters (_contract).  test_block_weights_cold builds that call's
+  character weights (_block_weights, with the _monic_pows tables it reads)
+  on a fresh completion of the tower, so no block table is cached.  One
+  untimed pass of this file peaks at about 730 MB of RSS, at q = 9.
 - test_psi_family_thm2_q3: one psi_family call of the lattice-q3 workload's
   thm2-hI-const (tower (3, 1, 1), prec 24, tcap 8, degcap 8, seed 0) at its
   first point, with the four subset tuples of two variables.  The
@@ -31,6 +33,7 @@ Arguments are captured by spying on the calls of one check run.
 import pytest
 
 from carlitz import functions, verify
+from carlitz.laurent import Completion
 
 
 class _Captured(Exception):
@@ -73,20 +76,23 @@ PROP51 = {"q8": ((2, 3), 4681), "q9": ((3, 2), 7381)}
 
 @pytest.fixture(scope="module", params=list(PROP51))
 def prop51(request):
-    """(rows, {kernel: arguments}) of the kernel calls on every stacked row
-    in prop51-ev's third psi call."""
+    """(rows, {kernel: arguments}, weights) of the kernel calls on every
+    stacked row in prop51-ev's third psi call, and the arguments of its
+    _block_weights call."""
     (p, e), rows = PROP51[request.param]
     args = _capture(verify, "psi", verify.CheckConfig(check="prop51-ev", p=p, e=e), 3)
     calls = {name: [] for name in ROWS_ARG}
+    weights = []
     mp = pytest.MonkeyPatch()
     for name, seen in calls.items():
         mp.setattr(functions, name, _spy(getattr(functions, name), seen))
+    mp.setattr(functions, "_block_weights", _spy(functions._block_weights, weights))
     try:
         verify.psi(*args)
     finally:
         mp.undo()
     return rows, {name: max(seen, key=lambda a: a[ROWS_ARG[name]].shape[0])
-                  for name, seen in calls.items()}
+                  for name, seen in calls.items()}, weights[-1]
 
 
 @pytest.mark.parametrize("kernel", list(ROWS_ARG))
@@ -94,6 +100,17 @@ def test_prop51(benchmark, prop51, kernel):
     rows, args = prop51[0], prop51[1][kernel]
     assert args[ROWS_ARG[kernel]].shape[0] == rows
     benchmark(getattr(functions, kernel), *args)
+
+
+def test_block_weights_cold(benchmark, prop51):
+    rows, _, (ctx, js, powers) = prop51
+    spec = ctx.spec
+
+    def cold():
+        return functions._block_weights(Completion(spec.p, spec.e, ctx.d), js, powers)
+
+    keys, G, mask = benchmark(cold)
+    assert mask.shape == (len(keys), rows)
 
 
 def test_psi_family_thm2_q3(benchmark):

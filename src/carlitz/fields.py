@@ -17,7 +17,8 @@ keeps int lists for the powers g^k of a deterministic generator g (exp), the
 discrete logarithm of every nonzero index (log) and the Zech logarithms
 log(1 + g^k) (zech): a product adds two logarithms, and a sum needs one Zech
 lookup.  Every table derives from basis_mul_table, the products of the m
-basis elements, by linear algebra over F_p.
+basis elements, by linear algebra over F_p, and FieldSpec.mul_matrices is
+the one builder of multiplication matrices from it.
 
 Dense polynomials come at two levels.  A polynomial over a tower (GFPoly,
 F[theta]) stores the trimmed tuple of its coefficients' field indices, and
@@ -379,7 +380,6 @@ class FieldSpec:
     def _build_tables(self):
         p, m = self.p, self.m
         N = self.order - 1
-        T = self.basis_mul_table.astype(np.int64)
         place = p ** np.arange(m, dtype=np.int64)
         one = np.eye(1, m, dtype=np.int64)[0]
         factors = _prime_factors(N) if N > 1 else []
@@ -388,7 +388,7 @@ class FieldSpec:
         for cand in itertools.product(range(p), repeat=m):
             if not any(cand):
                 continue
-            S = np.tensordot(T, np.array(cand, dtype=np.int64), axes=([1], [0])) % p
+            S = self.mul_matrices(cand)
             if all((_mat_pow(S, N // r, p)[0] != one).any() for r in factors):
                 break
         self.generator_coords = cand
@@ -439,9 +439,6 @@ class FieldSpec:
         for coords in itertools.product(range(self.p), repeat=self.m):
             yield self.elem(coords)
 
-    def subfield_elements(self) -> Iterator["GFElem"]:
-        return iter(self.elems[: self.q])
-
     def poly(self, coeffs: Sequence, var: str = "theta") -> "GFPoly":
         """A polynomial from GFElem coefficients or F_q indices."""
         out = []
@@ -453,10 +450,12 @@ class FieldSpec:
             out.append(c.index)
         return _gfpoly(self, _ix_trim(out), var)
 
-    def scalar_matrix(self, elem: "GFElem") -> np.ndarray:
-        """m x m int64 matrix of left-multiplication by elem on coordinates."""
-        v = np.array(elem.coords, dtype=np.int64)
-        return np.tensordot(self.basis_mul_table.astype(np.int64), v, axes=([1], [0])) % self.p
+    def mul_matrices(self, C) -> np.ndarray:
+        """(..., m, m) int64 multiplication matrices of (..., m) coordinate rows:
+        x @ mul_matrices(C)[i] are the coordinates of x * C[i].  The one
+        reading of basis_mul_table outside the tables and Completion.mul_rows."""
+        T = self.basis_mul_table.astype(np.int64)
+        return np.einsum("ijk,...j->...ik", T, np.asarray(C, dtype=np.int64)) % self.p
 
     def __repr__(self):
         return f"FieldSpec(p={self.p}, e={self.e}, d={self.d})"
@@ -639,9 +638,6 @@ class GFPoly:
         """self^(q^j): every coefficient to the q^j-th power, exponents times q^j."""
         return self._new(_ix_qpow(self.field, self.idx, j))
 
-    def retag(self, var: str) -> "GFPoly":
-        return _gfpoly(self.field, self.idx, var)
-
     def subfield_coeff_indices(self) -> tuple[int, ...]:
         """Coefficients as F_q indices; raises if any lies outside F_q."""
         if self.idx and max(self.idx) >= self.field.q:
@@ -729,7 +725,7 @@ def roots_in_ext(f: GFPoly, spec: FieldSpec) -> list[GFElem]:
     return roots
 
 
-def enumerate_A(spec: FieldSpec, j: int, monic: bool = False, var: str = "theta") -> list[GFPoly]:
+def enumerate_A(spec: FieldSpec, j: int, monic: bool = False) -> list[GFPoly]:
     """Polynomials over F_q: all of degree < j, or all monic of degree exactly j.
 
     Order is by integer index base q with the constant coefficient as the
@@ -738,7 +734,7 @@ def enumerate_A(spec: FieldSpec, j: int, monic: bool = False, var: str = "theta"
     if j < 0 or spec.q**j > ENUM_LIMIT:
         raise SizeLimitError(f"enumeration of size q^{j} refused")
     top = (1,) if monic else ()
-    return [_gfpoly(spec, _ix_trim(ds[::-1] + top), var)
+    return [_gfpoly(spec, _ix_trim(ds[::-1] + top), "theta")
             for ds in itertools.product(range(spec.q), repeat=j)]
 
 

@@ -5,6 +5,7 @@ tail bounds are sound for the requested budget; each series documents its
 own stopping rule and records the derived truncation index in the budget.
 """
 
+import itertools
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -565,78 +566,31 @@ def _kept_blocks(ctx: Completion, weight: int, n: int, degcap: int, wp: int, az=
     return blocks, tail
 
 
-def _monic_block(ctx: Completion, j: int):
-    """All monic degree-j lattice polynomials with their exact embeddings."""
-    key = ("monic", j)
+def _monic_pows(ctx: Completion, j: int, k: int = 1) -> np.ndarray:
+    """(q^j, k*j + 1, m) theta-coefficient coordinates of a^k, k >= 1, over the
+    monic degree-j a in enumerate_A order, low degree first: the one table
+    behind every lattice block, cached per (j, k).  k = 1 reads the field
+    indices of the enumeration; each higher power is one batch_mul on the
+    power below, exact since it keeps all k*j + 1 coefficients."""
+    key = ("monic_pows", j, k)
     if key not in ctx.cache:
-        ctx.cache[key] = [(a, ctx.embed_poly(a))
-                          for a in enumerate_A(ctx.spec, j, monic=True)]
+        if k == 1:
+            idx = [a.idx for a in enumerate_A(ctx.spec, j, monic=True)]
+            P = ctx.spec.coord_rows(np.ravel(idx)).reshape(len(idx), j + 1, ctx.spec.m)
+        else:
+            P = batch_mul(ctx, _monic_pows(ctx, j), _monic_pows(ctx, j, k - 1), k * j + 1)
+        ctx.cache[key] = P
     return ctx.cache[key]
-
-
-def _char_coeffs(ctx: Completion, a: GFPoly, powers) -> dict:
-    """Multi-exponent coefficients of prod_i a(t_i)^{powers[i]}."""
-    per_var = []
-    for p in powers:
-        pw = power(a.retag("t"), p) if p else ctx.spec.poly([1], "t")
-        per_var.append([(k, c) for k, c in enumerate(pw.coeffs) if not c.is_zero()])
-    out = {(): ctx.spec.one}
-    for terms in per_var:
-        nxt = {}
-        for e, c in out.items():
-            for k, ck in terms:
-                key = e + (k,)
-                v = c * ck
-                if key in nxt:
-                    v = nxt[key] + v
-                if not v.is_zero():
-                    nxt[key] = v
-                elif key in nxt:
-                    del nxt[key]
-        out = nxt
-    return out
 
 
 def _monic_rows(ctx: Completion, j: int, k: int = 1) -> np.ndarray:
-    """(q^j, k*j*ram + 1, m) coordinates of a^k, k >= 1, over the monic degree-j a.
-
-    Row r of each entry is the coefficient of u^(r - k*j*ram), so every entry
-    starts at its valuation; enumeration order is that of _monic_block.  The
-    powers are exact, cached per (j, k) and built from the power below.  An
-    embedded polynomial in theta has terms at multiples of ram only, so each
-    power is a product of the rows at that stride.
-    """
+    """(q^j, k*j*ram + 1, m) coordinates of the embedded a^k over the monic
+    degree-j a: _monic_pows through Completion.embed_rows, cached per (j, k).
+    Row r of each entry is the coefficient of u^(r - k*j*ram), so every
+    entry starts at its valuation."""
     key = ("monic_rows", j, k)
     if key not in ctx.cache:
-        block = _monic_block(ctx, j)
-        if k == 1:
-            base = -j * ctx.ram
-            rows = np.zeros((len(block), 1 - base, ctx.spec.m), dtype=np.int64)
-            for i, (_, emb) in enumerate(block):
-                rows[i, emb.offset - base : emb.end() - base] = emb.coeffs
-        else:
-            ram = ctx.ram
-            rows = np.zeros((len(block), k * j * ram + 1, ctx.spec.m), dtype=np.int64)
-            rows[:, ::ram] = batch_mul(ctx, _monic_rows(ctx, j)[:, ::ram],
-                                       _monic_rows(ctx, j, k - 1)[:, ::ram], k * j + 1)
-        ctx.cache[key] = rows
-    return ctx.cache[key]
-
-
-def _block_chars(ctx: Completion, j: int, powers: tuple):
-    """(keys, C) for a degree-j block, cached per (j, powers): C (K, q^j, m)
-    holds the coordinates of chi(a)[e], the coefficients of
-    prod_i a(t_i)^{r_i}, with keys in first-appearance order."""
-    key = ("block_chars", j, powers)
-    if key not in ctx.cache:
-        chis = [_char_coeffs(ctx, a, powers) for a, _ in _monic_block(ctx, j)]
-        keys = tuple(dict.fromkeys(e for chi in chis for e in chi))
-        slot = {e: k for k, e in enumerate(keys)}
-        C = np.zeros((len(keys), len(chis), ctx.spec.m), dtype=np.int64)
-        for ai, chi in enumerate(chis):
-            for e, coef in chi.items():
-                C[slot[e], ai] = coef.coords
-        ctx.cache[key] = (keys, C)
+        ctx.cache[key] = ctx.embed_rows(_monic_pows(ctx, j, k))
     return ctx.cache[key]
 
 
@@ -644,25 +598,38 @@ def _block_weights(ctx: Completion, js: tuple, powers: tuple):
     """Character-weight matrix of the degree blocks js, cached per (js, powers).
 
     Stacked row i is the i-th monic a of the blocks js in order; its weight
-    on key e is chi(a)[e], with keys in first-appearance order.  Returns
-    (keys, G, mask): G is the (K*m, N*m) matrix that contracts stacked F_p
-    coordinate rows into the key coefficients through basis_mul_table, mask
+    on key e is chi(a)[e] = prod_i [t^e_i] a(t)^r_i, column e_i of
+    _monic_pows(j, r_i), formed by one field product per variable over the
+    grid of keys.  A product of field elements vanishes only with a factor,
+    so row i weights exactly the keys at which every factor is nonzero.
+    Keys are in first-appearance order: rows in order, and within one row
+    lexicographic.  Returns (keys, G, mask): G is the (K*m, N*m) matrix that
+    contracts stacked F_p coordinate rows into the key coefficients, mask
     (K, N) marks nonzero weights.
     """
     key = ("block_weights", js, powers)
     if key not in ctx.cache:
-        chars = [_block_chars(ctx, j, powers) for j in js]
-        keys = tuple(dict.fromkeys(e for ks, _ in chars for e in ks))
-        slot = {e: k for k, e in enumerate(keys)}
-        m = ctx.spec.m
-        W = np.zeros((len(keys), sum(C.shape[1] for _, C in chars), m), dtype=np.int64)
+        spec, m = ctx.spec, ctx.spec.m
+        slot, blocks = {}, []
+        for j in js:
+            # chi(a) over the grid of keys, C-order, from chi = 1
+            C = np.broadcast_to(np.eye(1, m, dtype=np.int64), (ctx.q**j, 1, m))
+            for r in powers:
+                if r:
+                    M = spec.mul_matrices(_monic_pows(ctx, j, r))
+                    C = np.einsum("akx,abxy->akby", C, M).reshape(len(M), -1, m) % ctx.p
+            nz = C.any(axis=2)
+            live = nz.any(axis=0).nonzero()[0]
+            cols = live[np.argsort(nz[:, live].argmax(axis=0), kind="stable")]
+            grid = list(itertools.product(*(range(r * j + 1) for r in powers)))
+            blocks.append((C, cols, [slot.setdefault(grid[c], len(slot)) for c in cols]))
+        W = np.zeros((len(slot), sum(len(C) for C, _, _ in blocks), m), dtype=np.int64)
         r0 = 0
-        for ks, C in chars:
-            W[[slot[e] for e in ks], r0 : r0 + C.shape[1]] = C
-            r0 += C.shape[1]
-        T = ctx.spec.basis_mul_table.astype(np.int64)
-        G = np.einsum("kia,abc->kcib", W, T).reshape(len(keys) * m, -1) % ctx.p
-        ctx.cache[key] = (keys, G, W.any(axis=2))
+        for C, cols, ks in blocks:
+            W[ks, r0 : r0 + len(C)] = C[:, cols].transpose(1, 0, 2)
+            r0 += len(C)
+        G = spec.mul_matrices(W).transpose(0, 3, 1, 2).reshape(len(slot) * m, -1)
+        ctx.cache[key] = (tuple(slot), G, W.any(axis=2))
     return ctx.cache[key]
 
 
@@ -736,8 +703,7 @@ def _orbit_extents(ctx: Completion, js: list, z: RamLaurent, wp: int):
     Z = np.zeros((F, ctx.spec.m), dtype=np.int64)
     if not z.is_zero():
         Z[z.offset - lo : z.end() - lo] = z.coeffs
-    units = [c for c in ctx.spec.subfield_elements() if not c.is_zero()]
-    S = np.stack([ctx.spec.scalar_matrix(c) for c in units])
+    S = ctx.spec.mul_matrices(ctx.spec.coord_rows(np.arange(1, ctx.q)))  # the units of F_q
     nz = ((Z - A @ S[:, None]) % ctx.p).any(axis=3)
     pole = ~nz.any(axis=2).all(axis=0)
     starts = np.cumsum([0] + [ctx.q**j for j in js])
@@ -998,14 +964,13 @@ def _stack_mul(ctx: Completion, a: tuple, ia: np.ndarray, b: tuple, ib: np.ndarr
     """RamLaurent.__mul__ on the N pairs (a[ia[i]], b[ib[i]]) at once: one
     batch_mul over the pairs aligned at their valuations, product i cut at
     its mul_prec (mul_precs), and only the rows the products keep gathered.
-    A pair with an exact-zero factor gives the exact zero, one with a
-    term-free factor a term-free product.  A product of two entries with
-    terms has valuation va + vb: its first row is the product of two
-    nonzero field elements."""
+    A pair with a term-free factor gives a term-free product, the exact zero
+    when mul_precs says so.  A product of two entries with terms has
+    valuation va + vb: its first row is the product of two nonzero field
+    elements."""
     (A, va, pa), (B, vb, pb) = a, b
     va, pa, vb, pb = va[ia], pa[ia], vb[ib], pb[ib]
-    prec = np.where((va >= PREC_EXACT) | (vb >= PREC_EXACT), PREC_EXACT,
-                    mul_precs(pa, va, pb, vb))
+    prec = mul_precs(pa, va, pb, vb)
     v = np.where((va < pa) & (vb < pb), va + vb, prec)
     n = np.minimum(prec - v, A.shape[1] + B.shape[1] - 1)
     L = max(int(n.max()), 1)

@@ -3,13 +3,15 @@
 Working uniformizer u satisfies u^-(q-1) = -theta, i.e. u is the inverse of a
 (q-1)-st root lambda of -theta.  The absolute value is |x| = q^(-v/(q-1))
 where v is the u-valuation, so A-elements embed with exponents that are
-non-positive multiples of q-1 and F_q coefficients.
+non-positive multiples of q-1 and F_q coefficients, by the one rule
+Completion.embed_rows: theta^i -> (-1)^i u^(-i(q-1)).
 
 A RamLaurent stores a dense block of F_p coordinate rows (one row per
 u-exponent, length m = e*d) together with an absolute precision bound:
 x = sum of stored terms + O(u^prec).  Exact elements use the PREC_EXACT
-sentinel.  All arithmetic tracks precision pessimistically; the q-power map
-has an exact fast path because the coefficient field has characteristic p.
+sentinel.  All arithmetic tracks precision pessimistically, products by the
+one rule mul_prec; the q-power map has an exact fast path because the
+coefficient field has characteristic p.
 
 One path each: pair_mul is the one kernel for a pair of series, on a left
 factor mapped through the basis products once by left_map.  RamLaurent.__mul__
@@ -65,6 +67,8 @@ class Completion:
         self._empty = np.zeros((0, m), dtype=np.int8)
         # basis_mul_table as (m, m*m): row i, column j*m + k is T[i, j, k]
         self.mul_rows = self.spec.basis_mul_table.reshape(m, m * m).astype(np.int64)
+        # built once: a series is never written to, so every caller can share it
+        self._theta = self.embed_poly(self.spec.poly([0, 1]))
 
     # -- constructors
 
@@ -90,7 +94,7 @@ class Completion:
         return self.u_pow(-1)
 
     def theta(self) -> "RamLaurent":
-        return self.from_field(-self.spec.one, -self.ram)
+        return self._theta
 
     def from_terms(self, terms: Iterable[tuple[int, GFElem]], prec: int = PREC_EXACT) -> "RamLaurent":
         terms = list(terms)
@@ -105,25 +109,35 @@ class Completion:
             out[k - lo] += np.array(c.coords, dtype=np.int64)
         return RamLaurent(self, lo, out % self.p, prec)
 
+    def embed_rows(self, C: np.ndarray) -> np.ndarray:
+        """(N, (L - 1)*ram + 1, m) int64 rows of N polynomials in theta with
+        (N, L, m) coefficients, low degree first: the one statement of the
+        embedding theta^i -> (-1)^i u^(-i*ram).  Row r is the coefficient of
+        u^(r - (L - 1)*ram), so degree L - 1 starts at row 0."""
+        N, L, m = C.shape
+        rows = np.zeros((N, (L - 1) * self.ram + 1, m), dtype=np.int64)
+        sign = (-1) ** np.arange(L)
+        rows[:, :: self.ram] = (C * sign[:, None])[:, ::-1] % self.p
+        return rows
+
     def embed_poly(self, a: GFPoly) -> "RamLaurent":
-        """Exact embedding of a polynomial in theta: theta^k -> (-1)^k u^(-k(q-1))."""
+        """Exact embedding of a polynomial in theta (embed_rows)."""
         if a.field is not self.spec:
             raise FieldMismatchError("polynomial over another tower")
-        sign = self.spec.one
-        terms = []
-        for k, c in enumerate(a.coeffs):
-            if not c.is_zero():
-                terms.append((-k * self.ram, c * sign))
-            sign = -sign
-        return self.from_terms(terms)
+        if a.is_zero():
+            return self.zero()
+        rows = self.embed_rows(self.spec.coord_rows(a.idx)[None])
+        return RamLaurent(self, -a.degree * self.ram, rows[0])
 
     def __repr__(self):
         return f"Completion(q={self.q}, d={self.d})"
 
 
 def mul_prec(pa: int, va: int, pb: int, vb: int) -> int:
-    """Precision of a product of factors with precisions pa, pb and valuations va, vb."""
-    if pa >= PREC_EXACT and pb >= PREC_EXACT:
+    """Precision of a product of factors with precisions pa, pb and valuations
+    va, vb: exact when both are exact, or when either is the exact zero, the
+    one element of valuation PREC_EXACT."""
+    if (pa >= PREC_EXACT and pb >= PREC_EXACT) or max(va, vb) >= PREC_EXACT:
         return PREC_EXACT
     return min(pa + vb, pb + va, PREC_EXACT)
 
@@ -131,9 +145,12 @@ def mul_prec(pa: int, va: int, pb: int, vb: int) -> int:
 def mul_precs(pa, va, pb, vb):
     """mul_prec applied elementwise: int arrays (or ints) that broadcast
     together give the precision of every product at once.  The array form of
-    the rule for mul_profile, TateElem.scalar_mul and the stacked ram_solve."""
-    return np.where((pa >= PREC_EXACT) & (pb >= PREC_EXACT), PREC_EXACT,
-                    np.minimum(np.minimum(pa + vb, pb + va), PREC_EXACT))
+    the rule for mul_profile, TateElem.scalar_mul and the stacked ram_solve.
+    Only the solve passes exact zeros: TateElem._set keeps no exact-zero key,
+    so no factor of mul_profile is one, and scalar_mul returns before this
+    rule on an exact-zero scalar."""
+    return np.where(((pa >= PREC_EXACT) & (pb >= PREC_EXACT)) | (np.maximum(va, vb) >= PREC_EXACT),
+                    PREC_EXACT, np.minimum(np.minimum(pa + vb, pb + va), PREC_EXACT))
 
 
 def left_map(ctx: Completion, A: np.ndarray) -> np.ndarray:
@@ -382,8 +399,6 @@ class RamLaurent:
 
     def __mul__(self, other: "RamLaurent") -> "RamLaurent":
         self._check(other)
-        if self.is_exact_zero() or other.is_exact_zero():
-            return self.ctx.zero()
         prec = mul_prec(self.prec, self.valuation(), other.prec, other.valuation())
         if self.is_zero() or other.is_zero():
             return self.ctx.zero(prec)
@@ -398,8 +413,7 @@ class RamLaurent:
             return self.ctx.zero()
         if self.is_zero():
             return self
-        M = self.ctx.spec.scalar_matrix(c)
-        out = (self.coeffs.astype(np.int64) @ M) % self.ctx.p
+        out = (self.coeffs.astype(np.int64) @ self.ctx.spec.mul_matrices(c.coords)) % self.ctx.p
         return RamLaurent(self.ctx, self.offset, out, self.prec)
 
     def inv(self, rel_prec: int) -> "RamLaurent":

@@ -283,7 +283,7 @@ class TateElem:
         if live.any() and self.block.shape[1]:
             logs = E[live] @ np.array([spec.log[z.index] for z in roots], dtype=np.int64)
             C = spec.coord_rows(np.asarray(spec.exp)[logs % (spec.order - 1)])
-            M = np.einsum("ijk,nj->nik", spec.basis_mul_table.astype(np.int64), C) % ctx.p
+            M = spec.mul_matrices(C)
             acc = RamLaurent(ctx, self.lo, sum(map(np.matmul, self.block[live], M)), acc.prec)
         return acc
 

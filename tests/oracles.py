@@ -512,6 +512,30 @@ def ref_is_irreducible(cs) -> bool:
     return True
 
 
+# -- the lattice blocks element by element: the references for the stacked
+# tables of functions._monic_pows and functions._block_weights.
+
+
+def monic_block(ctx: Completion, j: int) -> list:
+    """(a, embedded a) for every monic degree-j a, in enumerate_A order."""
+    return [(a, ctx.embed_poly(a)) for a in enumerate_A(ctx.spec, j, monic=True)]
+
+
+def char_coeffs(a: GFPoly, powers) -> dict:
+    """{e: chi(a)[e]}: the nonzero coefficients of prod_i a(t_i)^{powers[i]},
+    keys lexicographic, each a^r by r schoolbook products (ref_mul) of GFElem
+    coefficient lists."""
+    spec = a.field
+    out = {(): spec.one}
+    for r in powers:
+        pw = [spec.one]
+        for _ in range(r):
+            pw = ref_mul(pw, list(a.coeffs), spec.zero)
+        out = {e + (k,): c * ck for e, c in out.items()
+               for k, ck in enumerate(pw) if not ck.is_zero()}
+    return out
+
+
 def ram_solve_reference(rows, rhs, wp: int):
     """functions.ram_solve one RamLaurent at a time: the element-wise
     elimination the stacked solve must reproduce entry for entry.

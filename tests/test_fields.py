@@ -292,7 +292,7 @@ def test_poly_var_tags():
     assert a != b
     with pytest.raises(FieldMismatchError):
         a + b
-    assert a.retag("t") == b
+    assert spec.poly(a.coeffs, var="t") == b
 
 
 @pytest.mark.parametrize("j", [1, 2])

@@ -30,9 +30,7 @@ from carlitz.functions import (
     SeriesBudget,
     L_multi,
     _cancel_exp,
-    _char_coeffs,
     _inv_d,
-    _monic_block,
     agf_f,
     carlitz_constants,
     carlitz_e,
@@ -58,8 +56,8 @@ from carlitz.tate import (
     tate_zero,
 )
 
-from oracles import (_geometric_mul, at_theta, im_norm_exp, ram_solve_reference, ref_powmod,
-                     tate_poly_t, terms)
+from oracles import (_geometric_mul, at_theta, char_coeffs, im_norm_exp, monic_block,
+                     ram_solve_reference, ref_powmod, tate_poly_t, terms)
 
 
 def ctx2():
@@ -593,7 +591,7 @@ def _psi_reference(ctx, s, z, degcap, tcap, budget, powers=None):
     powers = tuple(powers)
     weight = sum(powers)
     az = z.norm_exp()
-    units = [c for c in ctx.spec.subfield_elements() if not c.is_zero()]
+    units = ctx.spec.elems[1:q]
     out = {}
     zero_e = (0,) * s
 
@@ -613,8 +611,8 @@ def _psi_reference(ctx, s, z, degcap, tcap, budget, powers=None):
             tail = max(tail, Fraction(-(j + c_j)))
             continue
         blocks.append(j)
-        for a, emb in _monic_block(ctx, j):
-            chi = _char_coeffs(ctx, a, powers)
+        for a, emb in monic_block(ctx, j):
+            chi = char_coeffs(a, powers)
             for c in units:
                 denom = z - emb.scale(c)
                 if denom.is_zero():
@@ -644,8 +642,8 @@ def _L_multi_reference(ctx, s, n, degcap, tcap, budget, powers=None):
             tail = max(tail, Fraction(-(j * n + c_j)))
             continue
         blocks.append(j)
-        for a, emb in _monic_block(ctx, j):
-            chi = _char_coeffs(ctx, a, powers)
+        for a, emb in monic_block(ctx, j):
+            chi = char_coeffs(a, powers)
             an_inv = emb.inv(wp) if n == 1 else (emb**n).inv(wp)
             for e, coef in chi.items():
                 prev = out.get(e)
@@ -729,6 +727,39 @@ def test_differential_L_multi_kernel(p, e, d):
             assert b_got.n_terms["L_multi"] == b_want.n_terms["L_multi"]
 
 
+def _block_weights_reference(ctx, js, powers):
+    """functions._block_weights element by element: chi(a) by char_coeffs
+    for every monic a of the blocks js in order, keys in first-appearance
+    order, and G contracted through basis_mul_table."""
+    chis = [char_coeffs(a, powers) for j in js for a, _ in monic_block(ctx, j)]
+    keys = tuple(dict.fromkeys(e for chi in chis for e in chi))
+    slot = {e: k for k, e in enumerate(keys)}
+    m = ctx.spec.m
+    W = np.zeros((len(keys), len(chis), m), dtype=np.int64)
+    for i, chi in enumerate(chis):
+        for e, c in chi.items():
+            W[slot[e], i] = c.coords
+    T = ctx.spec.basis_mul_table.astype(np.int64)
+    G = np.einsum("kia,abc->kcib", W, T).reshape(len(keys) * m, -1) % ctx.p
+    return keys, G, W.any(axis=2)
+
+
+@pytest.mark.parametrize("p,e,d", [(2, 2, 1), (2, 3, 1), (3, 2, 1), (2, 1, 2), (3, 1, 1)])
+def test_differential_block_weights(p, e, d):
+    """The stacked character tables equal the per-element expansion: keys in
+    order, G and mask, for powers with zero entries and r = q, single
+    blocks and stacked ones, on a cold completion."""
+    ctx = Completion(p, e, d)
+    q = ctx.q
+    for powers in ((), (0,), (1,), (q,), (2, 0), (0, q), (1, q), (q, 0, 2)):
+        for js in ((0,), (1,), (2,), (0, 1, 2), (1, 2)):
+            keys, G, mask = functions._block_weights(ctx, js, powers)
+            want_keys, want_G, want_mask = _block_weights_reference(ctx, js, powers)
+            assert keys == want_keys, (powers, js)
+            assert np.array_equal(G, want_G), (powers, js)
+            assert np.array_equal(mask, want_mask), (powers, js)
+
+
 def _psi_family_points(ctx, rng, degcap):
     """The psi kernel points: small, unit and large z, two of them truncated,
     a lattice point, an inexact point next to one, and exact and inexact zero;
@@ -803,7 +834,7 @@ def test_orbit_identity_property(tower, low, kind, lo, idx, cut):
         z = ctx.from_terms([(lo + i, spec.from_index(c % spec.order)) for i, c in enumerate(idx)])
         if kind == "truncated":
             z = z.truncate(lo + cut)
-    units = [c for c in spec.subfield_elements() if not c.is_zero()]
+    units = spec.elems[1:q]
     rows = [z - emb.scale(c) for c in units]
     assume(not any(r.is_zero() for r in rows))
     invs = [r.inv(wp) for r in rows]
@@ -821,7 +852,7 @@ def test_orbit_identity_property(tower, low, kind, lo, idx, cut):
         if lhs.prec < PREC_EXACT:
             assert not (lhs - rhs - ctx.u_pow(lhs.prec - 1)).is_zero()
     j = a.degree
-    where = [i for i, (b, _) in enumerate(_monic_block(ctx, j)) if b.coeffs == a.coeffs]
+    where = [i for i, (b, _) in enumerate(monic_block(ctx, j)) if b.coeffs == a.coeffs]
     try:
         V, P, _ = functions._orbit_extents(ctx, [j], z, wp)
     except LatticePoleError:
@@ -894,18 +925,18 @@ def test_block_tables_shared_per_tower(monkeypatch):
     builds no completion and no block table, and reports the same rows."""
     verify._completion.cache_clear()
     made, calls = [], [0]
-    orig = functions._char_coeffs
+    orig = functions.enumerate_A
 
     def counted_completion(*args):
         made.append(args)
         return Completion(*args)
 
-    def counted(*args):
+    def counted(*args, **kwargs):
         calls[0] += 1
-        return orig(*args)
+        return orig(*args, **kwargs)
 
     monkeypatch.setattr(verify, "Completion", counted_completion)
-    monkeypatch.setattr(functions, "_char_coeffs", counted)
+    monkeypatch.setattr(functions, "enumerate_A", counted)
     cfg = verify.CheckConfig(check="tau-psi1", p=3, prec=16, tcap=4, degcap=6,
                              samples=2, seed=3)
     reports, built = [], []

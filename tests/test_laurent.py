@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from carlitz.errors import (
@@ -522,18 +522,23 @@ def test_truncate_before_multiply(tower, lo_c, lo_b, idc, idb, cut_c, cut_b, P):
 
 
 PRECS = st.one_of(st.just(PREC_EXACT), st.integers(-40, 60))
+# (precision, valuation) of one factor; the exact zero has both at PREC_EXACT
+FACTORS = st.one_of(st.tuples(PRECS, st.integers(-40, 60)), st.just((PREC_EXACT, PREC_EXACT)))
 
 
 @settings(max_examples=200, deadline=None)
-@given(st.lists(st.tuples(PRECS, st.integers(-40, 60), PRECS, st.integers(-40, 60)),
-                min_size=1, max_size=12))
+@example(quads=[(PREC_EXACT, PREC_EXACT, PREC_EXACT, -7), (10, -3, PREC_EXACT, PREC_EXACT),
+                (PREC_EXACT, PREC_EXACT, 5, -30)])
+@given(st.lists(st.tuples(FACTORS, FACTORS).map(lambda f: f[0] + f[1]), min_size=1, max_size=12))
 def test_mul_precs_is_mul_prec_elementwise(quads):
     """mul_precs on arrays equals mul_prec on every (pa, va, pb, vb), exact
     and inexact factors at negative and positive valuations alike, also when
-    one side is a scalar broadcast against an array."""
+    one side is a scalar broadcast against an array.  An exact-zero factor
+    gives the exact zero, also against a negative valuation."""
     pa, va, pb, vb = (np.array(c, dtype=np.int64) for c in zip(*quads))
     want = [mul_prec(*q) for q in quads]
     assert mul_precs(pa, va, pb, vb).tolist() == want
+    assert all(w == PREC_EXACT for w, q in zip(want, quads) if max(q[1], q[3]) >= PREC_EXACT)
     assert mul_precs(pa, va, int(pb[0]), int(vb[0])).tolist() == [
         mul_prec(int(x), int(y), int(pb[0]), int(vb[0])) for x, y in zip(pa, va)]
 
