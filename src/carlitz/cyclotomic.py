@@ -465,22 +465,22 @@ def telescope_pair(spec, d: int):
     Left: sum_{j<d} l_j(x)^{-1} prod_{k<j} (y - x^{q^k}); right: the single
     term l_{d-1}(x)^{-1} prod_{1<=j<d} (y - x^{q^j}).  Both sides share the
     denominator l_{d-1}(x), so the result is (den, lhs, rhs) with lhs and rhs
-    tuples of numerator y-coefficients in F_q[x]: the identity holds exactly
-    when lhs == rhs.
+    tuples of numerator y-coefficients in F_q[x], plain GFPolys in x: the
+    identity holds exactly when lhs == rhs.
     """
     if d < 1:
         raise ShapeMismatchError("telescope depth must be >= 1")
     degree_guard(spec.q, d)
-    one = GFPoly(spec, (spec.one,), "x")
-    zero = GFPoly(spec, (), "x")
+    one = GFPoly(spec, (spec.one,))
+    zero = GFPoly(spec, ())
 
     def xq(j):
-        return GFPoly(spec, (spec.zero,) * spec.q**j + (spec.one,), "x")
+        return GFPoly(spec, (spec.zero,) * spec.q**j + (spec.one,))
 
     # suffix products l_{d-1}/l_j without division
     suffix = [one] * d
     for j in range(d - 2, -1, -1):
-        f = spec.poly([0, 1] + [0] * (spec.q ** (j + 1) - 2) + [spec.p - 1], "x")
+        f = spec.poly([0, 1] + [0] * (spec.q ** (j + 1) - 2) + [spec.p - 1])
         suffix[j] = f * suffix[j + 1]
     lhs = []
     prod = [one]  # prod_{k<j} (y - x^{q^k}) as y-coefficients
@@ -491,7 +491,7 @@ def telescope_pair(spec, d: int):
     rhs = [one]
     for j in range(1, d):
         rhs = poly_mul(rhs, [-xq(j), one], zero)
-    den = carlitz_dl(spec, d - 1, "x")[1]
+    den = carlitz_dl(spec, d - 1)[1]
     return den, tuple(lhs), tuple(rhs)
 
 

@@ -33,6 +33,7 @@ power is the one square-and-multiply, over any product passed to it.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import operator
 from typing import Iterator, Sequence
@@ -439,7 +440,7 @@ class FieldSpec:
         for coords in itertools.product(range(self.p), repeat=self.m):
             yield self.elem(coords)
 
-    def poly(self, coeffs: Sequence, var: str = "theta") -> "GFPoly":
+    def poly(self, coeffs: Sequence) -> "GFPoly":
         """A polynomial from GFElem coefficients or F_q indices."""
         out = []
         for c in coeffs:
@@ -448,7 +449,7 @@ class FieldSpec:
             elif c.field is not self:
                 raise FieldMismatchError("coefficient from another tower")
             out.append(c.index)
-        return _gfpoly(self, _ix_trim(out), var)
+        return _gfpoly(self, _ix_trim(out))
 
     def mul_matrices(self, C) -> np.ndarray:
         """(..., m, m) int64 multiplication matrices of (..., m) coordinate rows:
@@ -545,27 +546,24 @@ class GFElem:
 
 
 class GFPoly:
-    """Dense polynomial over a FieldSpec, tagged with its indeterminate name.
+    """Dense polynomial in one indeterminate over a FieldSpec.
 
     Stored once, as idx: the trimmed tuple of its coefficients' field indices,
     low degree first, for the _ix_* kernels.  coeffs is a GFElem view of idx.
     """
 
-    __slots__ = ("field", "idx", "var")
+    __slots__ = ("field", "idx")
 
-    def __init__(self, field: FieldSpec, coeffs: Sequence[GFElem], var: str = "theta"):
+    def __init__(self, field: FieldSpec, coeffs: Sequence[GFElem]):
         self.field = field
         self.idx = _ix_trim([c.index for c in coeffs])
-        self.var = var
 
     def _check(self, other: "GFPoly"):
         if self.field is not other.field:
             raise FieldMismatchError("polynomials over different towers")
-        if self.var != other.var:
-            raise FieldMismatchError(f"indeterminate mismatch: {self.var} vs {other.var}")
 
     def _new(self, idx: tuple) -> "GFPoly":
-        return _gfpoly(self.field, idx, self.var)
+        return _gfpoly(self.field, idx)
 
     @property
     def coeffs(self) -> tuple[GFElem, ...]:
@@ -664,11 +662,10 @@ class GFPoly:
         return True
 
     def __eq__(self, other):
-        return (isinstance(other, GFPoly) and self.field is other.field
-                and self.var == other.var and self.idx == other.idx)
+        return isinstance(other, GFPoly) and self.field is other.field and self.idx == other.idx
 
     def __hash__(self):
-        return hash((id(self.field), self.var, self.idx))
+        return hash((id(self.field), self.idx))
 
     def __repr__(self):
         if not self.idx:
@@ -682,15 +679,15 @@ class GFPoly:
                 parts.append(str(c))
             else:
                 head = "" if c == 1 else f"{c}*"
-                exp = self.var if k == 1 else f"{self.var}^{k}"
+                exp = "theta" if k == 1 else f"theta^{k}"
                 parts.append(head + exp)
         return " + ".join(parts)
 
 
-def _gfpoly(field: FieldSpec, idx: tuple, var: str) -> GFPoly:
+def _gfpoly(field: FieldSpec, idx: tuple) -> GFPoly:
     """A GFPoly on an index tuple that is already trimmed."""
     out = object.__new__(GFPoly)
-    out.field, out.idx, out.var = field, idx, var
+    out.field, out.idx = field, idx
     return out
 
 
@@ -734,32 +731,39 @@ def enumerate_A(spec: FieldSpec, j: int, monic: bool = False) -> list[GFPoly]:
     if j < 0 or spec.q**j > ENUM_LIMIT:
         raise SizeLimitError(f"enumeration of size q^{j} refused")
     top = (1,) if monic else ()
-    return [_gfpoly(spec, _ix_trim(ds[::-1] + top), "theta")
+    return [_gfpoly(spec, _ix_trim(ds[::-1] + top))
             for ds in itertools.product(range(spec.q), repeat=j)]
+
+
+@functools.cache
+def guard_depth(q: int) -> int:
+    """The largest j with q^j <= DEG_LIMIT: the deepest j-fold q-power
+    recursion that degree_guard lets through."""
+    return next(j for j in itertools.count() if q ** (j + 1) > DEG_LIMIT)
 
 
 def degree_guard(q: int, j: int):
     """Refuse a polynomial built by a j-fold q-power recursion (D_j, the
-    action of a degree-j element, e_j, a depth-j telescope) once q^j >
-    DEG_LIMIT: the one home of that rule."""
-    if q**j > DEG_LIMIT:
+    action of a degree-j element, e_j, a depth-j telescope) deeper than
+    guard_depth(q): the one home of that rule."""
+    if j > guard_depth(q):
         raise SizeLimitError(f"degree q^{j} beyond the polynomial guard")
 
 
-def carlitz_dl(spec: FieldSpec, j: int, var: str = "theta") -> tuple[GFPoly, GFPoly]:
-    """(D_j, l_j) in F_q[var]: the product of all monic polynomials of degree
+def carlitz_dl(spec: FieldSpec, j: int) -> tuple[GFPoly, GFPoly]:
+    """(D_j, l_j) in F_q[theta]: the product of all monic polynomials of degree
     j, and (-1)^j times their least common multiple.
 
-    Both come from the brackets [i] = var^{q^i} - var: D_0 = l_0 = 1,
+    Both come from the brackets [i] = theta^{q^i} - theta: D_0 = l_0 = 1,
     D_i = [i] * D_{i-1}^q and l_i = -[i] * l_{i-1}.
     """
     if j < 0:
         raise ShapeMismatchError("index must be >= 0")
     degree_guard(spec.q, j)
     q = spec.q
-    d = ell = _gfpoly(spec, (1,), var)
+    d = ell = _gfpoly(spec, (1,))
     for i in range(1, j + 1):
-        brk = _gfpoly(spec, (0, spec.p - 1) + (0,) * (q**i - 2) + (1,), var)
+        brk = _gfpoly(spec, (0, spec.p - 1) + (0,) * (q**i - 2) + (1,))
         d = brk * d.qpow(1)
         ell = (-brk) * ell
     return d, ell

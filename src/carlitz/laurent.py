@@ -120,6 +120,22 @@ class Completion:
         rows[:, :: self.ram] = (C * sign[:, None])[:, ::-1] % self.p
         return rows
 
+    def qpow_rows(self, C: np.ndarray, k: int) -> np.ndarray:
+        """(..., (L - 1)*q^k + 1, m) int8 rows of the q^k-th powers of the
+        (..., L, m) coefficient rows C: frob_matrix^k on each row, rows at
+        stride q^k.  The one q-power of rows, and the one check of _MAX_LEN
+        before a dilated block is allocated; frob_matrix^k is cached per k."""
+        qk = self.q**k
+        newL = max((C.shape[-2] - 1) * qk + 1, 0)
+        if newL > _MAX_LEN:
+            raise SizeLimitError("qpow block too long")
+        F = self.cache.get(("frob", k))
+        if F is None:
+            F = self.cache[("frob", k)] = _mat_pow(self.spec.frob_matrix.astype(np.int64), k, self.p)
+        out = np.zeros(C.shape[:-2] + (newL, self.spec.m), dtype=np.int8)
+        out[..., ::qk, :] = C.astype(np.int64) @ F % self.p
+        return out
+
     def embed_poly(self, a: GFPoly) -> "RamLaurent":
         """Exact embedding of a polynomial in theta (embed_rows)."""
         if a.field is not self.spec:
@@ -444,15 +460,7 @@ class RamLaurent:
         prec = self.prec if self.is_exact() else self.prec * qk
         if self.is_zero():
             return RamLaurent(ctx, 0, self.coeffs, prec)
-        L = self.coeffs.shape[0]
-        newL = (L - 1) * qk + 1
-        if newL > _MAX_LEN:
-            raise SizeLimitError("qpow block too long")
-        F = _mat_pow(ctx.spec.frob_matrix.astype(np.int64), k, ctx.p)
-        rows = (self.coeffs.astype(np.int64) @ F) % ctx.p
-        out = np.zeros((newL, ctx.spec.m), dtype=np.int8)
-        out[::qk] = rows
-        return RamLaurent(ctx, self.offset * qk, out, prec)
+        return RamLaurent(ctx, self.offset * qk, ctx.qpow_rows(self.coeffs, k), prec)
 
     def truncate(self, new_prec: int) -> "RamLaurent":
         """Forget all information at u-exponents >= new_prec."""

@@ -17,11 +17,9 @@ from fractions import Fraction
 
 import numpy as np
 
-from .errors import (EmptyPrecisionError, FieldMismatchError, ShapeMismatchError,
-                     SizeLimitError)
+from .errors import EmptyPrecisionError, FieldMismatchError, ShapeMismatchError
 from .fields import GFElem
-from .laurent import (_MAX_LEN, NEG_INF, PREC_EXACT, Completion, RamLaurent, left_map,
-                      mul_precs, pair_mul)
+from .laurent import NEG_INF, PREC_EXACT, Completion, RamLaurent, left_map, mul_precs, pair_mul
 
 
 def _val_floor(exp_bound, ram: int) -> int:
@@ -250,13 +248,10 @@ class TateElem:
     # -- twists
 
     def tau(self) -> "TateElem":
-        """Coefficientwise q-th power (RamLaurent.qpow on the frame); t
-        exponents unchanged."""
-        (K, R, m), q = self.block.shape, self.ctx.q
-        if (R - 1) * q + 1 > _MAX_LEN:
-            raise SizeLimitError("qpow block too long")
-        out = np.zeros((K, max((R - 1) * q + 1, 0), m), dtype=np.int8)
-        out[:, ::q] = self.block @ self.ctx.spec.frob_matrix.astype(np.int64) % self.ctx.p
+        """Coefficientwise q-th power (Completion.qpow_rows on the frame, as
+        RamLaurent.qpow); t exponents unchanged."""
+        q = self.ctx.q
+        out = self.ctx.qpow_rows(self.block, 1)
         precs = np.where(self.precs >= PREC_EXACT, self.precs, self.precs * q)
         return self._like(self.keys, self.lo * q, out, precs, self.tail_norm_exp * q)
 

@@ -21,9 +21,9 @@ from .errors import (
     UnknownCheckError,
 )
 from .fields import (
-    DEG_LIMIT,
     carlitz_dl,
     enumerate_A,
+    guard_depth,
     make_field,
     poly_degree,
     poly_eval,
@@ -164,6 +164,17 @@ def _norm_str(z):
     return f"q^{Fraction(z.norm_exp())}"
 
 
+def _z_samples(rc, draw, residual, norm=True):
+    """One residual sample per z = draw(i), i < samples, labelled z#i and,
+    with norm, |z|; each z is drawn before its residual is formed."""
+    out = []
+    for i in range(rc.cfg.samples):
+        z = draw(i)
+        label = f"z#{i} |z|={_norm_str(z)}" if norm else f"z#{i}"
+        out.append(_residual_sample(i, label, residual(z), rc.cfg.prec))
+    return out
+
+
 # -- resolved run state
 
 
@@ -188,8 +199,11 @@ class _Run:
         self.prime2 = prime2
         self.rng = random.Random(f"{cfg.seed}:{cfg.check}")
 
-    def ctx(self, d):
-        return _completion(self.p, self.e, d)
+    def series(self, d=1):
+        """(ctx, B): the degree-d completion and the default series budget at
+        the configured precision, the one budget rule of the runners."""
+        ctx = _completion(self.p, self.e, d)
+        return ctx, default_budget(ctx, self.cfg.prec)
 
     def ctx_degree(self, d=1):
         """d, raised to 2 when q = 2: the q = 2 base completion has no point
@@ -341,26 +355,24 @@ def _chosen_roots(rc, prime, spec, every):
 
 def _run_thm1_psi1(rc):
     cfg = rc.cfg
-    ctx = rc.ctx(1)
-    B = default_budget(ctx, cfg.prec)
+    ctx, B = rc.series()
     pi = pi_tilde(ctx, B)
     om = omega(ctx, cfg.tcap, B)
     tmn = -tate_t_minus_theta(ctx, 1, cfg.tcap, 0)
-    out = []
-    for i in range(cfg.samples):
-        z = sample_z(ctx, rc.rng, "small")
+
+    def residual(z):
         ec = carlitz_e(ctx, z, B)
         p1 = psi(ctx, 1, z, cfg.degcap, cfg.tcap, B)
         lhs = (p1 * tmn * om).scalar_mul(ec)
         rhs = papanikolas_L(ctx, ec, cfg.tcap, B).scalar_mul(pi)
-        out.append(_residual_sample(i, f"z#{i} |z|={_norm_str(z)}", lhs - rhs, cfg.prec))
-    return out, {}
+        return lhs - rhs
+
+    return _z_samples(rc, lambda i: sample_z(ctx, rc.rng, "small"), residual), {}
 
 
 def _run_eq5(rc):
     cfg = rc.cfg
-    ctx = rc.ctx(1)
-    B = default_budget(ctx, cfg.prec)
+    ctx, B = rc.series()
     om = omega(ctx, cfg.tcap, B)
     tmn = -tate_t_minus_theta(ctx, 1, cfg.tcap, 0)
     lhs = L_multi(ctx, 1, 1, cfg.degcap, cfg.tcap, B) * tmn * om
@@ -370,37 +382,33 @@ def _run_eq5(rc):
 
 def _run_eq3(rc):
     cfg = rc.cfg
-    ctx = rc.ctx(1)
-    B = default_budget(ctx, cfg.prec)
+    ctx, B = rc.series()
     tmn = -tate_t_minus_theta(ctx, 1, cfg.tcap, 0)
-    out = []
-    for i in range(cfg.samples):
-        z = sample_z(ctx, rc.rng, "small")
+
+    def residual(z):
         lhs = papanikolas_L(ctx, carlitz_e(ctx, z, B), cfg.tcap, B)
         rhs = agf_f(ctx, z, cfg.tcap, B) * tmn
-        out.append(_residual_sample(i, f"z#{i} |z|={_norm_str(z)}", lhs - rhs, cfg.prec))
-    return out, {}
+        return lhs - rhs
+
+    return _z_samples(rc, lambda i: sample_z(ctx, rc.rng, "small"), residual), {}
 
 
 def _run_eq1(rc):
     cfg = rc.cfg
-    ctx = rc.ctx(1)
-    B = default_budget(ctx, cfg.prec)
+    ctx, B = rc.series()
     tmt = tate_t_minus_theta(ctx, 1, cfg.tcap, 0)
-    out = []
-    for i in range(cfg.samples):
-        z = _mixed_z(rc, ctx, i)
+
+    def residual(z):
         f = agf_f(ctx, z, cfg.tcap, B)
         ec = tate_const(ctx, 1, cfg.tcap, carlitz_e(ctx, z, B))
-        out.append(_residual_sample(i, f"z#{i} |z|={_norm_str(z)}",
-                                    f.tau() - ec - f * tmt, cfg.prec))
-    return out, {}
+        return f.tau() - ec - f * tmt
+
+    return _z_samples(rc, lambda i: _mixed_z(rc, ctx, i), residual), {}
 
 
 def _run_eq2(rc):
     cfg = rc.cfg
-    ctx = rc.ctx(1)
-    B = default_budget(ctx, cfg.prec)
+    ctx, B = rc.series()
     om = omega(ctx, cfg.tcap, B)
     tmt = tate_t_minus_theta(ctx, 1, cfg.tcap, 0)
     return [_residual_sample(0, "global", om.tau() - om * tmt, cfg.prec)], {}
@@ -415,8 +423,7 @@ def _subsets(idx):
 
 def _run_thm2(rc):
     cfg = rc.cfg
-    ctx = rc.ctx(1)
-    B = default_budget(ctx, cfg.prec)
+    ctx, B = rc.series()
     n = max(2, cfg.samples)
     zs = [_inner_z(rc, ctx, i) for i in range(n)]
     chis = {}
@@ -469,8 +476,7 @@ def _run_thm3(rc):
     cfg = rc.cfg
     spec, prime, roots = _torsion_for(rc, every=True)
     dp = prime.degree
-    ctx = rc.ctx(dp)
-    B = default_budget(ctx, cfg.prec)
+    ctx, B = rc.series(dp)
     om = omega(ctx, cfg.tcap, B)
     chl = carlitz_dl(spec, dp - 1)[1]
     out = []
@@ -490,8 +496,7 @@ def _run_thm4(rc):
     spec, prime, roots = _torsion_for(rc, every=False, d=d_ctx)
     zeta = roots[0][1]
     cf = CycField(spec, prime, zeta)
-    ctx = rc.ctx(d_ctx)
-    B = default_budget(ctx, cfg.prec)
+    ctx, B = rc.series(d_ctx)
     k0 = rc.q ** (dp - 1) * rc.ram
     pi = pi_tilde(ctx, B)
     pinv = pi.inv(B.wp)
@@ -563,8 +568,7 @@ def _run_thm4(rc):
 
 def _genseries_samples(rc, s_list):
     cfg = rc.cfg
-    ctx = rc.ctx(1)
-    B = default_budget(ctx, cfg.prec)
+    ctx, B = rc.series()
     out = []
     for s in s_list:
         tcap = cfg.tcap if s else 0
@@ -606,52 +610,40 @@ def _genseries_samples(rc, s_list):
     return out, {"kmax": _GENSERIES_KMAX}
 
 
-def _run_lem41(rc):
-    return _genseries_samples(rc, (1, 2))
-
-
-def _run_zeta_s0(rc):
-    return _genseries_samples(rc, (0,))
-
-
 def _run_tau_psi1(rc):
     cfg = rc.cfg
-    ctx = rc.ctx(1)
-    B = default_budget(ctx, cfg.prec)
+    ctx, B = rc.series()
     pi = pi_tilde(ctx, B)
     L1 = L_multi(ctx, 1, 1, cfg.degcap, cfg.tcap, B)
-    out = []
-    for i in range(cfg.samples):
-        z = _inner_z(rc, ctx, i)
+
+    def residual(z):
         w = pi * u_val(ctx, z, B)
         p1 = psi(ctx, 1, z, cfg.degcap, cfg.tcap, B)
-        resid = p1.tau() - (p1 - L1).scalar_mul(w ** (rc.q - 1))
-        out.append(_residual_sample(i, f"z#{i}", resid, cfg.prec))
-    return out, {}
+        return p1.tau() - (p1 - L1).scalar_mul(w ** (rc.q - 1))
+
+    return _z_samples(rc, lambda i: _inner_z(rc, ctx, i), residual, norm=False), {}
 
 
 def _run_phi_psi1(rc):
     cfg = rc.cfg
-    ctx = rc.ctx(1)
-    B = default_budget(ctx, cfg.prec)
+    ctx, B = rc.series()
     pi = pi_tilde(ctx, B)
     Lq = L_multi(ctx, 1, 1, cfg.degcap, cfg.tcap, B, powers=(rc.q,))
-    out = []
-    for i in range(cfg.samples):
-        z = _inner_z(rc, ctx, i)
+
+    def residual(z):
         w = pi * u_val(ctx, z, B)
         p1 = psi(ctx, 1, z, cfg.degcap, cfg.tcap, B)
         lhs = p1.phi(0)
         rhs = (p1.tau().phi(0)).scalar_mul(w.inv(B.wp) ** (rc.q - 1)) + Lq
-        out.append(_residual_sample(i, f"z#{i}", lhs - rhs, cfg.prec))
-    return out, {}
+        return lhs - rhs
+
+    return _z_samples(rc, lambda i: _inner_z(rc, ctx, i), residual, norm=False), {}
 
 
 def _run_lem31(rc):
     cfg = rc.cfg
     d_ctx = rc.ctx_degree()
-    ctx = rc.ctx(d_ctx)
-    B = default_budget(ctx, cfg.prec)
+    ctx, B = rc.series(d_ctx)
     regimes = ("small", "unit", "large", "imag_large")
     out = []
     for i in range(cfg.samples):
@@ -667,8 +659,7 @@ def _run_lem31(rc):
 
 def _run_lem32(rc):
     cfg = rc.cfg
-    ctx = rc.ctx(1)
-    B = default_budget(ctx, cfg.prec)
+    ctx, B = rc.series()
     out = []
     for i in range(cfg.samples):
         z = _lt_q_z(rc, ctx, i)
@@ -683,8 +674,7 @@ def _run_lem32(rc):
 def _run_growth(rc):
     cfg = rc.cfg
     d_ctx = rc.ctx_degree()
-    ctx = rc.ctx(d_ctx)
-    B = default_budget(ctx, cfg.prec)
+    ctx, B = rc.series(d_ctx)
     q = rc.q
     out = [_exact_sample(0, "period norm q^(q/(q-1))",
                          Fraction(pi_tilde(ctx, B).norm_exp()) == Fraction(q, q - 1))]
@@ -720,8 +710,7 @@ def _run_prop51(rc):
         for f in primes[1:]:
             m_poly = m_poly * f
         D = m_poly.degree
-        ctx = rc.ctx(d_ctx)
-        B = default_budget(ctx, cfg.prec)
+        ctx, B = rc.series(d_ctx)
         pinv = pi_tilde(ctx, B).inv(B.wp)
         s = len(J)
         rows, top = _residue_rows(ctx, spec, m_poly, roots, J, B)
@@ -755,21 +744,20 @@ def _run_cor52(rc):
     dp = prime.degree
     cf = CycField(spec, prime, zeta)
     M = interpolation_M(cf)
-    ctx = rc.ctx(dp)
-    B = default_budget(ctx, cfg.prec)
+    ctx, B = rc.series(dp)
     coeffs = [embed(c, ctx, B) for c in M]
     p_emb = ctx.embed_poly(prime)
     p_inv = modulus_inv(ctx, prime, B.wp)
-    out = []
-    for i in range(cfg.samples):
-        z = _mixed_z(rc, ctx, i)
+
+    def residual(z):
         w = carlitz_e(ctx, z * p_inv, B)
         val = ctx.zero(B.wp)
         for c in reversed(coeffs):
             val = val * w + c
         lhs = p_emb * chi_t(ctx, z, cfg.tcap, B).ev((zeta,))
-        out.append(_residual_sample(i, f"z#{i} |z|={_norm_str(z)}", lhs - val, cfg.prec))
-    return out, {"d": dp}
+        return lhs - val
+
+    return _z_samples(rc, lambda i: _mixed_z(rc, ctx, i), residual), {"d": dp}
 
 
 # -- exact runners
@@ -796,11 +784,8 @@ def _run_lem53(rc):
 
 
 def _run_lem55(rc):
-    cfg = rc.cfg
     spec = make_field(rc.p, rc.e, 1)
-    depth = max(1, min(cfg.degcap, 8))
-    while depth > 1 and rc.q**depth > DEG_LIMIT:
-        depth -= 1
+    depth = max(1, min(rc.cfg.degcap, 8, guard_depth(rc.q)))
     out = []
     for d in range(1, depth + 1):
         # both sides share one denominator, so they agree iff their numerators do
@@ -901,10 +886,10 @@ REGISTRY = {
         _run_thm4, needs_prime=True),
     "lem41-genseries": CheckDef(
         "z * psi(s,z) == sum of z^n * L_multi(s,n) over n == s mod (q-1); other coefficients vanish",
-        _run_lem41),
+        functools.partial(_genseries_samples, s_list=(1, 2))),
     "carlitz-zeta-s0": CheckDef(
         "z * psi(0,z) == 1 + sum of z^(k(q-1)) * zeta_A(k(q-1))",
-        _run_zeta_s0),
+        functools.partial(_genseries_samples, s_list=(0,))),
     "tau-psi1": CheckDef(
         "tau(psi(1,z)) == (pi_tilde*u)^(q-1) * (psi(1,z) - L_multi(1,1))",
         _run_tau_psi1),
@@ -1018,20 +1003,17 @@ def _params(cfg: CheckConfig, rc: _Run) -> dict:
     }
 
 
-def _not_applicable(cfg: CheckConfig, rc: _Run):
+def _not_applicable(rc: _Run):
     """Why the check does not apply to this configuration, or None."""
-    min_q = REGISTRY[cfg.check].min_q
+    min_q = REGISTRY[rc.cfg.check].min_q
     if rc.q < min_q:
         return f"needs q >= {min_q}, got q = {rc.q}"
     return None
 
 
-def run_check(cfg: CheckConfig) -> CheckReport:
-    t0 = time.perf_counter()
-    rc = _resolve(cfg)
-    reason = _not_applicable(cfg, rc)
-    if reason is not None:
-        raise ConfigError(f"{cfg.check} {reason}")
+def _report(rc: _Run, t0: float) -> CheckReport:
+    """Run a resolved check that applies and report it, timed from t0."""
+    cfg = rc.cfg
     samples, extra = REGISTRY[cfg.check].runner(rc)
     status = "pass" if all(s.status == "pass" for s in samples) else "fail"
     certs = [s.certified for s in samples if isinstance(s.certified, int)]
@@ -1043,8 +1025,18 @@ def run_check(cfg: CheckConfig) -> CheckReport:
     return CheckReport(cfg.check, params, status, overall, samples, elapsed)
 
 
+def run_check(cfg: CheckConfig) -> CheckReport:
+    t0 = time.perf_counter()
+    rc = _resolve(cfg)
+    reason = _not_applicable(rc)
+    if reason is not None:
+        raise ConfigError(f"{cfg.check} {reason}")
+    return _report(rc, t0)
+
+
 def run_all(cfg: CheckConfig):
-    """Every registry check in contract order with one shared configuration.
+    """Every registry check in contract order with one shared configuration,
+    each resolved once.
 
     A check that does not apply to the configuration (q below its min_q) is
     reported as skipped, with the reason as its one sample row, and the run
@@ -1055,15 +1047,15 @@ def run_all(cfg: CheckConfig):
     reports = []
     for name in REGISTRY:
         sub = CheckConfig(**{**cfg.__dict__, "check": name})
+        t0 = time.perf_counter()
         rc = _resolve(sub)
-        reason = _not_applicable(sub, rc)
+        reason = _not_applicable(rc)
         if reason is not None:
             row = SampleResult(0, reason, "skipped", "skipped", "skipped")
             reports.append(CheckReport(name, _params(sub, rc), "skipped", "skipped", [row], 0))
             continue
-        t0 = time.perf_counter()
         try:
-            reports.append(run_check(sub))
+            reports.append(_report(rc, t0))
         except CarlitzError as err:
             row = SampleResult(0, f"{type(err).__name__}: {err}", "error", "error", "error")
             elapsed = int((time.perf_counter() - t0) * 1000)

@@ -656,13 +656,13 @@ def test_telescope_degree_two_frozen():
     q = spec.q
     mono = [spec.zero] * (q + 1)
     mono[q] = spec.one
-    xq = GFPoly(spec, tuple(mono), "x")
+    xq = GFPoly(spec, tuple(mono))
     ell1 = [spec.zero] * (q + 1)
     ell1[1] = spec.one
     ell1[q] = spec.zero - spec.one
-    assert den == GFPoly(spec, tuple(ell1), "x")
-    assert lhs[0] == GFPoly(spec, (), "x") - xq
-    assert lhs[1] == GFPoly(spec, (spec.one,), "x")
+    assert den == GFPoly(spec, tuple(ell1))
+    assert lhs[0] == GFPoly(spec, ()) - xq
+    assert lhs[1] == GFPoly(spec, (spec.one,))
     assert lhs == rhs
 
 
@@ -684,12 +684,12 @@ def test_telescope_guards():
 
 def _kernel_product(spec, j):
     """prod_{k<j} (y - x^{q^k}) as y-coefficients over F_q[x]."""
-    out = [GFPoly(spec, (spec.one,), "x")]
+    out = [GFPoly(spec, (spec.one,))]
     for k in range(j):
         mono = [spec.zero] * (spec.q**k + 1)
         mono[spec.q**k] = spec.one
-        xq = GFPoly(spec, tuple(mono), "x")
-        nxt = [GFPoly(spec, (), "x")] * (len(out) + 1)
+        xq = GFPoly(spec, tuple(mono))
+        nxt = [GFPoly(spec, ())] * (len(out) + 1)
         for m, c in enumerate(out):
             nxt[m + 1] = nxt[m + 1] + c
             nxt[m] = nxt[m] - xq * c
@@ -709,7 +709,7 @@ def test_monic_sums_identity(p, d, j):
         v = a.eval(zeta).inv()
         for m, c in enumerate(a.coeffs):
             got[m] = got[m] + c * v
-    l_inv = carlitz_dl(spec, j, "x")[1].eval(zeta).inv()
+    l_inv = carlitz_dl(spec, j)[1].eval(zeta).inv()
     assert got == [c.eval(zeta) * l_inv for c in _kernel_product(spec, j)]
 
 

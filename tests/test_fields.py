@@ -285,16 +285,6 @@ def test_enumerate_order_frozen():
         enumerate_A(f3, 11)
 
 
-def test_poly_var_tags():
-    spec = make_field(3, 1, 1)
-    a = spec.poly([1, 1], var="theta")
-    b = spec.poly([1, 1], var="t")
-    assert a != b
-    with pytest.raises(FieldMismatchError):
-        a + b
-    assert spec.poly(a.coeffs, var="t") == b
-
-
 @pytest.mark.parametrize("j", [1, 2])
 def test_differential_qpow_outside_subfield(j):
     # GFPoly.qpow against j rounds of q-fold products, in the tower (2, 2, 2)

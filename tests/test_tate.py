@@ -9,11 +9,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from carlitz import laurent
 from carlitz.errors import (
     EmptyPrecisionError,
     FieldMismatchError,
     PrecisionExhaustedError,
     ShapeMismatchError,
+    SizeLimitError,
 )
 from carlitz.fields import roots_in_ext
 from carlitz.functions import (L_multi, agf_f, chi_t, default_budget, omega, omega_inv,
@@ -29,7 +31,7 @@ from carlitz.tate import (
 
 from carlitz.verify import _levels
 
-from oracles import DictTate, at_theta, tate_poly_t, terms
+from oracles import DictTate, at_theta, frobenius, tate_poly_t, terms, to_pairs
 
 
 @pytest.fixture(scope="module")
@@ -214,6 +216,52 @@ def test_tau_scales_norm_and_tail(ctx32):
     T = A.tau()
     assert T.gauss_norm_exp() == Fraction(3)  # |theta^q| = q^q, q = 3
     assert T.tail_norm_exp == Fraction(-15, 2)
+
+
+def _qpow_terms(x, k):
+    """x^(q^k) term by term: c u^v goes to frobenius(c, k) u^(v q^k), and an
+    inexact precision scales by q^k."""
+    qk = x.ctx.q**k
+    prec = x.prec if x.is_exact() else x.prec * qk
+    return x.ctx.from_terms([(v * qk, frobenius(c, k)) for v, c in to_pairs(x)], prec)
+
+
+@pytest.mark.parametrize("tower", [(2, 2, 2), (3, 1, 2)])
+def test_differential_qpow_rows(monkeypatch, tower):
+    """RamLaurent.qpow(k) for k = 0, 1, 2 and TateElem.tau against the
+    term-by-term Frobenius, on exact, inexact and term-free inputs; both go
+    through Completion.qpow_rows, which forms frob_matrix^k once per k."""
+    powers = []
+    mat_pow = laurent._mat_pow
+    monkeypatch.setattr(laurent, "_mat_pow", lambda *a: powers.append(a[1]) or mat_pow(*a))
+    ctx = Completion(*tower)
+    rng = random.Random(4242)
+    for _ in range(3):
+        xs = [rand_scalar(ctx, rng, exact=True), rand_scalar(ctx, rng, exact=False),
+              ctx.zero(rng.randrange(-5, 20)), ctx.zero()]
+        for x in xs:
+            for k in (0, 1, 2):
+                assert x.qpow(k) == _qpow_terms(x, k)
+        A = TateElem(ctx, 2, 3, {(0, 1): xs[0], (2, 0): xs[1], (1, 1): xs[2], (3, 3): xs[0]},
+                     tail_norm_exp=Fraction(-7, 2))
+        want = TateElem(ctx, 2, 3, {e: _qpow_terms(A.coeff(e), 1) for e in A.keys},
+                        tail_norm_exp=A.tail_norm_exp * ctx.q)
+        assert A.tau() == want
+    assert sorted(powers) == [0, 1, 2]
+    assert sorted(key for key in ctx.cache if key[0] == "frob") == [("frob", k) for k in (0, 1, 2)]
+
+
+def test_qpow_rows_refuses_long_blocks(monkeypatch):
+    """RamLaurent.qpow and TateElem.tau refuse a dilated block past _MAX_LEN
+    before allocating it (the constructor's own check says "series block")."""
+    ctx = Completion(3, 1, 1)
+    x = ctx.from_terms([(0, ctx.spec.one), (20, ctx.spec.one)])
+    monkeypatch.setattr(laurent, "_MAX_LEN", 40)
+    assert x.qpow(0) == x
+    with pytest.raises(SizeLimitError, match="qpow block too long"):
+        x.qpow(1)
+    with pytest.raises(SizeLimitError, match="qpow block too long"):
+        TateElem(ctx, 1, 2, {(0,): x}).tau()
 
 
 # -- phi twist

@@ -15,6 +15,7 @@ import pytest
 from carlitz import cli
 from carlitz import verify
 from carlitz.errors import ConfigError, SizeLimitError, UnknownCheckError
+from carlitz.fields import DEG_LIMIT, degree_guard, guard_depth
 from carlitz.functions import default_budget
 from carlitz.laurent import Completion
 from carlitz.verify import (
@@ -301,6 +302,53 @@ def test_run_all_order(monkeypatch):
     monkeypatch.setattr(verify, "REGISTRY", small)
     reports = run_all(CheckConfig(**CHEAP))
     assert [r.check for r in reports] == ["eq2-omega", "zz-fail"]
+
+
+@pytest.mark.parametrize("p", [3, 2])
+def test_run_all_resolves_each_check_once(monkeypatch, p):
+    """run_all resolves every registry check once, the skipped one included,
+    and reports from that resolution."""
+    resolved = []
+    resolve = verify._resolve
+
+    def spy(cfg):
+        resolved.append(cfg.check)
+        return resolve(cfg)
+
+    def runner(rc):
+        return [_exact_sample(0, "stub", True)], {}
+
+    stubs = {name: dataclasses.replace(cd, runner=runner) for name, cd in REGISTRY.items()}
+    monkeypatch.setattr(verify, "REGISTRY", stubs)
+    monkeypatch.setattr(verify, "_resolve", spy)
+    reports = run_all(CheckConfig(p=p))
+    assert resolved == EXPECTED_NAMES
+    assert [r.check for r in reports] == EXPECTED_NAMES
+    assert [r.status for r in reports].count("skipped") == (p == 2)
+
+
+def _lem55_depth_loop(q, degcap):
+    """The telescope depth of lem55-telescope as a loop that lowers it while
+    q^depth > DEG_LIMIT."""
+    depth = max(1, min(degcap, 8))
+    while depth > 1 and q**depth > DEG_LIMIT:
+        depth -= 1
+    return depth
+
+
+@pytest.mark.parametrize("p,e", [(2, 1), (3, 1), (2, 2), (5, 1), (7, 1), (2, 3), (3, 2),
+                                 (11, 1), (13, 1), (2, 4)])
+def test_lem55_depth_matches_loop(p, e):
+    """lem55's depth at q = p^e, every prime power in 2..16, equals the loop
+    over DEG_LIMIT, and degree_guard lets exactly guard_depth(q) through."""
+    q = p**e
+    degree_guard(q, guard_depth(q))
+    with pytest.raises(SizeLimitError):
+        degree_guard(q, guard_depth(q) + 1)
+    for degcap in (1, 2, 5, 12):
+        rep = run_check(CheckConfig(check="lem55-telescope", p=p, e=e, degcap=degcap))
+        assert rep.status == "pass"
+        assert rep.params["depth"] == _lem55_depth_loop(q, degcap)
 
 
 def test_cli_config_file(tmp_path, capsys):
