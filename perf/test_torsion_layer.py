@@ -12,12 +12,15 @@ index 4).  The operands of mul and inv are the coefficients of Z and of the
 top power in the interpolation polynomial M, which cor56 compares: residues
 of full length in Z whose numerators have theta-degree up to 4 (q = 4) and 9
 (q = 9).  They are built once per module.  The sweeps start from an empty
-field cache on every call, as a check does with the field it builds.
+field cache on every call, as a check does with the field it builds.  The
+coefficients of C_{theta^i}(Z) are kept once per tower for the process, so
+test_carlitz_poly is warm after its first round.
 """
 
 import pytest
 
-from carlitz.cyclotomic import CycField, action_at_lam, carlitz_poly, interpolation_M
+from carlitz.cyclotomic import (CycField, action_at_lam, carlitz_poly, interpolation_M,
+                                node_eval)
 from carlitz.fields import enumerate_A, make_field, roots_in_ext
 
 FIELDS = {
@@ -56,6 +59,10 @@ def test_inv(benchmark, case):
     benchmark(lambda: case.A.inv())
 
 
+def test_qpow(benchmark, case):
+    benchmark(lambda: case.A.qpow())
+
+
 def test_carlitz_poly(benchmark):
     spec = make_field(2, 2, 2)
     elems = enumerate_A(spec, 3)
@@ -81,3 +88,16 @@ def test_interpolation_M(benchmark):
         return interpolation_M(cf)
 
     benchmark(build)
+
+
+def test_lem53_node_sweep(benchmark):
+    # lem53's node sample: M at the torsion value of every residue
+    cf = _field("q4")
+    M = interpolation_M(cf)
+    residues = enumerate_A(cf.spec, cf.d)
+
+    def sweep():
+        cf.cache.clear()
+        return [node_eval(M, action_at_lam(cf, b)) for b in residues]
+
+    benchmark(sweep)

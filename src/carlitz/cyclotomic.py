@@ -11,6 +11,8 @@ Everything here is exact; the only numerics is the final embedding into the
 completion, which inverts its moduli by functions.modulus_inv.
 """
 
+import functools
+
 from .errors import (
     FieldMismatchError,
     InvariantError,
@@ -51,34 +53,58 @@ def torsion_guard(q: int, d: int):
             f"torsion field of degree {d} beyond the torsion guard q^d <= {_TORSION_LIMIT}")
 
 
+@functools.cache
+def _theta_action(spec, i: int) -> tuple:
+    """The coefficients of C_{theta^i}(Z), kept once per tower for i up to
+    carlitz_poly's degree_guard: C_1(Z) = Z, and c_j of C_{theta^(i+1)} is
+    theta c_j + c_{j-1}^q of C_{theta^i}, as C_theta(Z) = theta Z + Z^q."""
+    if not i:
+        return (spec.poly([1]),)
+    prev, zero = _theta_action(spec, i - 1), spec.poly([])
+    return tuple(spec.poly([0, 1]) * x + y.qpow(1)
+                 for x, y in zip(prev + (zero,), (zero,) + prev))
+
+
 def carlitz_poly(spec, a: GFPoly) -> tuple:
     """The additive polynomial C_a(Z) = sum_j c_j Z^{q^j} of the module
-    action of a, as the trimmed tuple (c_0, c_1, ...) in F_q[theta].
-
-    C_theta(Z) = theta Z + Z^q, so c_j of C_{theta^(i+1)} is theta c_j +
-    c_{j-1}^q of C_{theta^i}, and C_a = sum_i a_i C_{theta^i} since the
-    action is F_q-linear in a.
+    action of a, as the trimmed tuple (c_0, c_1, ...) in F_q[theta]:
+    C_a = sum_i a_i C_{theta^i}, since the action is F_q-linear in a.
     """
     a.subfield_coeff_indices()
     degree_guard(spec.q, a.degree)
-    zero, theta = spec.poly([]), spec.poly([0, 1])
-    power = [spec.poly([1])]  # C_1(Z) = Z
+    zero = spec.poly([])
     out = []
     for i, c in enumerate(a.idx):
-        if i:
-            power = [theta * x + y.qpow(1) for x, y in zip(power + [zero], [zero] + power)]
         if c:
-            out = poly_add(out, [x.scale(spec.elems[c]) for x in power], zero)
+            out = poly_add(out, [x.scale(spec.elems[c]) for x in _theta_action(spec, i)], zero)
     return tuple(out)
 
 
-def lin_eval(coeffs, x: GFPoly) -> GFPoly:
-    """sum_j c_j x^{q^j} for the additive polynomial with coefficients coeffs."""
-    acc = x.field.poly([])
+def lin_eval(coeffs, x):
+    """sum_j c_j x^{q^j} for the additive polynomial with coefficients
+    coeffs, at a GFPoly or a CycElem x, with each x^{q^j} from x^{q^(j-1)}
+    by qpow.  c_j multiplies from the right, so at a CycElem it may be a
+    GFPoly or a CycElem."""
+    acc, xj = x - x, x
     for j, c in enumerate(coeffs):
+        if j:
+            xj = xj.qpow()
         if not c.is_zero():
-            acc = acc + c * x.qpow(j)
+            acc = acc + xj * c
     return acc
+
+
+def node_eval(cs, x: "CycElem") -> "CycElem":
+    """sum_k c_k x^k for CycElem coefficients cs: the terms at k = q^j by
+    lin_eval, every other term by Horner, so the value is exact for any cs
+    and an additive one, as M or a Gauss sum, takes no Horner step."""
+    zero = x.cf.zero
+    lin, rest, k = [], list(cs), 1
+    while k < len(cs):
+        lin.append(cs[k])
+        rest[k] = zero
+        k *= x.cf.spec.q
+    return lin_eval(lin, x) + poly_eval(poly_trim(rest), x, zero)
 
 
 def basis_E(spec, j: int) -> tuple[tuple, GFPoly]:
@@ -253,6 +279,8 @@ class CycElem:
         return self + (-other)
 
     def __mul__(self, other) -> "CycElem":
+        if isinstance(other, CycElem) and len(other.coeffs) == 1 and other.is_integral():
+            other = other.coeffs[0]  # a constant scales the numerators
         if isinstance(other, (GFPoly, GFElem)):
             return CycElem(self.cf, [c * other for c in self.coeffs], self.den)
         self._check(other)
@@ -269,6 +297,21 @@ class CycElem:
 
     def __truediv__(self, other):
         return self * other.inv()
+
+    def qpow(self, j: int = 1) -> "CycElem":
+        """self^(q^j) = sum_k c_k^(q^j) lambda^(k q^j) / den^(q^j), reduced;
+        mirrors GFPoly.qpow and RamLaurent.qpow.
+
+        The field has characteristic p and q^j is a power of p, so
+        (u + v)^(q^j) = u^(q^j) + v^(q^j): the binomial coefficients C(p, i),
+        0 < i < p, vanish mod p.  The power is multiplicative too, so it
+        sends num(lambda) / den to sum_k c_k^(q^j) lambda^(k q^j) over
+        den^(q^j), with c^(q^j) from GFPoly.qpow(j); rho reduces the result.
+        """
+        cf, step = self.cf, self.cf.spec.q**j
+        dense = [cf.poly_zero] * ((len(self.coeffs) - 1) * step + 1)
+        dense[::step] = [c.qpow(j) for c in self.coeffs]
+        return cf.reduce(dense, self.den.qpow(j))
 
     def __pow__(self, n: int) -> "CycElem":
         if n < 0:
@@ -303,7 +346,7 @@ def action_at_lam(cf: CycField, a: GFPoly) -> CycElem:
         a.subfield_coeff_indices()
         xs = cf.cache.setdefault("theta_actions", [cf.lam])
         while len(xs) < len(a.idx):
-            xs.append(xs[-1] * cf.spec.poly([0, 1]) + xs[-1] ** cf.spec.q)
+            xs.append(xs[-1] * cf.spec.poly([0, 1]) + xs[-1].qpow())
         acc = cf.zero
         for x, c in zip(xs, a.idx):
             if c:
@@ -329,7 +372,7 @@ def galois_sigma(a: GFPoly, x: CycElem) -> CycElem:
     if a.gcd(cf.prime).degree != 0:
         raise NotCoprimeError("class of a is not invertible modulo the prime")
     lam_img = action_at_lam(cf, a % cf.prime)
-    acc = poly_eval([cf.const(c) for c in x.coeffs], lam_img, cf.zero)
+    acc = node_eval([cf.const(c) for c in x.coeffs], lam_img)
     # the automorphism fixes F(theta), so the denominator stays
     return CycElem(cf, acc.coeffs, x.den)
 
@@ -459,40 +502,34 @@ def M_from_gauss(cf: CycField) -> list:
 # -- exact identities in two symbols
 
 
-def telescope_pair(spec, d: int):
-    """Both sides of the degree-d telescope identity in the symbols (x, y).
+def telescope_pair(spec, d: int) -> list:
+    """Both sides of the telescope identity in the symbols (x, y), at every
+    depth 1..d, as the list of (den, lhs, rhs) for depth 1, 2, ..., d.
 
-    Left: sum_{j<d} l_j(x)^{-1} prod_{k<j} (y - x^{q^k}); right: the single
-    term l_{d-1}(x)^{-1} prod_{1<=j<d} (y - x^{q^j}).  Both sides share the
-    denominator l_{d-1}(x), so the result is (den, lhs, rhs) with lhs and rhs
-    tuples of numerator y-coefficients in F_q[x], plain GFPolys in x: the
-    identity holds exactly when lhs == rhs.
+    At depth n the left side is sum_{j<n} l_j(x)^{-1} P_j with P_j =
+    prod_{k<j} (y - x^{q^k}), the right side the single term l_{n-1}(x)^{-1}
+    R_n with R_n = prod_{1<=j<n} (y - x^{q^j}).  Both share the denominator
+    l_{n-1}(x), so lhs and rhs are tuples of numerator y-coefficients in
+    F_q[x], plain GFPolys in x, and the identity holds exactly when lhs ==
+    rhs.  With g_n = l_n / l_{n-1} = x - x^{q^n}, the numerators obey lhs_1 =
+    1 and lhs_{n+1} = g_n lhs_n + P_n, and R_{n+1} = R_n (y - x^{q^n}), so
+    one pass builds every depth.
     """
     if d < 1:
         raise ShapeMismatchError("telescope depth must be >= 1")
     degree_guard(spec.q, d)
-    one = GFPoly(spec, (spec.one,))
-    zero = GFPoly(spec, ())
-
-    def xq(j):
-        return GFPoly(spec, (spec.zero,) * spec.q**j + (spec.one,))
-
-    # suffix products l_{d-1}/l_j without division
-    suffix = [one] * d
-    for j in range(d - 2, -1, -1):
-        f = spec.poly([0, 1] + [0] * (spec.q ** (j + 1) - 2) + [spec.p - 1])
-        suffix[j] = f * suffix[j + 1]
-    lhs = []
-    prod = [one]  # prod_{k<j} (y - x^{q^k}) as y-coefficients
-    for j in range(d):
-        lhs = poly_add(lhs, [suffix[j] * c for c in prod], zero)
-        if j < d - 1:
-            prod = poly_mul(prod, [-xq(j), one], zero)
-    rhs = [one]
-    for j in range(1, d):
-        rhs = poly_mul(rhs, [-xq(j), one], zero)
-    den = carlitz_dl(spec, d - 1)[1]
-    return den, tuple(lhs), tuple(rhs)
+    one, zero, x = spec.poly([1]), spec.poly([]), spec.poly([0, 1])
+    den, lhs, prod, rhs, xq = one, [one], [one], [one], x
+    out = [(den, (one,), (one,))]
+    for _ in range(1, d):
+        prod = poly_mul(prod, [-xq, one], zero)  # P_n, xq = x^{q^(n-1)}
+        xq = xq.qpow()
+        g = x - xq
+        den = g * den
+        lhs = poly_add([g * c for c in lhs], prod, zero)
+        rhs = poly_mul(rhs, [-xq, one], zero)
+        out.append((den, tuple(lhs), tuple(rhs)))
+    return out
 
 
 # -- the numeric embedding

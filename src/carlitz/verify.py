@@ -26,7 +26,6 @@ from .fields import (
     guard_depth,
     make_field,
     poly_degree,
-    poly_eval,
     poly_trim,
     roots_in_ext,
 )
@@ -67,6 +66,7 @@ from .cyclotomic import (
     interpolation_M,
     lin_eval,
     M_from_gauss,
+    node_eval,
     telescope_pair,
     torsion_guard,
     torsion_moment,
@@ -430,9 +430,10 @@ def _run_thm2(rc):
     psis = {}
 
     def chi_slot(k, i):
-        if (k, i) not in chis:
-            chis[(k, i)] = chi_t(ctx, zs[k], cfg.tcap, B).embed_vars(2, (i,))
-        return chis[(k, i)]
+        if k not in chis:
+            chi = chi_t(ctx, zs[k], cfg.tcap, B)
+            chis[k] = [chi.embed_vars(2, (j,)) for j in (0, 1)]
+        return chis[k][i]
 
     def psi_sub(k, J):
         if k not in psis:
@@ -773,7 +774,7 @@ def _run_lem53(rc):
     nodes_ok = True
     for b in enumerate_A(spec, prime.degree):
         want = cf.const(prime) * cf.const(b.eval(zeta))
-        if not (poly_eval(Ml, action_at_lam(cf, b)) - want).is_zero():
+        if not (node_eval(Ml, action_at_lam(cf, b)) - want).is_zero():
             nodes_ok = False
             break
     out.append(_exact_sample(1, "node values prime * character(b)", nodes_ok))
@@ -787,9 +788,8 @@ def _run_lem55(rc):
     spec = make_field(rc.p, rc.e, 1)
     depth = max(1, min(rc.cfg.degcap, 8, guard_depth(rc.q)))
     out = []
-    for d in range(1, depth + 1):
-        # both sides share one denominator, so they agree iff their numerators do
-        _, lhs, rhs = telescope_pair(spec, d)
+    # both sides share one denominator, so they agree iff their numerators do
+    for d, (_, lhs, rhs) in enumerate(telescope_pair(spec, depth), 1):
         ok = lhs == rhs and poly_degree(rhs) == d - 1
         out.append(_exact_sample(len(out), f"depth {d}", ok))
     return out, {"depth": depth}

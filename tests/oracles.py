@@ -9,7 +9,7 @@ import numpy as np
 from carlitz.cyclotomic import action_at_lam, carlitz_poly
 from carlitz.errors import (EmptyPrecisionError, FieldMismatchError, InvariantError,
                             PrecisionExhaustedError, ShapeMismatchError, SingularSystemError)
-from carlitz.fields import GFElem, GFPoly, enumerate_A, poly_add, poly_trim
+from carlitz.fields import GFElem, GFPoly, carlitz_dl, enumerate_A, poly_add, poly_mul, poly_trim
 from carlitz.laurent import NEG_INF, PREC_EXACT, Completion, RamLaurent
 from carlitz.tate import TateElem, _val_floor
 
@@ -293,6 +293,46 @@ def action_at_lam_direct(cf, a: GFPoly):
     for j, c in enumerate(carlitz_poly(cf.spec, a)):
         acc = acc + _lam_qpow(cf, j) * c
     return acc
+
+
+def carlitz_poly_recursive(spec, a: GFPoly) -> tuple:
+    """C_a(Z) by the recursion c_j <- theta c_j + c_{j-1}^q from C_1(Z) = Z,
+    run afresh for every a: the reference for carlitz_poly, which reads the
+    C_{theta^i} from a table kept once per tower."""
+    zero, theta = spec.poly([]), spec.poly([0, 1])
+    power = [spec.poly([1])]
+    out = []
+    for i, c in enumerate(a.idx):
+        if i:
+            power = [theta * x + y.qpow(1) for x, y in zip(power + [zero], [zero] + power)]
+        if c:
+            out = poly_add(out, [x.scale(spec.elems[c]) for x in power], zero)
+    return tuple(out)
+
+
+def telescope_depth(spec, d: int):
+    """(den, lhs, rhs) of the depth-d telescope identity, built from depth 1
+    on its own: suffix products l_{d-1}/l_j without division, the left side
+    sum_{j<d} (l_{d-1}/l_j) prod_{k<j} (y - x^{q^k}), the right side
+    prod_{1<=j<d} (y - x^{q^j}) and den = l_{d-1}.  The per-depth reference
+    for telescope_pair, which builds every depth in one pass."""
+    one, zero = spec.poly([1]), spec.poly([])
+
+    def xq(j):
+        return spec.poly([0] * spec.q**j + [1])
+
+    suffix = [one] * d
+    for j in range(d - 2, -1, -1):
+        suffix[j] = (spec.poly([0, 1]) - xq(j + 1)) * suffix[j + 1]
+    lhs, prod = [], [one]
+    for j in range(d):
+        lhs = poly_add(lhs, [suffix[j] * c for c in prod], zero)
+        if j < d - 1:
+            prod = poly_mul(prod, [-xq(j), one], zero)
+    rhs = [one]
+    for j in range(1, d):
+        rhs = poly_mul(rhs, [-xq(j), one], zero)
+    return carlitz_dl(spec, d - 1)[1], tuple(lhs), tuple(rhs)
 
 
 def interpolation_M_per_residue(cf) -> list:

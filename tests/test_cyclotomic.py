@@ -23,6 +23,7 @@ from carlitz.cyclotomic import (
     gauss_sum_inv,
     interpolation_M,
     lin_eval,
+    node_eval,
     telescope_pair,
     torsion_moment,
 )
@@ -40,6 +41,7 @@ from carlitz.fields import (
     GFPoly,
     carlitz_dl,
     enumerate_A,
+    guard_depth,
     make_field,
     poly_degree,
     poly_eval,
@@ -52,12 +54,14 @@ from carlitz.laurent import Completion
 
 from oracles import (
     action_at_lam_direct,
+    carlitz_poly_recursive,
     frobenius,
     interpolation_M_per_residue,
     lin_add,
     lin_compose,
     linpoly_coeff,
     moment_per_residue,
+    telescope_depth,
 )
 
 
@@ -133,6 +137,19 @@ def test_action_size_guard():
     spec = make_field(2, 1, 1)
     with pytest.raises(SizeLimitError):
         carlitz_poly(spec, spec.poly([0] * 13 + [1]))
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.sampled_from([(2, 1, 1), (3, 1, 1), (2, 2, 2), (3, 2, 2)]), st.integers(0, 2**32))
+@example((2, 2, 2), 2**32)
+def test_differential_carlitz_poly_table(tower, seed):
+    # C_a from the per-tower table of C_{theta^i} against the recursion run
+    # afresh for a, for a up to the deepest degree the guard lets through
+    spec = make_field(*tower)
+    rng = random.Random(seed)
+    n = rng.randrange(min(guard_depth(spec.q), 6) + 2)
+    a = spec.poly([spec.elems[rng.randrange(spec.q)] for _ in range(n)])
+    assert carlitz_poly(spec, a) == carlitz_poly_recursive(spec, a)
 
 
 def test_basis_small_closed_forms():
@@ -417,6 +434,63 @@ def test_galois_moves_generator_by_action():
         assert galois_sigma(a, cf.lam) == action_at_lam(cf, a)
 
 
+# torsion fields at q = 2, 3, 4 and 9 for the Frobenius and node-evaluation
+# differentials: _tf arguments
+_QPOW_FIELDS = [(2, 1, 2, (1, 1, 1)), (3, 1, 2, (1, 0, 1)), (2, 2, 2, (2, 1, 1)),
+                (3, 2, 2, (4, 0, 1))]
+
+
+def _random_elem(cf, rng, integral=True):
+    """A residue with random numerators of theta-degree < 3, divided by a
+    random monic quadratic in theta unless integral."""
+    spec = cf.spec
+    coeffs = [spec.poly([rng.choice(spec.elems) for _ in range(rng.randrange(4))])
+              for _ in range(rng.randrange(len(cf.rho)))]
+    x = CycElem(cf, coeffs)
+    if integral:
+        return x
+    return x / cf.const(spec.poly([rng.choice(spec.elems), rng.choice(spec.elems), 1]))
+
+
+@settings(max_examples=16, deadline=None)
+@given(st.sampled_from(_QPOW_FIELDS), st.booleans(), st.integers(0, 2**32))
+@example((3, 2, 2, (4, 0, 1)), False, 5)
+@example((2, 2, 2, (2, 1, 1)), False, 5)
+def test_differential_cycelem_qpow(args, integral, seed):
+    # the Frobenius image against square-and-multiply, x^(q^j) for j = 0, 1
+    # and, below q = 9, j = 2
+    cf = _tf(*args)
+    q = cf.spec.q
+    x = _random_elem(cf, random.Random(seed), integral)
+    for j in range(2 if q > 4 else 3):
+        assert x.qpow(j) == x ** (q**j)
+    assert cf.zero.qpow() == cf.zero
+    assert cf.lam.qpow(cf.d) == cf.lam ** (q**cf.d)
+
+
+@settings(max_examples=16, deadline=None)
+@given(st.sampled_from(_QPOW_FIELDS), st.booleans(), st.integers(0, 2**32))
+@example((2, 2, 2, (2, 1, 1)), True, 3)
+def test_differential_node_eval(args, at_node, seed):
+    # sum_k c_k x^k with the q-power terms by lin_eval and the rest by Horner,
+    # against Horner over every term: coefficients on and off the q-powers,
+    # integral or not, at a torsion node C_b(lambda) or at a random residue
+    cf = _tf(*args)
+    q, rng = cf.spec.q, random.Random(seed)
+    if at_node:
+        x = action_at_lam(cf, enumerate_A(cf.spec, cf.d)[rng.randrange(q**cf.d)])
+    else:
+        x = _random_elem(cf, rng)
+    # up to the term at q^2 (at q^1 for q = 9, where Horner is slow)
+    top = q ** (2 if q < 9 else 1)
+    cs = [_random_elem(cf, rng, rng.random() < 0.7) if rng.random() < 0.5 else cf.zero
+          for _ in range(rng.randrange(top + 2))]
+    assert node_eval(cs, x) == poly_eval(cs, x, cf.zero)
+    # an additive polynomial takes no Horner step
+    lin = [c if k in (1, q, q * q) else cf.zero for k, c in enumerate(cs)]
+    assert node_eval(lin, x) == poly_eval(lin, x, cf.zero)
+
+
 # -- Gauss sums
 
 
@@ -652,7 +726,7 @@ def test_differential_action_at_lam_routes(args):
 
 def test_telescope_degree_two_frozen():
     spec = make_field(3, 1, 1)
-    den, lhs, rhs = telescope_pair(spec, 2)
+    den, lhs, rhs = telescope_pair(spec, 2)[-1]
     q = spec.q
     mono = [spec.zero] * (q + 1)
     mono[q] = spec.one
@@ -669,10 +743,21 @@ def test_telescope_degree_two_frozen():
 @pytest.mark.parametrize("p,e,dmax", [(2, 1, 6), (3, 1, 5), (2, 2, 4)])
 def test_telescope_all_depths(p, e, dmax):
     spec = make_field(p, e, 1)
-    for d in range(1, dmax + 1):
-        _, lhs, rhs = telescope_pair(spec, d)
+    pairs = telescope_pair(spec, dmax)
+    assert len(pairs) == dmax
+    for d, (_, lhs, rhs) in enumerate(pairs, 1):
         assert lhs == rhs
         assert poly_degree(rhs) == d - 1
+
+
+@pytest.mark.parametrize("p,e", [(2, 1), (3, 1), (2, 2), (5, 1)])
+def test_differential_telescope_depths(p, e):
+    # every depth of the one-pass telescope_pair against its own per-depth
+    # build, up to the deepest depth the degree guard lets through
+    spec = make_field(p, e, 1)
+    dmax = min(8, guard_depth(spec.q))
+    for d, got in enumerate(telescope_pair(spec, dmax), 1):
+        assert got == telescope_depth(spec, d)
 
 
 def test_telescope_guards():
