@@ -1,5 +1,5 @@
-"""Microbenchmarks of the RamLaurent layer and of the stacked ram_solve,
-outside tier-1's testpaths.
+"""Microbenchmarks of the RamLaurent layer, of the Carlitz exponential's
+terms and of the stacked ram_solve, outside tier-1's testpaths.
 
 Run from the root of a checkout (pytest-benchmark 5.2.3):
 
@@ -23,6 +23,12 @@ raises one to the q-th power.  ram_solve solves lem41's two lattice-q3
 systems, captured from one run of the check at the workload's budget and
 seed 0: n = 7 with the 5 Tate keys of s = 1, and n = 8 with the 25 keys of
 s = 2.  Operands are drawn once, from fixed seeds.
+
+carlitz_exp and agf_f run at the series-q2 shapes, towers (2, 1, 1) and
+(2, 1, 2) at prec 64 and tcap 24, and at q = 7 (tower (7, 1, 1), prec 40,
+tcap 12, the CLI defaults), on a small and a large z from sample_z: each
+call forms every kept term z^(q^i)/D_i.  pi_tilde, which agf_f multiplies z
+by, is cached per completion and warm after the first round.
 """
 
 import random
@@ -30,8 +36,8 @@ import random
 import pytest
 
 from carlitz import verify
-from carlitz.functions import ram_solve
-from carlitz.laurent import Completion
+from carlitz.functions import agf_f, carlitz_exp, default_budget, ram_solve
+from carlitz.laurent import Completion, sample_z
 
 SHAPES = {
     "series-q2-m1": ((2, 1, 1), 80),
@@ -93,3 +99,31 @@ def lem41_systems():
 def test_ram_solve(benchmark, lem41_systems, n, keys):
     rows, rhs, wp = lem41_systems[(n, keys)]
     benchmark(lambda: ram_solve(rows, rhs, wp))
+
+
+EXP_SHAPES = {
+    "series-q2-m1": ((2, 1, 1), 64, 24),
+    "series-q2-m2": ((2, 1, 2), 64, 24),
+    "q7": ((7, 1, 1), 40, 12),
+}
+
+
+@pytest.fixture(scope="module", params=[(shape, regime) for shape in EXP_SHAPES
+                                        for regime in ("small", "large")],
+                ids=lambda param: "-".join(param))
+def exp_case(request):
+    shape, regime = request.param
+    tower, prec, tcap = EXP_SHAPES[shape]
+    ctx = Completion(*tower)
+    z = sample_z(ctx, random.Random(f"exp-layer:{shape}:{regime}"), regime)
+    return ctx, z, prec, tcap
+
+
+def test_carlitz_exp(benchmark, exp_case):
+    ctx, z, prec, _ = exp_case
+    benchmark(lambda: carlitz_exp(ctx, z, default_budget(ctx, prec)))
+
+
+def test_agf_f(benchmark, exp_case):
+    ctx, z, prec, tcap = exp_case
+    benchmark(lambda: agf_f(ctx, z, tcap, default_budget(ctx, prec)))

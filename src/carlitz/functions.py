@@ -21,7 +21,7 @@ from .errors import (
     ShapeMismatchError,
     SingularSystemError,
 )
-from .fields import GFPoly, carlitz_dl, degree_guard, enumerate_A, power
+from .fields import GFPoly, degree_guard, enumerate_A, power
 from .laurent import (NEG_INF, PREC_EXACT, Completion, RamLaurent, batch_mul, inv_extent,
                       mul_precs, stack_inv)
 from .tate import TateElem, mul_profile, tate_zero
@@ -50,65 +50,6 @@ def default_budget(ctx: Completion, prec: int) -> SeriesBudget:
     """Budget for prec with working padding 4 * ram + 2q + 8, where ram is
     the ramification index of the completion."""
     return SeriesBudget(prec, 4 * ctx.ram + 2 * ctx.q + 8)
-
-
-# -- exact constants in A
-
-
-def carlitz_constants(ctx: Completion, i: int):
-    """(d_i, l_i): the degree-q^i product constants, exact in F_q[theta]
-    (fields.carlitz_dl), memoised on the completion."""
-    key = ("const", i)
-    if key not in ctx.cache:
-        ctx.cache[key] = carlitz_dl(ctx.spec, i)
-    return ctx.cache[key]
-
-
-def _inv_d(ctx: Completion, i: int, rel: int) -> RamLaurent:
-    """1/d_i to relative precision rel (cached in coarse precision buckets)."""
-    rel_b = ((rel + 31) // 32) * 32
-    key = ("inv_d", i, rel_b)
-    if key not in ctx.cache:
-        d_i, _ = carlitz_constants(ctx, i)
-        ctx.cache[key] = ctx.embed_poly(d_i).inv(rel_b)
-    return ctx.cache[key]
-
-
-def _term(ctx: Completion, z: RamLaurent, i: int, wp: int, rel: int) -> RamLaurent:
-    """(z^(q^i) / d_i).truncate(wp), with z truncated before it is dilated.
-
-    Let b = 1/d_i, v its valuation, c = z.qpow(i) and K = ceil((wp - v) / q^i).
-    qpow commutes with truncation, z.truncate(K).qpow(i) == c.truncate(q^i K)
-    (RamLaurent.qpow), and q^i K >= wp - v.  The lemma below at P = wp turns
-    both (c.truncate(q^i K) * b) and (c * b), truncated at wp, into
-    (c.truncate(wp - v) * b).truncate(wp).  So only the rows of z below K
-    reach the result, and the block qpow allocates has at most
-    (K - v(z) - 1) q^i + 1 rows, not the whole dilation of z.
-
-    Lemma (truncate before multiply).  For series c and b, an integer P and
-    v_b = b.valuation(), (c.truncate(P - v_b) * b).truncate(P) ==
-    (c * b).truncate(P), for exponents far below the PREC_EXACT sentinel.
-
-    Proof.  Let c' = c.truncate(P - v_b), so p_c' = min(p_c, P - v_b).  If b
-    is the exact zero both products are.  If c is, c' is term-free with
-    valuation P - v_b, and c' * b is term-free with precision
-    min(P, p_b + P - v_b) = P, because p_b >= v_b; so is (c * b).truncate(P).
-    Otherwise: the rows.  A row of c at exponent i >= P - v_b meets only rows
-    of b at exponents >= v_b, so it reaches only exponents >= P, and below
-    P - v_b the rows of c and c' agree; so both products have the same rows
-    below P.  The precisions, by mul_prec, are min(P, p_c' + v_b,
-    p_b + v_c', PREC_EXACT) on the left and min(P, p_c + v_b, p_b + v_c,
-    PREC_EXACT) on the right (PREC_EXACT alone when c and b are exact, and
-    then the left one is P as well).  If c' keeps a term, v_c' = v_c and
-    p_c' + v_b = min(p_c + v_b, P), so they agree.  If c' is term-free and
-    p_c' = p_c, c is term-free too and the same holds.  Else v_c >= P - v_b
-    and p_c > P - v_b; the left is P since p_b + v_c' = p_b + P - v_b >= P,
-    and the right is P since p_c + v_b > P and p_b + v_c >= P.  The
-    RamLaurent constructor trims both to the rows below that common
-    precision, so they are equal.
-    """
-    inv = _inv_d(ctx, i, rel)
-    return (z.truncate(-((inv.valuation() - wp) // ctx.q**i)).qpow(i) * inv).truncate(wp)
 
 
 # -- period
@@ -140,9 +81,10 @@ def pi_tilde(ctx: Completion, budget: SeriesBudget) -> RamLaurent:
 
 
 def _exp_indices(ctx: Completion, v: int, wp: int):
-    """Kept term indices and positive-exponent slack for sum z^{q^i}/d_i,
-    term i of valuation q^i (v + i ram).  A kept term divides by D_i, so it
-    is refused by D_i's degree guard before any term is formed."""
+    """Kept term indices and positive-exponent slack for sum z^{q^i}/D_i,
+    term i of valuation q^i (v + i ram).  No D_i is formed (_exp_terms), but
+    degree_guard still refuses a kept term past its depth, before any term,
+    and so bounds the chain."""
     keep = []
     slack = 0
     i = 0
@@ -157,6 +99,57 @@ def _exp_indices(ctx: Completion, v: int, wp: int):
     return keep, slack
 
 
+def _exp_terms(ctx: Completion, z: RamLaurent, n: int, wp: int) -> list:
+    """[(z^(q^i) / D_i).truncate(wp) for i < n]: the terms of the Carlitz
+    exponential, each from the one before, with no D_i and no series product.
+
+    The identity.  D_0 = 1 and D_i = [i] D_(i-1)^q, [i] = theta^(q^i) - theta
+    (fields.carlitz_dl; Goss, Basic Structures of Function Field Arithmetic,
+    ch. 3), so term_i = term_(i-1)^q / [i].  The q-th power is additive in
+    characteristic p, so (t + O(u^P))^q = t^q + O(u^(qP)): qpow_rows spreads
+    the Frobenius images of the rows to stride q.  With theta^(-1) = -u^ram,
+    1/[i] = theta^(-q^i) / (1 - theta^(1-q^i)) = (-1)^(q^i) u^(q^i ram) sum_k
+    u^(k s), s = (q^i - 1) ram (the signs (-1)^(k(q^i-1)) are 1 for odd q and
+    void for even q): a shift by q^i ram rows, a sign and one prefix sum in
+    strides of s (cumsum over a (K, s, m) view), reduced once mod p.  Below
+    the frame's end the prefix sum is the whole geometric series, and 1/[i]
+    has valuation q^i ram, so (x + O(u^P)) / [i] = x / [i] + O(u^(P + q^i ram)).
+
+    Truncation points.  Term i is formed below top[i], with top[n-1] = wp and
+    top[i-1] = max(wp, ceil((top[i] - q^i ram) / q)): term i - 1 below
+    top[i-1] gives term i below q top[i-1] + q^i ram >= top[i].  For wp >= 0
+    every top[i] is wp, since (wp - q^i ram) / q < wp; a negative wp needs the
+    longer chain.
+
+    Precision rule.  Term i has precision min(top[i], q prec_(i-1) + q^i ram),
+    from z.truncate(top[0]); unrolled, the least of q^(i-j) top[j] + (i-j) q^i
+    ram over j <= i and q^i p_z + i q^i ram, p_z the precision of z.  As q
+    top[j-1] + q^j ram >= top[j], the one at j - 1 is at least the one at j,
+    so truncated at wp term i has precision min(wp, q^i p_z + i q^i ram): that
+    of (z^(q^i) * 1/D_i).truncate(wp) with the exact 1/D_i (wp for exact z).
+    """
+    q, ram, m = ctx.q, ctx.ram, ctx.spec.m
+    top = [wp] * n
+    for i in range(n - 1, 0, -1):
+        top[i - 1] = max(wp, -((q**i * ram - top[i]) // q))
+    out, t = [], z.truncate(top[0] if n else wp)
+    for i in range(n):
+        if i:
+            prec = min(top[i], q * t.prec + q**i * ram)
+            off, s = q * t.offset + q**i * ram, (q**i - 1) * ram
+            R = prec - off
+            if t.is_zero() or R <= 0:
+                t = ctx.zero(prec)
+            else:
+                rows = ctx.qpow_rows(t.coeffs[: -(-R // q)], 1)[:R]
+                D = np.zeros((-(-R // s) * s, m), dtype=np.int64)
+                D[: len(rows)] = rows
+                np.cumsum(D.reshape(-1, s, m), axis=0, out=D.reshape(-1, s, m))
+                t = RamLaurent(ctx, off, -D[:R] if q % 2 else D[:R], prec)
+        out.append(t.truncate(wp) if t.prec > wp else t)
+    return out
+
+
 def _pi_times(ctx: Completion, z: RamLaurent, slack: int, wp: int) -> RamLaurent:
     """pi_tilde * z for the exponential terms of working precision wp and
     positive-exponent slack: pi_tilde to wp + slack + q + max(0, -v(z))."""
@@ -164,15 +157,20 @@ def _pi_times(ctx: Completion, z: RamLaurent, slack: int, wp: int) -> RamLaurent
 
 
 def carlitz_exp(ctx: Completion, z: RamLaurent, budget: SeriesBudget) -> RamLaurent:
-    """sum_i z^{q^i}/d_i, truncated when the term valuation clears the budget."""
+    """sum_i z^{q^i}/D_i, truncated when the term valuation clears the budget:
+    the terms of _exp_terms summed in one int64 frame, reduced once."""
     wp = budget.wp
     if z.is_exact_zero():
         return ctx.zero()
-    keep, slack = _exp_indices(ctx, z.valuation(), wp)
+    keep, _ = _exp_indices(ctx, z.valuation(), wp)
     budget.n_terms["carlitz_exp"] = len(keep)
-    acc = ctx.zero(wp)
-    for i in keep:
-        acc = acc + _term(ctx, z, i, wp, wp + slack)
+    terms = _exp_terms(ctx, z, len(keep), wp)
+    live = [t for t in terms if t.coeffs.shape[0]]
+    lo = min((t.offset for t in live), default=0)
+    D = np.zeros((max((t.end() for t in live), default=lo) - lo, ctx.spec.m), dtype=np.int64)
+    for t in live:
+        D[t.offset - lo : t.end() - lo] += t.coeffs
+    acc = RamLaurent(ctx, lo, D, min([wp] + [t.prec for t in terms]))
     if acc.prec < budget.prec:
         raise PrecisionExhaustedError(
             f"exponential delivered precision {acc.prec} < target {budget.prec}")
@@ -269,19 +267,19 @@ def omega(ctx: Completion, tcap: int, budget: SeriesBudget) -> TateElem:
 
 
 def agf_f(ctx: Completion, z: RamLaurent, tcap: int, budget: SeriesBudget) -> TateElem:
-    """Generating function sum_n (pi z)^{q^n} / ((theta^{q^n} - t) d_n).
+    """Generating function sum_n (pi z)^{q^n} / ((theta^{q^n} - t) D_n).
 
     pi has valuation -q and 1/(theta^{q^n} - t) leads with theta^(-q^n), of
     valuation q^n ram, so term n has valuation q^n (v(z) - 1 + n ram): that
     of the exponential's term n at v = v(z) - 1, and _exp_indices there gives
     the kept indices and the slack.
 
-    Closed form.  Term n is s_n = (pi z)^{q^n} / d_n (_term) times
+    Closed form.  Term n is s_n = (pi z)^{q^n} / D_n (_exp_terms) times
     1/(theta^{q^n} - t) = sum_e t^e theta^(-(e+1) q^n), and theta^(-(e+1)
     q^n) = (-1)^(e+1) u^((e+1) q^n ram): q^n is odd for odd q, and signs
     vanish in characteristic 2.  So the t^e coefficient of the sum is
     (-1)^(e+1) sum_n s_n u^((e+1) q^n ram), known below P[e], the least
-    prec(s_n) + (e+1) q^n ram (finite: _term truncates s_n at wp).  One int64
+    prec(s_n) + (e+1) q^n ram (finite: s_n is truncated at wp).  One int64
     frame, row r at u^(lo + r), lo = ram + the least offset of the s_n, W rows
     below the largest P[e] and L more (the longest s_n), takes each s_n at
     row a + e q^n ram of key e through one strided view, for the keys whose
@@ -298,8 +296,8 @@ def agf_f(ctx: Completion, z: RamLaurent, tcap: int, budget: SeriesBudget) -> Ta
         return tate_zero(ctx, 1, tcap)
     keep, slack = _exp_indices(ctx, z.valuation() - 1, wp)
     budget.n_terms["agf_f"] = len(keep)
-    w = _pi_times(ctx, z, slack, wp)
-    terms = [(q**n * ram, _term(ctx, w, n, wp, wp + slack)) for n in keep]
+    terms = [(q**n * ram, s) for n, s in
+             enumerate(_exp_terms(ctx, _pi_times(ctx, z, slack, wp), len(keep), wp))]
     if not terms:
         return tate_zero(ctx, 1, tcap)
     tail = Fraction(max(-(tcap + 2) * st - s.valuation() for st, s in terms), ram)

@@ -170,6 +170,18 @@ class DictTate:
                 and self.tail_norm_exp == other.tail_norm_exp and self.terms == other.terms)
 
 
+def exp_term(ctx: Completion, z: RamLaurent, i: int, wp: int, rel=None) -> RamLaurent:
+    """(z^(q^i) / D_i).truncate(wp) by dilate-then-divide: z.qpow(i) times
+    1/D_i, D_i from carlitz_dl, inverted to rel terms.  The default rel is
+    ample: 1/D_i is then known past wp - q^i v(z), so the product is right
+    below wp with the precision of the exact quotient.  The reference of
+    functions._exp_terms."""
+    if rel is None:
+        rel = max(1, wp - ctx.q**i * z.valuation())
+    inv = ctx.embed_poly(carlitz_dl(ctx.spec, i)[0]).inv(rel)
+    return (z.qpow(i) * inv).truncate(wp)
+
+
 def tate_poly_t(ctx: Completion, s: int, tcap: int, i: int, a: GFPoly) -> TateElem:
     """Image of a in F_q[t_i]: coefficient k of a becomes the t_i^k term."""
     terms = {}

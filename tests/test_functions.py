@@ -24,15 +24,14 @@ from carlitz.errors import (
     SizeLimitError,
 )
 from carlitz.cyclotomic import CycField, basis_E, embed
-from carlitz.fields import (DEG_LIMIT, _ix_powmod, _mat_pow, enumerate_A, make_field, power,
-                            roots_in_ext)
+from carlitz.fields import (DEG_LIMIT, _ix_powmod, _mat_pow, carlitz_dl, enumerate_A, make_field,
+                            power, roots_in_ext)
 from carlitz.functions import (
     SeriesBudget,
     L_multi,
     _cancel_exp,
-    _inv_d,
+    _exp_terms,
     agf_f,
-    carlitz_constants,
     carlitz_e,
     carlitz_exp,
     chi_t,
@@ -56,7 +55,7 @@ from carlitz.tate import (
     tate_zero,
 )
 
-from oracles import (_geometric_mul, at_theta, char_coeffs, im_norm_exp, monic_block,
+from oracles import (_geometric_mul, at_theta, char_coeffs, exp_term, im_norm_exp, monic_block,
                      ram_solve_reference, ref_powmod, tate_poly_t, terms)
 
 
@@ -78,9 +77,9 @@ def small_z(ctx, rng, rounds):
 def test_constants_base():
     for ctx in (ctx2(), ctx3()):
         spec = ctx.spec
-        d0, l0 = carlitz_constants(ctx, 0)
+        d0, l0 = carlitz_dl(spec, 0)
         assert d0.coeffs == spec.poly([1]).coeffs and l0.coeffs == spec.poly([1]).coeffs
-        d1, l1 = carlitz_constants(ctx, 1)
+        d1, l1 = carlitz_dl(spec, 1)
         want = [spec.zero] * (ctx.q + 1)
         want[1] = -spec.one
         want[ctx.q] = spec.one
@@ -94,7 +93,7 @@ def test_constants_product_oracles():
     for ctx in (ctx2(), ctx3()):
         spec = ctx.spec
         for i in (1, 2):
-            d_i, l_i = carlitz_constants(ctx, i)
+            d_i, l_i = carlitz_dl(spec, i)
             assert d_i.degree == i * ctx.q**i
             prod = spec.poly([1])
             lcm = spec.poly([1])
@@ -347,7 +346,7 @@ def test_monic_degree_sums_closed_form():
             for i in range(j):
                 rhs = rhs * (tate_var(ctx, 1, tcap, 0)
                              - tate_const(ctx, 1, tcap, ctx.theta().qpow(i)))
-            _, l_j = carlitz_constants(ctx, j)
+            _, l_j = carlitz_dl(ctx.spec, j)
             rhs = rhs.scalar_mul(ctx.embed_poly(l_j).inv(B.wp))
             d = total - rhs
             assert d.gauss_norm_exp() <= Fraction(-B.prec, ctx.ram) + 2
@@ -1095,9 +1094,10 @@ def test_differential_omega_geometric_chain(p, e, d):
             assert B.n_terms["omega"] == n
 
 
-def _agf_f_reference(ctx, z, tcap, budget):
+def _agf_f_reference(ctx, z, tcap, budget, rel=None):
     """agf_f as a sum of scalar multiples of the geometric series, one
-    TateElem addition per term."""
+    TateElem addition per term, each term dilate-then-divide (exp_term) with
+    1/D_n to rel(wp, slack) terms, or with the exact 1/D_n when rel is None."""
     wp = budget.wp
     q, ram = ctx.q, ctx.ram
     if z.is_exact_zero():
@@ -1118,7 +1118,7 @@ def _agf_f_reference(ctx, z, tcap, budget):
     w = pi * z
     acc = tate_zero(ctx, 1, tcap)
     for n in keep:
-        scal = (w.qpow(n) * _inv_d(ctx, n, wp + slack)).truncate(wp)
+        scal = exp_term(ctx, w, n, wp, None if rel is None else rel(wp, slack))
         acc = acc + _geometric_reference(ctx, tcap, q**n, 1, 1).scalar_mul(scal)
     return acc
 
@@ -1141,7 +1141,7 @@ def test_differential_agf_f_summed(p, e, d):
 TERM_TOWERS = [(2, 1, 1), (3, 1, 1), (2, 2, 1), (5, 1, 1), (7, 1, 1)]
 
 
-@settings(max_examples=80, deadline=None)
+@settings(max_examples=150, deadline=None)
 @given(
     tower=st.sampled_from(TERM_TOWERS),
     kind=st.sampled_from(["exact", "truncated", "no rows", "zero"]),
@@ -1150,13 +1150,13 @@ TERM_TOWERS = [(2, 1, 1), (3, 1, 1), (2, 2, 1), (5, 1, 1), (7, 1, 1)]
     cut=st.integers(0, 12),
     i=st.integers(0, 3),
     wp=st.integers(-10, 40),
-    slack=st.integers(0, 40),
 )
-def test_truncated_term_property(tower, kind, lo, idx, cut, i, wp, slack):
-    """functions._term, which truncates z before it dilates it, equals
-    dilate-then-truncate, (z.qpow(i) * 1/d_i).truncate(wp), for exact and
-    truncated z of either sign of valuation, z truncated to no rows, and the
-    exact zero."""
+def test_exp_terms_chain_property(tower, kind, lo, idx, cut, i, wp):
+    """Every term of functions._exp_terms, the chain term_i = term_(i-1)^q /
+    [i], equals dilate-then-divide, (z.qpow(i) * 1/D_i).truncate(wp) with the
+    exact 1/D_i (oracles.exp_term): rows, offset and precision, for exact
+    and truncated z of either sign of valuation, z truncated to no rows, and
+    the exact zero, at negative wp too."""
     ctx = Completion(*tower)
     spec = ctx.spec
     z = ctx.from_terms([(lo + k, spec.from_index(c % spec.order)) for k, c in enumerate(idx)])
@@ -1166,8 +1166,52 @@ def test_truncated_term_property(tower, kind, lo, idx, cut, i, wp, slack):
         z = z.truncate(lo - cut)
     elif kind == "zero":
         z = ctx.zero()
-    want = (z.qpow(i) * _inv_d(ctx, i, wp + slack)).truncate(wp)
-    assert functions._term(ctx, z, i, wp, wp + slack) == want
+    got = _exp_terms(ctx, z, i + 1, wp)
+    assert len(got) == i + 1
+    for k, term in enumerate(got):
+        assert term == exp_term(ctx, z, k, wp)
+
+
+def test_agf_f_precisions_only_rise(monkeypatch):
+    """Against the route that divided by 1/D_n to the bucketed relative
+    precision wp + slack (rounded up to a multiple of 32), agf_f and chi_t,
+    which takes agf_f's precisions through its product profile, keep the
+    keys, the tail, n_terms and every row that route knew; a precision only
+    rises, and only where that route's was already at least wp.  That route
+    sized its slack at v(z) - 1 while the s_n it divides have valuation
+    v(z) - q, so at large |z| its t^0 precision was set by the inverse; here
+    it is the exact quotient's."""
+    def bucketed(wp, slack):
+        return ((wp + slack + 31) // 32) * 32
+
+    rose = 0
+    for p, e, d in [(2, 1, 1), (3, 1, 1), (2, 2, 1), (5, 1, 1)]:
+        ctx = Completion(p, e, d)
+        rng = random.Random(f"agf-rise:{p}:{e}:{d}")
+        for _ in range(12):
+            z = sample_z(ctx, rng, rng.choice(["small", "unit", "large", "large"]))
+            if rng.random() < 0.3:
+                z = z.truncate(z.valuation() + rng.randrange(1, 6))
+            tcap, prec = rng.randrange(0, 8), rng.choice([12, 24, 40])
+            b_got, b_old = default_budget(ctx, prec), default_budget(ctx, prec)
+            got = agf_f(ctx, z, tcap, b_got)
+            old = _agf_f_reference(ctx, z, tcap, b_old, bucketed)
+            assert b_got.n_terms == b_old.n_terms
+            _assert_same(got, _agf_f_reference(ctx, z, tcap, default_budget(ctx, prec)))
+            with monkeypatch.context() as mp:
+                mp.setattr(functions, "agf_f", lambda ctx, z, tcap, budget:
+                           _agf_f_reference(ctx, z, tcap, budget, bucketed))
+                chi_old = chi_t(ctx, z, tcap, default_budget(ctx, prec))
+            for new, ref in ((got, old), (chi_t(ctx, z, tcap, default_budget(ctx, prec)), chi_old)):
+                assert new.keys == ref.keys and new.tail_norm_exp == ref.tail_norm_exp
+                for key, c_old in terms(ref).items():
+                    c = new.coeff(key)
+                    assert c.prec >= c_old.prec
+                    assert c.truncate(c_old.prec) == c_old
+                    if c.prec > c_old.prec:
+                        assert c_old.prec >= b_got.wp
+                        rose += 1
+    assert rose
 
 
 def test_size_guard_refuses_only_kept_terms():
@@ -1186,8 +1230,8 @@ def test_size_guard_refuses_only_kept_terms():
 
 
 def test_size_guard_before_period():
-    """A z whose kept terms would need D_i with q^i > DEG_LIMIT raises
-    SizeLimitError at once, before pi_tilde or any D_j is built."""
+    """A z that would keep a term i with q^i > DEG_LIMIT raises
+    SizeLimitError at once, before pi_tilde is built or any term formed."""
     for k in (40, 200):
         for f in (lambda ctx, z: carlitz_e(ctx, z, default_budget(ctx, 20)),
                   lambda ctx, z: agf_f(ctx, z, 4, default_budget(ctx, 20))):
@@ -1196,7 +1240,7 @@ def test_size_guard_before_period():
             with pytest.raises(SizeLimitError):
                 f(ctx, ctx.u_pow(-k))
             assert time.perf_counter() - start < 1.0
-            assert not any(key[0] in ("pi", "const", "inv_d") for key in ctx.cache)
+            assert not any(key[0] == "pi" for key in ctx.cache)
 
 
 def _papanikolas_reference(ctx, alpha, tcap, budget):

@@ -8,6 +8,12 @@ it rewrites the lem41-genseries and carlitz-zeta-s0 rows.  A config runs
 --all unless its flags name one --check.  Regenerate a file with
 
     PYTHONPATH=src python -m carlitz.cli --all --format tsv --p 2 > tests/golden/p2.tsv
+
+p7.tsv, p2e3.tsv and p3e2.tsv hold `--all` at q = 7, 8 and 9 (`--p 7`,
+`--p 2 --e 3`, `--p 3 --e 2`, each exiting 1 on the four failing
+thm4-degcoeff order rows).  They take seconds each, so they are not
+parametrised here: the CI step that runs `--all` at those q compares them
+byte for byte.
 """
 
 from pathlib import Path
